@@ -24,8 +24,6 @@ _EXPORTS = {
     "heat_semigroup": "operators",
     "cos_sqrt_sum_oracle": "operators",
     "sinc_sqrt_sum_oracle": "operators",
-    "trotter_product": "operators",
-    "analytic_bound": "operators",
     "random_hermitian": "operators",
     "random_state": "operators",
     # quadrature

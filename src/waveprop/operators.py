@@ -25,8 +25,6 @@ __all__ = [
     "heat_semigroup",
     "cos_sqrt_sum_oracle",
     "sinc_sqrt_sum_oracle",
-    "trotter_product",
-    "analytic_bound",
     "random_hermitian",
     "random_state",
 ]
@@ -231,19 +229,6 @@ def sinc_sqrt_sum_oracle(ops, t: float, vector=None):
     if vector is None:
         return dec.matrix_function(fn)
     return dec.apply(fn, as_vector(vector))
-
-
-def trotter_product(a, b, rho: float, m: int) -> np.ndarray:
-    """[exp(-rho A^2 / m) exp(-rho B^2 / m)]^m as a dense matrix."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    step = heat_semigroup(a, rho / m) @ heat_semigroup(b, rho / m)
-    return np.linalg.matrix_power(step, m)
-
-
-def analytic_bound(a, b, h) -> tuple[float, float]:
-    """(C, K) with C = ||h|| and K = max(||A||_2, ||B||_2)."""
-    return float(np.linalg.norm(as_vector(h))), max(operator_norm(a), operator_norm(b))
 
 
 def random_hermitian(dim: int, rng=None, norm: float | None = None, seed: int | None = None) -> np.ndarray:

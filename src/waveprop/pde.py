@@ -7,37 +7,44 @@ ladder converts the average into the propagated field.  Grid translation
 by a vector t*omega is exact through FFT phase multipliers, so quadrature
 is the only approximation in the average itself.
 
-Two evaluation strategies:
-
-- stencil route: u = pref * d/dtau [bracket](t) with a five point
-  difference stencil plus one Richardson sweep (wave2d_poisson,
-  wave3d_kirchhoff, one dimensional mass kernels);
-- ladder route: the bracket tau^(2m-1) G(tau) is written as
-  tau * s^(m-1) g(s) with s = tau^2, g is fit by a certified Chebyshev
-  expansion, and the operator d/dtau (1/tau d/dtau)^(m-1) is applied
-  exactly on the fit coefficients (wave_general, mass kernels in two
-  and three dimensions).
+Shell averages and the exact time ladder: the average of the plane wave
+exp(i tau k.w) over a rotation invariant measure depends only on tau|k|.
+By the Funk-Hecke reduction (Dai & Xu, Approximation Theory and Harmonic
+Analysis on Spheres and Balls, 2013) it is a one dimensional average of
+cos(tau |k| s) in s = w.k/|k|, against the Gauss-Jacobi weight
+(1-s^2)^(p+(d-1)/2) for the ball weight (1-|w|^2)^p in R^d, or
+(1-s^2)^((d-3)/2) for the sphere S^(d-1).  The multiplier is therefore
+evaluated once per distinct |k|^2 shell of the FFT grid, as
+g(tau) = sum_i w_i K(tau rho_i) cos(tau |k| s_i) with a mass kernel K
+(1 for the plain wave).  Its first two tau-derivatives are closed form,
+so the ladder d/dtau (1/tau d/dtau)^(m-1) [tau^(2m-1) g] is applied
+exactly at tau = t: g + t g' for m = 1 and 3g + 5t g' + t^2 g'' for
+m = 2 (sine: t g and 3t g + t^2 g').  No difference stencil and no fit
+enters.
 
 Kernel average identities used for the mass-a symbol sqrt(|k|^2 + a^2):
 the flat interval with a J0(a tau sqrt(1-nu^2)) factor in one dimension,
 the inverse square root disk weight with a cos(a tau sqrt(1-r^2)) factor
 in two, and the flat solid ball with a J0 factor and a second ladder rung
-in three.  Replacing a^2 by -a^2 (J0 -> I0, cos -> cosh) gives the
-partially imaginary symbol sqrt(|k|^2 - a^2).
+in three.  Writing w = s k/|k| + sqrt(1-s^2) y gives
+sqrt(1-|w|^2) = sqrt(1-s^2) sqrt(1-|y|^2), so the mass rules are
+products of the s rule with a ball rule in y, merged on equal (s, rho).
+Replacing a^2 by -a^2 (J0 -> I0, cos -> cosh) gives the partially
+imaginary symbol sqrt(|k|^2 - a^2).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from scipy.special import i0, j0
+from scipy.special import i0, i1, j0, j1
 
-from .fields import GridField, assert_no_wrap
+from .fields import GridField, _k_squared, assert_no_wrap
 from .operators import cos_sqrt_sum_oracle
-from .quadrature import build_ball_rule, build_sphere_rule
-from .trotter import ConvergenceReport, cos_noncomm
+from .quadrature import ball_moment, build_ball_rule, build_sphere_rule, sphere_area
+from .trotter import cos_noncomm
 
 __all__ = [
     "KGKernelSpec",
@@ -53,8 +60,8 @@ __all__ = [
     "grushin_demo",
 ]
 
-_NODE_BLOCK = 512
-_FIT_TOL = 1e-8
+_LEVEL_CAP = 240
+_SHELL_BLOCK = 1 << 18  # shells x nodes entries per block of phases
 _EDGE_DECAY_RTOL = 1e-11
 _DENSE_ORACLE_CAP = 4096
 
@@ -90,53 +97,6 @@ class KGKernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# translation averages through phase multipliers
-
-
-def _phase_sum(ks, nodes, weights, tau):
-    """sum_i w_i prod_j exp(i tau k_j omega_ij) on the frequency grid."""
-    dim = len(ks)
-    if dim == 1:
-        return weights @ np.exp(1j * tau * np.outer(nodes[:, 0], ks[0]))
-    shape = tuple(len(k) for k in ks)
-    flat = np.zeros((shape[0], int(np.prod(shape[1:]))), dtype=complex)
-    for start in range(0, nodes.shape[0], _NODE_BLOCK):
-        sl = slice(start, start + _NODE_BLOCK)
-        e1 = np.exp(1j * tau * np.outer(nodes[sl, 0], ks[0])) * weights[sl, None]
-        e2 = np.exp(1j * tau * np.outer(nodes[sl, 1], ks[1]))
-        if dim == 2:
-            flat += e1.T @ e2
-        else:
-            e3 = np.exp(1j * tau * np.outer(nodes[sl, 2], ks[2]))
-            e23 = (e2[:, :, None] * e3[:, None, :]).reshape(e2.shape[0], -1)
-            flat += e1.T @ e23
-    return flat.reshape(shape)
-
-
-def _translate_average(field_fft, ks, nodes, weights, tau, mass_fn=None):
-    """Quadrature average of f(x + tau*omega), optionally with a node mass."""
-    w = weights if mass_fn is None else weights * mass_fn(tau)
-    return np.fft.ifftn(field_fft * _phase_sum(ks, nodes, w, tau))
-
-
-def _time_derivative(fn, t, rel_step=1e-3):
-    """Five point stencil with one Richardson sweep; fn values are memoised."""
-    h = rel_step * max(1.0, abs(t))
-    cache = {}
-
-    def g(tau):
-        key = round((tau - t) / h)
-        if key not in cache:
-            cache[key] = fn(tau)
-        return cache[key]
-
-    def stencil(step):
-        return (-g(t + 2 * step) + 8.0 * g(t + step) - 8.0 * g(t - step) + g(t - 2 * step)) / (12.0 * step)
-
-    return (16.0 * stencil(h) - stencil(2.0 * h)) / 15.0
-
-
-# ---------------------------------------------------------------------------
 # resolution heuristics keyed to the spectral content of the data
 
 
@@ -145,118 +105,130 @@ def _spectral_scale(field: GridField, a: float = 0.0) -> float:
     peak = amp.max()
     if peak == 0.0:
         return abs(a)
-    k2 = np.zeros(field.shape)
-    for axis in range(field.dim):
-        k = field.wavenumbers(axis)
-        view = [None] * field.dim
-        view[axis] = slice(None)
-        k2 = k2 + (k[tuple(view)] ** 2) * np.ones(field.shape)
-    k_eff = float(np.sqrt(k2[amp > 1e-13 * peak].max()))
+    k_eff = float(np.sqrt(_k_squared(field)[amp > 1e-13 * peak].max()))
     return k_eff + abs(a)
 
 
 def _auto_level(field, t, a=0.0) -> int:
     # quadrature must integrate exp(i*c*x) with c = |t| * k_eff to roundoff
     c = abs(t) * _spectral_scale(field, a)
-    return min(max(12, int(1.6 * c) + 12), 240)
-
-
-def _auto_degree(field, t, a=0.0) -> int:
-    c = abs(t) * _spectral_scale(field, a)
-    return min(max(16, int(0.8 * c) + 14), 180)
+    level = max(12, int(1.6 * c) + 12)
+    if level > _LEVEL_CAP:
+        warnings.warn(
+            f"the data ask for quadrature level {level}, above the cap of {_LEVEL_CAP}; "
+            "the result may lose accuracy (pass level= explicitly to go past the cap)",
+            stacklevel=3,
+        )
+        return _LEVEL_CAP
+    return level
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev fit of the bracket and the exact derivative ladder
+# one dimensional (s, rho) rules and the per-shell engine
 
 
-def _cheb_fit(sample_fn, t, degree, fit_tol):
-    """Fit g(s) on s in [0, t^2] through s = t^2 (x+1)/2, x Chebyshev-Gauss."""
-    npts = 2 * (degree + 1)
-    x = np.cos(np.pi * (2.0 * np.arange(npts) + 1.0) / (2.0 * npts))
-    taus = abs(t) * np.sqrt((x + 1.0) / 2.0)
-    samples = np.stack([np.ravel(sample_fn(tau)) for tau in taus])
-    coeff = _cheb.chebfit(x, samples, degree)
-    recon = _cheb.chebval(x, coeff).T
-    scale = float(np.abs(samples).max())
-    residual = float(np.abs(recon - samples).max()) / max(scale, 1e-300)
-    if residual > fit_tol:
-        raise ValueError(
-            f"bracket fit residual {residual:.3e} exceeds {fit_tol:.1e}; "
-            "raise the fit degree or lower the time horizon"
-        )
-    return coeff, residual
+def _merge(s, rho, weights):
+    """Fold s -> |s| and merge nodes with equal (|s|, rho).
 
-
-def _cheb_mulx_stack(c):
-    # x T_0 = T_1 ; x T_k = (T_{k+1} + T_{k-1}) / 2, applied along axis 0
-    out = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=c.dtype)
-    out[1] += c[0]
-    if c.shape[0] > 1:
-        out[2:] += c[1:] / 2.0
-        out[: c.shape[0] - 1] += c[1:] / 2.0
-    return out
-
-
-def _two_s_dpsi(psi):
-    """Coefficients of 2 s dpsi/ds; the domain scale of s cancels out."""
-    d = _cheb.chebder(psi, axis=0)
-    out = 2.0 * _cheb_mulx_stack(d)
-    out[: d.shape[0]] += 2.0 * d
-    return out
-
-
-def _ladder_reduce(coeff, m):
-    """(1/tau d/dtau)^(m-1) applied to tau s^(m-1) g(s) in coefficient space.
-
-    Each rung maps tau s^j psi(s) to tau s^(j-1) [(2j+1) psi + 2 s psi'].
+    Every shell sum is even in s, and products with rotation invariant
+    y rules repeat each rho many times; rounding only forms the groups,
+    the kept values are those of an actual node.
     """
-    psi = coeff
-    for j in range(m - 1, 0, -1):
-        bump = _two_s_dpsi(psi)
-        grown = (2.0 * j + 1.0) * np.concatenate(
-            [psi, np.zeros((bump.shape[0] - psi.shape[0],) + psi.shape[1:], dtype=psi.dtype)]
-        )
-        psi = grown + bump
-    return psi
+    s = np.abs(s)
+    key = np.round(np.stack([s, rho], axis=1), 13)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return s[first], rho[first], np.bincount(inverse.ravel(), weights=weights)
 
 
-def _ladder_propagate(field, t, nodes, weights, m, pref, kind, degree, fit_tol, mass_fn=None):
-    F = field.fft()
-    ks = [field.wavenumbers(axis) for axis in range(field.dim)]
-    if kind == "sin" and m == 1:
-        # sine needs no s-derivative at the bottom rung: one average suffices
-        avg = _translate_average(F, ks, nodes, weights, abs(t), mass_fn)
-        return field.like(pref * t * avg)
-    coeff, _ = _cheb_fit(
-        lambda tau: _translate_average(F, ks, nodes, weights, tau, mass_fn),
-        t,
-        degree,
-        fit_tol,
-    )
-    psi = _ladder_reduce(coeff, m)
-    if kind == "sin":
-        flat = t * psi.sum(axis=0)
+def _plain_rule(d: int, level: int, p: float | None = None):
+    """s = w.k/|k| rule for S^(d-1) (p None) or the ball weight (1-|w|^2)^p."""
+    if p is None and d == 1:
+        rule = build_sphere_rule(1, 1)  # S^0 = {+1, -1}: the two point average
+        s, weights = rule.nodes[:, 0], rule.weights
     else:
-        # d/dtau [tau psi(s)] = psi + 2 s psi', evaluated at s = t^2 (x = 1)
-        flat = psi.sum(axis=0) + _two_s_dpsi(psi).sum(axis=0)
-    return field.like(pref * flat.reshape(field.shape))
+        if p is None:
+            q, mass = (d - 3) / 2.0, sphere_area(d)
+        else:
+            q, mass = p + (d - 1) / 2.0, ball_moment((0,) * d, d, boundary_exponent=p)
+        rule = build_ball_rule(1, level, boundary_exponent=q)
+        s = rule.nodes[:, 0]
+        weights = rule.weights * (mass / ball_moment((0,), 1, boundary_exponent=q))
+    return _merge(s, np.zeros_like(s), weights)
 
 
-def _stencil_propagate(field, t, nodes, weights, pref, kind, mass_fn=None):
-    F = field.fft()
-    ks = [field.wavenumbers(axis) for axis in range(field.dim)]
+def _mass_rule(d: int, level: int, p: float, a: float):
+    """(s, a*rho) rule for the ball weight (1-|w|^2)^p, rho = sqrt(1-|w|^2)."""
+    s_rule = build_ball_rule(1, level, boundary_exponent=p + (d - 1) / 2.0)
+    s = s_rule.nodes[:, 0]
+    if d == 1:
+        y_root, y_weights = np.ones(1), np.ones(1)
+    else:
+        y_rule = build_ball_rule(d - 1, level, boundary_exponent=p)
+        y_root = np.sqrt(np.clip(1.0 - (y_rule.nodes ** 2).sum(axis=1), 0.0, None))
+        y_weights = y_rule.weights
+    rho = a * np.outer(np.sqrt(np.clip(1.0 - s * s, 0.0, None)), y_root)
+    weights = np.outer(s_rule.weights, y_weights)
+    return _merge(np.repeat(s, len(y_root)), rho.ravel(), weights.ravel())
 
-    def bracket(tau):
-        return pref * tau * _translate_average(F, ks, nodes, weights, tau, mass_fn)
 
+def _bessel_jet(x, hyperbolic: bool):
+    # J0'' = J1(x)/x - J0 and I0'' = I0 - I1(x)/x, with J1(x)/x, I1(x)/x -> 1/2
+    first = i1(x) if hyperbolic else j1(x)
+    ratio = np.divide(first, x, out=np.full_like(x, 0.5), where=x != 0.0)
+    if hyperbolic:
+        zeroth = i0(x)
+        return zeroth, first, zeroth - ratio
+    zeroth = j0(x)
+    return zeroth, -first, ratio - zeroth
+
+
+# K(x), K'(x), K''(x) of each mass kernel
+_KERNELS = {
+    None: lambda x: (np.ones_like(x), np.zeros_like(x), np.zeros_like(x)),
+    "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
+    "cosh": lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
+    "j0": lambda x: _bessel_jet(x, hyperbolic=False),
+    "i0": lambda x: _bessel_jet(x, hyperbolic=True),
+}
+
+# (kind, m) -> coefficients of g, t g', t^2 g'' in the exact time ladder;
+# the sine rows are further multiplied by t
+_LADDER = {
+    ("cos", 0): (1.0, 0.0, 0.0),
+    ("cos", 1): (1.0, 1.0, 0.0),
+    ("cos", 2): (3.0, 5.0, 1.0),
+    ("sin", 1): (1.0, 0.0, 0.0),
+    ("sin", 2): (3.0, 1.0, 0.0),
+}
+
+
+def _shell_propagate(field, t, rule, pref, m, kind, kernel=None):
+    """Apply pref * ladder[g](t) per |k|^2 shell, g(tau) = sum w K(tau rho) cos(tau |k| s)."""
+    s, rho, weights = rule
+    c0, c1, c2 = _LADDER[(kind, m)]
+    k2, inverse = np.unique(_k_squared(field), return_inverse=True)
+    kappa = np.sqrt(k2)
+    big_k, dk, ddk = _KERNELS[kernel](t * rho)
+    # g'  = sum w [rho K' cos - |k| s K sin]
+    # g'' = sum w [rho^2 K'' cos - 2 |k| rho s K' sin - |k|^2 s^2 K cos]
+    cos_cols = np.stack([weights * big_k, weights * rho * dk,
+                         weights * rho * rho * ddk, weights * s * s * big_k], axis=1)
+    sin_cols = np.stack([weights * s * big_k, weights * rho * s * dk], axis=1)
+    multiplier = np.empty_like(kappa)
+    step = max(1, _SHELL_BLOCK // len(s))
+    for start in range(0, len(kappa), step):
+        kb = kappa[start : start + step]
+        phase = t * np.outer(kb, s)
+        cs = np.cos(phase) @ cos_cols
+        sn = np.sin(phase) @ sin_cols
+        g = cs[:, 0]
+        dg = cs[:, 1] - kb * sn[:, 0]
+        ddg = cs[:, 2] - 2.0 * kb * sn[:, 1] - kb * kb * cs[:, 3]
+        multiplier[start : start + step] = c0 * g + c1 * t * dg + c2 * t * t * ddg
     if kind == "sin":
-        return field.like(bracket(t))
-    return field.like(_time_derivative(bracket, t))
-
-
-def _radii_squared(nodes):
-    return (nodes ** 2).sum(axis=1)
+        multiplier *= t
+    spectrum = field.fft() * (pref * multiplier)[inverse.reshape(field.shape)]
+    return field.like(np.fft.ifftn(spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +244,8 @@ def wave2d_poisson(field: GridField, t: float, level: int | None = None, kind: s
     if field.dim != 2:
         raise ValueError("wave2d_poisson expects a two dimensional field")
     assert_no_wrap(field, t)
-    rule = build_ball_rule(2, level or _auto_level(field, t))
-    return _stencil_propagate(field, t, rule.nodes, rule.weights, 1.0 / (2.0 * np.pi), kind)
+    rule = _plain_rule(2, level or _auto_level(field, t), p=-0.5)
+    return _shell_propagate(field, t, rule, 1.0 / (2.0 * np.pi), 1, kind)
 
 
 def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
@@ -282,81 +254,48 @@ def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind:
     if field.dim != 3:
         raise ValueError("wave3d_kirchhoff expects a three dimensional field")
     assert_no_wrap(field, t)
-    rule = build_sphere_rule(3, level or _auto_level(field, t))
-    return _stencil_propagate(field, t, rule.nodes, rule.weights, 1.0 / (4.0 * np.pi), kind)
+    rule = _plain_rule(3, level or _auto_level(field, t))
+    return _shell_propagate(field, t, rule, 1.0 / (4.0 * np.pi), 1, kind)
 
 
-def wave_general(
-    field: GridField,
-    t: float,
-    level: int | None = None,
-    degree: int | None = None,
-    kind: str = "cos",
-    fit_tol: float = _FIT_TOL,
-) -> GridField:
+def wave_general(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
     """Dimension dispatching wave propagator through the derivative ladder.
 
-    One dimension degenerates to the two point average; two and three
-    dimensions fit the bracket in s = tau^2 and apply the ladder exactly
-    on Chebyshev coefficients, so no difference stencil enters.
+    One dimension degenerates to the two point average (cosine) or the
+    flat interval average (sine); two and three dimensions are the disk
+    and sphere routes of wave2d_poisson and wave3d_kirchhoff.
     """
     _check_kind(kind)
-    assert_no_wrap(field, t)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
-    if field.dim == 1:
-        F = field.fft()
-        ks = [field.wavenumbers(0)]
-        if kind == "cos":
-            rule = build_sphere_rule(1, 1)
-            avg = _translate_average(F, ks, rule.nodes, rule.weights, t)
-            return field.like(0.5 * avg)
-        rule = build_ball_rule(1, level or _auto_level(field, t), boundary_exponent=0.0)
-        avg = _translate_average(F, ks, rule.nodes, rule.weights, abs(t))
-        return field.like(0.5 * t * avg)
     if field.dim == 2:
-        rule = build_ball_rule(2, level or _auto_level(field, t))
-        pref = 1.0 / (2.0 * np.pi)
-    else:
-        rule = build_sphere_rule(3, level or _auto_level(field, t))
-        pref = 1.0 / (4.0 * np.pi)
-    return _ladder_propagate(
-        field, t, rule.nodes, rule.weights, 1, pref, kind, degree or _auto_degree(field, t), fit_tol
-    )
+        return wave2d_poisson(field, t, level, kind)
+    if field.dim == 3:
+        return wave3d_kirchhoff(field, t, level, kind)
+    assert_no_wrap(field, t)
+    if kind == "cos":
+        return _shell_propagate(field, t, _plain_rule(1, 1), 0.5, 0, kind)
+    rule = _plain_rule(1, level or _auto_level(field, t), p=0.0)
+    return _shell_propagate(field, t, rule, 0.5, 1, kind)
 
 
-def _mass_kernel(a: float, radii2: np.ndarray, flavor: str, hyperbolic: bool):
-    root = np.sqrt(np.clip(1.0 - radii2, 0.0, None))
-    if flavor == "bessel":
-        kernel = i0 if hyperbolic else j0
-        return lambda tau: kernel(a * tau * root)
-    trig = np.cosh if hyperbolic else np.cos
-    return lambda tau: trig(a * tau * root)
+# dimension -> (ball exponent p, kernel, prefactor, ladder depth m)
+_MASS_ROUTES = {
+    1: (0.0, "j0", 0.5, 1),
+    2: (-0.5, "cos", 1.0 / (2.0 * np.pi), 1),
+    3: (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
+}
+_HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
 
 
-def _mass_propagate(field, t, a, level, degree, kind, fit_tol, hyperbolic):
+def _mass_propagate(field, t, a, level, kind, hyperbolic):
     _check_kind(kind)
     assert_no_wrap(field, t)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
-    lvl = level or _auto_level(field, t, a)
-    if field.dim == 1:
-        rule = build_ball_rule(1, lvl, boundary_exponent=0.0)
-        mass = _mass_kernel(a, _radii_squared(rule.nodes), "bessel", hyperbolic)
-        return _stencil_propagate(field, t, rule.nodes, rule.weights, 0.5, kind, mass)
-    if field.dim == 2:
-        rule = build_ball_rule(2, lvl)
-        mass = _mass_kernel(a, _radii_squared(rule.nodes), "trig", hyperbolic)
-        return _ladder_propagate(
-            field, t, rule.nodes, rule.weights, 1, 1.0 / (2.0 * np.pi), kind,
-            degree or _auto_degree(field, t, a), fit_tol, mass,
-        )
-    rule = build_ball_rule(3, lvl, boundary_exponent=0.0)
-    mass = _mass_kernel(a, _radii_squared(rule.nodes), "bessel", hyperbolic)
-    return _ladder_propagate(
-        field, t, rule.nodes, rule.weights, 2, 1.0 / (4.0 * np.pi), kind,
-        degree or _auto_degree(field, t, a), fit_tol, mass,
-    )
+    p, kernel, pref, m = _MASS_ROUTES[field.dim]
+    rule = _mass_rule(field.dim, level or _auto_level(field, t, a), p, a)
+    return _shell_propagate(field, t, rule, pref, m, kind, _HYPERBOLIC[kernel] if hyperbolic else kernel)
 
 
 def _resolve_kernel_spec(field, spec, damped: bool) -> KGKernelSpec:
@@ -372,9 +311,7 @@ def klein_gordon(
     t: float,
     spec: "KGKernelSpec | float",
     level: int | None = None,
-    degree: int | None = None,
     kind: str = "cos",
-    fit_tol: float = _FIT_TOL,
 ) -> GridField:
     """Propagator of the symbol sqrt(|k|^2 + a^2) via mass weighted averages.
 
@@ -382,9 +319,7 @@ def klein_gordon(
     dispatches to the hyperbolic continuation.
     """
     resolved = _resolve_kernel_spec(field, spec, damped=False)
-    return _mass_propagate(
-        field, t, resolved.a, level, degree, kind, fit_tol, hyperbolic=resolved.damped
-    )
+    return _mass_propagate(field, t, resolved.a, level, kind, hyperbolic=resolved.damped)
 
 
 def damped_wave(
@@ -392,13 +327,11 @@ def damped_wave(
     t: float,
     a: float,
     level: int | None = None,
-    degree: int | None = None,
     kind: str = "cos",
-    fit_tol: float = _FIT_TOL,
 ) -> GridField:
     """Propagator of sqrt(|k|^2 - a^2): hyperbolic kernels below the cutoff."""
     resolved = _resolve_kernel_spec(field, a, damped=True)
-    return _mass_propagate(field, t, resolved.a, level, degree, kind, fit_tol, hyperbolic=True)
+    return _mass_propagate(field, t, resolved.a, level, kind, hyperbolic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ used instead; its statistical error is reported, never hidden.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -180,9 +179,6 @@ class SphereRule:
             return float(mass * np.std(values, axis=0).max() / math.sqrt(len(self.weights)))
         return 0.0 if self.moment_error is None else self.moment_error
 
-    def to_csv(self, path) -> None:
-        _rule_to_csv(path, self.nodes, self.weights)
-
 
 @dataclass(eq=False)
 class BallRule:
@@ -199,15 +195,6 @@ class BallRule:
 
     integrate = SphereRule.integrate
     error_estimate = SphereRule.error_estimate
-    to_csv = SphereRule.to_csv
-
-
-def _rule_to_csv(path, nodes, weights):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"w{i+1}" for i in range(nodes.shape[1])] + ["weight"])
-        for row, w in zip(nodes, weights):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(w))])
 
 
 def _sphere_tensor(n: int, degree: int):

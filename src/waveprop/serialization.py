@@ -8,7 +8,6 @@ payload, so identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from typing import Any
@@ -227,8 +226,3 @@ def fixture_from_json(obj, where: str = "fixture") -> dict:
         return {"kind": kind, "matrix": matrix_from_json(obj["matrix"], f"{where}.matrix")}
     raise ValueError(f"{where}.kind: unknown fixture kind {kind!r}")
 
-
-def csv_text(writer_fn, *args, **kwargs) -> str:
-    buf = io.StringIO()
-    writer_fn(*args, stream=buf, **kwargs)
-    return buf.getvalue()

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ascent import _ladder_cos
 from .operators import as_matrix, as_vector, operator_norm
 from .quadrature import build_ball_rule
 
@@ -275,13 +276,6 @@ def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]
         series = taylor_series_build([amat, bmat], vec, m, n)
         gaps.append(float(np.linalg.norm(target - series.coefficient(n))))
     return gaps
-
-
-def _ladder_cos(k: int, m: int) -> float:
-    out = float(2 * k + 1)
-    for j in range(1, m):
-        out *= 2 * k + 2 * j + 1
-    return out
 
 
 def fm_quadrature_crosscheck(a, b, h, t: float, m: int,

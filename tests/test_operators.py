@@ -92,20 +92,6 @@ def test_heat_semigroup_applies_to_vector():
     assert np.allclose(got, [math.exp(-0.3), math.exp(-4.8)], atol=1e-14)
 
 
-def test_trotter_product_converges_to_joint_heat():
-    rng = np.random.default_rng(5)
-    a = wp.random_hermitian(4, rng=rng, norm=1.0)
-    b = wp.random_hermitian(4, rng=rng, norm=1.0)
-    rho = 0.4
-    target = expm(-rho * (a @ a + b @ b))
-    errs = [
-        np.linalg.norm(wp.trotter_product(a, b, rho, m) - target) for m in (4, 8, 16)
-    ]
-    assert errs[0] > errs[1] > errs[2]
-    # first-order splitting: error ~ 1/m
-    assert errs[2] <= errs[1] / 1.7
-
-
 def test_random_hermitian_properties():
     a = wp.random_hermitian(6, seed=9, norm=1.0)
     assert np.allclose(a, a.conj().T)

@@ -2,14 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import waveprop as wp
-from waveprop import pde
 from waveprop.fields import spectral_wave_reference
-from waveprop.pde import _time_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +123,18 @@ def test_general_route_matches_stencil_route_3d():
     assert wp.relative_l2_gap(ladder, stencil) <= 1e-9
 
 
+def test_general_route_3d_tube_descends_to_2d():
+    # data constant along the third axis: the sphere route must reproduce
+    # the disk route on every slab, for both propagators
+    plane = _bump((48, 48), sigma=0.3)
+    tube = wp.GridField(np.repeat(plane.values[:, :, None], 8, axis=2), (TWO_PI,) * 3)
+    t = 0.4
+    for kind in ("cos", "sin"):
+        slab = wp.wave_general(tube, t, kind=kind).values[:, :, 3]
+        native = wp.wave_general(plane, t, kind=kind)
+        assert wp.relative_l2_gap(slab, native.values) <= 1e-9
+
+
 def test_general_route_identity_at_zero_time():
     f = _bump((32, 32), sigma=0.3)
     out = wp.wave_general(f, 0.0)
@@ -136,10 +147,22 @@ def test_general_route_rejects_unknown_kind():
         wp.wave_general(f, 0.3, kind="tan")
 
 
-def test_undersized_fit_degree_is_refused():
-    f = _bump((64, 64), sigma=0.25)
-    with pytest.raises(ValueError, match="residual"):
-        wp.wave_general(f, 0.9, degree=3)
+def test_auto_level_cap_warns_with_requested_level():
+    rng = np.random.default_rng(7)
+    noise = wp.GridField(rng.standard_normal((128, 128)), (TWO_PI, TWO_PI))
+    with pytest.warns(UserWarning, match="level 736, above the cap of 240"):
+        wp.wave2d_poisson(noise, 5.0)
+
+
+def test_default_cli_grid_inputs_do_not_warn(tmp_path):
+    from waveprop import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("wave2d", "wave3d", "kg", "damped"):
+            assert cli.main([name, "--out", str(tmp_path / f"{name}.json")]) == 0
+        for dim in ("2", "3"):
+            assert cli.main(["kg", "--dim", dim, "--out", str(tmp_path / f"kg{dim}.json")]) == 0
 
 
 def test_klein_gordon_1d_matches_reference():
@@ -180,6 +203,17 @@ def test_klein_gordon_zero_mass_collapses_to_wave():
     kg = wp.klein_gordon(f, t, 0.0)
     wave = wp.wave_general(f, t)
     assert wp.relative_l2_gap(kg, wave) <= 1e-10
+
+
+@pytest.mark.parametrize("shape,sigma", [((48, 48), 0.3), ((16, 16, 16), 0.5)])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_zero_mass_collapses_to_wave_in_2d_and_3d(shape, sigma, kind):
+    # pins the x -> 0 limits of the kernel derivatives (J1(x)/x -> 1/2)
+    f = _bump(shape, sigma=sigma)
+    t = 0.4
+    wave = wp.wave_general(f, t, kind=kind)
+    for route in (wp.klein_gordon, wp.damped_wave):
+        assert wp.relative_l2_gap(route(f, t, 0.0, kind=kind), wave) <= 1e-10
 
 
 def test_klein_gordon_accepts_spec_object():
@@ -273,11 +307,6 @@ def test_interior_tail_persists_in_2d():
     out = wp.wave2d_poisson(f, t)
     center = n // 2
     assert abs(out.values[center, center]) > 1e-6
-
-
-def test_time_derivative_stencil_accuracy():
-    got = _time_derivative(np.sin, 0.7)
-    assert got == pytest.approx(math.cos(0.7), abs=1e-10)
 
 
 def test_energy_split_per_mode():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import waveprop as wp
+from waveprop import serialization as ser
 
 
 # Closed-form surface areas of S^{n-1} inside R^n.
@@ -148,7 +149,8 @@ def test_stable_sum_compensates_cancellation():
 def test_rule_csv_export_roundtrips(tmp_path):
     rule = wp.build_ball_rule(2, 6)
     path = tmp_path / "rule.csv"
-    rule.to_csv(path)
+    with open(path, "w", newline="") as fh:
+        ser.rule_to_csv(rule, fh)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "w1,w2,weight"
     assert len(lines) == len(rule.weights) + 1

@@ -47,8 +47,9 @@ def test_field_json_roundtrip():
 
 def test_field_csv_layout():
     f = wp.gaussian_bump((4, 4), (1.0, 1.0), (0.5, 0.5), 0.2)
-    text = ser.csv_text(ser.field_to_csv, f, t=0.5)
-    lines = text.strip().splitlines()
+    buf = io.StringIO()
+    ser.field_to_csv(f, buf, t=0.5)
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "index,x0,x1,re,im,t"
     assert len(lines) == 17
     cells = lines[1].split(",")
@@ -66,8 +67,9 @@ def test_series_csv_writer():
 
 def test_rule_csv_writer():
     rule = wp.build_sphere_rule(2, 4)
-    text = ser.csv_text(ser.rule_to_csv, rule)
-    lines = text.strip().splitlines()
+    buf = io.StringIO()
+    ser.rule_to_csv(rule, buf)
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "w1,w2,weight"
     assert len(lines) == len(rule.weights) + 1
 

@@ -173,18 +173,6 @@ def test_three_operator_family(unit_pair):
     assert report.verdict == "converged"
 
 
-def test_analytic_vector_bound_holds_on_operator_words(unit_pair):
-    a, b, h = unit_pair
-    c, k = wp.analytic_bound(a, b, h)
-    assert c > 0.0 and k > 0.0
-    rng = np.random.default_rng(12)
-    for length in (1, 2, 3, 4):
-        word = h.copy()
-        for _ in range(length):
-            word = (a if rng.random() < 0.5 else b) @ word
-        assert np.linalg.norm(word) <= c * k**length * math.factorial(length) + 1e-12
-
-
 def test_report_serializes_to_plain_dict(unit_pair):
     a, b, h = unit_pair
     _, report = wp.cos_noncomm(a, b, h, 0.3, tol=1e-6)
