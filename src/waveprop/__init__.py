@@ -2,9 +2,10 @@
 
 The package evaluates cos(t sqrt(A1^2 + ... + An^2)) and its sine
 companion three independent ways: commuting families through sphere and
-ball quadrature with a derivative ladder, non commuting pairs through a
-splitting series in the Trotter limit, and periodic grids through kernel
-averaging, each validated against spectral oracles.
+ball averages, taken on the simplex, with a derivative ladder; non
+commuting pairs through a splitting series in the Trotter limit; and
+periodic grids through kernel averaging, each validated against spectral
+oracles.
 
 Imports are lazy so the command line entry point can pin the BLAS thread
 count before numpy initialises its pools.

@@ -9,6 +9,12 @@ t^(2m-1) times that average.  Per quadrature node the product of cosines
 is expanded as an even power series in t, so D acts exactly on monomials
 and no numerical differentiation enters.
 
+The product is even in every w_i, so the average is taken on the simplex
+in u_i = w_i^2, where the sphere and ball measures are Dirichlet measures:
+the coefficient of t^(2k) is a degree-k polynomial in u, integrated
+exactly by a Dirichlet Gauss-Jacobi rule of level N with no sign-mirror
+copies.
+
 The same machinery with the left-most d/dt dropped yields the smoothed
 sine propagator sin(t sqrt(S)) / sqrt(S).
 """
@@ -22,7 +28,7 @@ import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
 from .operators import HermitianOperator, as_matrix
-from .quadrature import build_ball_rule, build_sphere_rule, stable_sum
+from .quadrature import _dirichlet_rule, build_sphere_rule, stable_sum
 
 __all__ = [
     "CommutingFamily",
@@ -179,34 +185,34 @@ def _truncation_order(norm_sum: float, t: float, m: int, tol: float = SERIES_TAI
     )
 
 
-def _node_product_series(mats, nodes, weights, order: int) -> np.ndarray:
-    """Weighted node sum of the even t-series of cos(t w_1 A_1)...cos(t w_n A_n).
+def _cos_series_sum(start, squares, u, weights, order: int) -> np.ndarray:
+    """Weighted node sum of the even t-series of start cos(t w_1 X_1)...cos(t w_n X_n).
 
-    Returns G with shape (order+1, d, d): the quadrature of the coefficient
-    of t^(2k).  Nodes are processed in fixed-size chunks and combined with
+    start is a (d, d) matrix or a (d,) row vector; squares[i] = X_i^2 acts
+    on it from the right, and u[:, i] holds the nodes' w_i^2.  Returns
+    shape (order+1,) + start.shape: the quadrature of the coefficient of
+    t^(2k).  Nodes are processed in fixed-size chunks and combined with
     compensated summation, so the accumulation order never varies.
     """
-    d = mats[0].shape[0]
-    squares = [m @ m for m in mats]
-    total = np.zeros((order + 1, d, d), dtype=complex)
+    total = np.zeros((order + 1,) + start.shape, dtype=complex)
     comp = np.zeros_like(total)
-    eye = np.eye(d, dtype=complex)
-    for start in range(0, len(weights), NODE_CHUNK):
-        nb = nodes[start : start + NODE_CHUNK]
-        wb = weights[start : start + NODE_CHUNK]
-        series = np.zeros((len(wb), order + 1, d, d), dtype=complex)
-        series[:, 0] = eye
-        for i, x2 in enumerate(squares):
-            c2 = nb[:, i] ** 2
+    for lo in range(0, len(weights), NODE_CHUNK):
+        ub = u[lo : lo + NODE_CHUNK]
+        # (order+1, nodes, ...) keeps every running[:-1] contiguous for one GEMM
+        series = np.zeros((order + 1, len(ub)) + total.shape[1:], dtype=complex)
+        series[0] = start
+        for c2, x2 in zip(ub.T, squares):
+            c2 = c2.reshape((-1,) + (1,) * (total.ndim - 1))
             updated = series.copy()
             running = series
-            factor = np.ones(len(wb))
+            factor = np.ones_like(c2)
             for j in range(1, order + 1):
                 factor = factor * (-c2) / ((2 * j) * (2 * j - 1))
-                running = running[:, :-1] @ x2
-                updated[:, j:] += factor[:, None, None, None] * running
+                head = running[:-1]
+                running = (head.reshape(-1, len(x2)) @ x2).reshape(head.shape)
+                updated[j:] += factor * running
             series = updated
-        part = np.einsum("k,knab->nab", wb, series)
+        part = np.einsum("k,jk...->j...", weights[lo : lo + NODE_CHUNK], series)
         y = part - comp
         t = total + y
         comp = (t - total) - y
@@ -214,8 +220,22 @@ def _node_product_series(mats, nodes, weights, order: int) -> np.ndarray:
     return total
 
 
+def _simplex_rule(n: int, level: int, sphere: bool):
+    """u = w^2 columns and weights of the S^(n-1) or (1-|w|^2)^(-1/2) ball rule.
+
+    Both measures are Dirichlet on the simplex: the sphere with alphas
+    (1/2,)*n and twice the weight, the ball with one more 1/2 for the
+    slack 1-|w|^2, whose column is dropped.
+    """
+    if sphere:
+        rule = _dirichlet_rule([0.5] * n, level)
+        return rule.nodes, 2.0 * rule.weights, rule.moment_error
+    rule = _dirichlet_rule([0.5] * (n + 1), level)
+    return rule.nodes[:, :n], rule.weights, rule.moment_error
+
+
 def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
-    """Shared quadrature stage: returns (G, m, prefactor, rule, N)."""
+    """Shared quadrature stage: returns (G, m, prefactor, N, tail)."""
     n = len(fam)
     m, odd = (n // 2, False) if n % 2 == 0 else ((n - 1) // 2, True)
     order = _truncation_order(fam.norm_sum(), t, m)
@@ -225,19 +245,16 @@ def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
             f"quadrature level {level} cannot integrate the degree-{order} "
             f"series terms; need level >= {order}"
         )
-    if odd:
-        rule = build_sphere_rule(n, level)
-        prefactor = 0.5 * (2.0 * math.pi) ** (-m)
-    else:
-        rule = build_ball_rule(n, level)
-        prefactor = (2.0 * math.pi) ** (-m)
-    coeffs = _node_product_series(fam.operators, rule.nodes, rule.weights, order)
+    u, weights, moment_error = _simplex_rule(n, level, sphere=odd)
+    prefactor = (0.5 if odd else 1.0) * (2.0 * math.pi) ** (-m)
+    squares = [a @ a for a in fam.operators]
+    coeffs = _cos_series_sum(np.eye(fam.dim, dtype=complex), squares, u, weights, order)
     x = fam.norm_sum() * abs(t)
     tail = 0.0
     if x > 0:
         tail = math.exp((2 * order + 2) * math.log(x) - math.lgamma(2 * order + 3))
-    tail += (rule.moment_error or 0.0)
-    return coeffs, m, prefactor, rule, order, tail
+    tail += (moment_error or 0.0)
+    return coeffs, m, prefactor, order, tail
 
 
 def cos_ascent_even(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
@@ -248,7 +265,7 @@ def cos_ascent_even(fam: CommutingFamily, t: float, rule_level: int | None = Non
     """
     if len(fam) % 2 != 0:
         raise ValueError("even route requires an even number of operators")
-    coeffs, m, prefactor, _, order, tail = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, order, tail = _ascent_series(fam, t, rule_level)
     bracket = OddTimeSeries(2 * m - 1, list(coeffs), order, tail)
     return prefactor * d_operator_apply(bracket, m).evaluate(t)
 
@@ -261,7 +278,7 @@ def cos_ascent_odd(fam: CommutingFamily, t: float, rule_level: int | None = None
     """
     if len(fam) % 2 == 0:
         raise ValueError("odd route requires an odd number of operators")
-    coeffs, m, prefactor, _, order, tail = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, order, tail = _ascent_series(fam, t, rule_level)
     if m == 0:
         series = EvenTimeSeries(list(coeffs), order, tail)
         return prefactor * series.evaluate(t)
@@ -284,7 +301,7 @@ def sin_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) ->
     the result is odd in t.  At sum A_i^2 = 0 the value is t times the
     identity, matching the spectral convention.
     """
-    coeffs, m, prefactor, _, order, tail = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, order, tail = _ascent_series(fam, t, rule_level)
     t2 = t * t
     acc = np.zeros_like(coeffs[0])
     power = float(t)

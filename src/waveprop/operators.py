@@ -8,7 +8,6 @@ answer to be measured against.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 

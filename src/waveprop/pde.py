@@ -100,18 +100,24 @@ class KGKernelSpec:
 # resolution heuristics keyed to the spectral content of the data
 
 
-def _spectral_scale(field: GridField, a: float = 0.0) -> float:
-    amp = np.abs(field.fft())
+def _spectrum(field: GridField):
+    """(forward FFT, |k|^2 grid) of the field, taken once per propagation."""
+    return field.fft(), _k_squared(field)
+
+
+def _spectral_scale(spectrum, a: float = 0.0) -> float:
+    values, k2 = spectrum
+    amp = np.abs(values)
     peak = amp.max()
     if peak == 0.0:
         return abs(a)
-    k_eff = float(np.sqrt(_k_squared(field)[amp > 1e-13 * peak].max()))
+    k_eff = float(np.sqrt(k2[amp > 1e-13 * peak].max()))
     return k_eff + abs(a)
 
 
-def _auto_level(field, t, a=0.0) -> int:
+def _auto_level(spectrum, t, a=0.0) -> int:
     # quadrature must integrate exp(i*c*x) with c = |t| * k_eff to roundoff
-    c = abs(t) * _spectral_scale(field, a)
+    c = abs(t) * _spectral_scale(spectrum, a)
     level = max(12, int(1.6 * c) + 12)
     if level > _LEVEL_CAP:
         warnings.warn(
@@ -202,11 +208,12 @@ _LADDER = {
 }
 
 
-def _shell_propagate(field, t, rule, pref, m, kind, kernel=None):
+def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
     """Apply pref * ladder[g](t) per |k|^2 shell, g(tau) = sum w K(tau rho) cos(tau |k| s)."""
     s, rho, weights = rule
     c0, c1, c2 = _LADDER[(kind, m)]
-    k2, inverse = np.unique(_k_squared(field), return_inverse=True)
+    values, k2_grid = spectrum
+    k2, inverse = np.unique(k2_grid, return_inverse=True)
     kappa = np.sqrt(k2)
     big_k, dk, ddk = _KERNELS[kernel](t * rho)
     # g'  = sum w [rho K' cos - |k| s K sin]
@@ -227,8 +234,7 @@ def _shell_propagate(field, t, rule, pref, m, kind, kernel=None):
         multiplier[start : start + step] = c0 * g + c1 * t * dg + c2 * t * t * ddg
     if kind == "sin":
         multiplier *= t
-    spectrum = field.fft() * (pref * multiplier)[inverse.reshape(field.shape)]
-    return field.like(np.fft.ifftn(spectrum))
+    return field.like(np.fft.ifftn(values * (pref * multiplier)[inverse.reshape(field.shape)]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +250,9 @@ def wave2d_poisson(field: GridField, t: float, level: int | None = None, kind: s
     if field.dim != 2:
         raise ValueError("wave2d_poisson expects a two dimensional field")
     assert_no_wrap(field, t)
-    rule = _plain_rule(2, level or _auto_level(field, t), p=-0.5)
-    return _shell_propagate(field, t, rule, 1.0 / (2.0 * np.pi), 1, kind)
+    spectrum = _spectrum(field)
+    rule = _plain_rule(2, level or _auto_level(spectrum, t), p=-0.5)
+    return _shell_propagate(field, spectrum, t, rule, 1.0 / (2.0 * np.pi), 1, kind)
 
 
 def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
@@ -254,8 +261,9 @@ def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind:
     if field.dim != 3:
         raise ValueError("wave3d_kirchhoff expects a three dimensional field")
     assert_no_wrap(field, t)
-    rule = _plain_rule(3, level or _auto_level(field, t))
-    return _shell_propagate(field, t, rule, 1.0 / (4.0 * np.pi), 1, kind)
+    spectrum = _spectrum(field)
+    rule = _plain_rule(3, level or _auto_level(spectrum, t))
+    return _shell_propagate(field, spectrum, t, rule, 1.0 / (4.0 * np.pi), 1, kind)
 
 
 def wave_general(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
@@ -273,10 +281,11 @@ def wave_general(field: GridField, t: float, level: int | None = None, kind: str
     if field.dim == 3:
         return wave3d_kirchhoff(field, t, level, kind)
     assert_no_wrap(field, t)
+    spectrum = _spectrum(field)
     if kind == "cos":
-        return _shell_propagate(field, t, _plain_rule(1, 1), 0.5, 0, kind)
-    rule = _plain_rule(1, level or _auto_level(field, t), p=0.0)
-    return _shell_propagate(field, t, rule, 0.5, 1, kind)
+        return _shell_propagate(field, spectrum, t, _plain_rule(1, 1), 0.5, 0, kind)
+    rule = _plain_rule(1, level or _auto_level(spectrum, t), p=0.0)
+    return _shell_propagate(field, spectrum, t, rule, 0.5, 1, kind)
 
 
 # dimension -> (ball exponent p, kernel, prefactor, ladder depth m)
@@ -294,8 +303,10 @@ def _mass_propagate(field, t, a, level, kind, hyperbolic):
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     p, kernel, pref, m = _MASS_ROUTES[field.dim]
-    rule = _mass_rule(field.dim, level or _auto_level(field, t, a), p, a)
-    return _shell_propagate(field, t, rule, pref, m, kind, _HYPERBOLIC[kernel] if hyperbolic else kernel)
+    spectrum = _spectrum(field)
+    rule = _mass_rule(field.dim, level or _auto_level(spectrum, t, a), p, a)
+    return _shell_propagate(field, spectrum, t, rule, pref, m, kind,
+                            _HYPERBOLIC[kernel] if hyperbolic else kernel)
 
 
 def _resolve_kernel_spec(field, spec, damped: bool) -> KGKernelSpec:

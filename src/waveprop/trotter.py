@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ascent import _ladder_cos
+from .ascent import _cos_series_sum, _ladder_cos, _simplex_rule
 from .operators import as_matrix, as_vector, operator_norm
-from .quadrature import build_ball_rule
 
 __all__ = [
     "TaylorOperatorSeries",
@@ -285,8 +284,9 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
 
     The quadrature route averages cos(t w_1 A/sqrt(m)) cos(t w_2 B/sqrt(m))
     ... h over the unit ball in dimension 2m against (1-|w|^2)^(-1/2),
-    expands per node in t^2, and applies the derivative ladder with
-    prefactor (2 pi)^(-m).  Small m only; returns (series, quadrature, gap).
+    taken on the simplex in u = w^2, expands per node in t^2, and applies
+    the derivative ladder with prefactor (2 pi)^(-m).  Small m only;
+    returns (series, quadrature, gap).
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
@@ -299,24 +299,10 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     level = order if rule_level is None else rule_level
     if level < order:
         raise ValueError(f"rule level {level} below series order {order}")
-    rule = build_ball_rule(2 * m, level)
-    pattern = [amat, bmat] * m
-    squares_t = [(mat @ mat).T / m for mat in pattern]
-    nodes, weights = rule.nodes, rule.weights
-    count = len(weights)
-    stack = np.zeros((count, order + 1, len(vec)), dtype=complex)
-    stack[:, 0] = vec
-    for i in reversed(range(2 * m)):
-        c2 = nodes[:, i] ** 2
-        updated = stack.copy()
-        running = stack
-        factor = np.ones(count)
-        for j in range(1, order + 1):
-            factor = factor * (-c2) / ((2 * j) * (2 * j - 1))
-            running = running[:, :-1] @ squares_t[i]
-            updated[:, j:] += factor[:, None, None] * running
-        stack = updated
-    bracket = np.einsum("k,knd->nd", weights, stack)
+    u, weights, _ = _simplex_rule(2 * m, level, sphere=False)
+    squares_t = [(mat @ mat).T / m for mat in [amat, bmat] * m]
+    # row-vector updates apply the right-most factor first
+    bracket = _cos_series_sum(vec, squares_t[::-1], u[:, ::-1], weights, order)
     t2 = t * t
     power = 1.0
     quad_value = np.zeros_like(vec)

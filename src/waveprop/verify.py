@@ -17,13 +17,12 @@ import numpy as np
 
 from . import ascent, pde, quadrature, trotter
 from .fields import GridField, gaussian_bump, relative_l2_gap, spectral_wave_reference
-from .fields import damped_symbol, klein_gordon_symbol, wave_symbol
+from .fields import klein_gordon_symbol, wave_symbol
 from .operators import (
     HermitianOperator,
     cos_sqrt_sum_oracle,
     random_hermitian,
     random_state,
-    sinc_sqrt_sum_oracle,
 )
 from .serialization import fixture_from_json, load_json_file
 

@@ -92,6 +92,22 @@ def test_sine_route_matches_sinc_oracle():
     assert np.linalg.norm(got - want) <= 1e-8
 
 
+def test_six_operator_ball_route_matches_oracles():
+    # order 6 at this t: a 4^6-node simplex rule for the 6-ball
+    fam = _diag_family(6, 3, seed=6)
+    t = 0.08
+    assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-8
+    assert np.linalg.norm(wp.sin_ascent(fam, t) - wp.sinc_sqrt_sum_oracle(fam.operators, t)) <= 1e-8
+
+
+def test_seven_operator_sphere_route_matches_oracles():
+    # order 6 at this t: a 4^6-node simplex rule for S^6
+    fam = _diag_family(7, 3, seed=7)
+    t = 0.05
+    assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-8
+    assert np.linalg.norm(wp.sin_ascent(fam, t) - wp.sinc_sqrt_sum_oracle(fam.operators, t)) <= 1e-8
+
+
 def test_routes_at_time_zero():
     fam = _diag_family(2, 3, seed=1)
     assert np.allclose(wp.cos_ascent(fam, 0.0), np.eye(3), atol=1e-14)

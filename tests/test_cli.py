@@ -7,10 +7,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
-import pytest
-
-import waveprop as wp
 from waveprop import cli
 from waveprop import serialization as ser
 

@@ -1,5 +1,6 @@
 """Tests for sphere and weighted-ball quadrature rules and closed-form moments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaln
 
 import waveprop as wp
 from waveprop import serialization as ser
+from waveprop.quadrature import TENSOR_DIM_LIMIT, _dirichlet_rule
 
 
 # Closed-form surface areas of S^{n-1} inside R^n.
@@ -182,3 +185,73 @@ def test_tensor_rule_integrates_even_monomials_exactly(beta):
     vals = rule.nodes[:, 0] ** (2 * beta[0]) * rule.nodes[:, 1] ** (2 * beta[1])
     closed = wp.ball_moment(beta, 2)
     assert rule.integrate(vals) == pytest.approx(closed, rel=1e-10, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet rules on the simplex: pushforwards of sphere and ball under u = w^2
+
+
+def _u_moment(nodes, weights, beta):
+    return float(weights @ np.prod(nodes ** np.asarray(beta, dtype=float), axis=1))
+
+
+def _bounded(d, level):
+    return [a for a in itertools.product(range(level + 1), repeat=d) if sum(a) <= level]
+
+
+def test_dirichlet_sphere_pushforward_moments_are_exact():
+    level = 5
+    for n in range(1, 8):
+        rule = _dirichlet_rule([0.5] * n, level)
+        for beta in _bounded(n, level):
+            b = np.asarray(beta, dtype=float)
+            closed = 2.0 * math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + n / 2.0))
+            got = 2.0 * _u_moment(rule.nodes, rule.weights, beta)
+            assert got == pytest.approx(closed, rel=1e-12)
+
+
+def test_dirichlet_ball_pushforward_moments_are_exact():
+    level = 5
+    for p in (-0.5, 0.0):
+        for n in range(1, 7):
+            rule = _dirichlet_rule([0.5] * n + [p + 1.0], level)
+            u = rule.nodes[:, :n]  # drop the slack coordinate 1 - |w|^2
+            for beta in _bounded(n, level):
+                closed = wp.ball_moment(beta, n, boundary_exponent=p)
+                assert _u_moment(u, rule.weights, beta) == pytest.approx(closed, rel=1e-12)
+
+
+def test_dirichlet_tensor_rule_shape():
+    for alphas, level in (([0.5] * 3, 6), ([0.5] * 5, 8), ([0.3, 1.2, 2.0, 0.7], 7), ([1.5], 4)):
+        rule = _dirichlet_rule(alphas, level)
+        assert rule.method == "tensor"
+        assert len(rule.weights) == (level // 2 + 1) ** (len(alphas) - 1)
+        assert np.all(rule.weights > 0.0)
+        assert np.all(rule.nodes >= 0.0)
+        assert np.abs(rule.nodes.sum(axis=1) - 1.0).max() <= 1e-15
+        mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
+        assert rule.weights.sum() == pytest.approx(mass, rel=1e-13)
+        assert rule.moment_error <= 1e-12
+
+
+def test_dirichlet_switches_to_montecarlo_above_tensor_limit():
+    assert _dirichlet_rule([0.5] * (TENSOR_DIM_LIMIT + 1), 2).method == "tensor"
+    k = TENSOR_DIM_LIMIT + 2
+    rule = _dirichlet_rule([0.5] * k, 2)
+    assert rule.method == "montecarlo"
+    assert rule.moment_error is None
+    assert np.abs(rule.nodes.sum(axis=1) - 1.0).max() <= 1e-14
+    mass = math.exp(k * gammaln(0.5) - gammaln(k / 2.0))
+    assert rule.weights.sum() == pytest.approx(mass, rel=1e-12)
+    # each coordinate of Dirichlet(1/2, ..., 1/2) has mean 1/k
+    assert np.abs(rule.nodes.mean(axis=0) - 1.0 / k).max() <= 5e-3
+    again = _dirichlet_rule([0.5] * k, 2)
+    assert np.array_equal(rule.nodes, again.nodes)
+
+
+def test_dirichlet_rule_refusals():
+    with pytest.raises(ValueError, match="level"):
+        _dirichlet_rule([0.5, 0.5], -1)
+    for bad in ([0.5, 0.0], [-0.5, 1.0]):
+        with pytest.raises(ValueError, match="positive"):
+            _dirichlet_rule(bad, 4)
