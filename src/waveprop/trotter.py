@@ -21,7 +21,7 @@ times) and the smoothed sine series with coefficients n!/(2n+1)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class TaylorOperatorSeries:
 
     vectors: np.ndarray  # (order+1, dim)
     m: int
-    factor_norms: list[float] = field(default_factory=list)
 
     @property
     def order(self) -> int:
@@ -112,8 +111,7 @@ def taylor_series_build(ops, h, m: int, order: int) -> TaylorOperatorSeries:
                 running = (running[:-1] @ x2t) / (m * j)
                 updated[j:] += running
             coeffs = updated
-    norms = [float(np.linalg.norm(mat, 2) ** 2) for mat in mats]
-    return TaylorOperatorSeries(coeffs, m, norms)
+    return TaylorOperatorSeries(coeffs, m)
 
 
 def _series_scales(ops, h, t: float):

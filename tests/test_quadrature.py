@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 import waveprop as wp
+from waveprop import quadrature
 from waveprop import serialization as ser
 from waveprop.quadrature import TENSOR_DIM_LIMIT, _dirichlet_rule
 
@@ -149,6 +150,16 @@ def test_stable_sum_compensates_cancellation():
     assert np.allclose(wp.stable_sum(block, axis=0), block.sum(axis=0))
 
 
+def test_stable_sum_matches_fsum_on_long_inputs():
+    rng = np.random.default_rng(3)
+    big = rng.standard_normal(50_000) * 1e10
+    cancelling = np.concatenate([big, rng.standard_normal(777), -rng.permutation(big)])
+    for values in (np.zeros(0), rng.standard_normal(1), rng.standard_normal(1024),
+                   rng.standard_normal(1025), rng.standard_normal(100_003), cancelling):
+        exact = math.fsum(values.tolist())
+        assert abs(wp.stable_sum(values) - exact) <= 1e-15 * max(abs(exact), 1.0)
+
+
 def test_rule_csv_export_roundtrips(tmp_path):
     rule = wp.build_ball_rule(2, 6)
     path = tmp_path / "rule.csv"
@@ -255,3 +266,79 @@ def test_dirichlet_rule_refusals():
     for bad in ([0.5, 0.0], [-0.5, 1.0]):
         with pytest.raises(ValueError, match="positive"):
             _dirichlet_rule(bad, 4)
+
+
+# ---------------------------------------------------------------------------
+# the batched monomial-moment kernel
+
+
+def _per_probe_moments(nodes, weights, exponents):
+    """Reference: one exactly rounded weighted sum per exponent row."""
+    return np.array([math.fsum((weights * np.prod(nodes ** e, axis=1)).tolist())
+                     for e in exponents])
+
+
+def _kernel_gap(nodes, weights, exponents):
+    """Gap to the reference: relative where the integrand is positive (all-even
+    rows, or nonnegative nodes), absolute elsewhere."""
+    exponents = np.asarray(exponents)
+    got = quadrature._monomial_moments(nodes, weights, exponents)
+    ref = _per_probe_moments(nodes, weights, exponents)
+    relative = np.all(exponents % 2 == 0, axis=1) | np.all(nodes >= 0.0)
+    return float(np.max(np.abs(got - ref) / np.where(relative, np.abs(ref), 1.0)))
+
+
+KERNEL_RULES = {
+    "sphere3": lambda: wp.build_sphere_rule(3, 8),
+    "ball4": lambda: wp.build_ball_rule(4, 8),
+    "flat_ball2": lambda: wp.build_ball_rule(2, 14, boundary_exponent=0),
+    "mc_ball7": lambda: wp.build_ball_rule(7, 4, samples=20_000),
+    "simplex5": lambda: _dirichlet_rule([0.5] * 5, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RULES))
+def test_monomial_moments_match_per_probe_reference(name):
+    rule = KERNEL_RULES[name]()
+    d = rule.nodes.shape[1]
+    degree = 3 if d > 4 else 6
+    exponents = _bounded(d, degree)  # even and odd rows, |e| <= degree
+    assert _kernel_gap(rule.nodes, rule.weights, exponents) <= 1e-14
+
+
+def test_monomial_moments_ragged_chunks_single_probe_and_mass(monkeypatch):
+    rule = wp.build_ball_rule(3, 8)
+    exponents = _bounded(3, 5)
+    # 7 nodes per chunk: the node count is not a multiple of the chunk
+    monkeypatch.setattr(quadrature, "_PROBE_BLOCK", 7 * len(exponents))
+    assert len(rule.weights) % 7 != 0
+    assert _kernel_gap(rule.nodes, rule.weights, exponents) <= 1e-14
+    monkeypatch.undo()
+    assert _kernel_gap(rule.nodes, rule.weights, [(4, 0, 2)]) <= 1e-14
+    mass = quadrature._monomial_moments(rule.nodes, rule.weights, [(0, 0, 0)])
+    assert mass.shape == (1,)
+    assert mass[0] == pytest.approx(math.fsum(rule.weights.tolist()), rel=1e-15)
+
+
+def _reference_moment_error(nodes, weights, exponents, exact):
+    got = _per_probe_moments(nodes, weights, exponents)
+    return float(np.max(np.abs(got - exact) / exact))
+
+
+def test_tensor_moment_errors_match_per_probe_reference():
+    sphere = wp.build_sphere_rule(3, 8)
+    probes = np.asarray(quadrature._even_probe_indices(3, 4))
+    exact = [2.0 * math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + 1.5)) for b in probes]
+    ref = _reference_moment_error(sphere.nodes, sphere.weights, 2 * probes, exact)
+    assert abs(sphere.moment_error - ref) <= 1e-14
+    for d, p in ((4, -0.5), (2, 0.0)):
+        ball = wp.build_ball_rule(d, 8 if d == 4 else 14, boundary_exponent=p)
+        probes = np.asarray(quadrature._even_probe_indices(d, 4))
+        exact = [wp.ball_moment(tuple(b), d, boundary_exponent=p) for b in probes]
+        ref = _reference_moment_error(ball.nodes, ball.weights, 2 * probes, exact)
+        assert abs(ball.moment_error - ref) <= 1e-14
+    simplex = _dirichlet_rule([0.5] * 5, 8)
+    probes = np.asarray(quadrature._even_probe_indices(5, 4))
+    exact = [math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + 2.5)) for b in probes]
+    ref = _reference_moment_error(simplex.nodes, simplex.weights, probes, exact)
+    assert abs(simplex.moment_error - ref) <= 1e-14

@@ -1,5 +1,6 @@
 """Tests for the self-check registry."""
 
+import numpy as np
 import pytest
 
 from waveprop import verify
@@ -36,3 +37,36 @@ def test_run_checks_unknown_name():
 def test_check_results_expose_formula_slug():
     report = verify.run_checks(names=["scalar-ascent"], seed=0)
     assert report["checks"][0]["formula"]
+
+
+@pytest.mark.parametrize("level, passed", [(2, False), (3, True)])
+def test_moment_gate_rejects_a_rule_below_the_probe_degree(monkeypatch, level, passed):
+    # the probes reach w^(2b) with |b| = 3: level 3 is exact on them, level 2 is not
+    build = verify.quadrature.build_ball_rule
+    monkeypatch.setattr(verify.quadrature, "build_ball_rule",
+                        lambda d, _level, **kw: build(d, level, **kw))
+    report = verify.run_checks(["moments"])
+    assert report["passed"] is passed
+    assert (report["checks"][0]["gaps"]["closed_form_rel_d4"] <= 1e-8) is passed
+
+
+def test_moment_check_batches_every_probe(monkeypatch):
+    quadrature = verify.quadrature
+    ranks, kernel_calls = [], []
+    stable_sum, kernel = quadrature.stable_sum, quadrature._monomial_moments
+
+    def counted_sum(values, axis=0):
+        ranks.append(np.ndim(values))
+        return stable_sum(values, axis)
+
+    def counted_kernel(nodes, weights, exponents):
+        kernel_calls.append(len(weights))
+        return kernel(nodes, weights, exponents)
+
+    monkeypatch.setattr(quadrature, "stable_sum", counted_sum)
+    monkeypatch.setattr(quadrature, "_monomial_moments", counted_kernel)
+    assert verify._check_moments(0).passed
+    # one self-test and one check call for each of the d=2 and d=4 rules;
+    # stable_sum only takes the self-tests' 2-D first moments, never one probe
+    assert len(kernel_calls) == 4
+    assert ranks and 1 not in ranks
