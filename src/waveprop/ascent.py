@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
 from .operators import HermitianOperator, as_matrix
-from .quadrature import _dirichlet_rule, build_sphere_rule, stable_sum
+from .quadrature import _dirichlet_rule, stable_sum
 
 __all__ = [
     "CommutingFamily",
@@ -185,6 +185,22 @@ def _truncation_order(norm_sum: float, t: float, m: int, tol: float = SERIES_TAI
     )
 
 
+def _times_series(series: np.ndarray, x2: np.ndarray, steps) -> np.ndarray:
+    """series times sum_j c_j X^j, c_j = steps[0]...steps[j-1], truncated at its order.
+
+    series[k] is the coefficient of z^k (leading axis); X = x2 acts on the
+    last axis from the right.  The running term is rescaled by one step
+    per power, so no unscaled X^j forms, and each power is one GEMM.
+    """
+    updated = series.copy()
+    running = series
+    for j, step in enumerate(steps, start=1):
+        head = running[:-1]
+        running = (head.reshape(-1, len(x2)) @ x2).reshape(head.shape) * step
+        updated[j:] += running
+    return updated
+
+
 def _cos_series_sum(start, squares, u, weights, order: int) -> np.ndarray:
     """Weighted node sum of the even t-series of start cos(t w_1 X_1)...cos(t w_n X_n).
 
@@ -203,15 +219,8 @@ def _cos_series_sum(start, squares, u, weights, order: int) -> np.ndarray:
         series[0] = start
         for c2, x2 in zip(ub.T, squares):
             c2 = c2.reshape((-1,) + (1,) * (total.ndim - 1))
-            updated = series.copy()
-            running = series
-            factor = np.ones_like(c2)
-            for j in range(1, order + 1):
-                factor = factor * (-c2) / ((2 * j) * (2 * j - 1))
-                head = running[:-1]
-                running = (head.reshape(-1, len(x2)) @ x2).reshape(head.shape)
-                updated[j:] += factor * running
-            series = updated
+            steps = [-c2 / ((2 * j) * (2 * j - 1)) for j in range(1, order + 1)]
+            series = _times_series(series, x2, steps)
         part = np.einsum("k,jk...->j...", weights[lo : lo + NODE_CHUNK], series)
         y = part - comp
         t = total + y
@@ -361,14 +370,14 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
         lhs = lhs @ dec.matrix_function(
             lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))
         )
-    rule = build_sphere_rule(n, sphere_level)
+    sphere_u, sphere_weights, _ = _simplex_rule(n, sphere_level, sphere=True)  # even in every w_i
     u, wu = roots_genlaguerre(radial_count, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)
     rhs = np.zeros((d, d), dtype=complex)
     for t_val, w_val in zip(ts, wu):
         inner = np.zeros((d, d), dtype=complex)
-        for omega, w_s in zip(rule.nodes, rule.weights):
+        for omega, w_s in zip(np.sqrt(sphere_u), sphere_weights):
             prod = np.eye(d, dtype=complex)
             for oi, dec in zip(omega, decs):
                 prod = prod @ dec.matrix_function(

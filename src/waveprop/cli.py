@@ -466,7 +466,7 @@ def _cmd_rule(args) -> int:
                                samples=args.samples, seed=args.seed)
     report = {
         "subcommand": "rule",
-        "formula": "product-angle-jacobi-rule",
+        "formula": "sign-mirrored-dirichlet-rule",
         "inputs": {"kind": args.kind, "dim": args.dim, "level": args.level,
                    "method": rule.method, "seed": args.seed},
         "size": int(rule.nodes.shape[0]),

@@ -26,9 +26,11 @@ Kernel average identities used for the mass-a symbol sqrt(|k|^2 + a^2):
 the flat interval with a J0(a tau sqrt(1-nu^2)) factor in one dimension,
 the inverse square root disk weight with a cos(a tau sqrt(1-r^2)) factor
 in two, and the flat solid ball with a J0 factor and a second ladder rung
-in three.  Writing w = s k/|k| + sqrt(1-s^2) y gives
-sqrt(1-|w|^2) = sqrt(1-s^2) sqrt(1-|y|^2), so the mass rules are
-products of the s rule with a ball rule in y, merged on equal (s, rho).
+in three.  The shell sums see only s = w.k/|k| and rho = sqrt(1-|w|^2),
+and for the ball weight (1-|w|^2)^p in R^d the triple
+(s^2, |w|^2-s^2, 1-|w|^2) is Dirichlet(1/2, (d-1)/2, p+1), so one
+Dirichlet Gauss-Jacobi rule on the simplex gives every (s, rho) node
+with its weight, one node per distinct pair.
 Replacing a^2 by -a^2 (J0 -> I0, cos -> cosh) gives the partially
 imaginary symbol sqrt(|k|^2 - a^2).
 """
@@ -39,11 +41,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0, i1, j0, j1
+from scipy.special import gammaln, i0, i1, j0, j1
 
 from .fields import GridField, _k_squared, assert_no_wrap
 from .operators import cos_sqrt_sum_oracle
-from .quadrature import ball_moment, build_ball_rule, build_sphere_rule, sphere_area
+from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
 from .trotter import cos_noncomm
 
 __all__ = [
@@ -130,51 +132,29 @@ def _auto_level(spectrum, t, a=0.0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# one dimensional (s, rho) rules and the per-shell engine
+# the (s, rho) rule and the per-shell engine
 
 
-def _merge(s, rho, weights):
-    """Fold s -> |s| and merge nodes with equal (|s|, rho).
+def _shell_rule(d: int, level: int, p: float | None = None, a: float | None = None):
+    """(s, a*rho, weights) for S^(d-1) (p None) or the ball weight (1-|w|^2)^p.
 
-    Every shell sum is even in s, and products with rotation invariant
-    y rules repeat each rho many times; rounding only forms the groups,
-    the kept values are those of an actual node.
+    s = w.k/|k| and rho = sqrt(1-|w|^2).  The shell sums are even in s, and
+    u = (s^2, |w|^2-s^2, 1-|w|^2) is Dirichlet(1/2, (d-1)/2, p+1), so one
+    Dirichlet rule gives every (s, rho) pair: the sphere has no slack
+    term, d = 1 no middle term, and without a mass the two merge.  rho is
+    zero when a is None.
     """
-    s = np.abs(s)
-    key = np.round(np.stack([s, rho], axis=1), 13)
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return s[first], rho[first], np.bincount(inverse.ravel(), weights=weights)
-
-
-def _plain_rule(d: int, level: int, p: float | None = None):
-    """s = w.k/|k| rule for S^(d-1) (p None) or the ball weight (1-|w|^2)^p."""
-    if p is None and d == 1:
-        rule = build_sphere_rule(1, 1)  # S^0 = {+1, -1}: the two point average
-        s, weights = rule.nodes[:, 0], rule.weights
+    middle = [(d - 1) / 2.0] if d > 1 else []
+    if p is None:
+        alphas, mass = [0.5] + middle, sphere_area(d)
     else:
-        if p is None:
-            q, mass = (d - 3) / 2.0, sphere_area(d)
-        else:
-            q, mass = p + (d - 1) / 2.0, ball_moment((0,) * d, d, boundary_exponent=p)
-        rule = build_ball_rule(1, level, boundary_exponent=q)
-        s = rule.nodes[:, 0]
-        weights = rule.weights * (mass / ball_moment((0,), 1, boundary_exponent=q))
-    return _merge(s, np.zeros_like(s), weights)
-
-
-def _mass_rule(d: int, level: int, p: float, a: float):
-    """(s, a*rho) rule for the ball weight (1-|w|^2)^p, rho = sqrt(1-|w|^2)."""
-    s_rule = build_ball_rule(1, level, boundary_exponent=p + (d - 1) / 2.0)
-    s = s_rule.nodes[:, 0]
-    if d == 1:
-        y_root, y_weights = np.ones(1), np.ones(1)
-    else:
-        y_rule = build_ball_rule(d - 1, level, boundary_exponent=p)
-        y_root = np.sqrt(np.clip(1.0 - (y_rule.nodes ** 2).sum(axis=1), 0.0, None))
-        y_weights = y_rule.weights
-    rho = a * np.outer(np.sqrt(np.clip(1.0 - s * s, 0.0, None)), y_root)
-    weights = np.outer(s_rule.weights, y_weights)
-    return _merge(np.repeat(s, len(y_root)), rho.ravel(), weights.ravel())
+        alphas = [0.5] + ([(d - 1) / 2.0 + p + 1.0] if a is None else middle + [p + 1.0])
+        mass = ball_moment((0,) * d, d, boundary_exponent=p)
+    rule = _dirichlet_rule(alphas, level)
+    s = np.sqrt(rule.nodes[:, 0])
+    rho = np.zeros_like(s) if a is None else a * np.sqrt(rule.nodes[:, -1])
+    scale = mass * np.exp(gammaln(sum(alphas)) - gammaln(alphas).sum())
+    return s, rho, rule.weights * scale
 
 
 def _bessel_jet(x, hyperbolic: bool):
@@ -251,7 +231,7 @@ def wave2d_poisson(field: GridField, t: float, level: int | None = None, kind: s
         raise ValueError("wave2d_poisson expects a two dimensional field")
     assert_no_wrap(field, t)
     spectrum = _spectrum(field)
-    rule = _plain_rule(2, level or _auto_level(spectrum, t), p=-0.5)
+    rule = _shell_rule(2, level or _auto_level(spectrum, t), p=-0.5)
     return _shell_propagate(field, spectrum, t, rule, 1.0 / (2.0 * np.pi), 1, kind)
 
 
@@ -262,7 +242,7 @@ def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind:
         raise ValueError("wave3d_kirchhoff expects a three dimensional field")
     assert_no_wrap(field, t)
     spectrum = _spectrum(field)
-    rule = _plain_rule(3, level or _auto_level(spectrum, t))
+    rule = _shell_rule(3, level or _auto_level(spectrum, t))
     return _shell_propagate(field, spectrum, t, rule, 1.0 / (4.0 * np.pi), 1, kind)
 
 
@@ -283,8 +263,8 @@ def wave_general(field: GridField, t: float, level: int | None = None, kind: str
     assert_no_wrap(field, t)
     spectrum = _spectrum(field)
     if kind == "cos":
-        return _shell_propagate(field, spectrum, t, _plain_rule(1, 1), 0.5, 0, kind)
-    rule = _plain_rule(1, level or _auto_level(spectrum, t), p=0.0)
+        return _shell_propagate(field, spectrum, t, _shell_rule(1, 1), 0.5, 0, kind)
+    rule = _shell_rule(1, level or _auto_level(spectrum, t), p=0.0)
     return _shell_propagate(field, spectrum, t, rule, 0.5, 1, kind)
 
 
@@ -304,7 +284,7 @@ def _mass_propagate(field, t, a, level, kind, hyperbolic):
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     p, kernel, pref, m = _MASS_ROUTES[field.dim]
     spectrum = _spectrum(field)
-    rule = _mass_rule(field.dim, level or _auto_level(spectrum, t, a), p, a)
+    rule = _shell_rule(field.dim, level or _auto_level(spectrum, t, a), p, a)
     return _shell_propagate(field, spectrum, t, rule, pref, m, kind,
                             _HYPERBOLIC[kernel] if hyperbolic else kernel)
 

@@ -5,16 +5,15 @@ measures that appear in the dimension-lifting propagator formulas: the
 surface measure on S^{n-1} and the measure (1 - |w|^2)^p dw on the unit
 ball (p = -1/2 is the standard boundary weight, p = 0 the flat ball).
 
-Tensor rules (radial Gauss-Jacobi in r^2 times a product-angle sphere
-rule) are exact on even monomials up to the requested level.  Above
-dimension 6 an importance-sampled Monte Carlo rule with a fixed seed is
-used instead; its statistical error is reported, never hidden.
-
 Integrands even in every coordinate only see u_i = w_i^2.  Under that
 map both measures become Dirichlet measures on the simplex, integrated
-by a conical product of one-dimensional Gauss-Jacobi rules (Stroud,
-Approximate Calculation of Multiple Integrals, 1971) with no sign-mirror
-copies and half the degree.
+by one tensor rule, a conical product of one-dimensional Gauss-Jacobi
+rules (Stroud, Approximate Calculation of Multiple Integrals, 1971).
+The public sphere and ball rules are that rule mirrored into every sign
+pattern w_i = +-sqrt(u_i), exact on even monomials up to the requested
+level.  Above dimension 6 an importance-sampled Monte Carlo rule with a
+fixed seed is used instead; its statistical error is reported, never
+hidden.
 """
 
 from __future__ import annotations
@@ -235,33 +234,6 @@ class BallRule:
     error_estimate = SphereRule.error_estimate
 
 
-def _sphere_tensor(n: int, degree: int):
-    """Product-angle rule on S^(n-1), exact for polynomials up to degree.
-
-    Recursion in the first coordinate: w = (s, sqrt(1-s^2) eta) with
-    Gauss-Jacobi nodes in s for the weight (1-s^2)^((n-3)/2).  Node sets
-    are symmetric under each coordinate sign flip, so odd monomials cancel.
-    """
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if n == 2:
-        count = degree + 2 + (degree % 2)  # even count, trig-exact past degree
-        theta = 2.0 * np.pi * np.arange(count) / count
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return nodes, np.full(count, 2.0 * np.pi / count)
-    a = (n - 3) / 2.0
-    k = (degree + 1) // 2 + 1
-    s, v = roots_jacobi(k, a, a)
-    sub_nodes, sub_weights = _sphere_tensor(n - 1, degree)
-    blocks, weights = [], []
-    for si, vi in zip(s, v):
-        c = math.sqrt(max(0.0, 1.0 - si * si))
-        first = np.full((len(sub_nodes), 1), si)
-        blocks.append(np.concatenate([first, c * sub_nodes], axis=1))
-        weights.append(vi * sub_weights)
-    return np.concatenate(blocks), np.concatenate(weights)
-
-
 def _even_probe_indices(d: int, level: int):
     """Representative even-monomial exponents with |alpha| <= level."""
     out = list(itertools.islice(
@@ -277,7 +249,11 @@ def _even_probe_indices(d: int, level: int):
 
 def build_sphere_rule(n: int, level: int, method: str = "auto",
                       samples: int = 200_000, seed: int = 0) -> SphereRule:
-    """Rule on S^(n-1) exact (tensor) on even monomials of degree <= 2*level."""
+    """Rule on S^(n-1) exact (tensor) on even monomials of degree <= 2*level.
+
+    Tensor rules mirror the Dirichlet rule with alphas (1/2,)*n, at twice
+    its weights, into every sign pattern of w_i = +-sqrt(u_i).
+    """
     if n < 1:
         raise ValueError("ambient dimension must be positive")
     if level < 0:
@@ -285,8 +261,8 @@ def build_sphere_rule(n: int, level: int, method: str = "auto",
     if method == "auto":
         method = "tensor" if n <= TENSOR_DIM_LIMIT + 1 else "montecarlo"
     if method == "tensor":
-        nodes, weights = _sphere_tensor(n, 2 * level)
-        rule = SphereRule(n, level, nodes, weights, "tensor")
+        nodes, weights = _mirrored(*_dirichlet_tensor(np.full(n, 0.5), level))
+        rule = SphereRule(n, level, nodes, 2.0 * weights, "tensor")
         rule.moment_error = _moment_selftest(rule, np.full(n, 0.5), scale=2.0)
         return rule
     if method != "montecarlo":
@@ -303,11 +279,11 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
                     samples: int = 200_000, seed: int = 0) -> BallRule:
     """Rule on the unit ball in R^d against (1-|w|^2)^boundary_exponent.
 
-    Tensor rules split radially: with u = r^2 the radial factor becomes a
-    Jacobi weight u^(d/2-1) (1-u)^p on [0,1], handled by Gauss-Jacobi
-    nodes; angles come from the tensor sphere rule.  Exact on monomials
-    w^(2a) with |a| <= level.  Monte Carlo samples u ~ Beta(d/2, p+1) and
-    uniform directions, with constant weights mass/samples.
+    Tensor rules mirror the Dirichlet rule with alphas (1/2,)*d + (p+1,),
+    whose last coordinate is the slack 1-|w|^2, into every sign pattern
+    of w_i = +-sqrt(u_i).  Exact on monomials w^(2a) with |a| <= level.
+    Monte Carlo samples u ~ Beta(d/2, p+1) and uniform directions, with
+    constant weights mass/samples.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
@@ -319,17 +295,11 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
     if method == "auto":
         method = "tensor" if d <= TENSOR_DIM_LIMIT else "montecarlo"
     if method == "tensor":
-        k_rad = level // 2 + 1
-        xj, wj = roots_jacobi(k_rad, p, d / 2.0 - 1.0)
-        u = (xj + 1.0) / 2.0
-        radii = np.sqrt(u)
-        # int_0^1 r^(d-1)(1-r^2)^p g(r) dr = 2^(-p-d/2-1) sum w_j g(sqrt(u_j))
-        w_rad = wj * 2.0 ** (-(p + d / 2.0 - 1.0) - 2.0)
-        sphere_nodes, sphere_weights = _sphere_tensor(d, 2 * level)
-        nodes = (radii[:, None, None] * sphere_nodes[None, :, :]).reshape(-1, d)
-        weights = (w_rad[:, None] * sphere_weights[None, :]).reshape(-1)
+        alphas = np.append(np.full(d, 0.5), p + 1.0)
+        u, weights = _dirichlet_tensor(alphas, level)
+        nodes, weights = _mirrored(u[:, :d], weights)
         rule = BallRule(d, level, nodes, weights, "tensor", boundary_exponent=p)
-        rule.moment_error = _moment_selftest(rule, np.append(np.full(d, 0.5), p + 1.0))
+        rule.moment_error = _moment_selftest(rule, alphas)
         return rule
     if method != "montecarlo":
         raise ValueError(f"unknown method {method!r}")
@@ -365,18 +335,44 @@ def _gauss_jacobi_unit(k: int, a: float, b: float):
     return (1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj * 2.0 ** (1.0 - a - b)
 
 
+def _dirichlet_tensor(alphas: np.ndarray, level: int):
+    """Stick-breaking tensor rule against prod u_i^(alpha_i - 1): (u, weights).
+
+    u_j = x_j (1-x_1)...(1-x_(j-1)) with a (level//2+1)-node Gauss-Jacobi
+    rule in each x_j for x^(alpha_j-1) (1-x)^(alpha_(j+1)+...+alpha_K-1);
+    exact on polynomials in u of total degree <= 2*(level//2)+1.
+    """
+    k = level // 2 + 1
+    cols, rest, weights = np.zeros((1, 0)), np.ones(1), np.ones(1)
+    for j in range(len(alphas) - 1):
+        x, one_minus_x, wx = _gauss_jacobi_unit(k, alphas[j], alphas[j + 1 :].sum())
+        cols = np.concatenate([np.repeat(cols, k, axis=0), np.outer(rest, x).reshape(-1, 1)], axis=1)
+        rest = np.outer(rest, one_minus_x).ravel()
+        weights = np.outer(weights, wx).ravel()
+    return np.concatenate([cols, rest[:, None]], axis=1), weights
+
+
+def _mirrored(u: np.ndarray, weights: np.ndarray):
+    """Nodes w = (+-sqrt(u_1), ..., +-sqrt(u_n)) over all 2^n sign patterns.
+
+    Each weight is split evenly over its 2^n copies, so the rule is
+    symmetric under every coordinate sign flip and odd monomials cancel.
+    """
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=u.shape[1])))
+    nodes = np.sqrt(u)[:, None, :] * signs[None, :, :]
+    return nodes.reshape(-1, u.shape[1]), np.repeat(weights / len(signs), len(signs))
+
+
 def _dirichlet_rule(alphas, level: int) -> DirichletRule:
     """Rule on the simplex u_1+...+u_K = 1 against prod u_i^(alpha_i - 1).
 
     Under u_i = w_i^2 the surface measure of S^(n-1) is twice the measure
     with alphas (1/2,)*n, and the ball weight (1-|w|^2)^p in R^n is the
     measure with alphas (1/2,)*n + (p+1,), whose last coordinate is the
-    slack 1-|w|^2.  The tensor rule breaks the stick,
-    u_j = x_j (1-x_1)...(1-x_(j-1)), with a (level//2+1)-node Gauss-Jacobi
-    rule in each x_j for x^(alpha_j-1) (1-x)^(alpha_(j+1)+...+alpha_K-1);
-    it is exact on polynomials in u of total degree <= level.  Above
-    TENSOR_DIM_LIMIT factors, Monte Carlo draws normalised gamma variates
-    with constant weights.
+    slack 1-|w|^2.  Up to TENSOR_DIM_LIMIT + 1 factors the rule is
+    _dirichlet_tensor, exact on polynomials in u of total degree <= level;
+    above, Monte Carlo draws normalised gamma variates with constant
+    weights.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or len(a) == 0:
@@ -386,15 +382,7 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
     if level < 0:
         raise ValueError("level must be non-negative")
     if len(a) - 1 <= TENSOR_DIM_LIMIT:
-        k = level // 2 + 1
-        cols, rest, weights = np.zeros((1, 0)), np.ones(1), np.ones(1)
-        for j in range(len(a) - 1):
-            x, one_minus_x, wx = _gauss_jacobi_unit(k, a[j], a[j + 1 :].sum())
-            cols = np.concatenate([np.repeat(cols, k, axis=0), np.outer(rest, x).reshape(-1, 1)], axis=1)
-            rest = np.outer(rest, one_minus_x).ravel()
-            weights = np.outer(weights, wx).ravel()
-        nodes = np.concatenate([cols, rest[:, None]], axis=1)
-        rule = DirichletRule(tuple(a.tolist()), level, nodes, weights, "tensor")
+        rule = DirichletRule(tuple(a.tolist()), level, *_dirichlet_tensor(a, level), "tensor")
         rule.moment_error = _moment_selftest(rule, a)
         return rule
     rng = np.random.default_rng(0)

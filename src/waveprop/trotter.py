@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import _cos_series_sum, _ladder_cos, _simplex_rule
+from .ascent import _cos_series_sum, _ladder_cos, _simplex_rule, _times_series
 from .operators import as_matrix, as_vector, operator_norm
 
 __all__ = [
@@ -103,14 +103,10 @@ def taylor_series_build(ops, h, m: int, order: int) -> TaylorOperatorSeries:
     squares_t = [(mat @ mat).T for mat in mats]  # transposed for row-vector updates
     coeffs = np.zeros((order + 1, len(vec)), dtype=complex)
     coeffs[0] = vec
+    steps = [1.0 / (m * j) for j in range(1, order + 1)]
     for _ in range(m):
         for x2t in reversed(squares_t):
-            updated = coeffs.copy()
-            running = coeffs
-            for j in range(1, order + 1):
-                running = (running[:-1] @ x2t) / (m * j)
-                updated[j:] += running
-            coeffs = updated
+            coeffs = _times_series(coeffs, x2t, steps)
     return TaylorOperatorSeries(coeffs, m)
 
 

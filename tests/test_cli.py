@@ -164,6 +164,7 @@ def test_rule_export(tmp_path):
                             "--out", str(out_path)])
     assert code == 0
     report = json.loads(out)
+    assert report["formula"] == "sign-mirrored-dirichlet-rule"
     rows = [r for r in out_path.read_text().strip().splitlines()
             if not r.startswith("#")]
     assert len(rows) == report["size"] + 1

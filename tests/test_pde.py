@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import waveprop as wp
+from waveprop import pde
 from waveprop.fields import spectral_wave_reference
 
 TWO_PI = 2.0 * math.pi
@@ -163,6 +164,41 @@ def test_default_cli_grid_inputs_do_not_warn(tmp_path):
             assert cli.main([name, "--out", str(tmp_path / f"{name}.json")]) == 0
         for dim in ("2", "3"):
             assert cli.main(["kg", "--dim", dim, "--out", str(tmp_path / f"kg{dim}.json")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the (s, rho) shell rule read off one Dirichlet rule
+
+
+@pytest.mark.parametrize("d, p", [(2, -0.5), (3, 0.0)])
+@pytest.mark.parametrize("level", [40, 120])
+def test_shell_mass_rule_has_one_node_per_distinct_pair(d, p, level):
+    s, rho, weights = pde._shell_rule(d, level, p, a=1.0)
+    k = level // 2 + 1
+    assert len(s) == len(rho) == len(weights) == k * k
+    assert len(np.unique(np.stack([s, rho], axis=1), axis=0)) == k * k
+    assert np.all(weights > 0.0)
+
+
+@pytest.mark.parametrize("d, p, a", [(1, 0.0, 1.0), (2, -0.5, 1.0), (3, 0.0, 1.0),
+                                     (2, -0.5, None), (1, 0.0, None),
+                                     (2, None, None), (3, None, None)])
+def test_shell_rule_moments_match_dirichlet_closed_form(d, p, a):
+    s, rho, weights = pde._shell_rule(d, 8, p, a)
+    for i in range(5):
+        for j in range(5 - i if a is not None else 1):
+            got = float(np.sum(weights * s ** (2 * i) * rho ** (2 * j)))
+            if p is None:  # sphere: twice Dirichlet(1/2, ..., 1/2) in w^2
+                exact = 2.0 * math.pi ** ((d - 1) / 2.0) * math.exp(
+                    math.lgamma(i + 0.5) - math.lgamma(i + d / 2.0))
+            else:  # (1-|w|^2)^j folds into the ball weight
+                exact = wp.ball_moment((i,) + (0,) * (d - 1), d, boundary_exponent=p + j)
+            assert got == pytest.approx(exact, rel=1e-13)
+
+
+def test_shell_rule_on_s0_is_the_single_node_one():
+    s, rho, weights = pde._shell_rule(1, 12)
+    assert s.tolist() == [1.0] and rho.tolist() == [0.0] and weights.tolist() == [2.0]
 
 
 def test_klein_gordon_1d_matches_reference():

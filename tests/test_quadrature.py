@@ -269,6 +269,45 @@ def test_dirichlet_rule_refusals():
 
 
 # ---------------------------------------------------------------------------
+# public tensor rules: the Dirichlet rule mirrored into every sign pattern
+
+
+def _sorted_rows(nodes, weights):
+    rows = np.column_stack([nodes, weights])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("kind, n, p", [("sphere", 3, None), ("sphere", 4, None),
+                                        ("ball", 3, -0.5), ("ball", 2, 0.0)])
+def test_mirrored_rule_size_sign_symmetry_and_moments(kind, n, p, level):
+    if kind == "sphere":
+        rule, sticks = wp.build_sphere_rule(n, level), n - 1
+        closed = lambda b: 2.0 * math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + n / 2.0))
+    else:
+        rule, sticks = wp.build_ball_rule(n, level, boundary_exponent=p), n
+        closed = lambda b: wp.ball_moment(tuple(b), n, boundary_exponent=p)
+    assert rule.method == "tensor"
+    assert len(rule.weights) == (level // 2 + 1) ** sticks * 2 ** n
+    reference = _sorted_rows(rule.nodes, rule.weights)
+    for i in range(n):
+        flipped = rule.nodes.copy()
+        flipped[:, i] *= -1.0
+        assert np.array_equal(_sorted_rows(flipped, rule.weights), reference)
+    probes = np.asarray(_bounded(n, level))
+    got = quadrature._monomial_moments(rule.nodes, rule.weights, 2 * probes)
+    exact = np.array([closed(b) for b in probes])
+    assert np.max(np.abs(got - exact) / exact) <= 1e-12
+
+
+def test_explicit_tensor_method_above_the_limit_stays_tensor():
+    rule = wp.build_sphere_rule(TENSOR_DIM_LIMIT + 2, 2, method="tensor")
+    assert rule.method == "tensor"
+    assert len(rule.weights) == 2 ** (TENSOR_DIM_LIMIT + 1) * 2 ** (TENSOR_DIM_LIMIT + 2)
+    assert rule.moment_error <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # the batched monomial-moment kernel
 
 
