@@ -191,6 +191,8 @@ def _times_series(series: np.ndarray, x2: np.ndarray, steps) -> np.ndarray:
     series[k] is the coefficient of z^k (leading axis); X = x2 acts on the
     last axis from the right.  The running term is rescaled by one step
     per power, so no unscaled X^j forms, and each power is one GEMM.
+    It serves the ascent node series alone: the splitting series works in
+    per-factor eigenbases instead (trotter._build).
     """
     updated = series.copy()
     running = series
@@ -374,15 +376,17 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
     u, wu = roots_genlaguerre(radial_count, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)
-    rhs = np.zeros((d, d), dtype=complex)
-    for t_val, w_val in zip(ts, wu):
-        inner = np.zeros((d, d), dtype=complex)
-        for omega, w_s in zip(np.sqrt(sphere_u), sphere_weights):
-            prod = np.eye(d, dtype=complex)
-            for oi, dec in zip(omega, decs):
-                prod = prod @ dec.matrix_function(
-                    lambda lam, s=t_val * oi: np.cos(s * lam)
-                )
-            inner += w_s * prod
-        rhs += (prefactor * w_val) * inner
+    # cos(t w_i lambda) at every radial x sphere node, for all operators at once
+    phases = np.multiply.outer(ts, np.sqrt(sphere_u))  # (radial, sphere, n)
+    lams = np.array([dec.eigenvalues for dec in decs])
+    cosines = np.cos(phases[..., None] * lams)  # (radial, sphere, n, d)
+    # prod_i V_i C_i V_i^H = V_1 C_1 (V_1^H V_2) C_2 ... C_n V_n^H, node by node
+    chain = cosines[..., 0, :, None] * np.eye(d)
+    for i in range(1, n):
+        move = decs[i - 1].eigenvectors.conj().T @ decs[i].eigenvectors
+        chain = (chain @ move) * cosines[..., i, None, :]
+    # sphere average per t, then the radial sum: the order of a plain loop
+    inner = (chain * sphere_weights[:, None, None]).sum(axis=1)
+    inner = (inner * (prefactor * wu)[:, None, None]).sum(axis=0)
+    rhs = decs[0].eigenvectors @ inner @ decs[-1].eigenvectors.conj().T
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))

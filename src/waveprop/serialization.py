@@ -8,6 +8,7 @@ payload, so identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from typing import Any
@@ -116,21 +117,29 @@ def field_from_json(obj, where: str = "field") -> GridField:
     return GridField(values, tuple(obj["lengths"]), tuple(obj.get("origins", (0.0,) * len(dims))))
 
 
+_CSV_BLOCK = 4096  # rows formatted per write, so the text never exists whole
+
+
 def field_to_csv(field: GridField, stream, t: float | None = None) -> None:
-    """Rows of flat index, grid coordinates, and the complex sample."""
-    writer = csv.writer(stream, lineterminator="\n")
-    coords = [field.axis_coordinates(axis) for axis in range(field.dim)]
+    """Rows of flat index, grid coordinates, and the complex sample.
+
+    Columns are formatted a block of rows at a time; no cell needs csv
+    quoting.
+    """
     header = ["index"] + [f"x{axis}" for axis in range(field.dim)] + ["re", "im"]
     if t is not None:
         header.append("t")
-    writer.writerow(header)
+    coords = np.meshgrid(*(field.axis_coordinates(axis) for axis in range(field.dim)),
+                         indexing="ij")
     flat = field.values.reshape(-1)
-    for index, multi in enumerate(np.ndindex(*field.shape)):
-        row = [index] + [repr(float(coords[axis][pos])) for axis, pos in enumerate(multi)]
-        row += [repr(float(flat[index].real)), repr(float(flat[index].imag))]
+    columns = [grid.reshape(-1) for grid in coords] + [flat.real, flat.imag]
+    stream.write(",".join(header) + "\n")
+    for lo in range(0, flat.size, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, flat.size)
+        cells = [map(str, range(lo, hi))] + [map(repr, col[lo:hi].tolist()) for col in columns]
         if t is not None:
-            row.append(repr(float(t)))
-        writer.writerow(row)
+            cells.append(itertools.repeat(repr(float(t)), hi - lo))
+        stream.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def series_to_csv(header: list[str], rows, stream) -> None:

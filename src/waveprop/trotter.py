@@ -6,9 +6,14 @@ The vector cos(t sqrt(A^2+B^2)) h is the m -> infinity limit of
     W_n h = coefficient of z^n in [e^(z A^2/m) e^(z B^2/m)]^m h,
 
 with W_n built by truncated power-series multiplication, one exponential
-factor at a time (O(m N^2) matrix-vector products).  W_0 h = h and
-W_1 h = (A^2+B^2) h hold exactly for every m; higher coefficients
-approach (A^2+B^2)^n h / n! at rate O(1/m).  For sqrt(2)|t| K < 1 with
+factor at a time.  Each factor is a function of one operator, so it acts
+diagonally in that operator's own eigenbasis: the coefficient vectors
+move into the basis of the next factor by one fixed unitary U_i =
+V_i^H V_(i-1), an (order+1) x N x N product, and the factor is then a
+Cauchy product with the scalar series exp(z lambda^2/m), O(order^2 N).
+Only the single operators are diagonalized, never the sum.  W_0 h = h
+and W_1 h = (A^2+B^2) h hold for every m; higher coefficients approach
+(A^2+B^2)^n h / n! at rate O(1/m).  For sqrt(2)|t| K < 1 with
 K = max(||A||, ||B||) the truncation tail is bounded by
 C (sqrt(2)|t|K)^(2N+2) / (1 - 2 t^2 K^2); outside that radius the series
 still converges for bounded operators and the driver monitors it
@@ -16,6 +21,9 @@ empirically, flagging the caution.
 
 The same machinery covers q operators (pattern A_1^2 .. A_q^2 repeated m
 times) and the smoothed sine series with coefficients n!/(2n+1)!.
+Inputs are checked once, at each public entry point: the operators must
+be square, of one shape and Hermitian to HERMITIAN_RTOL, and h must
+match their dimension.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import _cos_series_sum, _ladder_cos, _simplex_rule, _times_series
-from .operators import as_matrix, as_vector, operator_norm
+from .ascent import _cos_series_sum, _ladder_cos, _simplex_rule
+from .operators import HERMITIAN_RTOL, SpectralDecomposition, as_matrix, as_vector
 
 __all__ = [
     "TaylorOperatorSeries",
@@ -85,35 +93,100 @@ class ConvergenceReport:
         }
 
 
+def _checked(ops, h):
+    """The operators as Hermitian matrices of one square shape, and h of that length."""
+    mats = [as_matrix(op) for op in ops]
+    if not mats:
+        raise ValueError("need at least one operator")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected square operators, got shape {shape}")
+    for i, mat in enumerate(mats):
+        if mat.shape != shape:
+            raise ValueError(f"operator {i} has shape {mat.shape}, operator 0 has {shape}")
+        scale = np.linalg.norm(mat)
+        defect = np.linalg.norm(mat - mat.conj().T)
+        if defect > HERMITIAN_RTOL * scale:
+            raise ValueError(
+                f"operator {i} is not Hermitian: relative defect {defect / scale:.3e} "
+                f"exceeds {HERMITIAN_RTOL:.0e}"
+            )
+    vec = as_vector(h)
+    if vec.shape != (shape[0],):
+        raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {shape[0]}")
+    return mats, vec
+
+
+@dataclass(eq=False)
+class _Eigenbases:
+    """Per-factor eigenvalues and basis moves of one ordered operator family.
+
+    Factors act right to left, A_q first and A_1 last in each sweep, and
+    the lists are kept in that order.  moves[i] = V_i^H V_(i-1) takes
+    coefficients into factor i's eigenbasis, cyclically, so a sweep starts
+    and ends in the eigenbasis `last` of A_1.
+    """
+
+    eigenvalues: list
+    moves: list
+    last: np.ndarray
+    norms: list  # ||A_i|| = max |lambda|
+
+
+def _eigenbases(mats) -> _Eigenbases:
+    decs = [SpectralDecomposition.from_matrix(mat) for mat in reversed(mats)]
+    vecs = [dec.eigenvectors for dec in decs]
+    moves = [v.conj().T @ prev for v, prev in zip(vecs, vecs[-1:] + vecs[:-1])]
+    lams = [dec.eigenvalues for dec in decs]
+    norms = [float(np.max(np.abs(lam), initial=0.0)) for lam in lams]
+    return _Eigenbases(lams, moves, vecs[-1], norms)
+
+
+def _toeplitz(lam: np.ndarray, m: int, order: int) -> np.ndarray:
+    """T[n, k, l] = (lam_n^2/m)^(k-l) / (k-l)!: exp(z lam_n^2/m) as a Cauchy product."""
+    steps = np.ones((len(lam), order + 1))
+    steps[:, 1:] = np.multiply.outer(lam * lam / m, 1.0 / np.arange(1, order + 1))
+    powers = np.cumprod(steps, axis=1)
+    lag = np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
+    stack = powers[:, np.maximum(lag, 0)]
+    stack *= lag >= 0
+    return stack
+
+
+def _build(bases: _Eigenbases, vec: np.ndarray, m: int, order: int) -> TaylorOperatorSeries:
+    """The splitting series of one depth m from the family's eigenbases."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    dim, width = len(vec), order + 1
+    coeffs = np.zeros((dim, width), dtype=complex)  # coeffs[:, k]: z^k, current basis
+    coeffs[:, 0] = (bases.last.T @ vec.conj()).conj()  # V^H h with no conjugated copy of V
+    stacks = [_toeplitz(lam, m, order) for lam in bases.eigenvalues]
+    for _ in range(m):
+        for move, stack in zip(bases.moves, stacks):
+            coeffs = move @ coeffs
+            # real stack against (re, im) pairs: one batched product, no complex copy
+            pairs = stack @ coeffs.view(float).reshape(dim, width, 2)
+            coeffs = pairs.reshape(dim, 2 * width).view(complex)
+    return TaylorOperatorSeries(coeffs.T @ bases.last.T, m)
+
+
 def taylor_series_build(ops, h, m: int, order: int) -> TaylorOperatorSeries:
     """W_n h for the pattern (A_1^2 .. A_q^2) repeated m times.
 
     The product of exponential factors acts on h right factor first; each
     factor exp(z X/m) updates the truncated series by
-    v_k <- sum_j (X/m)^j / j! v_(k-j).
+    v_k <- sum_j (X/m)^j / j! v_(k-j), taken in the eigenbasis of X.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    mats = [as_matrix(op) for op in ops]
-    if not mats:
-        raise ValueError("need at least one operator")
-    vec = as_vector(h)
-    squares_t = [(mat @ mat).T for mat in mats]  # transposed for row-vector updates
-    coeffs = np.zeros((order + 1, len(vec)), dtype=complex)
-    coeffs[0] = vec
-    steps = [1.0 / (m * j) for j in range(1, order + 1)]
-    for _ in range(m):
-        for x2t in reversed(squares_t):
-            coeffs = _times_series(coeffs, x2t, steps)
-    return TaylorOperatorSeries(coeffs, m)
+    mats, vec = _checked(ops, h)
+    return _build(_eigenbases(mats), vec, m, order)
 
 
-def _series_scales(ops, h, t: float):
+def _series_scales(norms, h, t: float):
     amp = float(np.linalg.norm(as_vector(h)))
-    k = max(operator_norm(op) for op in ops)
-    q = len(list(ops))
+    k = max(norms)
+    q = len(norms)
     x = math.sqrt(q) * abs(t) * k
     radius = math.inf if k == 0 else 1.0 / (math.sqrt(q) * k)
     return amp, k, x, radius
@@ -128,8 +201,8 @@ def _tail_bound(amp: float, x: float, order: int) -> float:
     return amp * x ** (2 * order + 2) / (1.0 - x * x)
 
 
-def _auto_order(ops, h, t: float, tol: float) -> int:
-    amp, _, x, _ = _series_scales(ops, h, t)
+def _auto_order(norms, h, t: float, tol: float) -> int:
+    amp, _, x, _ = _series_scales(norms, h, t)
     if x == 0.0:
         return 2
     if x < 1.0:
@@ -139,7 +212,7 @@ def _auto_order(ops, h, t: float, tol: float) -> int:
         return n
     # outside the certified radius: crude entire-series estimate
     # term_n <= C (t^2 sum ||A_i||^2)^n / (2n)!
-    y = t * t * sum(operator_norm(op) ** 2 for op in ops)
+    y = t * t * sum(k * k for k in norms)
     n = 2
     while n < ORDER_CAP:
         log_term = n * math.log(y) - math.lgamma(2 * n + 1) if y > 0 else -math.inf
@@ -158,13 +231,19 @@ def _series_sum(series: TaylorOperatorSeries, t: float, sine: bool) -> np.ndarra
     return out
 
 
+def _fm(ops, h, t: float, m: int, order: int | None, series_tol: float,
+        sine: bool) -> np.ndarray:
+    mats, vec = _checked(ops, h)
+    bases = _eigenbases(mats)
+    if order is None:
+        order = _auto_order(bases.norms, vec, t, series_tol)
+    return _series_sum(_build(bases, vec, m, order), t, sine)
+
+
 def fm_evaluate_q(ops, h, t: float, m: int, order: int | None = None,
                   series_tol: float = DEFAULT_ORDER_TOL) -> np.ndarray:
     """F_m(t) h for the ordered operator family, cosine weights n!/(2n)!."""
-    if order is None:
-        order = _auto_order(ops, h, t, series_tol)
-    series = taylor_series_build(ops, h, m, order)
-    return _series_sum(series, t, sine=False)
+    return _fm(ops, h, t, m, order, series_tol, sine=False)
 
 
 def fm_evaluate(a, b, h, t: float, m: int, order: int | None = None,
@@ -176,10 +255,7 @@ def fm_evaluate(a, b, h, t: float, m: int, order: int | None = None,
 def sin_fm_evaluate(ops, h, t: float, m: int, order: int | None = None,
                     series_tol: float = DEFAULT_ORDER_TOL) -> np.ndarray:
     """Sine-series analogue with weights n!/(2n+1)!; odd in t."""
-    if order is None:
-        order = _auto_order(ops, h, t, series_tol)
-    series = taylor_series_build(ops, h, m, order)
-    return _series_sum(series, t, sine=True)
+    return _fm(ops, h, t, m, order, series_tol, sine=True)
 
 
 def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
@@ -188,22 +264,26 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
         raise ValueError("tolerance must be positive")
     if m0 < 1 or m_cap < m0:
         raise ValueError("need 1 <= m0 <= m_cap")
-    amp, _, x, radius = _series_scales(ops, h, t)
-    order = _auto_order(ops, h, t, series_tol)
-    evaluate = sin_fm_evaluate if sine else fm_evaluate_q
+    mats, vec = _checked(ops, h)
+    bases = _eigenbases(mats)  # one decomposition per operator for every depth
+    amp, _, x, radius = _series_scales(bases.norms, vec, t)
+    order = _auto_order(bases.norms, vec, t, series_tol)
     ref = None if reference is None else as_vector(reference)
+
+    def evaluate(m):
+        return _series_sum(_build(bases, vec, m, order), t, sine)
 
     def gap(v):
         return float(np.linalg.norm(v - ref))
 
     m_values, errors = [m0], []
-    prev = evaluate(ops, h, t, m0, order)
+    prev = evaluate(m0)
     if ref is not None:
         errors.append(gap(prev))
     result, verdict = prev, "slow"
     m = 2 * m0
     while m <= m_cap:
-        current = evaluate(ops, h, t, m, order)
+        current = evaluate(m)
         diff = float(np.linalg.norm(current - prev))
         m_values.append(m)
         errors.append(gap(current) if ref is not None else diff)
@@ -258,17 +338,14 @@ def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]
     """Gaps || (A^2+B^2)^n h / n! - W_n h || for each splitting depth."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    amat, bmat = as_matrix(a), as_matrix(b)
-    vec = as_vector(h)
+    (amat, bmat), vec = _checked([a, b], h)
     s = amat @ amat + bmat @ bmat
     target = vec.copy()
     for j in range(1, n + 1):
         target = (s @ target) / j
-    gaps = []
-    for m in m_values:
-        series = taylor_series_build([amat, bmat], vec, m, n)
-        gaps.append(float(np.linalg.norm(target - series.coefficient(n))))
-    return gaps
+    bases = _eigenbases([amat, bmat])
+    return [float(np.linalg.norm(target - _build(bases, vec, m, n).coefficient(n)))
+            for m in m_values]
 
 
 def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
@@ -284,11 +361,11 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
-    amat, bmat = as_matrix(a), as_matrix(b)
-    vec = as_vector(h)
+    (amat, bmat), vec = _checked([a, b], h)
+    bases = _eigenbases([amat, bmat])
     if order is None:
-        order = _auto_order([amat, bmat], vec, t, DEFAULT_ORDER_TOL)
-    series_value = fm_evaluate(amat, bmat, vec, t, m, order)
+        order = _auto_order(bases.norms, vec, t, DEFAULT_ORDER_TOL)
+    series_value = _series_sum(_build(bases, vec, m, order), t, sine=False)
 
     level = order if rule_level is None else rule_level
     if level < order:

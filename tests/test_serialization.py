@@ -1,5 +1,6 @@
 """Tests for deterministic JSON/CSV serialization and fixture encoding."""
 
+import csv
 import io
 import json
 import math
@@ -35,6 +36,36 @@ def test_vector_errors_carry_location():
     obj["entries"][1] = [1.0]
     with pytest.raises(ValueError, match=r"vec\.entries\[1\]"):
         ser.vector_from_json(obj, "vec")
+
+
+def _rowwise_field_csv(field, stream, t=None):
+    """The row-at-a-time csv.writer layout that field_to_csv must reproduce."""
+    writer = csv.writer(stream, lineterminator="\n")
+    coords = [field.axis_coordinates(axis) for axis in range(field.dim)]
+    header = ["index"] + [f"x{axis}" for axis in range(field.dim)] + ["re", "im"]
+    if t is not None:
+        header.append("t")
+    writer.writerow(header)
+    flat = field.values.reshape(-1)
+    for index, multi in enumerate(np.ndindex(*field.shape)):
+        row = [index] + [repr(float(coords[axis][pos])) for axis, pos in enumerate(multi)]
+        row += [repr(float(flat[index].real)), repr(float(flat[index].imag))]
+        if t is not None:
+            row.append(repr(float(t)))
+        writer.writerow(row)
+
+
+@pytest.mark.parametrize("t", [None, 0.1])
+def test_field_csv_matches_rowwise_writer(t):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    values.flat[:4] = [complex(-0.0, 5e-324), complex(1e-310, -0.0), -2.5e-320j, 0.0]
+    f = wp.GridField(values, (1.0, 2.0 * math.pi, 3.0), (-0.5, 0.0, 1e-3))
+    got, want = io.StringIO(), io.StringIO()
+    ser.field_to_csv(f, got, t=t)
+    _rowwise_field_csv(f, want, t=t)
+    assert got.getvalue() == want.getvalue()
+    assert "-0.0" in got.getvalue() and "5e-324" in got.getvalue()
 
 
 def test_field_json_roundtrip():

@@ -36,6 +36,63 @@ def test_series_build_validation(unit_pair):
         wp.taylor_series_build([], h, 2, order=4)
 
 
+def _dense_series(ops, h, m, order):
+    """W_n h from the literal product of truncated dense matrix series."""
+    dim = len(h)
+    total = [np.eye(dim, dtype=complex)] + [np.zeros((dim, dim), dtype=complex)] * order
+    for _ in range(m):
+        for op in ops:
+            x = op @ op / m
+            factor = [np.linalg.matrix_power(x, j) / math.factorial(j) for j in range(order + 1)]
+            total = [sum(total[k - j] @ factor[j] for j in range(k + 1)) for k in range(order + 1)]
+    return np.array([coeff @ h for coeff in total])
+
+
+def _grushin_pair(n1=4, n2=4):
+    """A = (1/i) d/dx1 and B = x1 (1/i) d/dx2: repeated eigenvalues, large null spaces."""
+    x1 = -math.pi + 2.0 * math.pi * np.arange(n1) / n1
+    d1 = wp.spectral_derivative_matrix(n1, 2.0 * math.pi)
+    d2 = wp.spectral_derivative_matrix(n2, 2.0 * math.pi)
+    return np.kron(d1, np.eye(n2)), np.kron(np.diag(x1.astype(complex)), d2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_series_build_matches_dense_product(q, m, order):
+    rng = np.random.default_rng(10 * q + m)
+    ops = [wp.random_hermitian(5, rng=rng, norm=1.5) for _ in range(q)]
+    h = wp.random_state(5, rng=rng)
+    dense = _dense_series(ops, h, m, order)
+    built = wp.taylor_series_build(ops, h, m, order).vectors
+    assert np.max(np.abs(built - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_series_build_with_zero_and_degenerate_operators(m):
+    a, b = _grushin_pair()
+    h = wp.random_state(len(a), seed=4)
+    cases = [[a, b], [np.zeros_like(a), b], [a, np.zeros_like(a), b], [np.zeros_like(a)]]
+    for ops in cases:
+        dense = _dense_series(ops, h, m, 6)
+        built = wp.taylor_series_build(ops, h, m, 6).vectors
+        assert np.max(np.abs(built - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
+    a, b, h = unit_pair
+    skew = a.copy()
+    skew[0, 1] += 1e-6
+    for call in (lambda x, y, v: wp.taylor_series_build([x, y], v, 4, 3),
+                 lambda x, y, v: wp.cos_noncomm(x, y, v, 0.3, tol=1e-6)):
+        with pytest.raises(ValueError, match=r"not Hermitian: relative defect .* exceeds 1e-12"):
+            call(skew, b, h)
+        with pytest.raises(ValueError, match="shape"):
+            call(a, b[:3, :3], h)
+        with pytest.raises(ValueError, match="operator dimension 4"):
+            call(a, b, h[:3])
+
+
 def test_errors_halve_as_m_doubles(unit_pair):
     a, b, h = unit_pair
     t = 0.3
@@ -58,7 +115,7 @@ def test_fitted_decay_exponent_near_one(unit_pair):
 def test_tail_bound_covers_truncation_error(unit_pair):
     a, b, h = unit_pair
     t = 0.6  # close enough to the radius that truncation is visible
-    amp, _, x, _ = _series_scales([a, b], h, t)
+    amp, _, x, _ = _series_scales([wp.operator_norm(a), wp.operator_norm(b)], h, t)
     assert x < 1.0  # inside the radius
     shallow = wp.fm_evaluate(a, b, h, t, 32, order=3)
     deep = wp.fm_evaluate(a, b, h, t, 32, order=24)
