@@ -20,15 +20,14 @@ _EXPORTS = {
     "HermitianOperator": "operators",
     "SpectralDecomposition": "operators",
     "StateVector": "operators",
-    "spectral_apply": "operators",
+    "as_matrix": "operators",
+    "as_vector": "operators",
     "operator_norm": "operators",
-    "heat_semigroup": "operators",
     "cos_sqrt_sum_oracle": "operators",
     "sinc_sqrt_sum_oracle": "operators",
     "random_hermitian": "operators",
     "random_state": "operators",
     # quadrature
-    "MultiIndex": "quadrature",
     "SphereRule": "quadrature",
     "BallRule": "quadrature",
     "build_sphere_rule": "quadrature",
@@ -41,12 +40,7 @@ _EXPORTS = {
     "stable_sum": "quadrature",
     # commutative ascent
     "CommutingFamily": "ascent",
-    "OddTimeSeries": "ascent",
-    "EvenTimeSeries": "ascent",
-    "d_operator_apply": "ascent",
     "cos_ascent": "ascent",
-    "cos_ascent_even": "ascent",
-    "cos_ascent_odd": "ascent",
     "sin_ascent": "ascent",
     "transmutation_check": "ascent",
     "product_heat_expansion_check": "ascent",
@@ -65,7 +59,6 @@ _EXPORTS = {
     # grid fields
     "GridField": "fields",
     "SpectralOperator": "fields",
-    "derivative_symbol": "fields",
     "wave_symbol": "fields",
     "klein_gordon_symbol": "fields",
     "damped_symbol": "fields",
@@ -73,6 +66,7 @@ _EXPORTS = {
     "gaussian_bump": "fields",
     "effective_support_radius": "fields",
     "relative_l2_gap": "fields",
+    "assert_no_wrap": "fields",
     # pde lab
     "KGKernelSpec": "pde",
     "wave_general": "pde",

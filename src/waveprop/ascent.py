@@ -1,13 +1,17 @@
 """Cosine and sine propagators for commuting families.
 
 For pairwise commuting Hermitian A_1..A_n the propagator
-cos(t sqrt(A_1^2+...+A_n^2)) is assembled from one-dimensional cosines:
-the product cos(t w_1 A_1)...cos(t w_n A_n) is averaged over the unit
-sphere (n odd) or over the unit ball against (1-|w|^2)^(-1/2) (n even),
-and the derivative ladder D = d/dt (1/t d/dt)^(m-1) is applied to
-t^(2m-1) times that average.  Per quadrature node the product of cosines
-is expanded as an even power series in t, so D acts exactly on monomials
-and no numerical differentiation enters.
+cos(t sqrt(A_1^2+...+A_n^2)) is one formula in one-dimensional cosines,
+
+    (2 pi)^(-m) D [ t^(2m-1) average of cos(t w_1 A_1)...cos(t w_n A_n) ],
+
+with D = d/dt (1/t d/dt)^(m-1), the average taken over the unit ball
+against (1-|w|^2)^(-1/2) for n = 2m and over the unit sphere, with an
+extra factor 1/2, for n = 2m+1.  Per quadrature node the product of
+cosines is expanded as an even power series in t, so D acts exactly on
+monomials and no numerical differentiation enters: D takes
+t^(2k+2m-1) to _ladder_cos(k, m) t^(2k), and _ladder_sum is the one place
+that ladder is applied.
 
 The product is even in every w_i, so the average is taken on the simplex
 in u_i = w_i^2, where the sphere and ball measures are Dirichlet measures:
@@ -15,7 +19,7 @@ the coefficient of t^(2k) is a degree-k polynomial in u, integrated
 exactly by a Dirichlet Gauss-Jacobi rule of level N with no sign-mirror
 copies.
 
-The same machinery with the left-most d/dt dropped yields the smoothed
+The same formula with the left-most d/dt dropped yields the smoothed
 sine propagator sin(t sqrt(S)) / sqrt(S).
 """
 
@@ -27,16 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
-from .operators import HermitianOperator, as_matrix
+from .operators import HermitianOperator, _checked_operators, as_matrix
 from .quadrature import _dirichlet_rule, stable_sum
 
 __all__ = [
     "CommutingFamily",
-    "OddTimeSeries",
-    "EvenTimeSeries",
-    "d_operator_apply",
-    "cos_ascent_even",
-    "cos_ascent_odd",
     "cos_ascent",
     "sin_ascent",
     "transmutation_check",
@@ -51,20 +50,19 @@ NODE_CHUNK = 2048
 
 @dataclass(eq=False)
 class CommutingFamily:
-    """Ordered family of pairwise commuting Hermitian operators."""
+    """Ordered family of pairwise commuting Hermitian operators.
+
+    Members are checked by operators._checked_operators (square, one
+    shape, finite, Hermitian), then pairwise for commutation.
+    """
 
     operators: list
     commutator_defect: float = 0.0
 
     def __init__(self, operators):
-        mats = [as_matrix(op) for op in operators]
-        if not mats:
-            raise ValueError("family must contain at least one operator")
-        d = mats[0].shape[0]
+        mats = _checked_operators(operators)
         worst = 0.0
         for i, a in enumerate(mats):
-            if a.shape != (d, d):
-                raise ValueError("family members must share one dimension")
             na = np.linalg.norm(a)
             for b in mats[i + 1 :]:
                 nb = np.linalg.norm(b)
@@ -104,66 +102,22 @@ def _ladder_sin(k: int, m: int) -> float:
     return _ladder_cos(k, m) / (2 * k + 1)
 
 
-@dataclass(eq=False)
-class OddTimeSeries:
-    """Finite series sum_k c_k t^(2k+parity_order) with odd parity_order."""
+def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
+    """sum_k c_k L(k, m, sine) t^(2k+sine): the ladder applied to t^(2m-1) times the bracket.
 
-    parity_order: int
-    coefficients: list
-    truncation: int
-    tail_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.parity_order < 1 or self.parity_order % 2 == 0:
-            raise ValueError("parity_order must be a positive odd integer")
-
-    def evaluate(self, t: float):
-        t2 = t * t
-        acc = np.zeros_like(np.asarray(self.coefficients[0], dtype=complex))
-        power = float(t) ** self.parity_order
-        for c in self.coefficients:
-            acc = acc + np.asarray(c) * power
-            power *= t2
-        return acc
-
-    __call__ = evaluate
-
-
-@dataclass(eq=False)
-class EvenTimeSeries:
-    """Finite series sum_k c_k t^(2k); evaluation only sees t^2."""
-
-    coefficients: list
-    truncation: int
-    tail_bound: float = 0.0
-
-    def evaluate(self, t: float):
-        t2 = t * t
-        acc = np.zeros_like(np.asarray(self.coefficients[0], dtype=complex))
-        power = 1.0
-        for c in self.coefficients:
-            acc = acc + np.asarray(c) * power
-            power *= t2
-        return acc
-
-    __call__ = evaluate
-
-
-def d_operator_apply(series: OddTimeSeries, m: int) -> EvenTimeSeries:
-    """Apply D = d/dt (1/t d/dt)^(m-1) exactly to an odd monomial series.
-
-    Requires parity_order = 2m-1; the coefficient of t^(2k+2m-1) picks up
-    (2k+2m-1)(2k+2m-3)...(2k+3)(2k+1) and lands on t^(2k).
+    coeffs[k] is the coefficient of t^(2k) in the bracket.  With sine
+    False, L = _ladder_cos and D = d/dt (1/t d/dt)^(m-1) lands on t^(2k);
+    with sine True the left-most d/dt is dropped, L = _ladder_sin and the
+    power is t^(2k+1).
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if series.parity_order != 2 * m - 1:
-        raise ValueError(
-            f"series parity order {series.parity_order} does not match 2m-1 = {2 * m - 1}"
-        )
-    coeffs = [np.asarray(c) * _ladder_cos(k, m) for k, c in enumerate(series.coefficients)]
-    amplified = series.tail_bound * _ladder_cos(series.truncation + 1, m)
-    return EvenTimeSeries(coeffs, series.truncation, amplified)
+    ladder = _ladder_sin if sine else _ladder_cos
+    t2 = t * t
+    acc = np.zeros_like(coeffs[0])
+    power = float(t) if sine else 1.0
+    for k, c in enumerate(coeffs):
+        acc = acc + c * ladder(k, m) * power
+        power *= t2
+    return acc
 
 
 def _truncation_order(norm_sum: float, t: float, m: int, tol: float = SERIES_TAIL_TOL) -> int:
@@ -240,15 +194,21 @@ def _simplex_rule(n: int, level: int, sphere: bool):
     """
     if sphere:
         rule = _dirichlet_rule([0.5] * n, level)
-        return rule.nodes, 2.0 * rule.weights, rule.moment_error
+        return rule.nodes, 2.0 * rule.weights
     rule = _dirichlet_rule([0.5] * (n + 1), level)
-    return rule.nodes[:, :n], rule.weights, rule.moment_error
+    return rule.nodes[:, :n], rule.weights
 
 
 def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
-    """Shared quadrature stage: returns (G, m, prefactor, N, tail)."""
+    """Bracket coefficients of t^(2k), ladder depth m and prefactor of the family at t.
+
+    n = 2m is averaged over the ball, n = 2m+1 over the sphere with an
+    extra factor 1/2.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got t = {t}")
     n = len(fam)
-    m, odd = (n // 2, False) if n % 2 == 0 else ((n - 1) // 2, True)
+    m, odd = n // 2, n % 2 == 1
     order = _truncation_order(fam.norm_sum(), t, m)
     level = order if rule_level is None else rule_level
     if level < order:
@@ -256,70 +216,36 @@ def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
             f"quadrature level {level} cannot integrate the degree-{order} "
             f"series terms; need level >= {order}"
         )
-    u, weights, moment_error = _simplex_rule(n, level, sphere=odd)
+    u, weights = _simplex_rule(n, level, sphere=odd)
     prefactor = (0.5 if odd else 1.0) * (2.0 * math.pi) ** (-m)
     squares = [a @ a for a in fam.operators]
     coeffs = _cos_series_sum(np.eye(fam.dim, dtype=complex), squares, u, weights, order)
-    x = fam.norm_sum() * abs(t)
-    tail = 0.0
-    if x > 0:
-        tail = math.exp((2 * order + 2) * math.log(x) - math.lgamma(2 * order + 3))
-    tail += (moment_error or 0.0)
-    return coeffs, m, prefactor, order, tail
-
-
-def cos_ascent_even(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
-    """cos(t sqrt(sum A_i^2)) for an even-sized commuting family.
-
-    Realizes (2 pi)^(-m) D [ t^(2m-1) ball-average of the cosine product ]
-    with the integrand expanded per node as an even series in t.
-    """
-    if len(fam) % 2 != 0:
-        raise ValueError("even route requires an even number of operators")
-    coeffs, m, prefactor, order, tail = _ascent_series(fam, t, rule_level)
-    bracket = OddTimeSeries(2 * m - 1, list(coeffs), order, tail)
-    return prefactor * d_operator_apply(bracket, m).evaluate(t)
-
-
-def cos_ascent_odd(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
-    """cos(t sqrt(sum A_i^2)) for an odd-sized commuting family.
-
-    Sphere average with prefactor 1/(2 (2 pi)^m).  n = 1 degenerates to
-    the plain two-point average, which reproduces cos(t A) exactly.
-    """
-    if len(fam) % 2 == 0:
-        raise ValueError("odd route requires an odd number of operators")
-    coeffs, m, prefactor, order, tail = _ascent_series(fam, t, rule_level)
-    if m == 0:
-        series = EvenTimeSeries(list(coeffs), order, tail)
-        return prefactor * series.evaluate(t)
-    bracket = OddTimeSeries(2 * m - 1, list(coeffs), order, tail)
-    return prefactor * d_operator_apply(bracket, m).evaluate(t)
+    return coeffs, m, prefactor
 
 
 def cos_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
-    """Parity dispatch for the cosine propagator of a commuting family."""
-    if len(fam) % 2 == 0:
-        return cos_ascent_even(fam, t, rule_level)
-    return cos_ascent_odd(fam, t, rule_level)
+    """cos(t sqrt(sum A_i^2)) for a commuting family.
+
+    Realizes (2 pi)^(-m) D [ t^(2m-1) average of the cosine product ],
+    the ball average for n = 2m and half the sphere average for n = 2m+1,
+    with the integrand expanded per node as an even series in t.  n = 1
+    degenerates to the plain two-point average, which reproduces cos(t A)
+    exactly.
+    """
+    coeffs, m, prefactor = _ascent_series(fam, t, rule_level)
+    return prefactor * _ladder_sum(coeffs, t, m, sine=False)
 
 
 def sin_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
     """sin(t sqrt(sum A_i^2)) / sqrt(sum A_i^2) for a commuting family.
 
-    Same bracket as the cosine route with the left-most d/dt dropped; the
+    The cosine formula with the left-most d/dt of the ladder dropped; the
     coefficient of t^(2k) gains 1/(2k+1) relative to the cosine ladder and
     the result is odd in t.  At sum A_i^2 = 0 the value is t times the
     identity, matching the spectral convention.
     """
-    coeffs, m, prefactor, order, tail = _ascent_series(fam, t, rule_level)
-    t2 = t * t
-    acc = np.zeros_like(coeffs[0])
-    power = float(t)
-    for k in range(order + 1):
-        acc = acc + coeffs[k] * (_ladder_sin(k, m) * power)
-        power *= t2
-    return prefactor * acc
+    coeffs, m, prefactor = _ascent_series(fam, t, rule_level)
+    return prefactor * _ladder_sum(coeffs, t, m, sine=True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +298,7 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
         lhs = lhs @ dec.matrix_function(
             lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))
         )
-    sphere_u, sphere_weights, _ = _simplex_rule(n, sphere_level, sphere=True)  # even in every w_i
+    sphere_u, sphere_weights = _simplex_rule(n, sphere_level, sphere=True)  # even in every w_i
     u, wu = roots_genlaguerre(radial_count, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "GridField",
     "SpectralOperator",
-    "derivative_symbol",
     "wave_symbol",
     "klein_gordon_symbol",
     "damped_symbol",
@@ -100,11 +99,6 @@ def _k_grids(field: GridField) -> list[np.ndarray]:
         view[axis] = slice(None)
         out.append(k[tuple(view)] * np.ones(shape))
     return out
-
-
-def derivative_symbol(field: GridField, axis: int) -> SpectralOperator:
-    """Multiplier of d/dx_axis: purely imaginary, odd in frequency."""
-    return SpectralOperator(1j * _k_grids(field)[axis])
 
 
 def _k_squared(field: GridField) -> np.ndarray:

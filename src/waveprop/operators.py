@@ -19,9 +19,7 @@ __all__ = [
     "StateVector",
     "as_matrix",
     "as_vector",
-    "spectral_apply",
     "operator_norm",
-    "heat_semigroup",
     "cos_sqrt_sum_oracle",
     "sinc_sqrt_sum_oracle",
     "random_hermitian",
@@ -147,19 +145,32 @@ def as_vector(h) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
-def _decomposition_of(op) -> SpectralDecomposition:
-    if isinstance(op, HermitianOperator):
-        return op.decomposition()
-    return SpectralDecomposition.from_matrix(as_matrix(op))
+def _checked_operators(ops) -> list[np.ndarray]:
+    """The operators as finite Hermitian matrices of one square shape.
 
-
-def spectral_apply(fn, op, vector) -> np.ndarray:
-    """f(M) v for Hermitian M via eigendecomposition."""
-    v = as_vector(vector)
-    dec = _decomposition_of(op)
-    if len(dec.eigenvalues) != len(v):
-        raise ValueError(f"dimension mismatch: operator {len(dec.eigenvalues)}, vector {len(v)}")
-    return dec.apply(fn, v)
+    Refuses with ValueError naming the failed condition: no operators, a
+    non-square or mismatched shape, a non-finite entry, or a Hermitian
+    defect above HERMITIAN_RTOL (relative, Frobenius).
+    """
+    mats = [as_matrix(op) for op in ops]
+    if not mats:
+        raise ValueError("need at least one operator")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected square operators, got shape {shape}")
+    for i, mat in enumerate(mats):
+        if mat.shape != shape:
+            raise ValueError(f"operator {i} has shape {mat.shape}, operator 0 has {shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"operator {i} has non-finite entries")
+        scale = np.linalg.norm(mat)
+        defect = np.linalg.norm(mat - mat.conj().T)
+        if defect > HERMITIAN_RTOL * scale:
+            raise ValueError(
+                f"operator {i} is not Hermitian: relative defect {defect / scale:.3e} "
+                f"exceeds {HERMITIAN_RTOL:.0e}"
+            )
+    return mats
 
 
 def operator_norm(op) -> float:
@@ -167,21 +178,6 @@ def operator_norm(op) -> float:
         return op.norm2()
     m = as_matrix(op)
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
-
-
-def heat_semigroup(op, rho: float, vector=None):
-    """exp(-rho M^2) as a matrix, or applied to a vector when given.
-
-    rho >= 0; eigenvalues of M^2 are clipped at zero so roundoff cannot
-    produce a growing factor.
-    """
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    dec = _decomposition_of(op)
-    fn = lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))
-    if vector is None:
-        return dec.matrix_function(fn)
-    return dec.apply(fn, as_vector(vector))
 
 
 def _sum_of_squares(ops) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
 __all__ = [
-    "MultiIndex",
     "SphereRule",
     "BallRule",
     "dirichlet_moment",
@@ -45,29 +44,12 @@ _PROBE_BLOCK = 1 << 15  # nodes x probes entries per chunk of _monomial_moments 
 _DIRICHLET_SAMPLES = 200_000  # Monte Carlo draws above TENSOR_DIM_LIMIT, seed 0
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Multi-index of exponents, all non-negative."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 or int(c) != c for c in self.components):
-            raise ValueError("multi-index components must be non-negative integers")
-        object.__setattr__(self, "components", tuple(int(c) for c in self.components))
-
-    @property
-    def order(self) -> int:
-        return sum(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
 def _components(alpha) -> tuple[int, ...]:
-    if isinstance(alpha, MultiIndex):
-        return alpha.components
-    return MultiIndex(tuple(alpha)).components
+    """Exponents of a moment as a tuple of non-negative integers."""
+    comp = tuple(alpha)
+    if any(c < 0 or int(c) != c for c in comp):
+        raise ValueError("multi-index components must be non-negative integers")
+    return tuple(int(c) for c in comp)
 
 
 def stable_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:

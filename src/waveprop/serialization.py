@@ -24,7 +24,6 @@ __all__ = [
     "vector_to_json",
     "vector_from_json",
     "field_to_json",
-    "field_from_json",
     "field_to_csv",
     "series_to_csv",
     "rule_to_csv",
@@ -104,17 +103,6 @@ def field_to_json(field: GridField, t: float | None = None) -> dict:
     if t is not None:
         header["t"] = float(t)
     return header
-
-
-def field_from_json(obj, where: str = "field") -> GridField:
-    for key in ("dims", "lengths", "values"):
-        if not isinstance(obj, dict) or key not in obj:
-            raise ValueError(f"{where}: missing '{key}'")
-    dims = tuple(int(d) for d in obj["dims"])
-    values = np.array(
-        [_real_pair(e, f"{where}.values[{i}]") for i, e in enumerate(obj["values"])]
-    ).reshape(dims)
-    return GridField(values, tuple(obj["lengths"]), tuple(obj.get("origins", (0.0,) * len(dims))))
 
 
 _CSV_BLOCK = 4096  # rows formatted per write, so the text never exists whole

@@ -22,8 +22,8 @@ empirically, flagging the caution.
 The same machinery covers q operators (pattern A_1^2 .. A_q^2 repeated m
 times) and the smoothed sine series with coefficients n!/(2n+1)!.
 Inputs are checked once, at each public entry point: the operators must
-be square, of one shape and Hermitian to HERMITIAN_RTOL, and h must
-match their dimension.
+be square, of one shape, finite and Hermitian to HERMITIAN_RTOL
+(operators._checked_operators), and h must match their dimension.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import _cos_series_sum, _ladder_cos, _simplex_rule
-from .operators import HERMITIAN_RTOL, SpectralDecomposition, as_matrix, as_vector
+from .ascent import _cos_series_sum, _ladder_sum, _simplex_rule
+from .operators import SpectralDecomposition, _checked_operators, as_vector
 
 __all__ = [
     "TaylorOperatorSeries",
@@ -94,26 +94,12 @@ class ConvergenceReport:
 
 
 def _checked(ops, h):
-    """The operators as Hermitian matrices of one square shape, and h of that length."""
-    mats = [as_matrix(op) for op in ops]
-    if not mats:
-        raise ValueError("need at least one operator")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected square operators, got shape {shape}")
-    for i, mat in enumerate(mats):
-        if mat.shape != shape:
-            raise ValueError(f"operator {i} has shape {mat.shape}, operator 0 has {shape}")
-        scale = np.linalg.norm(mat)
-        defect = np.linalg.norm(mat - mat.conj().T)
-        if defect > HERMITIAN_RTOL * scale:
-            raise ValueError(
-                f"operator {i} is not Hermitian: relative defect {defect / scale:.3e} "
-                f"exceeds {HERMITIAN_RTOL:.0e}"
-            )
+    """The operators as finite Hermitian matrices of one square shape, and h of that length."""
+    mats = _checked_operators(ops)
+    dim = len(mats[0])
     vec = as_vector(h)
-    if vec.shape != (shape[0],):
-        raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {shape[0]}")
+    if vec.shape != (dim,):
+        raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {dim}")
     return mats, vec
 
 
@@ -370,15 +356,9 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     level = order if rule_level is None else rule_level
     if level < order:
         raise ValueError(f"rule level {level} below series order {order}")
-    u, weights, _ = _simplex_rule(2 * m, level, sphere=False)
+    u, weights = _simplex_rule(2 * m, level, sphere=False)
     squares_t = [(mat @ mat).T / m for mat in [amat, bmat] * m]
     # row-vector updates apply the right-most factor first
     bracket = _cos_series_sum(vec, squares_t[::-1], u[:, ::-1], weights, order)
-    t2 = t * t
-    power = 1.0
-    quad_value = np.zeros_like(vec)
-    for k in range(order + 1):
-        quad_value = quad_value + bracket[k] * (_ladder_cos(k, m) * power)
-        power *= t2
-    quad_value = quad_value * (2.0 * math.pi) ** (-m)
+    quad_value = _ladder_sum(bracket, t, m, sine=False) * (2.0 * math.pi) ** (-m)
     return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))

@@ -42,16 +42,18 @@ def test_single_operator_family_degenerates_to_plain_cosine():
     assert got == pytest.approx(math.cos(1.3 * 0.9), abs=1e-12)
 
 
-def test_parity_entry_points_agree_with_dispatcher():
-    even_fam = _scalar_family(0.7, -0.4)
-    odd_fam = _scalar_family(0.7, -0.4, 0.2)
-    t = 1.1
-    assert wp.cos_ascent_even(even_fam, t) == pytest.approx(
-        wp.cos_ascent(even_fam, t), abs=1e-14
-    )
-    assert wp.cos_ascent_odd(odd_fam, t) == pytest.approx(
-        wp.cos_ascent(odd_fam, t), abs=1e-14
-    )
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("route, oracle", [
+    (wp.cos_ascent, wp.cos_sqrt_sum_oracle),
+    (wp.sin_ascent, wp.sinc_sqrt_sum_oracle),
+], ids=["cos", "sin"])
+def test_routes_match_spectral_oracles(route, oracle, n):
+    # n = 1..5 walks every ladder depth m = 0, 1, 2 on both parities
+    fam = _diag_family(n, 3, seed=40 + n)
+    for t in (0.45, -0.3):
+        got = route(fam, t)
+        want = oracle(fam.operators, t)
+        assert np.linalg.norm(got - want) <= 1e-10
 
 
 def test_family_rejects_noncommuting_pair():
@@ -59,6 +61,21 @@ def test_family_rejects_noncommuting_pair():
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(ValueError, match="splitting-series"):
         wp.CommutingFamily([sx, sz])
+
+
+def test_family_and_time_are_validated_at_the_boundary():
+    sx = [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="operator 0 has non-finite entries"):
+        wp.CommutingFamily([np.diag([np.nan, 2.0]), sx])
+    with pytest.raises(ValueError, match=r"operator 1 is not Hermitian: relative defect .* exceeds 1e-12"):
+        wp.CommutingFamily([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="square"):
+        wp.CommutingFamily([np.ones((2, 3))])
+    fam = _diag_family(2, 3, seed=1)
+    for route in (wp.cos_ascent, wp.sin_ascent):
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="time t must be finite"):
+                route(fam, t)
 
 
 def test_family_records_zero_defect_for_diagonals():
@@ -124,42 +141,16 @@ def test_ladder_coefficients_frozen_values():
 
 
 def test_d_ladder_matches_symbolic_differentiation():
-    # apply d/dt (1/t d/dt)^{m-1} to t^{2m-1} (c0 + c1 t^2 + c2 t^4) with sympy
-    coeffs = [0.7, -1.3, 0.25]
+    # D = d/dt (1/t d/dt)^(m-1) takes t^(2k+2m-1) to _ladder_cos(k, m) t^(2k);
+    # without the left-most d/dt it lands on _ladder_sin(k, m) t^(2k+1)
+    t = sympy.Symbol("t")
     for m in (1, 2, 3):
-        t = sympy.Symbol("t")
-        expr = t ** (2 * m - 1) * sum(c * t ** (2 * k) for k, c in enumerate(coeffs))
-        for _ in range(m - 1):
-            expr = sympy.diff(expr, t) / t
-        expr = sympy.expand(sympy.diff(expr, t))
-        series = wp.OddTimeSeries(
-            2 * m - 1, [np.array([[c]]) for c in coeffs], truncation=len(coeffs)
-        )
-        reduced = wp.d_operator_apply(series, m)
-        for t0 in (0.3, 1.7):
-            want = float(expr.subs(t, t0))
-            got = reduced.evaluate(t0)[0, 0].real
-            assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_even_series_evaluates_even_polynomial():
-    series = wp.EvenTimeSeries(
-        [np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]])], truncation=3
-    )
-    t = 1.3
-    assert series.evaluate(t)[0, 0].real == pytest.approx(
-        2.0 + 3.0 * t**2 + 4.0 * t**4, rel=1e-14
-    )
-
-
-def test_odd_series_evaluates_odd_polynomial():
-    series = wp.OddTimeSeries(
-        3, [np.array([[2.0]]), np.array([[5.0]])], truncation=2
-    )
-    t = 0.6
-    assert series.evaluate(t)[0, 0].real == pytest.approx(
-        t**3 * (2.0 + 5.0 * t**2), rel=1e-14
-    )
+        for k in range(5):
+            expr = t ** (2 * k + 2 * m - 1)
+            for _ in range(m - 1):
+                expr = sympy.diff(expr, t) / t
+            assert sympy.simplify(expr - _ladder_sin(k, m) * t ** (2 * k + 1)) == 0
+            assert sympy.simplify(sympy.diff(expr, t) - _ladder_cos(k, m) * t ** (2 * k)) == 0
 
 
 def test_insufficient_rule_level_raises():

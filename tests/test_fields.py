@@ -57,15 +57,6 @@ def test_fft_roundtrip():
     assert np.linalg.norm(back - vals) <= 1e-12 * np.linalg.norm(vals)
 
 
-def test_derivative_symbol_differentiates_sine():
-    n = 32
-    x = np.arange(n) * (TWO_PI / n)
-    f = wp.GridField(np.sin(x).astype(complex), (TWO_PI,))
-    sym = wp.derivative_symbol(f, 0)
-    got = sym.apply(f)
-    assert np.allclose(got.values, np.cos(x), atol=1e-12)
-
-
 def test_wave_symbol_is_modulus_of_wavenumber():
     f = wp.GridField(np.zeros((8, 8), dtype=complex), (TWO_PI, TWO_PI))
     sym = wp.wave_symbol(f).symbol

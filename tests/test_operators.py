@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import waveprop as wp
 
@@ -78,20 +77,6 @@ def test_sinc_oracle_diagonal_values():
     assert np.allclose(got, expected, atol=1e-14)
 
 
-def test_heat_semigroup_matches_expm():
-    a = wp.random_hermitian(5, seed=2)
-    rho = 0.3
-    got = wp.heat_semigroup(a, rho)
-    assert np.linalg.norm(got - expm(-rho * a @ a)) <= 1e-12
-
-
-def test_heat_semigroup_applies_to_vector():
-    a = np.diag([1.0, 4.0])
-    v = np.array([1.0, 1.0])
-    got = wp.heat_semigroup(a, 0.3, vector=v)
-    assert np.allclose(got, [math.exp(-0.3), math.exp(-4.8)], atol=1e-14)
-
-
 def test_random_hermitian_properties():
     a = wp.random_hermitian(6, seed=9, norm=1.0)
     assert np.allclose(a, a.conj().T)
@@ -109,20 +94,6 @@ def test_random_state_is_complex_and_reproducible():
 
 def test_operator_norm_of_diagonal():
     assert wp.operator_norm(np.diag([1.0, -3.0])) == 3.0
-
-
-def test_spectral_apply_matches_matrix_function():
-    a = wp.random_hermitian(4, seed=13)
-    v = wp.random_state(4, seed=14)
-    dec = wp.HermitianOperator(a).decomposition()
-    assert np.allclose(
-        wp.spectral_apply(np.cos, a, v), dec.matrix_function(np.cos) @ v, atol=1e-13
-    )
-
-
-def test_spectral_apply_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        wp.spectral_apply(np.cos, np.eye(2), np.ones(3))
 
 
 def test_state_vector_norm():

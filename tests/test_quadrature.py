@@ -182,9 +182,12 @@ def test_rule_construction_validation():
         wp.build_sphere_rule(2, 8, method="nope")
 
 
-def test_multi_index_order():
-    idx = wp.MultiIndex((2, 0, 3))
-    assert idx.order == 5
+def test_moments_refuse_negative_or_fractional_exponents():
+    for alpha in ((-1, 2), (0.5, 1)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            wp.dirichlet_moment(alpha)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            wp.ball_moment(alpha, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,11 +69,15 @@ def test_field_csv_matches_rowwise_writer(t):
 
 
 def test_field_json_roundtrip():
-    f = wp.gaussian_bump((8, 8), (2 * math.pi, 4 * math.pi), (1.0, 2.0), 0.5)
-    back = ser.field_from_json(ser.field_to_json(f, t=0.25))
-    assert back.lengths == f.lengths
-    assert back.origins == f.origins
-    assert np.array_equal(back.values, f.values)
+    # the JSON text keeps the layout and every sample exactly
+    f = wp.gaussian_bump((8, 4), (2 * math.pi, 4 * math.pi), (1.0, 2.0), 0.5, origins=(-1.5, 0.25))
+    obj = json.loads(json.dumps(ser.field_to_json(f, t=0.25)))
+    assert obj["dims"] == [8, 4]
+    assert obj["lengths"] == [2 * math.pi, 4 * math.pi]
+    assert obj["origins"] == [-1.5, 0.25]
+    assert obj["t"] == 0.25
+    values = np.array([complex(re, im) for re, im in obj["values"]]).reshape(obj["dims"])
+    assert np.array_equal(values, f.values)
 
 
 def test_field_csv_layout():

@@ -87,6 +87,9 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
                  lambda x, y, v: wp.cos_noncomm(x, y, v, 0.3, tol=1e-6)):
         with pytest.raises(ValueError, match=r"not Hermitian: relative defect .* exceeds 1e-12"):
             call(skew, b, h)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="operator 1 has non-finite entries"):
+                call(a, np.where(np.eye(4) > 0, bad, b), h)
         with pytest.raises(ValueError, match="shape"):
             call(a, b[:3, :3], h)
         with pytest.raises(ValueError, match="operator dimension 4"):
