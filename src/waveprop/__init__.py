@@ -22,7 +22,6 @@ _EXPORTS = {
     "StateVector": "operators",
     "as_matrix": "operators",
     "as_vector": "operators",
-    "operator_norm": "operators",
     "cos_sqrt_sum_oracle": "operators",
     "sinc_sqrt_sum_oracle": "operators",
     "random_hermitian": "operators",

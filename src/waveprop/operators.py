@@ -19,7 +19,6 @@ __all__ = [
     "StateVector",
     "as_matrix",
     "as_vector",
-    "operator_norm",
     "cos_sqrt_sum_oracle",
     "sinc_sqrt_sum_oracle",
     "random_hermitian",
@@ -173,21 +172,9 @@ def _checked_operators(ops) -> list[np.ndarray]:
     return mats
 
 
-def operator_norm(op) -> float:
-    if isinstance(op, HermitianOperator):
-        return op.norm2()
-    m = as_matrix(op)
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
-
-
 def _sum_of_squares(ops) -> np.ndarray:
-    mats = [as_matrix(op) for op in ops]
-    if not mats:
-        raise ValueError("need at least one operator")
+    mats = _checked_operators(ops)
     d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("all operators must share one dimension")
     total = np.zeros((d, d), dtype=complex)
     for m in mats:
         total += m @ m

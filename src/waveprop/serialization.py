@@ -3,11 +3,21 @@
 All writers are deterministic: keys are sorted, floats use the shortest
 round-trip representation, and no timestamps or host details enter the
 payload, so identical inputs produce byte-identical artifacts.
+
+Every CSV goes through one table writer, which joins `_CSV_BLOCK` rows of
+cells per write, so the text never exists whole and no Python loop runs per
+row.  A float column that repeats its values (grid coordinates, rule nodes
+and weights) has each distinct bit pattern formatted once and mapped back by
+index; a mostly distinct one is formatted value by value.  JSON text is
+`json.dumps(obj, sort_keys=True, indent=2)` byte for byte, but each list of
+numbers, and each list of equal-depth number lists, is encoded by the C
+encoder, `_JSON_BLOCK` items per call, and then re-indented, instead of
+one step of the pure-Python indent encoder per number; the pieces are
+joined once.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
@@ -35,9 +45,9 @@ __all__ = [
 ]
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(z: np.ndarray) -> list:
+    """[re, im] pairs of a complex array, nested as the array is."""
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def _real_pair(obj, where: str) -> complex:
@@ -54,7 +64,7 @@ def matrix_to_json(matrix) -> dict:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("only square matrices serialize")
-    return {"dim": m.shape[0], "rows": [[_pair(z) for z in row] for row in m]}
+    return {"dim": m.shape[0], "rows": _pairs(m)}
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -77,7 +87,7 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 def vector_to_json(vector) -> dict:
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    return {"dim": v.shape[0], "entries": [_pair(z) for z in v]}
+    return {"dim": v.shape[0], "entries": _pairs(v)}
 
 
 def vector_from_json(obj, where: str = "vector") -> np.ndarray:
@@ -98,7 +108,7 @@ def field_to_json(field: GridField, t: float | None = None) -> dict:
         "lengths": list(field.lengths),
         "origins": list(field.origins),
         "spacing": [field.spacing(axis) for axis in range(field.dim)],
-        "values": [_pair(z) for z in field.values.reshape(-1)],
+        "values": _pairs(field.values.reshape(-1)),
     }
     if t is not None:
         header["t"] = float(t)
@@ -108,45 +118,147 @@ def field_to_json(field: GridField, t: float | None = None) -> dict:
 _CSV_BLOCK = 4096  # rows formatted per write, so the text never exists whole
 
 
-def field_to_csv(field: GridField, stream, t: float | None = None) -> None:
-    """Rows of flat index, grid coordinates, and the complex sample.
+def _write_table(stream, header: list[str], columns, rows: int) -> None:
+    """A header line, then `rows` lines of comma-joined cells.
 
-    Columns are formatted a block of rows at a time; no cell needs csv
-    quoting.
+    Each column maps a row range `(lo, hi)` to its cell strings.  No cell
+    needs csv quoting: the cells are numbers.
     """
+    stream.write(",".join(header) + "\n")
+    for lo in range(0, rows, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, rows)
+        cells = [column(lo, hi) for column in columns]
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _float_column(values):
+    """Cells of a float column: the repr of each value.
+
+    The distinct values are found on the int64 bit view, so -0.0 and 0.0
+    stay apart; when at most half the values are distinct, each distinct
+    pattern is formatted once and the strings are gathered by index.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * patterns.size > values.size:
+        return lambda lo, hi: map(repr, values[lo:hi].tolist())
+    text = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+    inverse = inverse.astype(np.min_scalar_type(patterns.size))  # 1 byte a row for <= 256 patterns
+    return lambda lo, hi: text[inverse[lo:hi]].tolist()
+
+
+def _index_column(lo: int, hi: int):
+    return map(str, range(lo, hi))
+
+
+def field_to_csv(field: GridField, stream, t: float | None = None) -> None:
+    """Rows of flat index, grid coordinates, and the complex sample."""
     header = ["index"] + [f"x{axis}" for axis in range(field.dim)] + ["re", "im"]
-    if t is not None:
-        header.append("t")
     coords = np.meshgrid(*(field.axis_coordinates(axis) for axis in range(field.dim)),
                          indexing="ij")
     flat = field.values.reshape(-1)
     columns = [grid.reshape(-1) for grid in coords] + [flat.real, flat.imag]
-    stream.write(",".join(header) + "\n")
-    for lo in range(0, flat.size, _CSV_BLOCK):
-        hi = min(lo + _CSV_BLOCK, flat.size)
-        cells = [map(str, range(lo, hi))] + [map(repr, col[lo:hi].tolist()) for col in columns]
-        if t is not None:
-            cells.append(itertools.repeat(repr(float(t)), hi - lo))
-        stream.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+    if t is not None:
+        header.append("t")
+        columns.append(np.broadcast_to(float(t), flat.size))
+    _write_table(stream, header, [_index_column] + [_float_column(c) for c in columns], flat.size)
 
 
 def series_to_csv(header: list[str], rows, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
+    """Rows of numbers of equal length: floats as their repr, others (ints) as str."""
+    rows = list(rows)
+    columns = [[repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in column]
+               for column in zip(*rows)]
+    _write_table(stream, header, [lambda lo, hi, c=c: c[lo:hi] for c in columns], len(rows))
 
 
 def rule_to_csv(rule, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([f"w{i + 1}" for i in range(rule.nodes.shape[1])] + ["weight"])
-    for row, w in zip(rule.nodes, rule.weights):
-        writer.writerow([repr(float(v)) for v in row] + [repr(float(w))])
+    header = [f"w{i + 1}" for i in range(rule.nodes.shape[1])] + ["weight"]
+    columns = [_float_column(column) for column in (*rule.nodes.T, rule.weights)]
+    _write_table(stream, header, columns, len(rule.weights))
+
+
+_NUMBER_TYPES = {int, float, bool, type(None)}
+_JSON_BLOCK = 1024  # items of a number list per C encoder call, so no text of it is large
+_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
+
+
+def _number_depth(items) -> int:
+    """Depth of a nonempty list of numbers or of equal-depth number lists, else 0."""
+    types = set(map(type, items))
+    if types <= _NUMBER_TYPES:
+        return 1
+    if types <= {list, tuple} and all(items):
+        depth = _number_depth(list(itertools.chain.from_iterable(items)))
+        return depth + 1 if depth else 0
+    return 0
+
+
+def _number_items(text: str, depth: int, indent: str) -> str:
+    """The items of a number list's compact encoding in the `indent=2` layout.
+
+    The list opens at `indent`; its own brackets are left out.  Number text
+    never holds `[`, `]` or `", "`, so the separators between items of the
+    list at level j are exactly `"]" * k + ", " + "[" * k` with k = depth - j;
+    the longest are rewritten first.
+    """
+    pad = [indent + "  " * level for level in range(depth + 1)]
+
+    def opens(lo):  # the lists at levels lo..depth
+        return "".join("[\n" + pad[level] for level in range(lo, depth + 1))
+
+    def closes(lo):  # the lists at levels depth..lo
+        return "".join("\n" + pad[level - 1] + "]" for level in range(depth, lo - 1, -1))
+
+    body = text[depth:-depth]
+    for level in range(1, depth + 1):
+        k = depth - level
+        body = body.replace("]" * k + ", " + "[" * k, closes(level + 1) + ",\n" + pad[level] + opens(level + 1))
+    return opens(2) + body + closes(2)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _encode(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _encode(_encode(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_pieces(obj, indent: str, out: list) -> None:
+    """Append the text of `json.dumps(obj, sort_keys=True, indent=2)` for a value opened at `indent`.
+
+    The pieces are joined once; a number list is encoded `_JSON_BLOCK`
+    items at a time, so neither it nor its container is copied whole.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        separator = "{\n"
+        for key, value in sorted(obj.items()):
+            out.append(separator + inner + _json_key(key) + ": ")
+            _json_pieces(value, inner, out)
+            separator = ",\n"
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        depth = _number_depth(obj)
+        separator = "[\n"
+        for lo in range(0, len(obj), _JSON_BLOCK if depth else 1):
+            out.append(separator + inner)
+            if depth:
+                out.append(_number_items(_encode(obj[lo:lo + _JSON_BLOCK]), depth, indent))
+            else:
+                _json_pieces(obj[lo], inner, out)
+            separator = ",\n"
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_encode(obj))
 
 
 def dump_json(obj: Any, target=None) -> str:
     """Serialize with sorted keys; write to a path or stream when given."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    pieces = []
+    _json_pieces(obj, "", pieces)
+    text = "".join(pieces + ["\n"])
     if target is None:
         return text
     if isinstance(target, (str, os.PathLike)):

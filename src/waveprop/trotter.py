@@ -23,7 +23,8 @@ The same machinery covers q operators (pattern A_1^2 .. A_q^2 repeated m
 times) and the smoothed sine series with coefficients n!/(2n+1)!.
 Inputs are checked once, at each public entry point: the operators must
 be square, of one shape, finite and Hermitian to HERMITIAN_RTOL
-(operators._checked_operators), and h must match their dimension.
+(operators._checked_operators), h must match their dimension, and the
+time t must be finite.
 """
 
 from __future__ import annotations
@@ -93,8 +94,13 @@ class ConvergenceReport:
         }
 
 
-def _checked(ops, h):
-    """The operators as finite Hermitian matrices of one square shape, and h of that length."""
+def _checked(ops, h, t: float | None = None):
+    """The operators as finite Hermitian matrices of one square shape, and h of that length.
+
+    A time t, when given, must be finite.
+    """
+    if t is not None and not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got t = {t}")
     mats = _checked_operators(ops)
     dim = len(mats[0])
     vec = as_vector(h)
@@ -219,7 +225,7 @@ def _series_sum(series: TaylorOperatorSeries, t: float, sine: bool) -> np.ndarra
 
 def _fm(ops, h, t: float, m: int, order: int | None, series_tol: float,
         sine: bool) -> np.ndarray:
-    mats, vec = _checked(ops, h)
+    mats, vec = _checked(ops, h, t)
     bases = _eigenbases(mats)
     if order is None:
         order = _auto_order(bases.norms, vec, t, series_tol)
@@ -250,7 +256,7 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
         raise ValueError("tolerance must be positive")
     if m0 < 1 or m_cap < m0:
         raise ValueError("need 1 <= m0 <= m_cap")
-    mats, vec = _checked(ops, h)
+    mats, vec = _checked(ops, h, t)
     bases = _eigenbases(mats)  # one decomposition per operator for every depth
     amp, _, x, radius = _series_scales(bases.norms, vec, t)
     order = _auto_order(bases.norms, vec, t, series_tol)
@@ -347,7 +353,7 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
-    (amat, bmat), vec = _checked([a, b], h)
+    (amat, bmat), vec = _checked([a, b], h, t)
     bases = _eigenbases([amat, bmat])
     if order is None:
         order = _auto_order(bases.norms, vec, t, DEFAULT_ORDER_TOL)

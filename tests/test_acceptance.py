@@ -13,6 +13,7 @@ import pytest
 
 import waveprop as wp
 from waveprop.fields import spectral_wave_reference
+from waveprop.quadrature import _monomial_moments
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,30 +77,25 @@ def test_criterion_03_moment_closed_forms(report):
         # seed pinned so the 238-way comparison stays inside 3 sigma
         mc = wp.build_ball_rule(d, 12, method="montecarlo",
                                 samples=1_000_000, seed=2)
-        powers = [
-            np.power(mc.nodes[:, c][None, :], np.arange(7)[:, None])
-            for c in range(d)
-        ]
-        for alpha in itertools.product(range(7), repeat=d):
-            if sum(alpha) > 6:
-                continue
-            tvals = np.prod(tensor.nodes ** np.asarray(alpha), axis=1)
-            est = tensor.integrate(tvals)
-            if all(a % 2 == 0 for a in alpha):
-                closed = wp.ball_moment(tuple(a // 2 for a in alpha), d)
-                worst_rel = max(worst_rel, abs(est - closed) / closed)
-            else:
-                closed = 0.0
-                worst_odd = max(worst_odd, abs(est))
-            mvals = powers[0][alpha[0]]
-            for c in range(1, d):
-                mvals = mvals * powers[c][alpha[c]]
-            sigma = mc.error_estimate(mvals)
-            dev = abs(mc.integrate(mvals) - closed)
-            if sigma > 0.0:
-                worst_sigma = max(worst_sigma, dev / sigma)
-            else:
-                worst_sigma = max(worst_sigma, 0.0 if dev <= 1e-12 else math.inf)
+        probes = np.array([a for a in itertools.product(range(7), repeat=d) if sum(a) <= 6])
+        even = np.all(probes % 2 == 0, axis=1)
+        closed = np.zeros(len(probes))
+        closed[even] = [wp.ball_moment(tuple(beta), d) for beta in probes[even] // 2]
+        est = _monomial_moments(tensor.nodes, tensor.weights, probes)
+        worst_rel = max(worst_rel, np.max(np.abs(est[even] - closed[even]) / closed[even]))
+        worst_odd = max(worst_odd, np.max(np.abs(est[~even])))
+        # equal Monte Carlo weights: sigma = mass * std / sqrt(N) from the
+        # first and second moments, sqrt(mass * M2 - M1^2) / sqrt(N)
+        assert np.all(mc.weights == mc.weights[0])
+        mass, samples = float(mc.weights.sum()), len(mc.weights)
+        first = _monomial_moments(mc.nodes, mc.weights, probes)
+        second = _monomial_moments(mc.nodes, mc.weights, 2 * probes)
+        sigma = np.sqrt(np.maximum(mass * second - first ** 2, 0.0) / samples)
+        dev = np.abs(first - closed)
+        spread = sigma > 0.0
+        worst_sigma = max(worst_sigma, np.max(dev[spread] / sigma[spread], initial=0.0))
+        if np.any(dev[~spread] > 1e-12):
+            worst_sigma = math.inf
     worst_dup = max(
         abs(l - r) / abs(r) for l, r in
         (wp.gamma_duplication_check(k) for k in range(1, 11))

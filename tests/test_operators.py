@@ -77,10 +77,22 @@ def test_sinc_oracle_diagonal_values():
     assert np.allclose(got, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("oracle", [wp.cos_sqrt_sum_oracle, wp.sinc_sqrt_sum_oracle])
+def test_oracles_refuse_invalid_operators(oracle):
+    with pytest.raises(ValueError, match="operator 0 has non-finite entries"):
+        oracle([np.diag([np.nan, 2.0])], 0.3)
+    with pytest.raises(ValueError, match="operator 1 is not Hermitian"):
+        oracle([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])], 0.3)
+    with pytest.raises(ValueError, match="operator 1 has shape"):
+        oracle([np.eye(2), np.eye(3)], 0.3)
+    with pytest.raises(ValueError, match="need at least one operator"):
+        oracle([], 0.3)
+
+
 def test_random_hermitian_properties():
     a = wp.random_hermitian(6, seed=9, norm=1.0)
     assert np.allclose(a, a.conj().T)
-    assert wp.operator_norm(a) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(a, 2) == pytest.approx(1.0, rel=1e-12)
     again = wp.random_hermitian(6, seed=9, norm=1.0)
     assert np.array_equal(a, again)
 
@@ -90,10 +102,6 @@ def test_random_state_is_complex_and_reproducible():
     assert v.shape == (8,)
     assert np.iscomplexobj(v)
     assert np.array_equal(v, wp.random_state(8, seed=4))
-
-
-def test_operator_norm_of_diagonal():
-    assert wp.operator_norm(np.diag([1.0, -3.0])) == 3.0
 
 
 def test_state_vector_norm():

@@ -55,17 +55,29 @@ def _rowwise_field_csv(field, stream, t=None):
         writer.writerow(row)
 
 
-@pytest.mark.parametrize("t", [None, 0.1])
-def test_field_csv_matches_rowwise_writer(t):
+def _field_with_signed_zeros(shape):
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     values.flat[:4] = [complex(-0.0, 5e-324), complex(1e-310, -0.0), -2.5e-320j, 0.0]
-    f = wp.GridField(values, (1.0, 2.0 * math.pi, 3.0), (-0.5, 0.0, 1e-3))
-    got, want = io.StringIO(), io.StringIO()
-    ser.field_to_csv(f, got, t=t)
-    _rowwise_field_csv(f, want, t=t)
-    assert got.getvalue() == want.getvalue()
-    assert "-0.0" in got.getvalue() and "5e-324" in got.getvalue()
+    # an im column three quarters -0.0 and 0.0, so it is deduplicated: the bit
+    # patterns keep the two zeros apart
+    zeros = np.arange(4, values.size)
+    zeros = zeros[zeros % 4 != 0]
+    values.imag.flat[zeros] = np.where(zeros % 2, 0.0, -0.0)
+    lengths = (1.0, 2.0 * math.pi, 3.0)[: len(shape)]
+    return wp.GridField(values, lengths, (-0.5, 0.0, 1e-3)[: len(shape)])
+
+
+@pytest.mark.parametrize("t", [None, 0.1, -0.0])
+def test_field_csv_matches_rowwise_writer(t):
+    # below one block, one block and a tail, two blocks and a tail: never a multiple
+    for shape in [(3, 4, 5), (ser._CSV_BLOCK // 16 + 3, 16), (2 * ser._CSV_BLOCK + 5,)]:
+        f = _field_with_signed_zeros(shape)
+        got, want = io.StringIO(), io.StringIO()
+        ser.field_to_csv(f, got, t=t)
+        _rowwise_field_csv(f, want, t=t)
+        assert got.getvalue() == want.getvalue(), shape
+        assert "-0.0" in got.getvalue() and "5e-324" in got.getvalue()
 
 
 def test_field_json_roundtrip():
@@ -100,13 +112,42 @@ def test_series_csv_writer():
     assert buf.getvalue().splitlines() == ["m,error", "8,0.5", "16,0.25"]
 
 
+def _rowwise_rule_csv(rule, stream):
+    """The row-at-a-time csv.writer layout that rule_to_csv must reproduce."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow([f"w{i + 1}" for i in range(rule.nodes.shape[1])] + ["weight"])
+    for row, w in zip(rule.nodes, rule.weights):
+        writer.writerow([repr(float(v)) for v in row] + [repr(float(w))])
+
+
 def test_rule_csv_writer():
-    rule = wp.build_sphere_rule(2, 4)
-    buf = io.StringIO()
-    ser.rule_to_csv(rule, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "w1,w2,weight"
-    assert len(lines) == len(rule.weights) + 1
+    rules = [
+        wp.build_ball_rule(3, 24),  # sign-mirrored: few distinct values per column
+        wp.build_sphere_rule(2, 4),
+        wp.build_ball_rule(3, 4, method="montecarlo", samples=2 * ser._CSV_BLOCK + 7, seed=1),
+    ]
+    for rule in rules:
+        got, want = io.StringIO(), io.StringIO()
+        ser.rule_to_csv(rule, got)
+        _rowwise_rule_csv(rule, want)
+        assert got.getvalue() == want.getvalue(), rule.method
+        lines = got.getvalue().splitlines()
+        assert lines[0] == ",".join(f"w{i + 1}" for i in range(rule.nodes.shape[1])) + ",weight"
+        assert len(lines) == len(rule.weights) + 1
+
+
+def test_series_csv_matches_csv_writer():
+    rows = [(8, 0.5), (16, np.float64(-0.0)), (np.int64(32), 1e-300), (64, math.inf), (128, math.nan)]
+    got, want = io.StringIO(), io.StringIO()
+    ser.series_to_csv(["m", "error"], rows, got)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["m", "error"])
+    for row in rows:
+        writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
+    assert got.getvalue() == want.getvalue()
+    empty = io.StringIO()
+    ser.series_to_csv(["m", "error"], iter([]), empty)
+    assert empty.getvalue() == "m,error\n"
 
 
 def test_dump_json_is_deterministic_and_sorted():
@@ -118,6 +159,66 @@ def test_dump_json_is_deterministic_and_sorted():
     assert one.index('"a"') < one.index('"b"') < one.index('"c"')
     # shortest-roundtrip float formatting
     assert "0.3333333333333333" in one
+
+
+_JSON_PAYLOADS = {
+    "specials": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1 / 3],
+    "scalars": {"int": -7, "big": 10 ** 30, "bool": True, "none": None, "float": np.float64(2.5)},
+    "top-level-list": [1, 2.5, False, None],
+    "top-level-scalar": 1.5,
+    "top-level-string": "caf\u00e9",
+    "tuples": {"pair": (1.0, -0.0), "pairs": ((1.0, 2.0), (3.0, 4.0))},
+    "empties": {"list": [], "dict": {}, "nested": [[], {}, [[]], [[], [1.0]]]},
+    "strings": ["caf\u00e9 \u2014 \U0001f30a", "quote \" back\\slash", "tab\tnl\n", "[1, 2]", ", "],
+    "int-keys": {3: "three", -1: [1.0], 10: {2: None}},
+    "other-keys": {1.5: 1, math.inf: 2, -math.inf: 3},
+    "bool-keys": {True: 1, False: 0},
+    "depth-3": [[[1.0, -2.0], [3.0, 4.5]], [[5.0, 6.0], [-0.0, 8.0]]],
+    "ragged": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+    "mixed-depth": [[1.0, 2.0], 3.0, [[4.0]]],
+    "mixed": [True, 1.0],
+    "list-of-dicts": [{"b": [1.0, 2.0], "a": {"z": [], "y": [[1, 2]]}}, {"c": "x"}],
+    "field": {"values": np.stack([np.linspace(-1, 1, 7), np.zeros(7)], -1).tolist(), "dims": [7]},
+    # longer than one encoder block and not a multiple of it
+    "long-pairs": np.stack([np.linspace(-1, 1, 2 * ser._JSON_BLOCK + 3), np.full(2 * ser._JSON_BLOCK + 3, -0.0)],
+                           -1).tolist(),
+    "long-flat": {"x": list(range(ser._JSON_BLOCK + 1)), "y": [[[0.5]] * 3] * (ser._JSON_BLOCK + 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_PAYLOADS))
+def test_dump_json_matches_json_dumps(name):
+    obj = _JSON_PAYLOADS[name]
+    assert ser.dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_matches_json_dumps_on_whole_payload():
+    assert ser.dump_json(_JSON_PAYLOADS) == json.dumps(_JSON_PAYLOADS, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {"x": object()},
+    [1.0, {1, 2}],
+    [[1.0], [np.complex128(1j)]],
+    {(1, 2): 1.0},
+    {1: 1.0, "a": 2.0},
+])
+def test_dump_json_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        ser.dump_json(obj)
+
+
+def test_json_writers_keep_every_sample_exactly():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m[0, 0] = complex(-0.0, 0.0)
+    assert ser.matrix_to_json(m)["rows"] == [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    assert ser.vector_to_json(m[0])["entries"] == [[z.real, z.imag] for z in m[0].tolist()]
+    assert math.copysign(1.0, ser.vector_to_json(m[0])["entries"][0][0]) == -1.0
+    text = ser.dump_json(ser.matrix_to_json(m))
+    assert text == json.dumps(ser.matrix_to_json(m), sort_keys=True, indent=2) + "\n"
 
 
 def test_dump_json_writes_to_path(tmp_path):
@@ -140,7 +241,7 @@ def test_hermitian_pair_fixture_roundtrip():
     a, b, h = decoded["a"], decoded["b"], decoded["h"]
     assert np.allclose(a, a.conj().T)
     assert np.allclose(b, b.conj().T)
-    assert wp.operator_norm(a) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(a, 2) == pytest.approx(1.0, rel=1e-12)
     assert h.shape == (4,)
     # same seed reproduces the same fixture
     again = ser.hermitian_pair_fixture(4, seed=7)

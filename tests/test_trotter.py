@@ -96,6 +96,25 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
             call(a, b, h[:3])
 
 
+_TIMED_ENTRY_POINTS = {
+    "fm_evaluate": lambda a, b, h, t: wp.fm_evaluate(a, b, h, t, 4),
+    "fm_evaluate_q": lambda a, b, h, t: wp.fm_evaluate_q([a, b], h, t, 4),
+    "sin_fm_evaluate": lambda a, b, h, t: wp.sin_fm_evaluate([a, b], h, t, 4),
+    "cos_noncomm": lambda a, b, h, t: wp.cos_noncomm(a, b, h, t, tol=1e-6),
+    "cos_noncomm_q": lambda a, b, h, t: wp.cos_noncomm_q([a, b], h, t, tol=1e-6),
+    "sin_noncomm": lambda a, b, h, t: wp.sin_noncomm(a, b, h, t, tol=1e-6),
+    "fm_quadrature_crosscheck": lambda a, b, h, t: wp.fm_quadrature_crosscheck(a, b, h, t, 2),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_TIMED_ENTRY_POINTS))
+def test_splitting_routes_refuse_non_finite_time(unit_pair, entry, t):
+    a, b, h = unit_pair
+    with pytest.raises(ValueError, match=r"time t must be finite, got t = -?(nan|inf)"):
+        _TIMED_ENTRY_POINTS[entry](a, b, h, t)
+
+
 def test_errors_halve_as_m_doubles(unit_pair):
     a, b, h = unit_pair
     t = 0.3
@@ -118,7 +137,7 @@ def test_fitted_decay_exponent_near_one(unit_pair):
 def test_tail_bound_covers_truncation_error(unit_pair):
     a, b, h = unit_pair
     t = 0.6  # close enough to the radius that truncation is visible
-    amp, _, x, _ = _series_scales([wp.operator_norm(a), wp.operator_norm(b)], h, t)
+    amp, _, x, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
     assert x < 1.0  # inside the radius
     shallow = wp.fm_evaluate(a, b, h, t, 32, order=3)
     deep = wp.fm_evaluate(a, b, h, t, 32, order=24)
