@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
-from .operators import HermitianOperator, _checked_operators, as_matrix
+from .operators import HermitianOperator, SpectralDecomposition, _checked_operators, as_matrix
 from .quadrature import _dirichlet_rule, stable_sum
 
 __all__ = [
@@ -293,7 +293,7 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
     n = len(mats)
     d = fam.dim
     lhs = np.eye(d, dtype=complex)
-    decs = [HermitianOperator(m).decomposition() for m in mats]
+    decs = [SpectralDecomposition.from_matrix(m) for m in mats]
     for dec in decs:
         lhs = lhs @ dec.matrix_function(
             lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))

@@ -7,6 +7,14 @@ problems.  Wall-clock timings go to stderr so identical configurations
 produce byte-identical artifacts.  The BLAS thread count is pinned from
 --threads before numpy loads; the default of one thread keeps reductions
 in a fixed order on every machine.
+
+Artifacts have one emitter.  _FORMATS lists the formats each subcommand
+writes, default first; main resolves --out to a path and a format once
+and refuses a format the subcommand does not write (exit 2) before any
+handler runs.  Each handler builds its report and returns _emit(...),
+the only code that opens an artifact: it writes the CSV table or the
+JSON payload (the report unless a thunk builds another, called only when
+JSON was chosen), prints the report and returns the exit code.
 """
 
 from __future__ import annotations
@@ -62,16 +70,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolve_out(out_arg, subcommand: str, default_ext: str):
-    """--out takes 'csv', 'json', or an explicit path; bare formats land
-    in $WAVEPROP_OUT (default: current directory)."""
+# subcommand -> artifact formats it writes, default first
+_FORMATS = {
+    "verify": ("json",), "ascent": ("json",), "fixture": ("json",), "rule": ("csv",),
+    "noncomm": ("csv", "json"), "oscillator": ("csv", "json"),
+    **dict.fromkeys(("wave2d", "wave3d", "kg", "damped", "grushin"), ("json", "csv")),
+}
+
+
+def _resolve_out(out_arg, subcommand: str):
+    """(path, format) of the artifact, or (None, None) without --out.
+
+    --out takes 'csv', 'json', or a path whose .csv/.json extension picks
+    the format (any other takes the default); bare formats land in
+    $WAVEPROP_OUT (default: current directory).  A format the subcommand
+    does not write is refused.
+    """
     if not out_arg:
         return None, None
+    formats = _FORMATS[subcommand]
     if out_arg in ("csv", "json"):
         base = os.environ.get("WAVEPROP_OUT", ".")
-        return os.path.join(base, f"{subcommand}_output.{out_arg}"), out_arg
-    ext = os.path.splitext(out_arg)[1].lstrip(".").lower()
-    return out_arg, ext if ext in ("csv", "json") else default_ext
+        path, fmt = os.path.join(base, f"{subcommand}_output.{out_arg}"), out_arg
+    else:
+        ext = os.path.splitext(out_arg)[1].lstrip(".").lower()
+        path, fmt = out_arg, ext if ext in ("csv", "json") else formats[0]
+    if fmt not in formats:
+        raise ValueError(f"{subcommand} writes {' or '.join(formats)} artifacts, not {fmt}")
+    return path, fmt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,46 +183,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out_path, artifact_writer) -> None:
+def _emit(args, report: dict, csv_writer=None, json_payload=None) -> int:
+    """Write the artifact main resolved, print the report, return the exit code.
+
+    csv_writer(fh) writes the CSV artifact; json_payload() builds the JSON
+    one, which defaults to the report itself.
+    """
     from .serialization import dump_json
 
-    if out_path is not None and artifact_writer is not None:
-        artifact_writer(out_path)
-        report["artifact"] = out_path
+    if args.out_path is not None:
+        if args.out_format == "csv":
+            with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
+                csv_writer(fh)
+        else:
+            dump_json(report if json_payload is None else json_payload(), args.out_path)
+        report["artifact"] = args.out_path
     sys.stdout.write(dump_json(report))
+    return 0 if report.get("passed", True) else 1
 
 
-def _box_fixture(args, dim_override=None):
+def _emit_series(args, report: dict, refinement) -> int:
+    """The error-vs-m table of a refinement report as CSV, the report as JSON."""
+    from .serialization import series_to_csv
+
+    def table(fh):
+        fh.write(f"# waveprop {args.subcommand} error-vs-m seed={args.seed}\n")
+        series_to_csv(["m", "error"], list(zip(refinement.m_values, refinement.errors)), fh)
+
+    return _emit(args, report, table)
+
+
+def _emit_field(args, report: dict, field) -> int:
+    """The propagated field as CSV, or as JSON with the seed and inputs."""
+    from .serialization import field_to_csv, field_to_json
+
+    def table(fh):
+        fh.write(f"# waveprop field artifact seed={args.seed}\n")
+        field_to_csv(field, fh, t=args.t)
+
+    return _emit(args, report, table, lambda: {
+        "field": field_to_json(field, t=args.t), "seed": args.seed, "inputs": report["inputs"],
+    })
+
+
+def _box_fixture(args, dim: int):
     import math
 
     from .fields import gaussian_bump
 
-    dim = dim_override if dim_override is not None else getattr(args, "dim", 2)
-    defaults = {1: 256, 2: 128, 3: 32}
-    n = args.grid or defaults[dim]
+    n = args.grid or {1: 256, 2: 128, 3: 32}[dim]
     sigma = args.sigma or (0.35 if dim == 3 else 0.25)
     box = 2.0 * math.pi
     return gaussian_bump((n,) * dim, (box,) * dim, (box / 2.0,) * dim, sigma), n, sigma
 
 
-def _write_field_artifact(field, t, seed, inputs):
-    from .serialization import dump_json, field_to_csv, field_to_json
-
-    def writer(path):
-        ext = os.path.splitext(path)[1].lstrip(".").lower()
-        if ext == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(f"# waveprop field artifact seed={seed}\n")
-                field_to_csv(field, fh, t=t)
-        else:
-            payload = {"field": field_to_json(field, t=t), "seed": seed, "inputs": inputs}
-            dump_json(payload, path)
-
-    return writer
-
-
 def _cmd_verify(args) -> int:
-    from .serialization import dump_json
     from .verify import list_checks, run_checks
 
     if args.list_checks:
@@ -208,9 +249,7 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         sys.stderr.write(f"error: {exc.args[0]}\n")
         return 2
-    out_path, _ = _resolve_out(args.out, "verify", "json")
-    _emit(report, out_path, lambda path: dump_json(report, path))
-    return 0 if report["passed"] else 1
+    return _emit(args, report)
 
 
 def _cmd_ascent(args) -> int:
@@ -228,12 +267,7 @@ def _cmd_ascent(args) -> int:
         mats = decoded["matrices"]
     else:
         count = args.count or (3 if args.parity == "odd" else 2)
-        mats = [
-            np.asarray(m)
-            for m in (
-                fixture_from_json(commuting_family_fixture(count, args.dim, args.seed))["matrices"]
-            )
-        ]
+        mats = fixture_from_json(commuting_family_fixture(count, args.dim, args.seed))["matrices"]
     if args.parity is not None and len(mats) % 2 != (1 if args.parity == "odd" else 0):
         sys.stderr.write(f"error: --parity {args.parity} conflicts with a family of {len(mats)} operators\n")
         return 2
@@ -251,22 +285,14 @@ def _cmd_ascent(args) -> int:
         "tolerances": {"oracle_frobenius": 1e-5},
         "passed": gap <= 1e-5,
     }
-    out_path, _ = _resolve_out(args.out, "ascent", "json")
-
-    def writer(path):
-        from .serialization import dump_json
-
-        dump_json(report, path)
-
-    _emit(report, out_path, writer)
-    return 0 if report["passed"] else 1
+    return _emit(args, report)
 
 
 def _cmd_noncomm(args) -> int:
     import numpy as np
 
     from .operators import cos_sqrt_sum_oracle, random_hermitian, random_state
-    from .serialization import fixture_from_json, load_json_file, series_to_csv, vector_to_json
+    from .serialization import fixture_from_json, load_json_file, vector_to_json
     from .trotter import cos_noncomm_q
 
     if args.fixture:
@@ -300,83 +326,54 @@ def _cmd_noncomm(args) -> int:
         "tolerances": {"oracle_relative": max(args.tol * 10.0, 1e-12)},
         "passed": report.verdict == "converged" and gap <= max(args.tol * 10.0, 1e-12),
     }
-    out_path, ext = _resolve_out(args.out, "noncomm", "csv")
-
-    def writer(path):
-        if ext == "json":
-            from .serialization import dump_json
-
-            dump_json(payload, path)
-            return
-        rows = list(zip(report.m_values, report.errors))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# waveprop noncomm error-vs-m seed={args.seed}\n")
-            series_to_csv(["m", "error"], rows, fh)
-
-    _emit(payload, out_path, writer)
-    return 0 if payload["passed"] else 1
+    return _emit_series(args, payload, report)
 
 
-_GRID_FORMULAS = {
-    "wave2d": "disk-average-time-derivative",
-    "wave3d": "sphere-average-time-derivative",
-    "kg": {1: "interval-bessel-mass-average", 2: "disk-cosine-mass-average",
-           3: "ball-bessel-mass-ladder"},
-    "damped": {1: "interval-bessel-mass-average-hyperbolic",
-               2: "disk-cosine-mass-average-hyperbolic",
-               3: "ball-bessel-mass-ladder-hyperbolic"},
+# subcommand -> (dimension, or None to read --dim; formula slug, by --dim
+# for the mass routes)
+_GRID_ROUTES = {
+    "wave2d": (2, "disk-average-time-derivative"),
+    "wave3d": (3, "sphere-average-time-derivative"),
+    "kg": (None, {1: "interval-bessel-mass-average", 2: "disk-cosine-mass-average",
+                  3: "ball-bessel-mass-ladder"}),
+    "damped": (None, {1: "interval-bessel-mass-average-hyperbolic",
+                      2: "disk-cosine-mass-average-hyperbolic",
+                      3: "ball-bessel-mass-ladder-hyperbolic"}),
 }
 
 
 def _cmd_grid(args) -> int:
     from .fields import damped_symbol, klein_gordon_symbol, relative_l2_gap, spectral_wave_reference
-    from .pde import damped_wave, klein_gordon, wave2d_poisson, wave3d_kirchhoff, wave_general
+    from .pde import damped_wave, klein_gordon, wave_general
 
     name = args.subcommand
-    if name == "wave2d":
-        field, n, sigma = _box_fixture(args, 2)
-        propagated = wave2d_poisson(field, args.t, level=args.level)
-        reference = spectral_wave_reference(field, args.t)
-        formula = _GRID_FORMULAS[name]
-        extra = {}
-    elif name == "wave3d":
-        field, n, sigma = _box_fixture(args, 3)
-        propagated = wave3d_kirchhoff(field, args.t, level=args.level)
-        reference = spectral_wave_reference(field, args.t)
-        formula = _GRID_FORMULAS[name]
-        extra = {}
-    else:
-        field, n, sigma = _box_fixture(args)
-        if name == "kg":
-            propagated = klein_gordon(field, args.t, args.a, level=args.level)
-            reference = spectral_wave_reference(field, args.t, klein_gordon_symbol(field, args.a))
-        else:
-            propagated = damped_wave(field, args.t, args.a, level=args.level)
-            reference = spectral_wave_reference(field, args.t, damped_symbol(field, args.a))
-        formula = _GRID_FORMULAS[name][field.dim]
-        extra = {"a": args.a}
-        if args.a == 0.0:
-            collapse = wave_general(field, args.t, level=args.level)
-            extra["wave_collapse_gap"] = relative_l2_gap(propagated, collapse)
-    gap = relative_l2_gap(propagated, reference)
+    dim, formula = _GRID_ROUTES[name]
+    field, n, sigma = _box_fixture(args, dim or args.dim)
     inputs = {"grid": n, "t": args.t, "sigma": sigma, "level": args.level,
               "tol": args.tol, "seed": args.seed}
-    inputs.update({k: v for k, v in extra.items() if k == "a"})
+    gaps, tols = {}, {"reference_l2": args.tol}
+    symbol = None
+    if dim is None:  # mass routes: --dim picks the formula, --a the mass
+        route, make_symbol = ((klein_gordon, klein_gordon_symbol) if name == "kg"
+                              else (damped_wave, damped_symbol))
+        formula, inputs["a"] = formula[field.dim], args.a
+        symbol = make_symbol(field, args.a)
+        propagated = route(field, args.t, args.a, level=args.level)
+        if args.a == 0.0:
+            collapse = wave_general(field, args.t, level=args.level)
+            gaps["wave_collapse"], tols["wave_collapse"] = relative_l2_gap(propagated, collapse), 1e-8
+    else:
+        propagated = wave_general(field, args.t, level=args.level)
+    gaps["reference_l2"] = relative_l2_gap(propagated, spectral_wave_reference(field, args.t, symbol))
     report = {
         "subcommand": name,
         "formula": formula,
         "inputs": inputs,
-        "gaps": {"reference_l2": gap},
-        "tolerances": {"reference_l2": args.tol},
-        "passed": gap <= args.tol,
+        "gaps": gaps,
+        "tolerances": tols,
+        "passed": all(gaps[k] <= tols[k] for k in tols),
     }
-    if "wave_collapse_gap" in extra:
-        report["gaps"]["wave_collapse"] = extra["wave_collapse_gap"]
-        report["tolerances"]["wave_collapse"] = 1e-8
-        report["passed"] = report["passed"] and extra["wave_collapse_gap"] <= 1e-8
-    out_path, _ = _resolve_out(args.out, name, "json")
-    _emit(report, out_path, _write_field_artifact(propagated, args.t, args.seed, inputs))
-    return 0 if report["passed"] else 1
+    return _emit_field(args, report, propagated)
 
 
 def _cmd_oscillator(args) -> int:
@@ -384,7 +381,6 @@ def _cmd_oscillator(args) -> int:
 
     from .fields import GridField
     from .pde import harmonic_oscillator
-    from .serialization import series_to_csv
 
     field = GridField(np.zeros(args.grid), (16.0,), (-8.0,))
     x = field.axis_coordinates(0)
@@ -403,21 +399,7 @@ def _cmd_oscillator(args) -> int:
         "tolerances": {"oracle_relative": 1e-3},
         "passed": diagnostics["oracle_gap"] <= 1e-3,
     }
-    out_path, ext = _resolve_out(args.out, "oscillator", "csv")
-
-    def writer(path):
-        if ext == "json":
-            from .serialization import dump_json
-
-            dump_json(payload, path)
-            return
-        rows = list(zip(report.m_values, report.errors))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# waveprop oscillator error-vs-m seed={args.seed}\n")
-            series_to_csv(["m", "error"], rows, fh)
-
-    _emit(payload, out_path, writer)
-    return 0 if payload["passed"] else 1
+    return _emit_series(args, payload, report)
 
 
 def _cmd_grushin(args) -> int:
@@ -448,9 +430,7 @@ def _cmd_grushin(args) -> int:
         "tolerances": tols,
         "passed": all(gaps[k] <= tols[k] for k in tols),
     }
-    out_path, _ = _resolve_out(args.out, "grushin", "json")
-    _emit(payload, out_path, _write_field_artifact(propagated, args.t, args.seed, payload["inputs"]))
-    return 0 if payload["passed"] else 1
+    return _emit_field(args, payload, propagated)
 
 
 def _cmd_rule(args) -> int:
@@ -476,26 +456,17 @@ def _cmd_rule(args) -> int:
     }
     if args.kind == "ball":
         report["inputs"]["exponent"] = args.exponent
-    out_path, _ = _resolve_out(args.out, "rule", "csv")
-
-    def writer(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            rule_to_csv(rule, fh)
-
-    _emit(report, out_path, writer)
-    return 0
+    return _emit(args, report, lambda fh: rule_to_csv(rule, fh))
 
 
 def _cmd_fixture(args) -> int:
-    from .serialization import commuting_family_fixture, dump_json, hermitian_pair_fixture
+    from .serialization import commuting_family_fixture, hermitian_pair_fixture
 
     if args.kind == "hermitian-pair":
         payload = hermitian_pair_fixture(args.dim, args.seed, norm=args.norm)
     else:
         payload = commuting_family_fixture(args.count, args.dim, args.seed)
-    out_path, _ = _resolve_out(args.out, "fixture", "json")
-    _emit(payload, out_path, lambda path: dump_json(payload, path))
-    return 0
+    return _emit(args, payload)
 
 
 _HANDLERS = {
@@ -520,6 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args.out_path, args.out_format = _resolve_out(args.out, args.subcommand)
         code = _HANDLERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

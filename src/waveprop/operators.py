@@ -70,10 +70,6 @@ class HermitianOperator:
             self._decomposition = SpectralDecomposition.from_matrix(self.entries)
         return self._decomposition
 
-    def norm2(self) -> float:
-        w = self.decomposition().eigenvalues
-        return float(max(abs(w[0]), abs(w[-1]))) if len(w) else 0.0
-
 
 @dataclass(eq=False)
 class SpectralDecomposition:

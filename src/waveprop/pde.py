@@ -33,6 +33,9 @@ Dirichlet Gauss-Jacobi rule on the simplex gives every (s, rho) node
 with its weight, one node per distinct pair.
 Replacing a^2 by -a^2 (J0 -> I0, cos -> cosh) gives the partially
 imaginary symbol sqrt(|k|^2 - a^2).
+
+One table, _ROUTES, keyed by (dimension, massive) holds every grid route's
+rule weight, kernel, prefactor and ladder depth; _propagate runs them all.
 """
 
 from __future__ import annotations
@@ -66,11 +69,6 @@ _LEVEL_CAP = 240
 _SHELL_BLOCK = 1 << 18  # shells x nodes entries per block of phases
 _EDGE_DECAY_RTOL = 1e-11
 _DENSE_ORACLE_CAP = 4096
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in ("cos", "sin"):
-        raise ValueError("kind must be 'cos' or 'sin'")
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def _auto_level(spectrum, t, a=0.0) -> int:
         warnings.warn(
             f"the data ask for quadrature level {level}, above the cap of {_LEVEL_CAP}; "
             "the result may lose accuracy (pass level= explicitly to go past the cap)",
-            stacklevel=3,
+            stacklevel=4,
         )
         return _LEVEL_CAP
     return level
@@ -220,30 +218,52 @@ def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
 # ---------------------------------------------------------------------------
 # wave propagators
 
+# (dimension, massive) -> (ball exponent p, None for the sphere; mass kernel;
+# prefactor; ladder depth m).  The massless 1-D cosine is the two-point
+# sphere S^0 with m = 0 instead.
+_ROUTES = {
+    (1, False): (0.0, None, 0.5, 1),
+    (2, False): (-0.5, None, 1.0 / (2.0 * np.pi), 1),
+    (3, False): (None, None, 1.0 / (4.0 * np.pi), 1),
+    (1, True): (0.0, "j0", 0.5, 1),
+    (2, True): (-0.5, "cos", 1.0 / (2.0 * np.pi), 1),
+    (3, True): (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
+}
+_HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
+
+
+def _propagate(field, t, level, kind, a=None, hyperbolic=False):
+    """Shell rule and ladder of the _ROUTES entry; a mass a picks the kernel route."""
+    if kind not in ("cos", "sin"):
+        raise ValueError("kind must be 'cos' or 'sin'")
+    if t == 0.0:
+        return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
+    assert_no_wrap(field, t)
+    p, kernel, pref, m = _ROUTES[(field.dim, a is not None)]
+    spectrum = _spectrum(field)
+    if (field.dim, a, kind) == (1, None, "cos"):
+        rule, m = _shell_rule(1, 1), 0
+    else:
+        rule = _shell_rule(field.dim, level or _auto_level(spectrum, t, a or 0.0), p, a)
+    return _shell_propagate(field, spectrum, t, rule, pref, m, kind,
+                            _HYPERBOLIC[kernel] if hyperbolic else kernel)
+
 
 def wave2d_poisson(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
     """Disk average with the inverse square root rim weight, then d/dt.
 
     u = (1/2pi) d/dt [ t * avg_{|w|<1} f(x + t w) / sqrt(1-|w|^2) ].
     """
-    _check_kind(kind)
     if field.dim != 2:
         raise ValueError("wave2d_poisson expects a two dimensional field")
-    assert_no_wrap(field, t)
-    spectrum = _spectrum(field)
-    rule = _shell_rule(2, level or _auto_level(spectrum, t), p=-0.5)
-    return _shell_propagate(field, spectrum, t, rule, 1.0 / (2.0 * np.pi), 1, kind)
+    return _propagate(field, t, level, kind)
 
 
 def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
     """Sphere average route: u = (1/4pi) d/dt [ t * avg_{|w|=1} f(x + t w) ]."""
-    _check_kind(kind)
     if field.dim != 3:
         raise ValueError("wave3d_kirchhoff expects a three dimensional field")
-    assert_no_wrap(field, t)
-    spectrum = _spectrum(field)
-    rule = _shell_rule(3, level or _auto_level(spectrum, t))
-    return _shell_propagate(field, spectrum, t, rule, 1.0 / (4.0 * np.pi), 1, kind)
+    return _propagate(field, t, level, kind)
 
 
 def wave_general(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
@@ -253,40 +273,7 @@ def wave_general(field: GridField, t: float, level: int | None = None, kind: str
     flat interval average (sine); two and three dimensions are the disk
     and sphere routes of wave2d_poisson and wave3d_kirchhoff.
     """
-    _check_kind(kind)
-    if t == 0.0:
-        return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
-    if field.dim == 2:
-        return wave2d_poisson(field, t, level, kind)
-    if field.dim == 3:
-        return wave3d_kirchhoff(field, t, level, kind)
-    assert_no_wrap(field, t)
-    spectrum = _spectrum(field)
-    if kind == "cos":
-        return _shell_propagate(field, spectrum, t, _shell_rule(1, 1), 0.5, 0, kind)
-    rule = _shell_rule(1, level or _auto_level(spectrum, t), p=0.0)
-    return _shell_propagate(field, spectrum, t, rule, 0.5, 1, kind)
-
-
-# dimension -> (ball exponent p, kernel, prefactor, ladder depth m)
-_MASS_ROUTES = {
-    1: (0.0, "j0", 0.5, 1),
-    2: (-0.5, "cos", 1.0 / (2.0 * np.pi), 1),
-    3: (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
-}
-_HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
-
-
-def _mass_propagate(field, t, a, level, kind, hyperbolic):
-    _check_kind(kind)
-    assert_no_wrap(field, t)
-    if t == 0.0:
-        return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
-    p, kernel, pref, m = _MASS_ROUTES[field.dim]
-    spectrum = _spectrum(field)
-    rule = _shell_rule(field.dim, level or _auto_level(spectrum, t, a), p, a)
-    return _shell_propagate(field, spectrum, t, rule, pref, m, kind,
-                            _HYPERBOLIC[kernel] if hyperbolic else kernel)
+    return _propagate(field, t, level, kind)
 
 
 def _resolve_kernel_spec(field, spec, damped: bool) -> KGKernelSpec:
@@ -310,7 +297,7 @@ def klein_gordon(
     dispatches to the hyperbolic continuation.
     """
     resolved = _resolve_kernel_spec(field, spec, damped=False)
-    return _mass_propagate(field, t, resolved.a, level, kind, hyperbolic=resolved.damped)
+    return _propagate(field, t, level, kind, resolved.a, resolved.damped)
 
 
 def damped_wave(
@@ -322,7 +309,7 @@ def damped_wave(
 ) -> GridField:
     """Propagator of sqrt(|k|^2 - a^2): hyperbolic kernels below the cutoff."""
     resolved = _resolve_kernel_spec(field, a, damped=True)
-    return _mass_propagate(field, t, resolved.a, level, kind, hyperbolic=True)
+    return _propagate(field, t, level, kind, resolved.a, hyperbolic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .operators import (
     cos_sqrt_sum_oracle,
     random_hermitian,
     random_state,
+    sinc_sqrt_sum_oracle,
 )
 from .serialization import fixture_from_json, load_json_file
 
@@ -143,7 +144,7 @@ def _check_matrix_ascent(seed: int) -> CheckResult:
     fam = ascent.CommutingFamily(mats)
     t = 0.7
     got = ascent.cos_ascent(fam, t)
-    oracle = _matrix_oracle(mats, t)
+    oracle = cos_sqrt_sum_oracle(mats, t)
     gap = np.linalg.norm(got - oracle)
     fam5 = ascent.CommutingFamily(mats + [np.zeros((3, 3), dtype=complex)])
     drift = np.linalg.norm(ascent.cos_ascent(fam5, t) - got)
@@ -154,13 +155,6 @@ def _check_matrix_ascent(seed: int) -> CheckResult:
         gaps,
         {"oracle_frobenius": 1e-5, "descent_drift": 1e-8},
     )
-
-
-def _matrix_oracle(mats, t):
-    total = sum(np.asarray(m) @ np.asarray(m) for m in mats)
-    lam, vec = np.linalg.eigh(total)
-    lam = np.clip(lam, 0.0, None)
-    return (vec * np.cos(t * np.sqrt(lam))) @ vec.conj().T
 
 
 def _check_transmutation(seed: int) -> CheckResult:
@@ -262,13 +256,7 @@ def _check_sine_routes(seed: int) -> CheckResult:
     fam = ascent.CommutingFamily(mats)
     t = 0.6
     got = ascent.sin_ascent(fam, t)
-    total = sum(m @ m for m in mats)
-    lam, vec = np.linalg.eigh(total)
-    lam = np.clip(lam, 0.0, None)
-    root = np.sqrt(lam)
-    sinc = np.where(root > 1e-30, np.sin(t * root) / np.where(root > 1e-30, root, 1.0), t)
-    oracle = (vec * sinc) @ vec.conj().T
-    commuting_gap = float(np.linalg.norm(got - oracle))
+    commuting_gap = float(np.linalg.norm(got - sinc_sqrt_sum_oracle(mats, t)))
 
     a = random_hermitian(4, rng=rng, norm=1.0)
     b = random_hermitian(4, rng=rng, norm=1.0)

@@ -1,11 +1,16 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from waveprop import cli
 from waveprop import serialization as ser
@@ -243,3 +248,54 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "scalar-ascent" in proc.stdout
+
+
+# a quick passing invocation of every subcommand
+_QUICK_ARGV = {
+    "verify": ["--check", "sphere-area"],
+    "ascent": ["--count", "2", "--dim", "1"],
+    "noncomm": ["--t", "0.2", "--tol", "1e-4", "--mcap", "32"],
+    "wave2d": ["--grid", "32", "--t", "0.3"],
+    "wave3d": ["--grid", "12", "--t", "0.2", "--sigma", "0.6"],
+    "kg": ["--grid", "64", "--t", "0.4"],
+    "damped": ["--grid", "64", "--t", "0.4"],
+    "oscillator": ["--grid", "48", "--tol", "1e-4", "--mcap", "64"],
+    "grushin": ["--grid", "10"],
+    "rule": ["--dim", "2", "--level", "4"],
+    "fixture": ["--dim", "2"],
+}
+
+
+def test_formats_handlers_and_parser_name_the_same_subcommands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(cli._FORMATS) == set(cli._HANDLERS) == set(sub.choices) == set(_QUICK_ARGV)
+
+
+def _parses_as_csv(text):
+    rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    header, body = rows[0], rows[1:]
+    assert len(header) >= 2 and body
+    assert all(len(row) == len(header) for row in body)
+    assert all(math.isfinite(float(cell)) for row in body for cell in row)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(_QUICK_ARGV))
+def test_out_writes_the_named_format_or_refuses(name, fmt, tmp_path, monkeypatch):
+    monkeypatch.setenv("WAVEPROP_OUT", str(tmp_path))
+    code, out, err = run_cli([name, *_QUICK_ARGV[name], "--out", fmt])
+    artifact = tmp_path / f"{name}_output.{fmt}"
+    formats = cli._FORMATS[name]
+    if fmt not in formats:
+        assert code == 2 and out == ""
+        assert f"{name} writes {' or '.join(formats)} artifacts, not {fmt}" in err
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert code == 0
+    assert json.loads(out)["artifact"] == str(artifact)
+    text = artifact.read_text()
+    if fmt == "json":
+        json.loads(text)
+    else:
+        _parses_as_csv(text)

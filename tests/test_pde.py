@@ -142,6 +142,26 @@ def test_general_route_identity_at_zero_time():
     assert wp.relative_l2_gap(out, f) == 0.0
 
 
+@pytest.mark.parametrize("route, shape, sigma", [
+    (wp.wave2d_poisson, (48, 48), 0.3),
+    (wp.wave3d_kirchhoff, (16, 16, 16), 0.5),
+])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_named_routes_equal_general_route_bit_for_bit(route, shape, sigma, kind):
+    f = _bump(shape, sigma=sigma)
+    named = route(f, 0.3, kind=kind).values
+    assert np.array_equal(named, wp.wave_general(f, 0.3, kind=kind).values)
+
+
+@pytest.mark.parametrize("route, shape", [(wp.wave2d_poisson, (16, 16)),
+                                          (wp.wave3d_kirchhoff, (8, 8, 8))])
+def test_named_routes_are_exact_at_zero_time(route, shape):
+    f = _bump(shape, sigma=0.5)
+    assert np.array_equal(route(f, 0.0).values, f.values)
+    sine = route(f, 0.0, kind="sin").values
+    assert sine.shape == f.shape and not sine.any()
+
+
 def test_general_route_rejects_unknown_kind():
     f = _bump((16, 16), sigma=0.4)
     with pytest.raises(ValueError):
@@ -153,6 +173,17 @@ def test_auto_level_cap_warns_with_requested_level():
     noise = wp.GridField(rng.standard_normal((128, 128)), (TWO_PI, TWO_PI))
     with pytest.warns(UserWarning, match="level 736, above the cap of 240"):
         wp.wave2d_poisson(noise, 5.0)
+
+
+@pytest.mark.parametrize("route", [wp.wave2d_poisson, wp.wave_general,
+                                   lambda f, t: wp.klein_gordon(f, t, 0.5)],
+                         ids=["wave2d_poisson", "wave_general", "klein_gordon"])
+def test_auto_level_cap_warning_points_at_the_caller(route):
+    rng = np.random.default_rng(7)
+    noise = wp.GridField(rng.standard_normal((128, 128)), (TWO_PI, TWO_PI))
+    with pytest.warns(UserWarning, match="above the cap") as record:
+        route(noise, 5.0)
+    assert {w.filename for w in record if "above the cap" in str(w.message)} == {__file__}
 
 
 def test_default_cli_grid_inputs_do_not_warn(tmp_path):
