@@ -7,17 +7,20 @@ cos(t sqrt(A_1^2+...+A_n^2)) is one formula in one-dimensional cosines,
 
 with D = d/dt (1/t d/dt)^(m-1), the average taken over the unit ball
 against (1-|w|^2)^(-1/2) for n = 2m and over the unit sphere, with an
-extra factor 1/2, for n = 2m+1.  Per quadrature node the product of
-cosines is expanded as an even power series in t, so D acts exactly on
-monomials and no numerical differentiation enters: D takes
-t^(2k+2m-1) to _ladder_cos(k, m) t^(2k), and _ladder_sum is the one place
-that ladder is applied.
+extra factor 1/2, for n = 2m+1.  The product of cosines is expanded as
+an even power series in t, so D acts exactly on monomials and no
+numerical differentiation enters: D takes t^(2k+2m-1) to
+_ladder_cos(k, m) t^(2k), and _ladder_sum is the one place that ladder
+is applied.
 
 The product is even in every w_i, so the average is taken on the simplex
-in u_i = w_i^2, where the sphere and ball measures are Dirichlet measures:
-the coefficient of t^(2k) is a degree-k polynomial in u, integrated
-exactly by a Dirichlet Gauss-Jacobi rule of level N with no sign-mirror
-copies.
+in u_i = w_i^2, where the sphere and ball measures are Dirichlet
+measures.  The coefficient of t^(2k) is a degree-k polynomial in u,
+integrated exactly by the stick-breaking Dirichlet Gauss-Jacobi rule of
+level N >= k.  _cos_product_average never forms that rule's tensor
+nodes: each monomial's integral is a product of one-dimensional stick
+moments, so the sum factorizes one stick at a time (sum factorization)
+at about n * N^2 / 2 matrix products in every dimension n.
 
 The same formula with the left-most d/dt dropped yields the smoothed
 sine propagator sin(t sqrt(S)) / sqrt(S).
@@ -32,7 +35,8 @@ import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
 from .operators import HermitianOperator, SpectralDecomposition, _checked_operators, as_matrix
-from .quadrature import _dirichlet_rule, stable_sum
+from .quadrature import (PROBE_DEGREE, _dirichlet_rule, _dirichlet_sticks, _stick_moments,
+                         _stick_selftest, stable_sum)
 
 __all__ = [
     "CommutingFamily",
@@ -45,7 +49,6 @@ __all__ = [
 COMMUTATOR_RTOL = 1e-10
 SERIES_TAIL_TOL = 1e-13
 SERIES_ORDER_CAP = 120
-NODE_CHUNK = 2048
 
 
 @dataclass(eq=False)
@@ -58,6 +61,7 @@ class CommutingFamily:
 
     operators: list
     commutator_defect: float = 0.0
+    norms: tuple = ()
 
     def __init__(self, operators):
         mats = _checked_operators(operators)
@@ -75,6 +79,7 @@ class CommutingFamily:
             )
         self.operators = mats
         self.commutator_defect = worst
+        self.norms = tuple(float(np.abs(np.linalg.eigvalsh(a)).max(initial=0.0)) for a in mats)
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -84,7 +89,7 @@ class CommutingFamily:
         return self.operators[0].shape[0]
 
     def norm_sum(self) -> float:
-        return float(sum(np.linalg.norm(m, 2) for m in self.operators))
+        return float(sum(self.norms))
 
 
 def _ladder_cos(k: int, m: int) -> float:
@@ -139,68 +144,55 @@ def _truncation_order(norm_sum: float, t: float, m: int, tol: float = SERIES_TAI
     )
 
 
-def _times_series(series: np.ndarray, x2: np.ndarray, steps) -> np.ndarray:
-    """series times sum_j c_j X^j, c_j = steps[0]...steps[j-1], truncated at its order.
+def _cos_product_average(squares, level: int, order: int, sphere: bool):
+    """Average of the even t-series of cos(t w_1 X_1)...cos(t w_n X_n), and the rule's moment error.
 
-    series[k] is the coefficient of z^k (leading axis); X = x2 acts on the
-    last axis from the right.  The running term is rescaled by one step
-    per power, so no unscaled X^j forms, and each power is one GEMM.
-    It serves the ascent node series alone: the splitting series works in
-    per-factor eigenbases instead (trotter._build).
+    squares[i] = X_i^2; the product keeps its factor order, so the X_i
+    need not commute.  The average is over S^(n-1) (sphere) or the unit
+    ball against (1-|w|^2)^(-1/2), taken on the simplex in u_i = w_i^2
+    with the stick-breaking Dirichlet rule of this level.  The coefficient
+    of t^(2k) is sum over a_1+...+a_n = k of E[u^a] P_1[a_1]...P_n[a_n],
+    P_i[a] = (-1)^a X_i^(2a)/(2a)!, and E[u^a] is a product of per-stick
+    moments c_i[a_i, a_(i+1)+...+a_n], so the tensor sum factorizes one
+    stick at a time, from the last to the first:
+
+        G_i[k] = sum_(a+b=k) c_i[a, b] P_i[a] G_(i+1)[b].
+
+    The sphere starts from the last factor's table on the remaining
+    stick, the ball from the identity, as the slack carries no factor.
+    Returns the (order+1, d, d) coefficients, the sphere's carrying the
+    factor 2 of its surface measure, and the moment error of the rule
+    (quadrature._stick_selftest).
     """
-    updated = series.copy()
-    running = series
-    for j, step in enumerate(steps, start=1):
-        head = running[:-1]
-        running = (head.reshape(-1, len(x2)) @ x2).reshape(head.shape) * step
-        updated[j:] += running
-    return updated
+    n, d = len(squares), squares[0].shape[0]
+    alphas = np.full(n + (not sphere), 0.5)
+    moments = _stick_moments(_dirichlet_sticks(alphas, level), max(order, PROBE_DEGREE))
 
+    def table(x2):
+        p = np.empty((order + 1, d, d), dtype=complex)
+        p[0] = np.eye(d)
+        for a in range(1, order + 1):
+            p[a] = (p[a - 1] @ x2) * (-1.0 / ((2 * a) * (2 * a - 1)))
+        return p
 
-def _cos_series_sum(start, squares, u, weights, order: int) -> np.ndarray:
-    """Weighted node sum of the even t-series of start cos(t w_1 X_1)...cos(t w_n X_n).
-
-    start is a (d, d) matrix or a (d,) row vector; squares[i] = X_i^2 acts
-    on it from the right, and u[:, i] holds the nodes' w_i^2.  Returns
-    shape (order+1,) + start.shape: the quadrature of the coefficient of
-    t^(2k).  Nodes are processed in fixed-size chunks and combined with
-    compensated summation, so the accumulation order never varies.
-    """
-    total = np.zeros((order + 1,) + start.shape, dtype=complex)
-    comp = np.zeros_like(total)
-    for lo in range(0, len(weights), NODE_CHUNK):
-        ub = u[lo : lo + NODE_CHUNK]
-        # (order+1, nodes, ...) keeps every running[:-1] contiguous for one GEMM
-        series = np.zeros((order + 1, len(ub)) + total.shape[1:], dtype=complex)
-        series[0] = start
-        for c2, x2 in zip(ub.T, squares):
-            c2 = c2.reshape((-1,) + (1,) * (total.ndim - 1))
-            steps = [-c2 / ((2 * j) * (2 * j - 1)) for j in range(1, order + 1)]
-            series = _times_series(series, x2, steps)
-        part = np.einsum("k,jk...->j...", weights[lo : lo + NODE_CHUNK], series)
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _simplex_rule(n: int, level: int, sphere: bool):
-    """u = w^2 columns and weights of the S^(n-1) or (1-|w|^2)^(-1/2) ball rule.
-
-    Both measures are Dirichlet on the simplex: the sphere with alphas
-    (1/2,)*n and twice the weight, the ball with one more 1/2 for the
-    slack 1-|w|^2, whose column is dropped.
-    """
+    # column block b of g is G[b], so every P_i[a] G[b], b <= order-a, is one GEMM
     if sphere:
-        rule = _dirichlet_rule([0.5] * n, level)
-        return rule.nodes, 2.0 * rule.weights
-    rule = _dirichlet_rule([0.5] * (n + 1), level)
-    return rule.nodes[:, :n], rule.weights
+        g = table(squares[-1]).transpose(1, 0, 2).reshape(d, -1)
+    else:
+        g = np.zeros((d, (order + 1) * d), dtype=complex)
+        g[:, :d] = np.eye(d)
+    for i in reversed(range(len(moments))):
+        p, new = table(squares[i]), np.zeros((d, order + 1, d), dtype=complex)
+        for a in range(order + 1):
+            tail = order + 1 - a
+            new[:, a:] += (p[a] @ g[:, : tail * d]).reshape(d, tail, d) * moments[i][a, :tail, None]
+        g = new.reshape(d, -1)
+    coeffs = g.reshape(d, order + 1, d).transpose(1, 0, 2) * (2.0 if sphere else 1.0)
+    return coeffs, _stick_selftest(alphas, level, moments)
 
 
 def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
-    """Bracket coefficients of t^(2k), ladder depth m and prefactor of the family at t.
+    """Bracket coefficients of t^(2k), ladder depth m, prefactor and rule moment error at t.
 
     n = 2m is averaged over the ball, n = 2m+1 over the sphere with an
     extra factor 1/2.
@@ -216,11 +208,9 @@ def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
             f"quadrature level {level} cannot integrate the degree-{order} "
             f"series terms; need level >= {order}"
         )
-    u, weights = _simplex_rule(n, level, sphere=odd)
     prefactor = (0.5 if odd else 1.0) * (2.0 * math.pi) ** (-m)
-    squares = [a @ a for a in fam.operators]
-    coeffs = _cos_series_sum(np.eye(fam.dim, dtype=complex), squares, u, weights, order)
-    return coeffs, m, prefactor
+    coeffs, moment_error = _cos_product_average([a @ a for a in fam.operators], level, order, sphere=odd)
+    return coeffs, m, prefactor, moment_error
 
 
 def cos_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
@@ -232,7 +222,7 @@ def cos_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) ->
     degenerates to the plain two-point average, which reproduces cos(t A)
     exactly.
     """
-    coeffs, m, prefactor = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, _ = _ascent_series(fam, t, rule_level)
     return prefactor * _ladder_sum(coeffs, t, m, sine=False)
 
 
@@ -244,7 +234,7 @@ def sin_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) ->
     the result is odd in t.  At sum A_i^2 = 0 the value is t times the
     identity, matching the spectral convention.
     """
-    coeffs, m, prefactor = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, _ = _ascent_series(fam, t, rule_level)
     return prefactor * _ladder_sum(coeffs, t, m, sine=True)
 
 
@@ -298,12 +288,12 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
         lhs = lhs @ dec.matrix_function(
             lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))
         )
-    sphere_u, sphere_weights = _simplex_rule(n, sphere_level, sphere=True)  # even in every w_i
+    sphere = _dirichlet_rule([0.5] * n, sphere_level)  # S^(n-1) in u = w^2: the integrand is even in every w_i
     u, wu = roots_genlaguerre(radial_count, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)
     # cos(t w_i lambda) at every radial x sphere node, for all operators at once
-    phases = np.multiply.outer(ts, np.sqrt(sphere_u))  # (radial, sphere, n)
+    phases = np.multiply.outer(ts, np.sqrt(sphere.nodes))  # (radial, sphere, n)
     lams = np.array([dec.eigenvalues for dec in decs])
     cosines = np.cos(phases[..., None] * lams)  # (radial, sphere, n, d)
     # prod_i V_i C_i V_i^H = V_1 C_1 (V_1^H V_2) C_2 ... C_n V_n^H, node by node
@@ -312,7 +302,7 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
         move = decs[i - 1].eigenvectors.conj().T @ decs[i].eigenvectors
         chain = (chain @ move) * cosines[..., i, None, :]
     # sphere average per t, then the radial sum: the order of a plain loop
-    inner = (chain * sphere_weights[:, None, None]).sum(axis=1)
+    inner = (chain * 2.0 * sphere.weights[:, None, None]).sum(axis=1)
     inner = (inner * (prefactor * wu)[:, None, None]).sum(axis=0)
     rhs = decs[0].eigenvectors @ inner @ decs[-1].eigenvectors.conj().T
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))

@@ -10,11 +10,12 @@ in a fixed order on every machine.
 
 Artifacts have one emitter.  _FORMATS lists the formats each subcommand
 writes, default first; main resolves --out to a path and a format once
-and refuses a format the subcommand does not write (exit 2) before any
-handler runs.  Each handler builds its report and returns _emit(...),
-the only code that opens an artifact: it writes the CSV table or the
-JSON payload (the report unless a thunk builds another, called only when
-JSON was chosen), prints the report and returns the exit code.
+and refuses a format the subcommand does not write, or a missing
+artifact directory (exit 2), before any handler runs.  Each handler
+builds its report and returns _emit(...), the only code that opens an
+artifact: it writes the CSV table or the JSON payload (the report unless
+a thunk builds another, called only when JSON was chosen), prints the
+report and returns the exit code.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _resolve_out(out_arg, subcommand: str):
     --out takes 'csv', 'json', or a path whose .csv/.json extension picks
     the format (any other takes the default); bare formats land in
     $WAVEPROP_OUT (default: current directory).  A format the subcommand
-    does not write is refused.
+    does not write, or a path whose directory does not exist, is refused.
     """
     if not out_arg:
         return None, None
@@ -97,6 +98,9 @@ def _resolve_out(out_arg, subcommand: str):
         path, fmt = out_arg, ext if ext in ("csv", "json") else formats[0]
     if fmt not in formats:
         raise ValueError(f"{subcommand} writes {' or '.join(formats)} artifacts, not {fmt}")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"artifact directory {directory} does not exist")
     return path, fmt
 
 
@@ -484,11 +488,16 @@ _HANDLERS = {
 }
 
 
+_PARSER = None  # built by the first main call, reused by the rest
+
+
 def main(argv=None) -> int:
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
     _pin_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         args.out_path, args.out_format = _resolve_out(args.out, args.subcommand)

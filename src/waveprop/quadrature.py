@@ -8,12 +8,14 @@ ball (p = -1/2 is the standard boundary weight, p = 0 the flat ball).
 Integrands even in every coordinate only see u_i = w_i^2.  Under that
 map both measures become Dirichlet measures on the simplex, integrated
 by one tensor rule, a conical product of one-dimensional Gauss-Jacobi
-rules (Stroud, Approximate Calculation of Multiple Integrals, 1971).
-The public sphere and ball rules are that rule mirrored into every sign
-pattern w_i = +-sqrt(u_i), exact on even monomials up to the requested
-level.  Above dimension 6 an importance-sampled Monte Carlo rule with a
-fixed seed is used instead; its statistical error is reported, never
-hidden.
+rules (Stroud, Approximate Calculation of Multiple Integrals, 1971),
+one per stick (_dirichlet_sticks).  The tensor nodes are formed only
+where a caller needs them; the ascent and the rule self-test read the
+per-stick mixed moments instead (_stick_moments).  The public sphere
+and ball rules are the tensor rule mirrored into every sign pattern
+w_i = +-sqrt(u_i), exact on even monomials up to the requested level.
+Above dimension 6 an importance-sampled Monte Carlo rule with a fixed
+seed is used instead; its statistical error is reported, never hidden.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 
 TENSOR_DIM_LIMIT = 6  # tensor rules up to here, Monte Carlo beyond
 MOMENT_PROBE_CAP = 400
+PROBE_DEGREE = 4  # rule self-tests probe moments of total degree <= min(level, this)
 _PROBE_BLOCK = 1 << 15  # nodes x probes entries per chunk of _monomial_moments (256 KB)
 _DIRICHLET_SAMPLES = 200_000  # Monte Carlo draws above TENSOR_DIM_LIMIT, seed 0
 
@@ -216,12 +219,32 @@ class BallRule:
     error_estimate = SphereRule.error_estimate
 
 
+def _bounded_tuples(d: int, budget: int):
+    """Tuples in range(budget+1)^d with sum <= budget, in lexicographic order.
+
+    The successor of a tuple with sum below the budget raises its last
+    entry; at the budget, the right-most non-zero entry is zeroed and the
+    one before it raised, so no rejected tuple is visited.
+    """
+    a, total = [0] * d, 0
+    while True:
+        yield tuple(a)
+        if total < budget:
+            a[-1] += 1
+            total += 1
+            continue
+        j = d - 1
+        while j > 0 and a[j] == 0:
+            j -= 1
+        if j <= 0:
+            return
+        total -= a[j] - 1
+        a[j], a[j - 1] = 0, a[j - 1] + 1
+
+
 def _even_probe_indices(d: int, level: int):
     """Representative even-monomial exponents with |alpha| <= level."""
-    out = list(itertools.islice(
-        (a for a in itertools.product(range(level + 1), repeat=d) if sum(a) <= level),
-        MOMENT_PROBE_CAP,
-    ))
+    out = list(itertools.islice(_bounded_tuples(d, level), MOMENT_PROBE_CAP))
     corners = [tuple(level if i == j else 0 for i in range(d)) for j in range(d)]
     for c in corners:
         if c not in out:
@@ -243,7 +266,7 @@ def build_sphere_rule(n: int, level: int, method: str = "auto",
     if method == "auto":
         method = "tensor" if n <= TENSOR_DIM_LIMIT + 1 else "montecarlo"
     if method == "tensor":
-        nodes, weights = _mirrored(*_dirichlet_tensor(np.full(n, 0.5), level))
+        nodes, weights = _mirrored(*_dirichlet_tensor(_dirichlet_sticks(np.full(n, 0.5), level)))
         rule = SphereRule(n, level, nodes, 2.0 * weights, "tensor")
         rule.moment_error = _moment_selftest(rule, np.full(n, 0.5), scale=2.0)
         return rule
@@ -278,7 +301,7 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
         method = "tensor" if d <= TENSOR_DIM_LIMIT else "montecarlo"
     if method == "tensor":
         alphas = np.append(np.full(d, 0.5), p + 1.0)
-        u, weights = _dirichlet_tensor(alphas, level)
+        u, weights = _dirichlet_tensor(_dirichlet_sticks(alphas, level))
         nodes, weights = _mirrored(u[:, :d], weights)
         rule = BallRule(d, level, nodes, weights, "tensor", boundary_exponent=p)
         rule.moment_error = _moment_selftest(rule, alphas)
@@ -317,21 +340,56 @@ def _gauss_jacobi_unit(k: int, a: float, b: float):
     return (1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj * 2.0 ** (1.0 - a - b)
 
 
-def _dirichlet_tensor(alphas: np.ndarray, level: int):
-    """Stick-breaking tensor rule against prod u_i^(alpha_i - 1): (u, weights).
+def _dirichlet_sticks(alphas, level: int) -> list:
+    """The one-dimensional rules of the stick-breaking tensor rule, one per stick.
 
-    u_j = x_j (1-x_1)...(1-x_(j-1)) with a (level//2+1)-node Gauss-Jacobi
-    rule in each x_j for x^(alpha_j-1) (1-x)^(alpha_(j+1)+...+alpha_K-1);
-    exact on polynomials in u of total degree <= 2*(level//2)+1.
+    Stick j < K carries a (level//2+1)-node Gauss-Jacobi rule for
+    x^(alpha_j-1) (1-x)^(alpha_(j+1)+...+alpha_K-1) as (x, 1-x, weights);
+    u_j = x_j (1-x_1)...(1-x_(j-1)) and u_K = (1-x_1)...(1-x_(K-1)).
     """
+    alphas = np.asarray(alphas, dtype=float)
     k = level // 2 + 1
+    return [_gauss_jacobi_unit(k, alphas[j], alphas[j + 1 :].sum()) for j in range(len(alphas) - 1)]
+
+
+def _dirichlet_tensor(sticks):
+    """Nodes u and weights of the tensor product of the sticks' rules.
+
+    With k nodes per stick, exact on polynomials in u of total degree <= 2k-1.
+    """
     cols, rest, weights = np.zeros((1, 0)), np.ones(1), np.ones(1)
-    for j in range(len(alphas) - 1):
-        x, one_minus_x, wx = _gauss_jacobi_unit(k, alphas[j], alphas[j + 1 :].sum())
-        cols = np.concatenate([np.repeat(cols, k, axis=0), np.outer(rest, x).reshape(-1, 1)], axis=1)
+    for x, one_minus_x, wx in sticks:
+        cols = np.concatenate([np.repeat(cols, len(x), axis=0), np.outer(rest, x).reshape(-1, 1)], axis=1)
         rest = np.outer(rest, one_minus_x).ravel()
         weights = np.outer(weights, wx).ravel()
     return np.concatenate([cols, rest[:, None]], axis=1), weights
+
+
+def _stick_moments(sticks, top: int) -> list:
+    """c_j[a, b] = sum_i w_i x_i^a (1-x_i)^b of every stick, for 0 <= a, b <= top.
+
+    The tensor rule integrates u_1^b_1...u_K^b_K to the product over the
+    sticks of c_j[b_j, b_(j+1)+...+b_K], so no tensor node need form.
+    """
+    powers = np.arange(top + 1)[:, None]
+    return [(x ** powers * wx) @ (one_minus_x ** powers).T for x, one_minus_x, wx in sticks]
+
+
+def _stick_selftest(alphas, level: int, moments) -> float:
+    """Max relative error of the tensor rule on u^b, |b| <= min(level, PROBE_DEGREE).
+
+    Each probe is integrated from the stick moments, whose top must reach
+    min(level, PROBE_DEGREE), and compared with the closed form
+    Gamma(a_1+b_1)...Gamma(a_K+b_K) / Gamma(|a|+|b|).
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    b = np.asarray(_even_probe_indices(len(alphas), min(level, PROBE_DEGREE)))
+    exact = np.exp(gammaln(alphas + b).sum(axis=1) - gammaln(alphas.sum() + b.sum(axis=1)))
+    tails = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]  # tails[:, j] = b_j + ... + b_K
+    got = np.ones(len(b))
+    for j, c in enumerate(moments):
+        got = got * c[b[:, j], tails[:, j + 1]]
+    return float(np.max(np.abs(got - exact) / exact))
 
 
 def _mirrored(u: np.ndarray, weights: np.ndarray):
@@ -364,8 +422,9 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
     if level < 0:
         raise ValueError("level must be non-negative")
     if len(a) - 1 <= TENSOR_DIM_LIMIT:
-        rule = DirichletRule(tuple(a.tolist()), level, *_dirichlet_tensor(a, level), "tensor")
-        rule.moment_error = _moment_selftest(rule, a)
+        sticks = _dirichlet_sticks(a, level)
+        rule = DirichletRule(tuple(a.tolist()), level, *_dirichlet_tensor(sticks), "tensor")
+        rule.moment_error = _stick_selftest(a, level, _stick_moments(sticks, min(level, PROBE_DEGREE)))
         return rule
     rng = np.random.default_rng(0)
     g = rng.standard_gamma(a, size=(_DIRICHLET_SAMPLES, len(a)))
@@ -376,21 +435,19 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
 
 
 def _moment_selftest(rule, alphas: np.ndarray, scale: float = 1.0) -> float:
-    """Max relative error on the probes b, |b| <= min(level, 4).
+    """Max relative error of a sphere or ball rule on w^(2b), |b| <= min(level, PROBE_DEGREE).
 
-    A Dirichlet rule integrates u^b, a sphere or ball rule w^(2b); the
-    exact value is scale * Gamma(a_1+b_1)...Gamma(a_K+b_K) / Gamma(|a|+|b|)
-    with b zero-padded to the K alphas.  Sphere and ball rules also report
-    their first moments through integrate, which vanish by sign symmetry,
-    relative to the mass.
+    The exact value is scale * Gamma(a_1+b_1)...Gamma(a_K+b_K) / Gamma(|a|+|b|)
+    with b zero-padded to the K alphas.  The first moments, which vanish
+    by sign symmetry, are also taken through integrate, relative to the
+    mass.
     """
     d = rule.nodes.shape[1]
-    probes = np.asarray(_even_probe_indices(d, min(rule.level, 4)))
+    probes = np.asarray(_even_probe_indices(d, min(rule.level, PROBE_DEGREE)))
     b = np.pad(probes, ((0, 0), (0, len(alphas) - d)))
     exact = scale * np.exp(gammaln(alphas + b).sum(axis=1) - gammaln(alphas.sum() + b.sum(axis=1)))
-    symmetric = not isinstance(rule, DirichletRule)
-    got = _monomial_moments(rule.nodes, rule.weights, (1 + symmetric) * probes)
+    got = _monomial_moments(rule.nodes, rule.weights, 2 * probes)
     worst = np.max(np.abs(got - exact) / exact)
-    if symmetric:  # exact[0] is the mass (b = 0); benchmarks/test_benchmark.py traces this integrate
-        worst = max(worst, np.max(np.abs(rule.integrate(rule.nodes))) / exact[0])
+    # exact[0] is the mass (b = 0); benchmarks/test_benchmark.py traces this integrate
+    worst = max(worst, np.max(np.abs(rule.integrate(rule.nodes))) / exact[0])
     return float(worst)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import _cos_series_sum, _ladder_sum, _simplex_rule
+from .ascent import _cos_product_average, _ladder_sum
 from .operators import SpectralDecomposition, _checked_operators, as_vector
 
 __all__ = [
@@ -347,9 +347,11 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
 
     The quadrature route averages cos(t w_1 A/sqrt(m)) cos(t w_2 B/sqrt(m))
     ... h over the unit ball in dimension 2m against (1-|w|^2)^(-1/2),
-    taken on the simplex in u = w^2, expands per node in t^2, and applies
-    the derivative ladder with prefactor (2 pi)^(-m).  Small m only;
-    returns (series, quadrature, gap).
+    with the ascent's evaluator (ascent._cos_product_average): the even
+    t-series of the ordered product, integrated on the simplex in u = w^2
+    one stick at a time, factor i on stick i.  It then applies the
+    derivative ladder with prefactor (2 pi)^(-m).  Small m only; returns
+    (series, quadrature, gap).
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
@@ -362,9 +364,7 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     level = order if rule_level is None else rule_level
     if level < order:
         raise ValueError(f"rule level {level} below series order {order}")
-    u, weights = _simplex_rule(2 * m, level, sphere=False)
-    squares_t = [(mat @ mat).T / m for mat in [amat, bmat] * m]
-    # row-vector updates apply the right-most factor first
-    bracket = _cos_series_sum(vec, squares_t[::-1], u[:, ::-1], weights, order)
-    quad_value = _ladder_sum(bracket, t, m, sine=False) * (2.0 * math.pi) ** (-m)
+    squares = [mat @ mat / m for mat in [amat, bmat] * m]
+    bracket, _ = _cos_product_average(squares, level, order, sphere=False)
+    quad_value = _ladder_sum(bracket @ vec, t, m, sine=False) * (2.0 * math.pi) ** (-m)
     return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveprop as wp
-from waveprop.ascent import _ladder_cos, _ladder_sin
+from waveprop import quadrature
+from waveprop.ascent import _ascent_series, _cos_product_average, _ladder_cos, _ladder_sin
 
 
 def _scalar_family(*values):
@@ -110,7 +111,6 @@ def test_sine_route_matches_sinc_oracle():
 
 
 def test_six_operator_ball_route_matches_oracles():
-    # order 6 at this t: a 4^6-node simplex rule for the 6-ball
     fam = _diag_family(6, 3, seed=6)
     t = 0.08
     assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-8
@@ -118,7 +118,6 @@ def test_six_operator_ball_route_matches_oracles():
 
 
 def test_seven_operator_sphere_route_matches_oracles():
-    # order 6 at this t: a 4^6-node simplex rule for S^6
     fam = _diag_family(7, 3, seed=7)
     t = 0.05
     assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-8
@@ -157,6 +156,66 @@ def test_insufficient_rule_level_raises():
     fam = _scalar_family(1.0, 1.0)
     with pytest.raises(ValueError, match="level"):
         wp.cos_ascent(fam, 6.0, rule_level=2)
+    message = r"^quadrature level 2 cannot integrate the degree-\d+ series terms; need level >= \d+$"
+    for route in (wp.cos_ascent, wp.sin_ascent):
+        with pytest.raises(ValueError, match=message):
+            route(_rotated_family(4, 3, seed=3), 0.5, rule_level=2)
+
+
+def _rotated_family(count, dim, seed):
+    """Commuting Hermitian family sharing one random unitary eigenbasis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    mats = [(q * rng.uniform(-1.0, 1.0, size=dim)) @ q.conj().T for _ in range(count)]
+    return wp.CommutingFamily([(m + m.conj().T) / 2.0 for m in mats])
+
+
+def _per_node_average(squares, level, order, sphere):
+    """The tensor rule's nodes walked one at a time: the plain sum the evaluator factorizes."""
+    n, d = len(squares), squares[0].shape[0]
+    alphas = np.full(n + (not sphere), 0.5)
+    u, weights = quadrature._dirichlet_tensor(quadrature._dirichlet_sticks(alphas, level))
+    # series[k, j] is the coefficient of t^(2k) of node j's product so far
+    series = np.zeros((order + 1, len(weights), d, d), dtype=complex)
+    series[0] = np.eye(d)
+    for x2, ui in zip(squares, u.T):
+        p = [np.eye(d, dtype=complex)]
+        for a in range(1, order + 1):
+            p.append(-(p[-1] @ x2) / ((2 * a) * (2 * a - 1)))
+        series = np.array([sum(series[k - a] @ p[a] * (ui ** a)[:, None, None] for a in range(k + 1))
+                           for k in range(order + 1)])
+    total = np.einsum("j,kjab->kab", weights, series)
+    return total * (2.0 if sphere else 1.0)
+
+
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "ball"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_factorized_average_equals_the_per_node_sum(n, sphere):
+    fam = _rotated_family(n, 3, seed=60 + n)
+    squares = [a @ a for a in fam.operators]
+    order = 6 if n <= 5 else 4  # keeps the n = 7 ball reference at 3^7 nodes
+    for level in (order, order + 3):
+        got, _ = _cos_product_average(squares, level, order, sphere)
+        want = _per_node_average(squares, level, order, sphere)
+        for k in range(order + 1):
+            assert np.linalg.norm(got[k] - want[k]) <= 1e-13 * np.linalg.norm(want[k])
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_high_dimensional_families_use_the_exact_rule(n):
+    # a sphere (n = 9) and a ball (n = 12) family, past _dirichlet_rule's Monte Carlo cut-over
+    fam = _rotated_family(n, 3, seed=n)
+    for t in (0.3, -0.5):
+        assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-12
+        assert np.linalg.norm(wp.sin_ascent(fam, t) - wp.sinc_sqrt_sum_oracle(fam.operators, t)) <= 1e-12
+    assert _ascent_series(fam, 0.5, None)[3] <= 1e-12
+
+
+def test_norm_sum_is_the_sum_of_spectral_norms():
+    fam = _rotated_family(5, 4, seed=11)
+    assert fam.commutator_defect > 0.0  # not diagonal in the standard basis
+    want = sum(np.linalg.norm(a, 2) for a in fam.operators)
+    assert abs(fam.norm_sum() - want) <= 1e-14 * want
 
 
 def test_transmutation_heat_from_cosines():

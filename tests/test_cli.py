@@ -299,3 +299,28 @@ def test_out_writes_the_named_format_or_refuses(name, fmt, tmp_path, monkeypatch
         json.loads(text)
     else:
         _parses_as_csv(text)
+
+
+def test_main_builds_the_parser_once_and_repeats_byte_identically(monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    argv = ["verify", "--check", "sphere-area", "--check", "scalar-ascent"]
+    first, second = run_cli(list(argv)), run_cli(list(argv))
+    assert len(calls) == 1
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert [c["name"] for c in json.loads(second[1])["checks"]] == ["sphere-area", "scalar-ascent"]
+
+
+def test_out_into_a_missing_directory_is_refused_before_the_handler(tmp_path, monkeypatch):
+    def handler(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", handler)
+    missing = tmp_path / "missing" / "dir"
+    code, out, err = run_cli(["verify", "--check", "sphere-area", "--out", str(missing / "v.json")])
+    assert code == 2 and out == ""
+    assert f"artifact directory {missing} does not exist" in err
+    assert list(tmp_path.iterdir()) == []

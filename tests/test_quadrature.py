@@ -384,3 +384,26 @@ def test_tensor_moment_errors_match_per_probe_reference():
     exact = [math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + 2.5)) for b in probes]
     ref = _reference_moment_error(simplex.nodes, simplex.weights, probes, exact)
     assert abs(simplex.moment_error - ref) <= 1e-14
+
+
+def test_even_probe_indices_match_the_filtered_product_order():
+    def filtered(d, level):
+        bounded = (a for a in itertools.product(range(level + 1), repeat=d) if sum(a) <= level)
+        out = list(itertools.islice(bounded, quadrature.MOMENT_PROBE_CAP))
+        corners = [tuple(level if i == j else 0 for i in range(d)) for j in range(d)]
+        return out + [c for c in corners if c not in out]
+
+    for d in range(1, 9):
+        for level in range(15):
+            assert quadrature._even_probe_indices(d, level) == filtered(d, level)
+
+
+def test_stick_moments_integrate_the_tensor_rule_monomials():
+    alphas = np.array([0.3, 1.2, 2.0, 0.7])
+    sticks = quadrature._dirichlet_sticks(alphas, 7)
+    u, weights = quadrature._dirichlet_tensor(sticks)
+    moments = quadrature._stick_moments(sticks, 7)
+    for b in _bounded(4, 7):
+        tail = np.cumsum(b[::-1])[::-1]
+        got = math.prod(c[b[j], tail[j + 1]] for j, c in enumerate(moments))
+        assert got == pytest.approx(_u_moment(u, weights, b), rel=1e-13)

@@ -186,13 +186,18 @@ def test_quadrature_crosscheck_small_m():
     a = wp.random_hermitian(3, rng=rng, norm=1.0)
     b = wp.random_hermitian(3, rng=rng, norm=1.0)
     h = wp.random_state(3, rng=rng)
-    for m in (1, 2):
+    for m in (1, 2, 3):
         _, _, gap = wp.fm_quadrature_crosscheck(a, b, h, 0.2, m)
         assert gap <= 1e-10
-    # the 6-dimensional rule for m=3 is kept small via an explicit order;
-    # both routes share the truncation so the gap isolates the quadrature
+    # an explicit order is shared by both routes, so the gap isolates the quadrature
     _, _, gap = wp.fm_quadrature_crosscheck(a, b, h, 0.2, 3, order=5)
     assert gap <= 1e-10
+
+
+def test_quadrature_crosscheck_refuses_a_rule_below_the_series_order(unit_pair):
+    a, b, h = unit_pair
+    with pytest.raises(ValueError, match=r"^rule level 2 below series order \d+$"):
+        wp.fm_quadrature_crosscheck(a, b, h, 0.2, 2, rule_level=2)
 
 
 def test_quadrature_crosscheck_rejects_large_m(unit_pair):
