@@ -35,8 +35,7 @@ import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
 from .operators import HermitianOperator, SpectralDecomposition, _checked_operators, as_matrix
-from .quadrature import (PROBE_DEGREE, _dirichlet_rule, _dirichlet_sticks, _stick_moments,
-                         _stick_selftest, stable_sum)
+from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
 
 __all__ = [
     "CommutingFamily",
@@ -161,12 +160,12 @@ def _cos_product_average(squares, level: int, order: int, sphere: bool):
     The sphere starts from the last factor's table on the remaining
     stick, the ball from the identity, as the slack carries no factor.
     Returns the (order+1, d, d) coefficients, the sphere's carrying the
-    factor 2 of its surface measure, and the moment error of the rule
-    (quadrature._stick_selftest).
+    factor 2 of its surface measure, and the moment error of the rule.
+    The stick moments and that error come from quadrature._stick_rule,
+    built once per process for each (n, level, top).
     """
     n, d = len(squares), squares[0].shape[0]
-    alphas = np.full(n + (not sphere), 0.5)
-    moments = _stick_moments(_dirichlet_sticks(alphas, level), max(order, PROBE_DEGREE))
+    moments, moment_error = _stick_rule((0.5,) * (n + (not sphere)), level, max(order, PROBE_DEGREE))
 
     def table(x2):
         p = np.empty((order + 1, d, d), dtype=complex)
@@ -188,7 +187,7 @@ def _cos_product_average(squares, level: int, order: int, sphere: bool):
             new[:, a:] += (p[a] @ g[:, : tail * d]).reshape(d, tail, d) * moments[i][a, :tail, None]
         g = new.reshape(d, -1)
     coeffs = g.reshape(d, order + 1, d).transpose(1, 0, 2) * (2.0 if sphere else 1.0)
-    return coeffs, _stick_selftest(alphas, level, moments)
+    return coeffs, moment_error
 
 
 def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):

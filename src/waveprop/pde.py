@@ -233,9 +233,17 @@ _HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
 
 
 def _propagate(field, t, level, kind, a=None, hyperbolic=False):
-    """Shell rule and ladder of the _ROUTES entry; a mass a picks the kernel route."""
+    """Shell rule and ladder of the _ROUTES entry; a mass a picks the kernel route.
+
+    Every grid route enters here, so t and the field samples are checked
+    here, once: both must be finite.
+    """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
+    if not np.isfinite(t):
+        raise ValueError(f"time t must be finite, got t = {t}")
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field values have non-finite entries")
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     assert_no_wrap(field, t)

@@ -11,7 +11,10 @@ by one tensor rule, a conical product of one-dimensional Gauss-Jacobi
 rules (Stroud, Approximate Calculation of Multiple Integrals, 1971),
 one per stick (_dirichlet_sticks).  The tensor nodes are formed only
 where a caller needs them; the ascent and the rule self-test read the
-per-stick mixed moments instead (_stick_moments).  The public sphere
+per-stick mixed moments instead (_stick_moments).  None of this depends
+on an operator, so each one-dimensional rule (_gauss_jacobi_unit) and
+each stick table with its self-test (_stick_rule) is built once per
+process, in bounded caches, and handed out read-only.  The public sphere
 and ball rules are the tensor rule mirrored into every sign pattern
 w_i = +-sqrt(u_i), exact on even monomials up to the requested level.
 Above dimension 6 an importance-sampled Monte Carlo rule with a fixed
@@ -20,6 +23,7 @@ seed is used instead; its statistical error is reported, never hidden.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +49,8 @@ MOMENT_PROBE_CAP = 400
 PROBE_DEGREE = 4  # rule self-tests probe moments of total degree <= min(level, this)
 _PROBE_BLOCK = 1 << 15  # nodes x probes entries per chunk of _monomial_moments (256 KB)
 _DIRICHLET_SAMPLES = 200_000  # Monte Carlo draws above TENSOR_DIM_LIMIT, seed 0
+_GAUSS_JACOBI_CACHE = 256  # one-dimensional rules kept per process
+_STICK_RULE_CACHE = 32  # stick tables kept per process
 
 
 def _components(alpha) -> tuple[int, ...]:
@@ -334,10 +340,17 @@ class DirichletRule:
     moment_error: float | None = None
 
 
+def _read_only(arrays) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
+
+
+@functools.lru_cache(maxsize=_GAUSS_JACOBI_CACHE)
 def _gauss_jacobi_unit(k: int, a: float, b: float):
-    """k-node rule on [0,1] for x^(a-1) (1-x)^(b-1): (x, 1-x, weights)."""
+    """k-node rule on [0,1] for x^(a-1) (1-x)^(b-1): read-only (x, 1-x, weights)."""
     xj, wj = roots_jacobi(k, b - 1.0, a - 1.0)
-    return (1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj * 2.0 ** (1.0 - a - b)
+    return _read_only([(1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj * 2.0 ** (1.0 - a - b)])
 
 
 def _dirichlet_sticks(alphas, level: int) -> list:
@@ -349,7 +362,8 @@ def _dirichlet_sticks(alphas, level: int) -> list:
     """
     alphas = np.asarray(alphas, dtype=float)
     k = level // 2 + 1
-    return [_gauss_jacobi_unit(k, alphas[j], alphas[j + 1 :].sum()) for j in range(len(alphas) - 1)]
+    return [_gauss_jacobi_unit(k, float(alphas[j]), float(alphas[j + 1 :].sum()))
+            for j in range(len(alphas) - 1)]
 
 
 def _dirichlet_tensor(sticks):
@@ -392,6 +406,16 @@ def _stick_selftest(alphas, level: int, moments) -> float:
     return float(np.max(np.abs(got - exact) / exact))
 
 
+@functools.lru_cache(maxsize=_STICK_RULE_CACHE)
+def _stick_rule(alphas: tuple, level: int, top: int):
+    """Read-only stick moments up to top of the level's rule, and its _stick_selftest error.
+
+    top must reach min(level, PROBE_DEGREE) for the self-test.
+    """
+    moments = _stick_moments(_dirichlet_sticks(alphas, level), top)
+    return _read_only(moments), _stick_selftest(alphas, level, moments)
+
+
 def _mirrored(u: np.ndarray, weights: np.ndarray):
     """Nodes w = (+-sqrt(u_1), ..., +-sqrt(u_n)) over all 2^n sign patterns.
 
@@ -422,9 +446,9 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
     if level < 0:
         raise ValueError("level must be non-negative")
     if len(a) - 1 <= TENSOR_DIM_LIMIT:
-        sticks = _dirichlet_sticks(a, level)
-        rule = DirichletRule(tuple(a.tolist()), level, *_dirichlet_tensor(sticks), "tensor")
-        rule.moment_error = _stick_selftest(a, level, _stick_moments(sticks, min(level, PROBE_DEGREE)))
+        u, weights = _dirichlet_tensor(_dirichlet_sticks(a, level))
+        rule = DirichletRule(tuple(a.tolist()), level, u, weights, "tensor")
+        rule.moment_error = _stick_rule(rule.alphas, level, min(level, PROBE_DEGREE))[1]
         return rule
     rng = np.random.default_rng(0)
     g = rng.standard_gamma(a, size=(_DIRICHLET_SAMPLES, len(a)))

@@ -13,18 +13,22 @@ V_i^H V_(i-1), an (order+1) x N x N product, and the factor is then a
 Cauchy product with the scalar series exp(z lambda^2/m), O(order^2 N).
 Only the single operators are diagonalized, never the sum.  W_0 h = h
 and W_1 h = (A^2+B^2) h hold for every m; higher coefficients approach
-(A^2+B^2)^n h / n! at rate O(1/m).  For sqrt(2)|t| K < 1 with
-K = max(||A||, ||B||) the truncation tail is bounded by
-C (sqrt(2)|t|K)^(2N+2) / (1 - 2 t^2 K^2); outside that radius the series
-still converges for bounded operators and the driver monitors it
-empirically, flagging the caution.
+(A^2+B^2)^n h / n! at rate O(1/m).  The coefficient of z^n in the
+product of exponentials is bounded by that of the product of their norm
+series, so ||W_n h|| <= ||h|| (||A||^2+||B||^2)^n / n! for every m, and
+the tail beyond order N is at most the explicit factorial tail
+||h|| sum_(n>N) y^n / (2n)! with y = t^2 (||A||^2+||B||^2) (sine:
+||h|| |t| sum_(n>N) y^n / (2n+1)!), for every t.  That tail picks the
+order and is the reported bound.  The paper's radius sqrt(2)|t| K < 1,
+K = max(||A||, ||B||), is still reported; outside it the depth m may
+converge slowly, and the driver flags the caution.
 
 The same machinery covers q operators (pattern A_1^2 .. A_q^2 repeated m
 times) and the smoothed sine series with coefficients n!/(2n+1)!.
 Inputs are checked once, at each public entry point: the operators must
 be square, of one shape, finite and Hermitian to HERMITIAN_RTOL
-(operators._checked_operators), h must match their dimension, and the
-time t must be finite.
+(operators._checked_operators), h must be finite and match their
+dimension, and the time t must be finite.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class ConvergenceReport:
 
 
 def _checked(ops, h, t: float | None = None):
-    """The operators as finite Hermitian matrices of one square shape, and h of that length.
+    """The operators as finite Hermitian matrices of one square shape, and h, a finite vector of that length.
 
     A time t, when given, must be finite.
     """
@@ -106,6 +110,8 @@ def _checked(ops, h, t: float | None = None):
     vec = as_vector(h)
     if vec.shape != (dim,):
         raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {dim}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vector h has non-finite entries")
     return mats, vec
 
 
@@ -176,42 +182,46 @@ def taylor_series_build(ops, h, m: int, order: int) -> TaylorOperatorSeries:
 
 
 def _series_scales(norms, h, t: float):
+    """||h||, y = t^2 sum ||A_i||^2, the paper's x = sqrt(q)|t| max ||A_i|| and its radius in t."""
     amp = float(np.linalg.norm(as_vector(h)))
     k = max(norms)
     q = len(norms)
+    y = t * t * sum(norm * norm for norm in norms)
     x = math.sqrt(q) * abs(t) * k
     radius = math.inf if k == 0 else 1.0 / (math.sqrt(q) * k)
-    return amp, k, x, radius
+    return amp, y, x, radius
 
 
-def _tail_bound(amp: float, x: float, order: int) -> float:
-    """C x^(2N+2) / (1 - x^2); positive only inside the radius x < 1."""
-    if x == 0.0:
+def _tail_bound(amp: float, y: float, t: float, order: int, sine: bool = False) -> float:
+    """amp sum_(n>order) y^n/(2n)!, or amp |t| sum_(n>order) y^n/(2n+1)! for the sine series.
+
+    Terms are added until the ratio r of the next term to the current one
+    is at most 1/2; the ratios fall with n, so the rest is at most
+    term r / (1 - r).  A term past e^700 gives inf.
+    """
+    if amp == 0.0 or y == 0.0:
         return 0.0
-    if x == 1.0:
-        return math.inf
-    return amp * x ** (2 * order + 2) / (1.0 - x * x)
-
-
-def _auto_order(norms, h, t: float, tol: float) -> int:
-    amp, _, x, _ = _series_scales(norms, h, t)
-    if x == 0.0:
-        return 2
-    if x < 1.0:
-        n = 2
-        while n < ORDER_CAP and _tail_bound(amp, x, n) > tol:
-            n += 1
-        return n
-    # outside the certified radius: crude entire-series estimate
-    # term_n <= C (t^2 sum ||A_i||^2)^n / (2n)!
-    y = t * t * sum(k * k for k in norms)
-    n = 2
-    while n < ORDER_CAP:
-        log_term = n * math.log(y) - math.lgamma(2 * n + 1) if y > 0 else -math.inf
-        if log_term <= math.log(tol / max(amp, 1e-300)):
-            return n
+    shift, log_y, total = int(sine), math.log(y), 0.0
+    n = order + 1
+    while True:
+        log_term = n * log_y - math.lgamma(2 * n + 1 + shift)
+        if log_term > 700.0:
+            return math.inf
+        term = math.exp(log_term)
+        total += term
+        ratio = y / ((2 * n + 1 + shift) * (2 * n + 2 + shift))
+        if ratio <= 0.5:
+            return amp * (abs(t) if sine else 1.0) * (total + term * ratio / (1.0 - ratio))
         n += 1
-    raise ValueError("series order cap exceeded; |t| too large for these norms")
+
+
+def _auto_order(norms, h, t: float, tol: float, sine: bool = False) -> int:
+    """Smallest order N >= 2 whose factorial tail bound is at most tol."""
+    amp, y, _, _ = _series_scales(norms, h, t)
+    for n in range(2, ORDER_CAP + 1):
+        if _tail_bound(amp, y, t, n, sine) <= tol:
+            return n
+    raise ValueError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
 
 
 def _series_sum(series: TaylorOperatorSeries, t: float, sine: bool) -> np.ndarray:
@@ -228,7 +238,7 @@ def _fm(ops, h, t: float, m: int, order: int | None, series_tol: float,
     mats, vec = _checked(ops, h, t)
     bases = _eigenbases(mats)
     if order is None:
-        order = _auto_order(bases.norms, vec, t, series_tol)
+        order = _auto_order(bases.norms, vec, t, series_tol, sine)
     return _series_sum(_build(bases, vec, m, order), t, sine)
 
 
@@ -258,8 +268,8 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
         raise ValueError("need 1 <= m0 <= m_cap")
     mats, vec = _checked(ops, h, t)
     bases = _eigenbases(mats)  # one decomposition per operator for every depth
-    amp, _, x, radius = _series_scales(bases.norms, vec, t)
-    order = _auto_order(bases.norms, vec, t, series_tol)
+    amp, y, x, radius = _series_scales(bases.norms, vec, t)
+    order = _auto_order(bases.norms, vec, t, series_tol, sine)
     ref = None if reference is None else as_vector(reference)
 
     def evaluate(m):
@@ -291,7 +301,7 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
         m_values=m_values,
         errors=errors,
         truncation_order=order,
-        tail_bound=_tail_bound(amp, x, order),
+        tail_bound=_tail_bound(amp, y, t, order, sine),
         radius=radius,
         caution_outside_radius=x >= 1.0,
         verdict=verdict,

@@ -168,6 +168,32 @@ def test_general_route_rejects_unknown_kind():
         wp.wave_general(f, 0.3, kind="tan")
 
 
+_GRID_ROUTES = {
+    "wave2d": ((16, 16), lambda f, t: wp.wave2d_poisson(f, t)),
+    "wave3d": ((8, 8, 8), lambda f, t: wp.wave3d_kirchhoff(f, t, kind="sin")),
+    "klein_gordon": ((8, 8, 8), lambda f, t: wp.klein_gordon(f, t, 1.0)),
+    "damped": ((16, 16), lambda f, t: wp.damped_wave(f, t, 0.5)),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("route", sorted(_GRID_ROUTES))
+def test_grid_routes_refuse_non_finite_time(route, t):
+    shape, call = _GRID_ROUTES[route]
+    with pytest.raises(ValueError, match=r"time t must be finite, got t = (nan|inf)"):
+        call(_bump(shape), t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("route", sorted(_GRID_ROUTES))
+def test_grid_routes_refuse_non_finite_field_values(route, bad):
+    shape, call = _GRID_ROUTES[route]
+    field = _bump(shape)
+    field.values.flat[3] = bad
+    with pytest.raises(ValueError, match="field values have non-finite entries"):
+        call(field, 0.4)
+
+
 def test_auto_level_cap_warns_with_requested_level():
     rng = np.random.default_rng(7)
     noise = wp.GridField(rng.standard_normal((128, 128)), (TWO_PI, TWO_PI))

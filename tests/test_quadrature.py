@@ -13,6 +13,7 @@ from scipy.special import gammaln
 import waveprop as wp
 from waveprop import quadrature
 from waveprop import serialization as ser
+from waveprop.ascent import _ascent_series
 from waveprop.quadrature import TENSOR_DIM_LIMIT, _dirichlet_rule
 
 
@@ -407,3 +408,60 @@ def test_stick_moments_integrate_the_tensor_rule_monomials():
         tail = np.cumsum(b[::-1])[::-1]
         got = math.prod(c[b[j], tail[j + 1]] for j, c in enumerate(moments))
         assert got == pytest.approx(_u_moment(u, weights, b), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# per-process rule caches
+
+
+def _clear_rule_caches():
+    quadrature._gauss_jacobi_unit.cache_clear()
+    quadrature._stick_rule.cache_clear()
+
+
+def _commuting_family(n):
+    rng = np.random.default_rng(n)
+    return wp.CommutingFamily([np.diag(rng.uniform(-1.0, 1.0, 3)) for _ in range(n)])
+
+
+def test_cold_and_warm_rule_caches_give_identical_outputs():
+    fam = _commuting_family(3)
+    a, b = wp.random_hermitian(4, seed=1, norm=1.0), wp.random_hermitian(4, seed=2, norm=1.0)
+    h = wp.random_state(4, seed=3)
+
+    def outputs():
+        rule = _dirichlet_rule([0.5, 1.0, 1.5], 9)
+        return [wp.cos_ascent(fam, 0.7), wp.sin_ascent(fam, 0.7), _ascent_series(fam, 0.7, None)[3],
+                *wp.fm_quadrature_crosscheck(a, b, h, 0.4, 2), rule.nodes, rule.weights, rule.moment_error]
+
+    _clear_rule_caches()
+    cold = outputs()
+    warm = outputs()
+    assert quadrature._stick_rule.cache_info().hits >= 3
+    assert quadrature._gauss_jacobi_unit.cache_info().hits > 0
+    for got, want in zip(warm, cold):
+        assert np.array_equal(got, want)
+
+
+def test_cached_rule_tables_are_read_only():
+    assert quadrature._gauss_jacobi_unit.cache_info().maxsize == quadrature._GAUSS_JACOBI_CACHE
+    assert quadrature._stick_rule.cache_info().maxsize == quadrature._STICK_RULE_CACHE
+    moments, _ = quadrature._stick_rule((0.5, 0.5, 1.0), 6, 6)
+    tables = [*quadrature._gauss_jacobi_unit(4, 0.5, 1.5), *moments]
+    for stick in quadrature._dirichlet_sticks([0.5, 0.5, 1.0], 6):
+        tables += stick
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cos_and_sin_at_one_time_share_one_stick_table(n):
+    fam = _commuting_family(n)
+    _clear_rule_caches()
+    wp.cos_ascent(fam, 0.7)
+    assert quadrature._stick_rule.cache_info()[:2] == (0, 1)  # hits, misses
+    wp.sin_ascent(fam, 0.7)
+    assert quadrature._stick_rule.cache_info()[:2] == (1, 1)

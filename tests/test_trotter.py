@@ -115,6 +115,14 @@ def test_splitting_routes_refuse_non_finite_time(unit_pair, entry, t):
         _TIMED_ENTRY_POINTS[entry](a, b, h, t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_TIMED_ENTRY_POINTS))
+def test_splitting_routes_refuse_non_finite_vector(unit_pair, entry, bad):
+    a, b, h = unit_pair
+    with pytest.raises(ValueError, match="vector h has non-finite entries"):
+        _TIMED_ENTRY_POINTS[entry](a, b, np.where(np.arange(4) == 2, bad, h), 0.3)
+
+
 def test_errors_halve_as_m_doubles(unit_pair):
     a, b, h = unit_pair
     t = 0.3
@@ -137,12 +145,45 @@ def test_fitted_decay_exponent_near_one(unit_pair):
 def test_tail_bound_covers_truncation_error(unit_pair):
     a, b, h = unit_pair
     t = 0.6  # close enough to the radius that truncation is visible
-    amp, _, x, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
+    amp, y, x, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
     assert x < 1.0  # inside the radius
     shallow = wp.fm_evaluate(a, b, h, t, 32, order=3)
     deep = wp.fm_evaluate(a, b, h, t, 32, order=24)
     diff = np.linalg.norm(shallow - deep)
-    assert 0.0 < diff <= _tail_bound(amp, x, 3)
+    assert 0.0 < diff <= _tail_bound(amp, y, t, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_series_coefficients_obey_the_norm_majorant(q, seed):
+    # ||W_n(m) h|| <= ||h|| (sum ||A_i||^2)^n / n!, the bound behind the factorial tail
+    rng = np.random.default_rng(seed)
+    ops = [wp.random_hermitian(5, rng=rng, norm=rng.uniform(0.3, 2.0)) for _ in range(q)]
+    h = wp.random_state(5, rng=rng)
+    s = sum(np.linalg.norm(op, 2) ** 2 for op in ops)
+    for m in (1, 2, 5, 16):
+        vectors = wp.taylor_series_build(ops, h, m, order=10).vectors
+        for n, w in enumerate(vectors):
+            assert np.linalg.norm(w) <= (1.0 + 1e-12) * np.linalg.norm(h) * s ** n / math.factorial(n)
+
+
+@pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
+@pytest.mark.parametrize("t", [0.6, 3.0])
+def test_tail_bound_holds_inside_and_outside_the_radius(unit_pair, sine, t):
+    a, b, h = unit_pair
+    amp, y, _, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
+    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate_q
+    deep = evaluate([a, b], h, t, 16, order=60)
+    for order in (2, 4, 8):
+        diff = np.linalg.norm(evaluate([a, b], h, t, 16, order=order) - deep)
+        assert diff <= _tail_bound(amp, y, t, order, sine)
+
+
+def test_driver_tail_bound_is_positive_outside_the_radius(unit_pair):
+    a, b, h = unit_pair
+    _, report = wp.cos_noncomm(3.0 * a, 3.0 * b, h, 0.5, tol=1e-4)
+    assert report.caution_outside_radius
+    assert 0.0 < report.tail_bound <= 1e-12
 
 
 def test_driver_converges_with_reference(unit_pair):
