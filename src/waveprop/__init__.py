@@ -19,7 +19,6 @@ _EXPORTS = {
     # operators
     "HermitianOperator": "operators",
     "SpectralDecomposition": "operators",
-    "StateVector": "operators",
     "as_matrix": "operators",
     "as_vector": "operators",
     "cos_sqrt_sum_oracle": "operators",
@@ -67,7 +66,6 @@ _EXPORTS = {
     "relative_l2_gap": "fields",
     "assert_no_wrap": "fields",
     # pde lab
-    "KGKernelSpec": "pde",
     "wave_general": "pde",
     "wave2d_poisson": "pde",
     "wave3d_kirchhoff": "pde",

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
-    "StateVector",
     "as_matrix",
     "as_vector",
     "cos_sqrt_sum_oracle",
@@ -107,26 +106,6 @@ class SpectralDecomposition:
         return (self.eigenvectors * fn(self.eigenvalues)) @ self.eigenvectors.conj().T
 
 
-@dataclass(eq=False)
-class StateVector:
-    """Complex vector the propagators act on."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 1:
-            raise ValueError(f"expected a one-dimensional vector, got shape {entries.shape}")
-        self.entries = entries
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
 def as_matrix(op) -> np.ndarray:
     """Accept HermitianOperator or a plain array."""
     if isinstance(op, HermitianOperator):
@@ -135,8 +114,6 @@ def as_matrix(op) -> np.ndarray:
 
 
 def as_vector(h) -> np.ndarray:
-    if isinstance(h, StateVector):
-        return h.entries
     return np.asarray(h, dtype=complex)
 
 

@@ -41,7 +41,6 @@ rule weight, kernel, prefactor and ladder depth; _propagate runs them all.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, i0, i1, j0, j1
@@ -52,7 +51,6 @@ from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_ar
 from .trotter import cos_noncomm
 
 __all__ = [
-    "KGKernelSpec",
     "wave_general",
     "wave2d_poisson",
     "wave3d_kirchhoff",
@@ -69,31 +67,6 @@ _LEVEL_CAP = 240
 _SHELL_BLOCK = 1 << 18  # shells x nodes entries per block of phases
 _EDGE_DECAY_RTOL = 1e-11
 _DENSE_ORACLE_CAP = 4096
-
-
-@dataclass(frozen=True)
-class KGKernelSpec:
-    """Mass kernel parameters: dimension n, mass a, hyperbolic continuation.
-
-    m is the ladder depth the kernel route uses: n = 2m for even n and
-    n = 2m - 1 for odd n.
-    """
-
-    a: float
-    n: int
-    damped: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("spatial dimension must be at least 1")
-        if not np.isfinite(self.a):
-            raise ValueError("mass parameter must be a finite real")
-        if not self.damped and self.a < 0:
-            raise ValueError("mass parameter must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return (self.n + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +205,13 @@ _ROUTES = {
 _HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
 
 
+def _finite_values(field: GridField) -> np.ndarray:
+    """The field's samples, refused before any work if one is not finite."""
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field values have non-finite entries")
+    return field.values
+
+
 def _propagate(field, t, level, kind, a=None, hyperbolic=False):
     """Shell rule and ladder of the _ROUTES entry; a mass a picks the kernel route.
 
@@ -242,8 +222,7 @@ def _propagate(field, t, level, kind, a=None, hyperbolic=False):
         raise ValueError("kind must be 'cos' or 'sin'")
     if not np.isfinite(t):
         raise ValueError(f"time t must be finite, got t = {t}")
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field values have non-finite entries")
+    _finite_values(field)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     assert_no_wrap(field, t)
@@ -252,7 +231,9 @@ def _propagate(field, t, level, kind, a=None, hyperbolic=False):
     if (field.dim, a, kind) == (1, None, "cos"):
         rule, m = _shell_rule(1, 1), 0
     else:
-        rule = _shell_rule(field.dim, level or _auto_level(spectrum, t, a or 0.0), p, a)
+        if level is None:
+            level = _auto_level(spectrum, t, a or 0.0)
+        rule = _shell_rule(field.dim, level, p, a)
     return _shell_propagate(field, spectrum, t, rule, pref, m, kind,
                             _HYPERBOLIC[kernel] if hyperbolic else kernel)
 
@@ -284,28 +265,24 @@ def wave_general(field: GridField, t: float, level: int | None = None, kind: str
     return _propagate(field, t, level, kind)
 
 
-def _resolve_kernel_spec(field, spec, damped: bool) -> KGKernelSpec:
-    if isinstance(spec, KGKernelSpec):
-        if spec.n != field.dim:
-            raise ValueError(f"kernel spec is for n={spec.n} but the field has {field.dim} axes")
-        return spec
-    return KGKernelSpec(a=float(spec), n=field.dim, damped=damped)
+def _mass(a: float, damped: bool) -> float:
+    a = float(a)
+    if not np.isfinite(a):
+        raise ValueError("mass parameter must be a finite real")
+    if not damped and a < 0:
+        raise ValueError("mass parameter must be nonnegative")
+    return a
 
 
 def klein_gordon(
     field: GridField,
     t: float,
-    spec: "KGKernelSpec | float",
+    a: float,
     level: int | None = None,
     kind: str = "cos",
 ) -> GridField:
-    """Propagator of the symbol sqrt(|k|^2 + a^2) via mass weighted averages.
-
-    spec is a KGKernelSpec or a bare mass value; a spec with damped=True
-    dispatches to the hyperbolic continuation.
-    """
-    resolved = _resolve_kernel_spec(field, spec, damped=False)
-    return _propagate(field, t, level, kind, resolved.a, resolved.damped)
+    """Propagator of the symbol sqrt(|k|^2 + a^2) via mass weighted averages."""
+    return _propagate(field, t, level, kind, _mass(a, damped=False))
 
 
 def damped_wave(
@@ -316,8 +293,7 @@ def damped_wave(
     kind: str = "cos",
 ) -> GridField:
     """Propagator of sqrt(|k|^2 - a^2): hyperbolic kernels below the cutoff."""
-    resolved = _resolve_kernel_spec(field, a, damped=True)
-    return _propagate(field, t, level, kind, resolved.a, hyperbolic=True)
+    return _propagate(field, t, level, kind, _mass(a, damped=True), hyperbolic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +367,7 @@ def harmonic_oscillator(
     """
     if field.dim != 1:
         raise ValueError("harmonic_oscillator expects a one dimensional field")
-    v = field.values
+    v = _finite_values(field)
     peak = float(np.abs(v).max())
     edge = float(max(abs(v[0]), abs(v[-1])))
     if peak == 0.0:
@@ -424,6 +400,7 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8, m0: int = 8, m_c
     """
     if field.dim != 2:
         raise ValueError("grushin_demo expects a two dimensional field")
+    vec = _finite_values(field).reshape(-1)
     n1, n2 = field.shape
     if n1 * n2 > _DENSE_ORACLE_CAP:
         raise ValueError("grid too large for the dense oracle; keep n1*n2 <= 4096")
@@ -432,7 +409,6 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8, m0: int = 8, m_c
     d2 = spectral_derivative_matrix(n2, field.lengths[1])
     a_mat = np.kron(d1, np.eye(n2))
     b_mat = np.kron(np.diag(x1.astype(complex)), d2)
-    vec = field.values.reshape(-1)
     reference = cos_sqrt_sum_oracle([a_mat, b_mat], t, vec)
     u, report = cos_noncomm(a_mat, b_mat, vec, t, tol=tol, m0=m0, m_cap=m_cap, reference=reference)
     diagnostics = {

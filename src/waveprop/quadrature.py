@@ -7,18 +7,20 @@ ball (p = -1/2 is the standard boundary weight, p = 0 the flat ball).
 
 Integrands even in every coordinate only see u_i = w_i^2.  Under that
 map both measures become Dirichlet measures on the simplex, integrated
-by one tensor rule, a conical product of one-dimensional Gauss-Jacobi
-rules (Stroud, Approximate Calculation of Multiple Integrals, 1971),
-one per stick (_dirichlet_sticks).  The tensor nodes are formed only
-where a caller needs them; the ascent and the rule self-test read the
-per-stick mixed moments instead (_stick_moments).  None of this depends
-on an operator, so each one-dimensional rule (_gauss_jacobi_unit) and
-each stick table with its self-test (_stick_rule) is built once per
-process, in bounded caches, and handed out read-only.  The public sphere
-and ball rules are the tensor rule mirrored into every sign pattern
-w_i = +-sqrt(u_i), exact on even monomials up to the requested level.
-Above dimension 6 an importance-sampled Monte Carlo rule with a fixed
-seed is used instead; its statistical error is reported, never hidden.
+by one tensor rule (_dirichlet_rule), a conical product of
+one-dimensional Gauss-Jacobi rules (Stroud, Approximate Calculation of
+Multiple Integrals, 1971), one per stick (_dirichlet_sticks).  The
+tensor nodes are formed only where a caller needs them; the ascent and
+the one rule self-test read the per-stick mixed moments instead
+(_stick_moments).  None of this depends on an operator, so each
+one-dimensional rule (_gauss_jacobi_unit) and each stick table with its
+self-test (_stick_rule) is built once per process, in bounded caches,
+and handed out read-only.  The public sphere and ball rules are the
+Dirichlet rule mirrored into every sign pattern w_i = +-sqrt(u_i),
+exact on even monomials up to the requested level, and carry its
+self-test error.  Above dimension 6 they switch by default to an
+importance-sampled Monte Carlo rule with a fixed seed; its statistical
+error is reported, never hidden.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ __all__ = [
     "stable_sum",
 ]
 
-TENSOR_DIM_LIMIT = 6  # tensor rules up to here, Monte Carlo beyond
+TENSOR_DIM_LIMIT = 6  # public rules: tensor up to here, Monte Carlo beyond by default
 MOMENT_PROBE_CAP = 400
 PROBE_DEGREE = 4  # rule self-tests probe moments of total degree <= min(level, this)
 _PROBE_BLOCK = 1 << 15  # nodes x probes entries per chunk of _monomial_moments (256 KB)
-_DIRICHLET_SAMPLES = 200_000  # Monte Carlo draws above TENSOR_DIM_LIMIT, seed 0
 _GAUSS_JACOBI_CACHE = 256  # one-dimensional rules kept per process
 _STICK_RULE_CACHE = 32  # stick tables kept per process
 
@@ -272,10 +273,7 @@ def build_sphere_rule(n: int, level: int, method: str = "auto",
     if method == "auto":
         method = "tensor" if n <= TENSOR_DIM_LIMIT + 1 else "montecarlo"
     if method == "tensor":
-        nodes, weights = _mirrored(*_dirichlet_tensor(_dirichlet_sticks(np.full(n, 0.5), level)))
-        rule = SphereRule(n, level, nodes, 2.0 * weights, "tensor")
-        rule.moment_error = _moment_selftest(rule, np.full(n, 0.5), scale=2.0)
-        return rule
+        return _mirrored_rule(SphereRule, n, level, [0.5] * n, scale=2.0)
     if method != "montecarlo":
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
@@ -306,12 +304,7 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
     if method == "auto":
         method = "tensor" if d <= TENSOR_DIM_LIMIT else "montecarlo"
     if method == "tensor":
-        alphas = np.append(np.full(d, 0.5), p + 1.0)
-        u, weights = _dirichlet_tensor(_dirichlet_sticks(alphas, level))
-        nodes, weights = _mirrored(u[:, :d], weights)
-        rule = BallRule(d, level, nodes, weights, "tensor", boundary_exponent=p)
-        rule.moment_error = _moment_selftest(rule, alphas)
-        return rule
+        return _mirrored_rule(BallRule, d, level, [0.5] * d + [p + 1.0], boundary_exponent=p)
     if method != "montecarlo":
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
@@ -336,8 +329,7 @@ class DirichletRule:
     level: int
     nodes: np.ndarray
     weights: np.ndarray
-    method: str
-    moment_error: float | None = None
+    moment_error: float
 
 
 def _read_only(arrays) -> tuple:
@@ -433,10 +425,8 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
     Under u_i = w_i^2 the surface measure of S^(n-1) is twice the measure
     with alphas (1/2,)*n, and the ball weight (1-|w|^2)^p in R^n is the
     measure with alphas (1/2,)*n + (p+1,), whose last coordinate is the
-    slack 1-|w|^2.  Up to TENSOR_DIM_LIMIT + 1 factors the rule is
-    _dirichlet_tensor, exact on polynomials in u of total degree <= level;
-    above, Monte Carlo draws normalised gamma variates with constant
-    weights.
+    slack 1-|w|^2.  The rule is _dirichlet_tensor, exact on polynomials
+    in u of total degree <= level, with its _stick_rule self-test error.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or len(a) == 0:
@@ -445,33 +435,23 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
         raise ValueError("Dirichlet parameters must be positive")
     if level < 0:
         raise ValueError("level must be non-negative")
-    if len(a) - 1 <= TENSOR_DIM_LIMIT:
-        u, weights = _dirichlet_tensor(_dirichlet_sticks(a, level))
-        rule = DirichletRule(tuple(a.tolist()), level, u, weights, "tensor")
-        rule.moment_error = _stick_rule(rule.alphas, level, min(level, PROBE_DEGREE))[1]
-        return rule
-    rng = np.random.default_rng(0)
-    g = rng.standard_gamma(a, size=(_DIRICHLET_SAMPLES, len(a)))
-    nodes = g / g.sum(axis=1, keepdims=True)
-    mass = math.exp(gammaln(a).sum() - gammaln(a.sum()))
-    weights = np.full(_DIRICHLET_SAMPLES, mass / _DIRICHLET_SAMPLES)
-    return DirichletRule(tuple(a.tolist()), level, nodes, weights, "montecarlo")
+    u, weights = _dirichlet_tensor(_dirichlet_sticks(a, level))
+    alphas = tuple(a.tolist())
+    return DirichletRule(alphas, level, u, weights, _stick_rule(alphas, level, min(level, PROBE_DEGREE))[1])
 
 
-def _moment_selftest(rule, alphas: np.ndarray, scale: float = 1.0) -> float:
-    """Max relative error of a sphere or ball rule on w^(2b), |b| <= min(level, PROBE_DEGREE).
+def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields):
+    """Public tensor rule on R^d from the Dirichlet rule with these alphas.
 
-    The exact value is scale * Gamma(a_1+b_1)...Gamma(a_K+b_K) / Gamma(|a|+|b|)
-    with b zero-padded to the K alphas.  The first moments, which vanish
-    by sign symmetry, are also taken through integrate, relative to the
-    mass.
+    The first d coordinates are mirrored into every sign pattern and the
+    weights scaled by scale.  The moment error is the larger of the
+    Dirichlet rule's self-test error and the first moments relative to
+    the mass: those vanish by sign symmetry, so a broken mirroring shows.
     """
-    d = rule.nodes.shape[1]
-    probes = np.asarray(_even_probe_indices(d, min(rule.level, PROBE_DEGREE)))
-    b = np.pad(probes, ((0, 0), (0, len(alphas) - d)))
-    exact = scale * np.exp(gammaln(alphas + b).sum(axis=1) - gammaln(alphas.sum() + b.sum(axis=1)))
-    got = _monomial_moments(rule.nodes, rule.weights, 2 * probes)
-    worst = np.max(np.abs(got - exact) / exact)
-    # exact[0] is the mass (b = 0); benchmarks/test_benchmark.py traces this integrate
-    worst = max(worst, np.max(np.abs(rule.integrate(rule.nodes))) / exact[0])
-    return float(worst)
+    simplex = _dirichlet_rule(alphas, level)
+    nodes, weights = _mirrored(simplex.nodes[:, :d], simplex.weights)
+    rule = cls(d, level, nodes, scale * weights, "tensor", **fields)
+    # benchmarks/test_benchmark.py traces this integrate inside build_ball_rule
+    first = np.max(np.abs(rule.integrate(nodes))) / rule.weights.sum()
+    rule.moment_error = max(simplex.moment_error, float(first))
+    return rule

@@ -203,7 +203,7 @@ def test_factorized_average_equals_the_per_node_sum(n, sphere):
 
 @pytest.mark.parametrize("n", [9, 12])
 def test_high_dimensional_families_use_the_exact_rule(n):
-    # a sphere (n = 9) and a ball (n = 12) family, past _dirichlet_rule's Monte Carlo cut-over
+    # a sphere (n = 9) and a ball (n = 12) family, past the public rules' Monte Carlo cut-over
     fam = _rotated_family(n, 3, seed=n)
     for t in (0.3, -0.5):
         assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-12

@@ -102,14 +102,3 @@ def test_random_state_is_complex_and_reproducible():
     assert v.shape == (8,)
     assert np.iscomplexobj(v)
     assert np.array_equal(v, wp.random_state(8, seed=4))
-
-
-def test_state_vector_norm():
-    sv = wp.StateVector([1.0, 2.0])
-    assert sv.dim == 2
-    assert sv.norm() == pytest.approx(math.sqrt(5.0))
-
-
-def test_state_vector_rejects_matrix_input():
-    with pytest.raises(ValueError):
-        wp.StateVector(np.ones((2, 2)))

@@ -194,6 +194,14 @@ def test_grid_routes_refuse_non_finite_field_values(route, bad):
         call(field, 0.4)
 
 
+def test_explicit_level_zero_is_honoured():
+    # levels 0 and 1 both give level//2+1 = 1 Gauss node per stick
+    f = _bump((32, 32), sigma=0.3)
+    zero = wp.wave2d_poisson(f, 0.5, level=0)
+    assert np.array_equal(zero.values, wp.wave2d_poisson(f, 0.5, level=1).values)
+    assert not np.array_equal(zero.values, wp.wave2d_poisson(f, 0.5).values)
+
+
 def test_auto_level_cap_warns_with_requested_level():
     rng = np.random.default_rng(7)
     noise = wp.GridField(rng.standard_normal((128, 128)), (TWO_PI, TWO_PI))
@@ -309,28 +317,15 @@ def test_zero_mass_collapses_to_wave_in_2d_and_3d(shape, sigma, kind):
         assert wp.relative_l2_gap(route(f, t, 0.0, kind=kind), wave) <= 1e-10
 
 
-def test_klein_gordon_accepts_spec_object():
-    f = _bump((64,), sigma=0.25)
-    t = 0.4
-    via_float = wp.klein_gordon(f, t, 0.7)
-    via_spec = wp.klein_gordon(f, t, wp.KGKernelSpec(0.7, 1))
-    assert np.array_equal(via_float.values, via_spec.values)
-
-
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError, match="dimension"):
-        wp.KGKernelSpec(1.0, 0)
+    f = _bump((32,), sigma=0.4)
+    for route in (wp.klein_gordon, wp.damped_wave):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                route(f, 0.3, bad)
     with pytest.raises(ValueError, match="nonnegative"):
-        wp.KGKernelSpec(-1.0, 2)
-    with pytest.raises(ValueError, match="finite"):
-        wp.KGKernelSpec(float("nan"), 2)
-    assert [wp.KGKernelSpec(1.0, n).m for n in (1, 2, 3, 4)] == [1, 1, 2, 2]
-
-
-def test_kernel_spec_dimension_mismatch_rejected():
-    f = _bump((32, 32), sigma=0.4)
-    with pytest.raises(ValueError, match="axes"):
-        wp.klein_gordon(f, 0.3, wp.KGKernelSpec(1.0, 3))
+        wp.klein_gordon(f, 0.3, -1.0)
+    assert np.all(np.isfinite(wp.damped_wave(f, 0.3, -1.0).values))
 
 
 def test_damped_wave_zero_mode_grows_as_cosh():
@@ -450,6 +445,18 @@ def test_oscillator_refuses_non_decaying_data():
     ones = wp.GridField(np.ones(64, dtype=complex), (16.0,), origins=(-8.0,))
     with pytest.raises(ValueError, match="near-vanishing"):
         wp.harmonic_oscillator(ones, 0.2)
+
+
+@pytest.mark.parametrize("driver, shape", [("harmonic_oscillator", (128,)), ("grushin_demo", (8, 8))])
+def test_splitting_drivers_refuse_non_finite_field_before_the_oracle(monkeypatch, driver, shape):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the dense oracle ran before the field was checked")
+
+    monkeypatch.setattr(pde, "cos_sqrt_sum_oracle", oracle)
+    field = _bump(shape)
+    field.values.flat[40] = math.nan
+    with pytest.raises(ValueError, match="field values have non-finite entries"):
+        getattr(wp, driver)(field, 0.2)
 
 
 def test_grushin_constant_in_x2_collapses_to_1d_wave():

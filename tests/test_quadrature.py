@@ -237,9 +237,10 @@ def test_dirichlet_ball_pushforward_moments_are_exact():
 
 
 def test_dirichlet_tensor_rule_shape():
-    for alphas, level in (([0.5] * 3, 6), ([0.5] * 5, 8), ([0.3, 1.2, 2.0, 0.7], 7), ([1.5], 4)):
+    # only the public rules switch to Monte Carlo: the simplex rule is tensor above TENSOR_DIM_LIMIT too
+    above = [0.5] * (TENSOR_DIM_LIMIT + 2)
+    for alphas, level in (([0.5] * 3, 6), ([0.5] * 5, 8), ([0.3, 1.2, 2.0, 0.7], 7), ([1.5], 4), (above, 2)):
         rule = _dirichlet_rule(alphas, level)
-        assert rule.method == "tensor"
         assert len(rule.weights) == (level // 2 + 1) ** (len(alphas) - 1)
         assert np.all(rule.weights > 0.0)
         assert np.all(rule.nodes >= 0.0)
@@ -247,21 +248,6 @@ def test_dirichlet_tensor_rule_shape():
         mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
         assert rule.weights.sum() == pytest.approx(mass, rel=1e-13)
         assert rule.moment_error <= 1e-12
-
-
-def test_dirichlet_switches_to_montecarlo_above_tensor_limit():
-    assert _dirichlet_rule([0.5] * (TENSOR_DIM_LIMIT + 1), 2).method == "tensor"
-    k = TENSOR_DIM_LIMIT + 2
-    rule = _dirichlet_rule([0.5] * k, 2)
-    assert rule.method == "montecarlo"
-    assert rule.moment_error is None
-    assert np.abs(rule.nodes.sum(axis=1) - 1.0).max() <= 1e-14
-    mass = math.exp(k * gammaln(0.5) - gammaln(k / 2.0))
-    assert rule.weights.sum() == pytest.approx(mass, rel=1e-12)
-    # each coordinate of Dirichlet(1/2, ..., 1/2) has mean 1/k
-    assert np.abs(rule.nodes.mean(axis=0) - 1.0 / k).max() <= 5e-3
-    again = _dirichlet_rule([0.5] * k, 2)
-    assert np.array_equal(rule.nodes, again.nodes)
 
 
 def test_dirichlet_rule_refusals():
@@ -455,6 +441,17 @@ def test_cached_rule_tables_are_read_only():
             table[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             table *= 2.0
+
+
+def test_repeated_ball_rules_reuse_one_stick_table():
+    _clear_rule_caches()
+    first = wp.build_ball_rule(3, 8)
+    assert quadrature._stick_rule.cache_info()[:2] == (0, 1)  # hits, misses
+    for hits in (1, 2):
+        again = wp.build_ball_rule(3, 8)
+        assert quadrature._stick_rule.cache_info()[:2] == (hits, 1)
+        assert np.array_equal(again.weights, first.weights)
+        assert again.moment_error == first.moment_error
 
 
 @pytest.mark.parametrize("n", [2, 3])

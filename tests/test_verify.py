@@ -68,7 +68,7 @@ def test_moment_check_batches_every_probe(monkeypatch):
     monkeypatch.setattr(quadrature, "stable_sum", counted_sum)
     monkeypatch.setattr(quadrature, "_monomial_moments", counted_kernel)
     assert verify._check_moments(0).passed
-    # one self-test and one check call for each of the d=2 and d=4 rules;
-    # stable_sum only takes the self-tests' 2-D first moments, never one probe
-    assert len(kernel_calls) == 4
+    # one check call for each of the d=2 and d=4 rules (their self-tests read
+    # stick moments); stable_sum only takes the rules' 2-D first moments, never one probe
+    assert len(kernel_calls) == 2
     assert ranks and 1 not in ranks
