@@ -237,9 +237,7 @@ def test_dirichlet_ball_pushforward_moments_are_exact():
 
 
 def test_dirichlet_tensor_rule_shape():
-    # only the public rules switch to Monte Carlo: the simplex rule is tensor above TENSOR_DIM_LIMIT too
-    above = [0.5] * (TENSOR_DIM_LIMIT + 2)
-    for alphas, level in (([0.5] * 3, 6), ([0.5] * 5, 8), ([0.3, 1.2, 2.0, 0.7], 7), ([1.5], 4), (above, 2)):
+    for alphas, level in (([0.5] * 3, 6), ([0.5] * 5, 8), ([0.3, 1.2, 2.0, 0.7], 7), ([1.5], 4)):
         rule = _dirichlet_rule(alphas, level)
         assert len(rule.weights) == (level // 2 + 1) ** (len(alphas) - 1)
         assert np.all(rule.weights > 0.0)
@@ -248,6 +246,20 @@ def test_dirichlet_tensor_rule_shape():
         mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
         assert rule.weights.sum() == pytest.approx(mass, rel=1e-13)
         assert rule.moment_error <= 1e-12
+
+
+def test_dirichlet_switches_to_montecarlo_above_tensor_limit():
+    # only the public rules switch to Monte Carlo: the simplex rule stays tensor above TENSOR_DIM_LIMIT
+    k = TENSOR_DIM_LIMIT + 2
+    alphas = [0.5] * k
+    rule = _dirichlet_rule(alphas, 2)
+    assert len(rule.weights) == 2 ** (k - 1)
+    assert np.all(rule.weights > 0.0)
+    assert np.all(rule.nodes >= 0.0)
+    assert np.abs(rule.nodes.sum(axis=1) - 1.0).max() <= 1e-15
+    mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
+    assert rule.weights.sum() == pytest.approx(mass, rel=1e-13)
+    assert rule.moment_error <= 1e-12
 
 
 def test_dirichlet_rule_refusals():
