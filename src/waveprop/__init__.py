@@ -20,7 +20,6 @@ _EXPORTS = {
     "HermitianOperator": "operators",
     "SpectralDecomposition": "operators",
     "as_matrix": "operators",
-    "as_vector": "operators",
     "cos_sqrt_sum_oracle": "operators",
     "sinc_sqrt_sum_oracle": "operators",
     "random_hermitian": "operators",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "transmutation_check": "ascent",
     "product_heat_expansion_check": "ascent",
     # splitting series
-    "TaylorOperatorSeries": "trotter",
     "ConvergenceReport": "trotter",
     "taylor_series_build": "trotter",
     "fm_evaluate": "trotter",
@@ -56,7 +54,6 @@ _EXPORTS = {
     "fm_quadrature_crosscheck": "trotter",
     # grid fields
     "GridField": "fields",
-    "SpectralOperator": "fields",
     "wave_symbol": "fields",
     "klein_gordon_symbol": "fields",
     "damped_symbol": "fields",

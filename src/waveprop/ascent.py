@@ -124,8 +124,8 @@ def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
     return acc
 
 
-def _truncation_order(norm_sum: float, t: float, m: int, tol: float = SERIES_TAIL_TOL) -> int:
-    """Smallest N with ladder-amplified cosine-product tail below tol."""
+def _truncation_order(norm_sum: float, t: float, m: int) -> int:
+    """Smallest N with ladder-amplified cosine-product tail below SERIES_TAIL_TOL."""
     x = norm_sum * abs(t)
     if x == 0.0:
         return 2
@@ -134,7 +134,7 @@ def _truncation_order(norm_sum: float, t: float, m: int, tol: float = SERIES_TAI
     while n < SERIES_ORDER_CAP:
         log_tail = (2 * n + 2) * logx - math.lgamma(2 * n + 3)
         log_tail += math.log(_ladder_cos(n + 1, max(m, 1)))
-        if log_tail <= math.log(tol):
+        if log_tail <= math.log(SERIES_TAIL_TOL):
             return n
         n += 1
     raise ValueError(
@@ -241,11 +241,11 @@ def sin_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) ->
 # heat-kernel identities used to certify the transmutation step
 
 
-def transmutation_check(b, rho: float, tol: float = 1e-10):
+def transmutation_check(b, rho: float):
     """Compare exp(-rho B^2) with its cosine-transform representation.
 
     rhs = (4 pi rho)^(-1/2) integral e^(-t^2/(4 rho)) cos(B t) dt over
-    [-T, T], with T chosen so the discarded Gaussian tail is below tol.
+    [-T, T], with T chosen so the discarded Gaussian tail is below 1e-10.
     Returns (lhs, rhs, gap) with gap in the Frobenius norm.
     """
     if rho <= 0:
@@ -254,8 +254,8 @@ def transmutation_check(b, rho: float, tol: float = 1e-10):
     dec = HermitianOperator(mat).decomposition()
     lhs = dec.matrix_function(lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None)))
     norm_b = float(max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]))) if mat.size else 0.0
-    # two-sided Gaussian tail beyond T equals erfc(T / (2 sqrt(rho)))
-    horizon = 2.0 * math.sqrt(rho) * float(erfcinv(min(tol / 10.0, 0.5)))
+    # two-sided Gaussian tail beyond T equals erfc(T / (2 sqrt(rho))), set a tenth of 1e-10
+    horizon = 2.0 * math.sqrt(rho) * float(erfcinv(1e-10 / 10.0))
     count = max(96, int(1.5 * horizon * max(1.0, norm_b)) + 48)
     x, w = roots_legendre(count)
     ts = horizon * x
@@ -266,14 +266,14 @@ def transmutation_check(b, rho: float, tol: float = 1e-10):
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))
 
 
-def product_heat_expansion_check(fam: CommutingFamily, rho: float,
-                                 sphere_level: int = 12, radial_count: int = 64):
+def product_heat_expansion_check(fam: CommutingFamily, rho: float):
     """Product of heat factors against its radial cosine representation.
 
     prod_i exp(-rho A_i^2) = (4 pi rho)^(-n/2) int_0^inf t^(n-1)
     e^(-t^2/(4 rho)) [sphere average of prod_i cos(t w_i A_i)] dt.
-    The radial integral is mapped by u = t^2/(4 rho) onto a generalized
-    Gauss-Laguerre rule; the integrand is entire in u, so the rule
+    The radial integral is mapped by u = t^2/(4 rho) onto a 64-node
+    generalized Gauss-Laguerre rule and the sphere average is the
+    level-12 Dirichlet rule; the integrand is entire in u, so the rule
     converges rapidly.  Returns (lhs, rhs, gap).
     """
     if rho <= 0:
@@ -287,8 +287,8 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float,
         lhs = lhs @ dec.matrix_function(
             lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))
         )
-    sphere = _dirichlet_rule([0.5] * n, sphere_level)  # S^(n-1) in u = w^2: the integrand is even in every w_i
-    u, wu = roots_genlaguerre(radial_count, n / 2.0 - 1.0)
+    sphere = _dirichlet_rule([0.5] * n, 12)  # S^(n-1) in u = w^2: the integrand is even in every w_i
+    u, wu = roots_genlaguerre(64, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)
     # cos(t w_i lambda) at every radial x sphere node, for all operators at once

@@ -35,20 +35,25 @@ _THREAD_VARS = (
 
 
 def _pin_threads(argv) -> None:
-    # runs before any numpy import; bad values fall through to argparse
-    count = "1"
+    # runs before any numpy import; bad values fall through to argparse.
+    # An explicit --threads overrides the environment; the default of one
+    # thread only fills variables that are unset.
+    count = None
     for i, token in enumerate(argv):
         if token == "--threads" and i + 1 < len(argv):
             count = argv[i + 1]
         elif token.startswith("--threads="):
             count = token.split("=", 1)[1]
+    if count is None:
+        for var in _THREAD_VARS:
+            os.environ.setdefault(var, "1")
+        return
     try:
         if int(count) < 1:
             return
     except ValueError:
         return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, count)
+    os.environ.update(dict.fromkeys(_THREAD_VARS, count))
 
 
 def _positive_float(text: str) -> float:

@@ -4,6 +4,8 @@ Fields live on uniform periodic boxes in one to three dimensions.  The
 reference propagator is diagonal in the discrete Fourier basis, so
 round-trip FFT exactness makes the discrete model self-consistent: the
 kernel-averaging routes in pde.py are compared against these multipliers.
+A symbol is a complex array of the field's shape, one value per discrete
+wavenumber.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "GridField",
-    "SpectralOperator",
     "wave_symbol",
     "klein_gordon_symbol",
     "damped_symbol",
@@ -78,18 +79,6 @@ class GridField:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass(eq=False)
-class SpectralOperator:
-    """Fourier multiplier on a fixed grid shape."""
-
-    symbol: np.ndarray
-
-    def apply(self, field: GridField) -> GridField:
-        if self.symbol.shape != field.shape:
-            raise ValueError("symbol shape does not match the field")
-        return field.like(np.fft.ifftn(self.symbol * field.fft()))
-
-
 def _k_grids(field: GridField) -> list[np.ndarray]:
     shape = field.shape
     out = []
@@ -108,27 +97,30 @@ def _k_squared(field: GridField) -> np.ndarray:
     return total
 
 
-def wave_symbol(field: GridField) -> SpectralOperator:
+def wave_symbol(field: GridField) -> np.ndarray:
     """|k|: the propagator multiplier becomes cos(t |k|)."""
-    return SpectralOperator(np.sqrt(_k_squared(field)).astype(complex))
+    return np.sqrt(_k_squared(field)).astype(complex)
 
 
-def klein_gordon_symbol(field: GridField, a: float) -> SpectralOperator:
+def klein_gordon_symbol(field: GridField, a: float) -> np.ndarray:
     """sqrt(|k|^2 + a^2) for the mass-a dispersive wave."""
-    return SpectralOperator(np.sqrt(_k_squared(field) + a * a).astype(complex))
+    return np.sqrt(_k_squared(field) + a * a).astype(complex)
 
 
-def damped_symbol(field: GridField, a: float) -> SpectralOperator:
+def damped_symbol(field: GridField, a: float) -> np.ndarray:
     """sqrt(|k|^2 - a^2); imaginary below the cutoff, where cos -> cosh."""
-    return SpectralOperator(np.sqrt((_k_squared(field) - a * a).astype(complex)))
+    return np.sqrt((_k_squared(field) - a * a).astype(complex))
 
 
-def spectral_wave_reference(field: GridField, t: float, symbol: SpectralOperator | None = None) -> GridField:
-    """cos(t * symbol) applied in the Fourier basis; the oracle for grids."""
-    op = wave_symbol(field) if symbol is None else symbol
-    if op.symbol.shape != field.shape:
+def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | None = None) -> GridField:
+    """cos(t * symbol) applied in the Fourier basis; the oracle for grids.
+
+    symbol is a complex array of the field's shape (wave_symbol by default).
+    """
+    symbol = wave_symbol(field) if symbol is None else symbol
+    if symbol.shape != field.shape:
         raise ValueError("symbol shape does not match the field")
-    multiplier = np.cos(t * op.symbol)
+    multiplier = np.cos(t * symbol)
     return field.like(np.fft.ifftn(multiplier * field.fft()))
 
 

@@ -9,7 +9,7 @@ answer to be measured against.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "as_matrix",
-    "as_vector",
     "cos_sqrt_sum_oracle",
     "sinc_sqrt_sum_oracle",
     "random_hermitian",
@@ -30,7 +29,7 @@ RECONSTRUCT_RTOL = 1e-10
 
 @dataclass(eq=False)
 class HermitianOperator:
-    """Dense Hermitian matrix with a cached eigendecomposition.
+    """Dense Hermitian matrix.
 
     Inputs whose Hermitian defect exceeds HERMITIAN_RTOL (relative,
     Frobenius) are symmetrized to (M + M*)/2 with a warning rather than
@@ -39,7 +38,6 @@ class HermitianOperator:
 
     entries: np.ndarray
     symmetrized: bool = False
-    _decomposition: "SpectralDecomposition | None" = field(default=None, repr=False)
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=complex)
@@ -58,16 +56,9 @@ class HermitianOperator:
         else:
             self.symmetrized = False
         self.entries = entries
-        self._decomposition = None
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def decomposition(self) -> "SpectralDecomposition":
-        if self._decomposition is None:
-            self._decomposition = SpectralDecomposition.from_matrix(self.entries)
-        return self._decomposition
+        return SpectralDecomposition.from_matrix(self.entries)
 
 
 @dataclass(eq=False)
@@ -111,10 +102,6 @@ def as_matrix(op) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.entries
     return np.asarray(op, dtype=complex)
-
-
-def as_vector(h) -> np.ndarray:
-    return np.asarray(h, dtype=complex)
 
 
 def _checked_operators(ops) -> list[np.ndarray]:
@@ -164,7 +151,7 @@ def cos_sqrt_sum_oracle(ops, t: float, vector=None):
     fn = lambda lam: np.cos(t * np.sqrt(np.clip(lam, 0.0, None)))
     if vector is None:
         return dec.matrix_function(fn)
-    return dec.apply(fn, as_vector(vector))
+    return dec.apply(fn, np.asarray(vector, dtype=complex))
 
 
 def sinc_sqrt_sum_oracle(ops, t: float, vector=None):
@@ -183,7 +170,7 @@ def sinc_sqrt_sum_oracle(ops, t: float, vector=None):
 
     if vector is None:
         return dec.matrix_function(fn)
-    return dec.apply(fn, as_vector(vector))
+    return dec.apply(fn, np.asarray(vector, dtype=complex))
 
 
 def random_hermitian(dim: int, rng=None, norm: float | None = None, seed: int | None = None) -> np.ndarray:

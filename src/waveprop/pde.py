@@ -300,9 +300,9 @@ def damped_wave(
 # scalar identity checks
 
 
-def bessel_kernel_check(theta: float, level: int = 64) -> dict:
-    """Interval rule against pi*J0: the kernel behind the mass-a averages."""
-    rule = build_ball_rule(1, level)
+def bessel_kernel_check(theta: float) -> dict:
+    """Level-64 interval rule against pi*J0: the kernel behind the mass-a averages."""
+    rule = build_ball_rule(1, 64)
     value = complex(rule.integrate(np.cos(theta * rule.nodes[:, 0]))).real
     reference = float(np.pi * j0(theta))
     return {
@@ -313,16 +313,16 @@ def bessel_kernel_check(theta: float, level: int = 64) -> dict:
     }
 
 
-def cos_to_exp_rewrite_check(scalars, t: float, level: int = 10, rule=None) -> dict:
+def cos_to_exp_rewrite_check(scalars, t: float, rule=None) -> dict:
     """Product-of-cosines average versus its one sided exponential rewrite.
 
     The two agree exactly when the rule is invariant under per coordinate
     sign flips; an asymmetric rule breaks the identity, which is what the
-    gap reports.
+    gap reports.  The default rule is the level-10 ball rule.
     """
     scalars = np.atleast_1d(np.asarray(scalars, dtype=float))
     if rule is None:
-        rule = build_ball_rule(len(scalars), level)
+        rule = build_ball_rule(len(scalars), 10)
     nodes = np.asarray(rule.nodes, dtype=float)
     weights = np.asarray(rule.weights)
     if nodes.shape[1] != len(scalars):

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 TENSOR_DIM_LIMIT = 6  # public rules: tensor up to here, Monte Carlo beyond by default
+MIRRORED_NODE_LIMIT = 1 << 22  # public tensor rules refuse to form more nodes
 MOMENT_PROBE_CAP = 400
 PROBE_DEGREE = 4  # rule self-tests probe moments of total degree <= min(level, this)
 _PROBE_BLOCK = 1 << 15  # nodes x probes entries per chunk of _monomial_moments (256 KB)
@@ -325,8 +326,6 @@ class DirichletRule:
     Weights sum to Gamma(alpha_1)...Gamma(alpha_K) / Gamma(sum alpha).
     """
 
-    alphas: tuple[float, ...]
-    level: int
     nodes: np.ndarray
     weights: np.ndarray
     moment_error: float
@@ -436,8 +435,7 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
     if level < 0:
         raise ValueError("level must be non-negative")
     u, weights = _dirichlet_tensor(_dirichlet_sticks(a, level))
-    alphas = tuple(a.tolist())
-    return DirichletRule(alphas, level, u, weights, _stick_rule(alphas, level, min(level, PROBE_DEGREE))[1])
+    return DirichletRule(u, weights, _stick_rule(tuple(a.tolist()), level, min(level, PROBE_DEGREE))[1])
 
 
 def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields):
@@ -447,7 +445,13 @@ def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields
     weights scaled by scale.  The moment error is the larger of the
     Dirichlet rule's self-test error and the first moments relative to
     the mass: those vanish by sign symmetry, so a broken mirroring shows.
+    A rule of more than MIRRORED_NODE_LIMIT nodes is refused before any
+    node forms.
     """
+    count = (level // 2 + 1) ** (len(alphas) - 1) * 2 ** d
+    if count > MIRRORED_NODE_LIMIT:
+        raise ValueError(f"tensor rule would form {count} mirrored nodes, "
+                         f"above the limit of {MIRRORED_NODE_LIMIT}")
     simplex = _dirichlet_rule(alphas, level)
     nodes, weights = _mirrored(simplex.nodes[:, :d], simplex.weights)
     rule = cls(d, level, nodes, scale * weights, "tensor", **fields)

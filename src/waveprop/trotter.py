@@ -6,8 +6,9 @@ The vector cos(t sqrt(A^2+B^2)) h is the m -> infinity limit of
     W_n h = coefficient of z^n in [e^(z A^2/m) e^(z B^2/m)]^m h,
 
 with W_n built by truncated power-series multiplication, one exponential
-factor at a time.  Each factor is a function of one operator, so it acts
-diagonally in that operator's own eigenbasis: the coefficient vectors
+factor at a time; the series is an (order+1, N) array whose row n is
+W_n h.  Each factor is a function of one operator, so it acts diagonally
+in that operator's own eigenbasis: the coefficient vectors
 move into the basis of the next factor by one fixed unitary U_i =
 V_i^H V_(i-1), an (order+1) x N x N product, and the factor is then a
 Cauchy product with the scalar series exp(z lambda^2/m), O(order^2 N).
@@ -28,7 +29,11 @@ times) and the smoothed sine series with coefficients n!/(2n+1)!.
 Inputs are checked once, at each public entry point: the operators must
 be square, of one shape, finite and Hermitian to HERMITIAN_RTOL
 (operators._checked_operators), h must be finite and match their
-dimension, and the time t must be finite.
+dimension, and the time t must be finite.  The timed entries (the F_m
+evaluators, the m drivers and fm_quadrature_crosscheck) share one front
+end, _prepared: it checks the inputs, diagonalizes each factor, forms
+the series scales and picks the order whose tail bound is at most
+DEFAULT_ORDER_TOL.
 """
 
 from __future__ import annotations
@@ -39,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import _cos_product_average, _ladder_sum
-from .operators import SpectralDecomposition, _checked_operators, as_vector
+from .operators import SpectralDecomposition, _checked_operators
 
 __all__ = [
-    "TaylorOperatorSeries",
     "ConvergenceReport",
     "taylor_series_build",
     "fm_evaluate",
@@ -57,21 +61,6 @@ __all__ = [
 
 DEFAULT_ORDER_TOL = 1e-12
 ORDER_CAP = 400
-
-
-@dataclass(eq=False)
-class TaylorOperatorSeries:
-    """Coefficient vectors W_n h, n = 0..order, for one splitting depth m."""
-
-    vectors: np.ndarray  # (order+1, dim)
-    m: int
-
-    @property
-    def order(self) -> int:
-        return len(self.vectors) - 1
-
-    def coefficient(self, n: int) -> np.ndarray:
-        return self.vectors[n]
 
 
 @dataclass
@@ -107,7 +96,7 @@ def _checked(ops, h, t: float | None = None):
         raise ValueError(f"time t must be finite, got t = {t}")
     mats = _checked_operators(ops)
     dim = len(mats[0])
-    vec = as_vector(h)
+    vec = np.asarray(h, dtype=complex)
     if vec.shape != (dim,):
         raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {dim}")
     if not np.all(np.isfinite(vec)):
@@ -151,8 +140,8 @@ def _toeplitz(lam: np.ndarray, m: int, order: int) -> np.ndarray:
     return stack
 
 
-def _build(bases: _Eigenbases, vec: np.ndarray, m: int, order: int) -> TaylorOperatorSeries:
-    """The splitting series of one depth m from the family's eigenbases."""
+def _build(bases: _Eigenbases, vec: np.ndarray, m: int, order: int) -> np.ndarray:
+    """The splitting series of one depth m from the family's eigenbases: row n is W_n h."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     if order < 0:
@@ -167,11 +156,11 @@ def _build(bases: _Eigenbases, vec: np.ndarray, m: int, order: int) -> TaylorOpe
             # real stack against (re, im) pairs: one batched product, no complex copy
             pairs = stack @ coeffs.view(float).reshape(dim, width, 2)
             coeffs = pairs.reshape(dim, 2 * width).view(complex)
-    return TaylorOperatorSeries(coeffs.T @ bases.last.T, m)
+    return coeffs.T @ bases.last.T
 
 
-def taylor_series_build(ops, h, m: int, order: int) -> TaylorOperatorSeries:
-    """W_n h for the pattern (A_1^2 .. A_q^2) repeated m times.
+def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
+    """W_n h for the pattern (A_1^2 .. A_q^2) repeated m times, as row n of an (order+1, dim) array.
 
     The product of exponential factors acts on h right factor first; each
     factor exp(z X/m) updates the truncated series by
@@ -181,9 +170,9 @@ def taylor_series_build(ops, h, m: int, order: int) -> TaylorOperatorSeries:
     return _build(_eigenbases(mats), vec, m, order)
 
 
-def _series_scales(norms, h, t: float):
+def _series_scales(norms, vec: np.ndarray, t: float):
     """||h||, y = t^2 sum ||A_i||^2, the paper's x = sqrt(q)|t| max ||A_i|| and its radius in t."""
-    amp = float(np.linalg.norm(as_vector(h)))
+    amp = float(np.linalg.norm(vec))
     k = max(norms)
     q = len(norms)
     y = t * t * sum(norm * norm for norm in norms)
@@ -215,62 +204,65 @@ def _tail_bound(amp: float, y: float, t: float, order: int, sine: bool = False) 
         n += 1
 
 
-def _auto_order(norms, h, t: float, tol: float, sine: bool = False) -> int:
-    """Smallest order N >= 2 whose factorial tail bound is at most tol."""
-    amp, y, _, _ = _series_scales(norms, h, t)
+def _auto_order(amp: float, y: float, t: float, sine: bool) -> int:
+    """Smallest order N >= 2 whose factorial tail bound is at most DEFAULT_ORDER_TOL."""
     for n in range(2, ORDER_CAP + 1):
-        if _tail_bound(amp, y, t, n, sine) <= tol:
+        if _tail_bound(amp, y, t, n, sine) <= DEFAULT_ORDER_TOL:
             return n
     raise ValueError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
 
 
-def _series_sum(series: TaylorOperatorSeries, t: float, sine: bool) -> np.ndarray:
-    out = np.zeros_like(series.vectors[0])
+def _prepared(ops, h, t: float, order: int | None = None, sine: bool = False):
+    """The setup of every timed entry: checked inputs, eigenbases, series scales, order.
+
+    Returns (mats, vec, bases, order, (amp, y, x, radius)); the order is
+    the automatic one (_auto_order) unless given.
+    """
+    mats, vec = _checked(ops, h, t)
+    bases = _eigenbases(mats)  # one decomposition per operator for every depth
+    scales = _series_scales(bases.norms, vec, t)
+    if order is None:
+        order = _auto_order(scales[0], scales[1], t, sine)
+    return mats, vec, bases, order, scales
+
+
+def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
+    out = np.zeros_like(series[0])
     coeff = t if sine else 1.0
-    for n in range(series.order + 1):
-        out = out + ((-1) ** n * coeff) * series.vectors[n]
+    for n, row in enumerate(series):
+        out = out + ((-1) ** n * coeff) * row
         coeff *= t * t / (2.0 * (2 * n + 3)) if sine else t * t / (2.0 * (2 * n + 1))
     return out
 
 
-def _fm(ops, h, t: float, m: int, order: int | None, series_tol: float,
-        sine: bool) -> np.ndarray:
-    mats, vec = _checked(ops, h, t)
-    bases = _eigenbases(mats)
-    if order is None:
-        order = _auto_order(bases.norms, vec, t, series_tol, sine)
+def _fm(ops, h, t: float, m: int, order: int | None, sine: bool) -> np.ndarray:
+    _, vec, bases, order, _ = _prepared(ops, h, t, order, sine)
     return _series_sum(_build(bases, vec, m, order), t, sine)
 
 
-def fm_evaluate_q(ops, h, t: float, m: int, order: int | None = None,
-                  series_tol: float = DEFAULT_ORDER_TOL) -> np.ndarray:
+def fm_evaluate_q(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
     """F_m(t) h for the ordered operator family, cosine weights n!/(2n)!."""
-    return _fm(ops, h, t, m, order, series_tol, sine=False)
+    return _fm(ops, h, t, m, order, sine=False)
 
 
-def fm_evaluate(a, b, h, t: float, m: int, order: int | None = None,
-                series_tol: float = DEFAULT_ORDER_TOL) -> np.ndarray:
+def fm_evaluate(a, b, h, t: float, m: int, order: int | None = None) -> np.ndarray:
     """Two-operator F_m(t) h."""
-    return fm_evaluate_q([a, b], h, t, m, order, series_tol)
+    return fm_evaluate_q([a, b], h, t, m, order)
 
 
-def sin_fm_evaluate(ops, h, t: float, m: int, order: int | None = None,
-                    series_tol: float = DEFAULT_ORDER_TOL) -> np.ndarray:
+def sin_fm_evaluate(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
     """Sine-series analogue with weights n!/(2n+1)!; odd in t."""
-    return _fm(ops, h, t, m, order, series_tol, sine=True)
+    return _fm(ops, h, t, m, order, sine=True)
 
 
 def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
-           reference=None, richardson: bool = False, series_tol: float = DEFAULT_ORDER_TOL):
+           reference=None, richardson: bool = False):
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if m0 < 1 or m_cap < m0:
         raise ValueError("need 1 <= m0 <= m_cap")
-    mats, vec = _checked(ops, h, t)
-    bases = _eigenbases(mats)  # one decomposition per operator for every depth
-    amp, y, x, radius = _series_scales(bases.norms, vec, t)
-    order = _auto_order(bases.norms, vec, t, series_tol, sine)
-    ref = None if reference is None else as_vector(reference)
+    _, vec, bases, order, (amp, y, x, radius) = _prepared(ops, h, t, sine=sine)
+    ref = None if reference is None else np.asarray(reference, dtype=complex)
 
     def evaluate(m):
         return _series_sum(_build(bases, vec, m, order), t, sine)
@@ -346,7 +338,7 @@ def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]
     for j in range(1, n + 1):
         target = (s @ target) / j
     bases = _eigenbases([amat, bmat])
-    return [float(np.linalg.norm(target - _build(bases, vec, m, n).coefficient(n)))
+    return [float(np.linalg.norm(target - _build(bases, vec, m, n)[n]))
             for m in m_values]
 
 
@@ -365,10 +357,7 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
-    (amat, bmat), vec = _checked([a, b], h, t)
-    bases = _eigenbases([amat, bmat])
-    if order is None:
-        order = _auto_order(bases.norms, vec, t, DEFAULT_ORDER_TOL)
+    (amat, bmat), vec, bases, order, _ = _prepared([a, b], h, t, order)
     series_value = _series_sum(_build(bases, vec, m, order), t, sine=False)
 
     level = order if rule_level is None else rule_level

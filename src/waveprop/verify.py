@@ -452,7 +452,7 @@ def _check_energy_time_symmetry(seed: int) -> CheckResult:
     t = 0.5
     u = pde.wave_general(f, t)
     us = pde.wave_general(f, t, kind="sin")
-    k = np.abs(wave_symbol(f).symbol)
+    k = np.abs(wave_symbol(f))
     energy = float(
         np.sum(np.abs(np.fft.fftn(u.values)) ** 2 + np.abs(k * np.fft.fftn(us.values)) ** 2)
     )

@@ -36,7 +36,7 @@ def _scalar_family(*values):
 
 
 def _sine_reference(field, t):
-    sym = wp.wave_symbol(field).symbol
+    sym = wp.wave_symbol(field)
     factor = np.where(sym == 0.0, t, np.sin(t * sym) / np.where(sym == 0.0, 1.0, sym))
     return field.like(np.fft.ifftn(factor * field.fft()))
 

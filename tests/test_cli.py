@@ -324,3 +324,29 @@ def test_out_into_a_missing_directory_is_refused_before_the_handler(tmp_path, mo
     assert code == 2 and out == ""
     assert f"artifact directory {missing} does not exist" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_explicit_threads_overrides_the_environment(monkeypatch):
+    for var in cli._THREAD_VARS:  # setenv first, so teardown restores each variable
+        monkeypatch.setenv(var, "9")
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    cli._pin_threads(["verify"])
+    assert [os.environ[var] for var in cli._THREAD_VARS] == ["3", "1", "1", "1", "1"]
+    for argv in (["verify", "--threads", "2"], ["verify", "--threads=2"]):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        cli._pin_threads(argv)
+        assert [os.environ[var] for var in cli._THREAD_VARS] == ["2"] * 5
+
+
+def test_rule_above_the_node_limit_is_refused_before_any_node_forms(monkeypatch):
+    from waveprop import quadrature
+
+    def no_rule(*args):
+        raise AssertionError("a refused rule must not build its simplex rule")
+
+    monkeypatch.setattr(quadrature, "_dirichlet_rule", no_rule)
+    code, out, err = run_cli(["rule", "--kind", "sphere", "--dim", "7", "--level", "14"])
+    assert code == 2
+    assert out == ""
+    assert f"above the limit of {quadrature.MIRRORED_NODE_LIMIT}" in err

@@ -59,17 +59,17 @@ def test_fft_roundtrip():
 
 def test_wave_symbol_is_modulus_of_wavenumber():
     f = wp.GridField(np.zeros((8, 8), dtype=complex), (TWO_PI, TWO_PI))
-    sym = wp.wave_symbol(f).symbol
+    sym = wp.wave_symbol(f)
     kx = f.wavenumbers(0)[:, None]
     ky = f.wavenumbers(1)[None, :]
     assert np.allclose(sym, np.hypot(kx, ky))
     # Klein-Gordon symbol at a = 0 collapses to the wave symbol
-    assert np.allclose(wp.klein_gordon_symbol(f, 0.0).symbol, sym)
+    assert np.allclose(wp.klein_gordon_symbol(f, 0.0), sym)
 
 
 def test_klein_gordon_symbol_shifts_dispersion():
     f = wp.GridField(np.zeros(8, dtype=complex), (TWO_PI,))
-    sym = wp.klein_gordon_symbol(f, 2.0).symbol
+    sym = wp.klein_gordon_symbol(f, 2.0)
     k = f.wavenumbers(0)
     assert np.allclose(sym, np.sqrt(k * k + 4.0))
 
@@ -162,7 +162,7 @@ def test_spectral_operator_shape_mismatch():
     f = wp.GridField(np.zeros(8, dtype=complex), (TWO_PI,))
     sym = wp.wave_symbol(f)
     with pytest.raises(ValueError, match="shape"):
-        sym.apply(wp.GridField(np.zeros(4, dtype=complex), (TWO_PI,)))
+        wp.spectral_wave_reference(wp.GridField(np.zeros(4, dtype=complex), (TWO_PI,)), 0.5, sym)
 
 
 def test_grid_field_validation():

@@ -274,6 +274,27 @@ def test_dirichlet_rule_refusals():
 # public tensor rules: the Dirichlet rule mirrored into every sign pattern
 
 
+def _no_dirichlet_rule(*args):
+    raise AssertionError("a refused rule must not build its simplex rule")
+
+
+@pytest.mark.parametrize("build, count", [(lambda: wp.build_sphere_rule(7, 14), 8 ** 6 * 2 ** 7),
+                                          (lambda: wp.build_ball_rule(6, 14), 8 ** 6 * 2 ** 6)])
+def test_public_tensor_rules_refuse_above_the_node_limit(monkeypatch, build, count):
+    monkeypatch.setattr(quadrature, "_dirichlet_rule", _no_dirichlet_rule)
+    with pytest.raises(ValueError, match=f"{count} mirrored nodes, above the limit of {1 << 22}"):
+        build()
+
+
+def test_node_limit_counts_the_mirrored_nodes_exactly(monkeypatch):
+    # build_ball_rule(2, 4): 3 nodes on each of 2 sticks, mirrored into 4 sign patterns
+    monkeypatch.setattr(quadrature, "MIRRORED_NODE_LIMIT", 36)
+    assert len(wp.build_ball_rule(2, 4).weights) == 36
+    monkeypatch.setattr(quadrature, "MIRRORED_NODE_LIMIT", 35)
+    with pytest.raises(ValueError, match="36 mirrored nodes, above the limit of 35"):
+        wp.build_ball_rule(2, 4)
+
+
 def _sorted_rows(nodes, weights):
     rows = np.column_stack([nodes, weights])
     return rows[np.lexsort(rows.T[::-1])]

@@ -22,8 +22,8 @@ def test_series_leading_coefficients_are_exact(unit_pair):
     a, b, h = unit_pair
     for m in (1, 4, 16):
         series = wp.taylor_series_build([a, b], h, m, order=6)
-        assert np.allclose(series.coefficient(0), h, atol=1e-14)
-        assert np.allclose(series.coefficient(1), (a @ a + b @ b) @ h, atol=1e-13)
+        assert np.allclose(series[0], h, atol=1e-14)
+        assert np.allclose(series[1], (a @ a + b @ b) @ h, atol=1e-13)
 
 
 def test_series_build_validation(unit_pair):
@@ -64,7 +64,7 @@ def test_series_build_matches_dense_product(q, m, order):
     ops = [wp.random_hermitian(5, rng=rng, norm=1.5) for _ in range(q)]
     h = wp.random_state(5, rng=rng)
     dense = _dense_series(ops, h, m, order)
-    built = wp.taylor_series_build(ops, h, m, order).vectors
+    built = wp.taylor_series_build(ops, h, m, order)
     assert np.max(np.abs(built - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -75,7 +75,7 @@ def test_series_build_with_zero_and_degenerate_operators(m):
     cases = [[a, b], [np.zeros_like(a), b], [a, np.zeros_like(a), b], [np.zeros_like(a)]]
     for ops in cases:
         dense = _dense_series(ops, h, m, 6)
-        built = wp.taylor_series_build(ops, h, m, 6).vectors
+        built = wp.taylor_series_build(ops, h, m, 6)
         assert np.max(np.abs(built - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -162,7 +162,7 @@ def test_series_coefficients_obey_the_norm_majorant(q, seed):
     h = wp.random_state(5, rng=rng)
     s = sum(np.linalg.norm(op, 2) ** 2 for op in ops)
     for m in (1, 2, 5, 16):
-        vectors = wp.taylor_series_build(ops, h, m, order=10).vectors
+        vectors = wp.taylor_series_build(ops, h, m, order=10)
         for n, w in enumerate(vectors):
             assert np.linalg.norm(w) <= (1.0 + 1e-12) * np.linalg.norm(h) * s ** n / math.factorial(n)
 
