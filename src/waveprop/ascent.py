@@ -34,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
-from .operators import HermitianOperator, SpectralDecomposition, _checked_operators, as_matrix
+from .operators import (
+    HermitianOperator,
+    SeriesCapError,
+    SpectralDecomposition,
+    _checked_operators,
+    as_matrix,
+)
 from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
 
 __all__ = [
@@ -137,9 +143,9 @@ def _truncation_order(norm_sum: float, t: float, m: int) -> int:
         if log_tail <= math.log(SERIES_TAIL_TOL):
             return n
         n += 1
-    raise ValueError(
+    raise SeriesCapError(
         f"time horizon too large for the series route (norm*|t| = {x:.3e}); "
-        "no truncation order below the cap reaches the tolerance"
+        f"no truncation order below the series order cap {SERIES_ORDER_CAP} reaches the tolerance"
     )
 
 

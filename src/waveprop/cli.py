@@ -2,11 +2,13 @@
 
 Every subcommand prints one deterministic JSON report to stdout (sorted
 keys, no timings, seed echoed) and returns exit code 0 when all gaps sit
-inside their tolerances, 1 when a check fails, and 2 on usage or parse
-problems.  Wall-clock timings go to stderr so identical configurations
-produce byte-identical artifacts.  The BLAS thread count is pinned from
---threads before numpy loads; the default of one thread keeps reductions
-in a fixed order on every machine.
+inside their tolerances, 1 when a check fails, 2 on usage or parse
+problems, and 3 on a numerical refusal (operators.SeriesCapError: the
+time needs a series order above a cap, which the message names).
+Wall-clock timings go to stderr so identical configurations produce
+byte-identical artifacts.  The BLAS thread count is pinned from --threads
+before numpy loads; the default of one thread keeps reductions in a fixed
+order on every machine.
 
 Artifacts have one emitter.  _FORMATS lists the formats each subcommand
 writes, default first; main resolves --out to a path and a format once
@@ -508,8 +510,10 @@ def main(argv=None) -> int:
         args.out_path, args.out_format = _resolve_out(args.out, args.subcommand)
         code = _HANDLERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
+        from .operators import SeriesCapError
+
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, SeriesCapError) else 2
     sys.stderr.write(f"# elapsed {time.perf_counter() - started:.2f}s\n")
     return code
 

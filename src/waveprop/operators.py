@@ -27,6 +27,10 @@ HERMITIAN_RTOL = 1e-12
 RECONSTRUCT_RTOL = 1e-10
 
 
+class SeriesCapError(ValueError):
+    """A numerical refusal: the series a route needs runs past its order cap, which the message names."""
+
+
 @dataclass(eq=False)
 class HermitianOperator:
     """Dense Hermitian matrix.

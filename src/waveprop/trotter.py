@@ -24,6 +24,15 @@ order and is the reported bound.  The paper's radius sqrt(2)|t| K < 1,
 K = max(||A||, ||B||), is still reported; outside it the depth m may
 converge slowly, and the driver flags the caution.
 
+One depth walk, _depths, is the only sweep loop.  With Q_m(z) the
+product of one sweep's factors, e^(z A^2/m) e^(z B^2/m) for a pair,
+Q_m(z) = Q_p(z p/m), so the first p sweeps at depth m are the depth-p
+series with row n scaled by (p/m)^n: each depth continues the one
+before with that scale and m - p more sweeps.  A single depth m costs m
+sweeps, and so does a whole drive that ends at depth m (the drivers
+double m, and a power-of-two scale is exact, so every depth is
+bit-identical to a build from h).
+
 The same machinery covers q operators (pattern A_1^2 .. A_q^2 repeated m
 times) and the smoothed sine series with coefficients n!/(2n+1)!.
 Inputs are checked once, at each public entry point: the operators must
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import _cos_product_average, _ladder_sum
-from .operators import SpectralDecomposition, _checked_operators
+from .operators import SeriesCapError, SpectralDecomposition, _checked_operators
 
 __all__ = [
     "ConvergenceReport",
@@ -65,7 +74,13 @@ ORDER_CAP = 400
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of driving the splitting depth m upward."""
+    """Outcome of driving the splitting depth m upward.
+
+    With a reference, errors[i] is the gap ||F(m_values[i]) - reference||
+    and the two lists have one length.  Without one, errors[i] is the
+    successive difference ||F(m_values[i+1]) - F(m_values[i])||, so errors
+    is one shorter than m_values.
+    """
 
     m_values: list[int]
     errors: list[float]
@@ -140,23 +155,50 @@ def _toeplitz(lam: np.ndarray, m: int, order: int) -> np.ndarray:
     return stack
 
 
-def _build(bases: _Eigenbases, vec: np.ndarray, m: int, order: int) -> np.ndarray:
-    """The splitting series of one depth m from the family's eigenbases: row n is W_n h."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+def _checked_depths(depths, order: int) -> list[int]:
+    """The splitting depths as a list; refused unless positive and strictly increasing, with order >= 0."""
+    depths = list(depths)
+    if not depths or depths[0] < 1 or any(lo >= hi for lo, hi in zip(depths, depths[1:])):
+        raise ValueError(f"splitting depths must be positive and strictly increasing, got {depths}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    dim, width = len(vec), order + 1
-    coeffs = np.zeros((dim, width), dtype=complex)  # coeffs[:, k]: z^k, current basis
+    return depths
+
+
+def _sweep(bases: _Eigenbases, stacks, coeffs: np.ndarray) -> np.ndarray:
+    """One pass of the factor pattern over the (dim, order+1) coefficients, in and out of the basis `last`."""
+    dim, width = coeffs.shape
+    for move, stack in zip(bases.moves, stacks):
+        coeffs = move @ coeffs
+        # real stack against (re, im) pairs: one batched product, no complex copy
+        pairs = stack @ coeffs.view(float).reshape(dim, width, 2)
+        coeffs = pairs.reshape(dim, 2 * width).view(complex)
+    return coeffs
+
+
+def _depths(bases: _Eigenbases, vec: np.ndarray, order: int, depths):
+    """The splitting series at each depth in turn, each depth continuing the one before.
+
+    From depth p to depth m the coefficient of z^n is scaled by (p/m)^n,
+    then m - p sweeps of the depth-m factors follow, so a walk that ends
+    at depth M runs M sweeps.  A power-of-two ratio m/p scales exactly;
+    other ratios agree with a walk from h to rounding.  The state starts
+    at p = 0 with coefficients (V^H h, 0, .., 0), so one depth is the same
+    code.  The depths must pass _checked_depths; each yield is the
+    (order+1, dim) array whose row n is W_n h.
+    """
+    coeffs = np.zeros((len(vec), order + 1), dtype=complex)  # coeffs[:, k]: z^k, basis `last`
     coeffs[:, 0] = (bases.last.T @ vec.conj()).conj()  # V^H h with no conjugated copy of V
-    stacks = [_toeplitz(lam, m, order) for lam in bases.eigenvalues]
-    for _ in range(m):
-        for move, stack in zip(bases.moves, stacks):
-            coeffs = move @ coeffs
-            # real stack against (re, im) pairs: one batched product, no complex copy
-            pairs = stack @ coeffs.view(float).reshape(dim, width, 2)
-            coeffs = pairs.reshape(dim, 2 * width).view(complex)
-    return coeffs.T @ bases.last.T
+    p = 0
+    for m in depths:
+        parts = coeffs.view(float)  # a real scale on re and im: exact for 2^-n, signed zeros too
+        parts *= np.repeat((p / m) ** np.arange(order + 1), 2)
+        stacks = [_toeplitz(lam, m, order) for lam in bases.eigenvalues]
+        for _ in range(m - p):
+            coeffs = _sweep(bases, stacks, coeffs)
+        del stacks  # not held across the yield, nor next to the next depth's stacks
+        p = m
+        yield coeffs.T @ bases.last.T
 
 
 def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
@@ -167,7 +209,8 @@ def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
     v_k <- sum_j (X/m)^j / j! v_(k-j), taken in the eigenbasis of X.
     """
     mats, vec = _checked(ops, h)
-    return _build(_eigenbases(mats), vec, m, order)
+    (series,) = _depths(_eigenbases(mats), vec, order, _checked_depths([m], order))
+    return series
 
 
 def _series_scales(norms, vec: np.ndarray, t: float):
@@ -209,7 +252,7 @@ def _auto_order(amp: float, y: float, t: float, sine: bool) -> int:
     for n in range(2, ORDER_CAP + 1):
         if _tail_bound(amp, y, t, n, sine) <= DEFAULT_ORDER_TOL:
             return n
-    raise ValueError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
+    raise SeriesCapError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
 
 
 def _prepared(ops, h, t: float, order: int | None = None, sine: bool = False):
@@ -237,7 +280,8 @@ def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
 
 def _fm(ops, h, t: float, m: int, order: int | None, sine: bool) -> np.ndarray:
     _, vec, bases, order, _ = _prepared(ops, h, t, order, sine)
-    return _series_sum(_build(bases, vec, m, order), t, sine)
+    (series,) = _depths(bases, vec, order, _checked_depths([m], order))
+    return _series_sum(series, t, sine)
 
 
 def fm_evaluate_q(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
@@ -263,21 +307,21 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
         raise ValueError("need 1 <= m0 <= m_cap")
     _, vec, bases, order, (amp, y, x, radius) = _prepared(ops, h, t, sine=sine)
     ref = None if reference is None else np.asarray(reference, dtype=complex)
-
-    def evaluate(m):
-        return _series_sum(_build(bases, vec, m, order), t, sine)
+    depths = [m0]
+    while 2 * depths[-1] <= m_cap:
+        depths.append(2 * depths[-1])
+    # a lazy walk: the depths after convergence are never swept
+    values = (_series_sum(series, t, sine) for series in _depths(bases, vec, order, depths))
 
     def gap(v):
         return float(np.linalg.norm(v - ref))
 
     m_values, errors = [m0], []
-    prev = evaluate(m0)
+    prev = next(values)
     if ref is not None:
         errors.append(gap(prev))
     result, verdict = prev, "slow"
-    m = 2 * m0
-    while m <= m_cap:
-        current = evaluate(m)
+    for m, current in zip(depths[1:], values):
         diff = float(np.linalg.norm(current - prev))
         m_values.append(m)
         errors.append(gap(current) if ref is not None else diff)
@@ -286,7 +330,6 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
             verdict = "converged"
             break
         prev = current
-        m *= 2
     if verdict != "converged" and x >= 1.0:
         verdict = "outside_radius"
     report = ConvergenceReport(
@@ -306,9 +349,12 @@ def cos_noncomm(a, b, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
     """Drive F_m(t) h upward in m until successive refinements settle.
 
     Halts when consecutive depths differ by at most tol * ||h||; the
-    report carries the visited depths, errors (against the reference when
-    given, successive differences otherwise), the truncation order, the
-    tail bound, and the convergence verdict.
+    report carries the visited depths, errors, the truncation order, the
+    tail bound, and the convergence verdict.  The errors are the gaps to
+    the reference at each visited depth when one is given; otherwise they
+    are the successive differences ||F(m_(i+1)) - F(m_i)||, one fewer than
+    the depths.  The depths m0, 2 m0, .. share one walk (_depths), so a
+    drive that ends at depth M runs M sweeps.
     """
     return _drive([a, b], h, t, tol, m0, m_cap, sine=False,
                   reference=reference, richardson=richardson)
@@ -329,17 +375,21 @@ def sin_noncomm(a, b, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
 
 
 def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]:
-    """Gaps || (A^2+B^2)^n h / n! - W_n h || for each splitting depth."""
+    """Gaps || (A^2+B^2)^n h / n! - W_n h || for each splitting depth.
+
+    The depths must be positive and strictly increasing; they share one
+    walk, so the last depth sets the number of sweeps.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
+    depths = _checked_depths(m_values, n)
     (amat, bmat), vec = _checked([a, b], h)
     s = amat @ amat + bmat @ bmat
     target = vec.copy()
     for j in range(1, n + 1):
         target = (s @ target) / j
-    bases = _eigenbases([amat, bmat])
-    return [float(np.linalg.norm(target - _build(bases, vec, m, n)[n]))
-            for m in m_values]
+    walk = _depths(_eigenbases([amat, bmat]), vec, n, depths)
+    return [float(np.linalg.norm(target - series[n])) for series in walk]
 
 
 def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
@@ -358,7 +408,8 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
     (amat, bmat), vec, bases, order, _ = _prepared([a, b], h, t, order)
-    series_value = _series_sum(_build(bases, vec, m, order), t, sine=False)
+    (series,) = _depths(bases, vec, order, _checked_depths([m], order))
+    series_value = _series_sum(series, t, sine=False)
 
     level = order if rule_level is None else rule_level
     if level < order:

@@ -56,6 +56,17 @@ def test_verify_unknown_check_is_usage_error():
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["ascent", "--t", "1e3"], "120"),
+    (["noncomm", "--t", "1e4"], "400"),
+])
+def test_series_order_cap_is_a_numerical_refusal(argv, cap):
+    # exit 3, not the usage code 2, and the message names the cap that was hit
+    code, out, err = run_cli(argv)
+    assert code == 3 and out == ""
+    assert f"cap {cap}" in err
+
+
 def test_ascent_report_shape(tmp_path):
     code, out, _ = run_cli(["ascent", "--t", "0.5", "--count", "2", "--dim", "1"],
                            cwd=tmp_path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import waveprop as wp
+from waveprop import trotter
 from waveprop.trotter import _series_scales, _tail_bound
 
 
@@ -312,3 +313,115 @@ def test_report_serializes_to_plain_dict(unit_pair):
         "verdict",
     }
     assert isinstance(d["errors"], list)
+
+
+def _family(q, seed=0, dim=5):
+    rng = np.random.default_rng(seed)
+    ops = [wp.random_hermitian(dim, rng=rng, norm=rng.uniform(0.5, 1.5)) for _ in range(q)]
+    return ops, wp.random_state(dim, rng=rng)
+
+
+def _drive(ops, h, t, sine, **kwargs):
+    if sine:
+        return wp.sin_noncomm(ops[0], ops[1], h, t, **kwargs)
+    return wp.cos_noncomm_q(ops, h, t, **kwargs)
+
+
+@pytest.mark.parametrize("m0", [1, 3, 8])
+@pytest.mark.parametrize("q, sine", [(2, False), (3, False), (2, True)], ids=["cos-q2", "cos-q3", "sin-q2"])
+def test_driver_series_at_every_depth_equals_a_fresh_build(monkeypatch, q, sine, m0):
+    # each depth continues the one before with an exact power-of-two scale
+    ops, h = _family(q, seed=q + m0)
+    seen = []
+    sum_series = trotter._series_sum
+
+    def recording(series, t, sine):
+        seen.append(series)
+        return sum_series(series, t, sine)
+
+    monkeypatch.setattr(trotter, "_series_sum", recording)
+    _, report = _drive(ops, h, 0.6, sine, tol=1e-15, m0=m0, m_cap=64)
+    assert report.verdict != "converged" and len(report.m_values) >= 4
+    assert len(seen) == len(report.m_values)
+    for m, series in zip(report.m_values, seen):
+        assert np.array_equal(series, wp.taylor_series_build(ops, h, m, report.truncation_order))
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """A list that gains one entry per sweep of the depth walk."""
+    calls, sweep = [], trotter._sweep
+
+    def counting(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(trotter, "_sweep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
+@pytest.mark.parametrize("m0, m_cap, tol", [(3, 96, 1e-15), (8, 512, 1e-6), (1, 64, 1e-4)])
+def test_drive_to_depth_m_runs_m_sweeps(monkeypatch, sine, m0, m_cap, tol):
+    ops, h = _family(2)
+    calls = _count_sweeps(monkeypatch)
+    _, report = _drive(ops, h, 0.3, sine, tol=tol, m0=m0, m_cap=m_cap)
+    assert len(report.m_values) >= 2
+    assert len(calls) == report.m_values[-1]
+
+
+def test_one_depth_and_the_limit_check_run_their_last_depth_in_sweeps(monkeypatch, unit_pair):
+    a, b, h = unit_pair
+    calls = _count_sweeps(monkeypatch)
+    wp.fm_evaluate(a, b, h, 0.3, 5)
+    assert len(calls) == 5
+    wp.taylor_limit_check(a, b, 2, h)
+    assert len(calls) == 5 + 64
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_walk_with_ratios_off_powers_of_two_matches_fresh_builds(q):
+    ops, h = _family(q, seed=7)
+    order, depths = 9, (8, 24, 40)
+    walk = trotter._depths(trotter._eigenbases(ops), np.asarray(h, dtype=complex), order, depths)
+    for m, series in zip(depths, walk):
+        fresh = wp.taylor_series_build(ops, h, m, order)
+        assert np.max(np.abs(series - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    if q == 2:
+        gaps = wp.taylor_limit_check(ops[0], ops[1], 2, h, m_values=depths)
+        s = ops[0] @ ops[0] + ops[1] @ ops[1]
+        target = s @ (s @ h) / 2.0
+        for m, gap in zip(depths, gaps):
+            fresh = np.linalg.norm(target - wp.taylor_series_build(ops, h, m, 2)[2])
+            assert gap == pytest.approx(fresh, rel=1e-10)
+
+
+@pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
+def test_richardson_is_the_extrapolation_of_the_last_two_depths(unit_pair, sine):
+    a, b, h = unit_pair
+    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate_q
+    plain, report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64)
+    rich, rich_report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64, richardson=True)
+    assert rich_report.to_dict() == report.to_dict()
+    *_, lo, hi = report.m_values
+    order = report.truncation_order
+    assert np.array_equal(plain, evaluate([a, b], h, 0.3, hi, order=order))
+    expected = 2.0 * evaluate([a, b], h, 0.3, hi, order=order) - evaluate([a, b], h, 0.3, lo, order=order)
+    assert np.array_equal(rich, expected)
+
+
+@pytest.mark.parametrize("m_values", [(64, 8), (8, 8, 16), (0, 8), (-4,), ()])
+def test_taylor_limit_check_refuses_depths_that_do_not_increase(unit_pair, m_values):
+    a, b, h = unit_pair
+    with pytest.raises(ValueError, match=r"positive and strictly increasing, got \[" + ", ".join(map(str, m_values))):
+        wp.taylor_limit_check(a, b, 2, h, m_values=m_values)
+
+
+def test_driver_errors_without_a_reference_are_one_fewer_than_the_depths(unit_pair):
+    a, b, h = unit_pair
+    _, report = wp.cos_noncomm(a, b, h, 0.3, tol=1e-6)
+    assert report.m_values == [8, 16, 32, 64, 128]
+    assert len(report.errors) == 4  # ||F(m_(i+1)) - F(m_i)||
+    ref = wp.cos_sqrt_sum_oracle([a, b], 0.3) @ h
+    _, with_ref = wp.cos_noncomm(a, b, h, 0.3, tol=1e-6, reference=ref)
+    assert with_ref.m_values == report.m_values
+    assert len(with_ref.errors) == 5  # ||F(m_i) - reference||
