@@ -15,9 +15,10 @@ is applied.
 
 The product is even in every w_i, so the average is taken on the simplex
 in u_i = w_i^2, where the sphere and ball measures are Dirichlet
-measures.  The coefficient of t^(2k) is a degree-k polynomial in u,
-integrated exactly by the stick-breaking Dirichlet Gauss-Jacobi rule of
-level N >= k.  _cos_product_average never forms that rule's tensor
+measures.  The coefficient of t^(2k) is a degree-k polynomial in u, so
+the series truncated at order N is integrated exactly by the
+stick-breaking Dirichlet Gauss-Jacobi rule whose level is N, the series
+order itself.  _cos_product_average never forms that rule's tensor
 nodes: each monomial's integral is a product of one-dimensional stick
 moments, so the sum factorizes one stick at a time (sum factorization)
 at about n * N^2 / 2 matrix products in every dimension n.
@@ -149,14 +150,15 @@ def _truncation_order(norm_sum: float, t: float, m: int) -> int:
     )
 
 
-def _cos_product_average(squares, level: int, order: int, sphere: bool):
+def _cos_product_average(squares, order: int, sphere: bool):
     """Average of the even t-series of cos(t w_1 X_1)...cos(t w_n X_n), and the rule's moment error.
 
     squares[i] = X_i^2; the product keeps its factor order, so the X_i
     need not commute.  The average is over S^(n-1) (sphere) or the unit
     ball against (1-|w|^2)^(-1/2), taken on the simplex in u_i = w_i^2
-    with the stick-breaking Dirichlet rule of this level.  The coefficient
-    of t^(2k) is sum over a_1+...+a_n = k of E[u^a] P_1[a_1]...P_n[a_n],
+    with the stick-breaking Dirichlet rule of level order, exact for the
+    degree-order coefficients.  The coefficient of t^(2k) is sum over
+    a_1+...+a_n = k of E[u^a] P_1[a_1]...P_n[a_n],
     P_i[a] = (-1)^a X_i^(2a)/(2a)!, and E[u^a] is a product of per-stick
     moments c_i[a_i, a_(i+1)+...+a_n], so the tensor sum factorizes one
     stick at a time, from the last to the first:
@@ -168,10 +170,10 @@ def _cos_product_average(squares, level: int, order: int, sphere: bool):
     Returns the (order+1, d, d) coefficients, the sphere's carrying the
     factor 2 of its surface measure, and the moment error of the rule.
     The stick moments and that error come from quadrature._stick_rule,
-    built once per process for each (n, level, top).
+    built once per process for each (n, order, top).
     """
     n, d = len(squares), squares[0].shape[0]
-    moments, moment_error = _stick_rule((0.5,) * (n + (not sphere)), level, max(order, PROBE_DEGREE))
+    moments, moment_error = _stick_rule((0.5,) * (n + (not sphere)), order, max(order, PROBE_DEGREE))
 
     def table(x2):
         p = np.empty((order + 1, d, d), dtype=complex)
@@ -196,7 +198,7 @@ def _cos_product_average(squares, level: int, order: int, sphere: bool):
     return coeffs, moment_error
 
 
-def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
+def _ascent_series(fam: CommutingFamily, t: float):
     """Bracket coefficients of t^(2k), ladder depth m, prefactor and rule moment error at t.
 
     n = 2m is averaged over the ball, n = 2m+1 over the sphere with an
@@ -207,39 +209,35 @@ def _ascent_series(fam: CommutingFamily, t: float, rule_level: int | None):
     n = len(fam)
     m, odd = n // 2, n % 2 == 1
     order = _truncation_order(fam.norm_sum(), t, m)
-    level = order if rule_level is None else rule_level
-    if level < order:
-        raise ValueError(
-            f"quadrature level {level} cannot integrate the degree-{order} "
-            f"series terms; need level >= {order}"
-        )
     prefactor = (0.5 if odd else 1.0) * (2.0 * math.pi) ** (-m)
-    coeffs, moment_error = _cos_product_average([a @ a for a in fam.operators], level, order, sphere=odd)
+    coeffs, moment_error = _cos_product_average([a @ a for a in fam.operators], order, sphere=odd)
     return coeffs, m, prefactor, moment_error
 
 
-def cos_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
+def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
     """cos(t sqrt(sum A_i^2)) for a commuting family.
 
     Realizes (2 pi)^(-m) D [ t^(2m-1) average of the cosine product ],
     the ball average for n = 2m and half the sphere average for n = 2m+1,
-    with the integrand expanded per node as an even series in t.  n = 1
-    degenerates to the plain two-point average, which reproduces cos(t A)
-    exactly.
+    with the integrand expanded as an even series in t to the order N its
+    tail bound picks, and averaged by the Dirichlet rule of level N, which
+    integrates every kept term exactly.  n = 1 degenerates to the plain
+    two-point average, which reproduces cos(t A) exactly.
     """
-    coeffs, m, prefactor, _ = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, _ = _ascent_series(fam, t)
     return prefactor * _ladder_sum(coeffs, t, m, sine=False)
 
 
-def sin_ascent(fam: CommutingFamily, t: float, rule_level: int | None = None) -> np.ndarray:
+def sin_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
     """sin(t sqrt(sum A_i^2)) / sqrt(sum A_i^2) for a commuting family.
 
     The cosine formula with the left-most d/dt of the ladder dropped; the
     coefficient of t^(2k) gains 1/(2k+1) relative to the cosine ladder and
-    the result is odd in t.  At sum A_i^2 = 0 the value is t times the
+    the result is odd in t.  The series order and the rule level are
+    those of cos_ascent.  At sum A_i^2 = 0 the value is t times the
     identity, matching the spectral convention.
     """
-    coeffs, m, prefactor, _ = _ascent_series(fam, t, rule_level)
+    coeffs, m, prefactor, _ = _ascent_series(fam, t)
     return prefactor * _ladder_sum(coeffs, t, m, sine=True)
 
 

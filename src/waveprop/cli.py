@@ -131,10 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ascent", parents=[common], help="commuting-family cosine via quadrature ladder")
     p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--level", type=_positive_int, default=None)
-    p.add_argument("--parity", choices=("even", "odd"), default=None,
-                   help="family size parity when generating the fixture")
-    p.add_argument("--count", type=_positive_int, default=None, help="number of operators")
+    p.add_argument("--count", type=_positive_int, default=2,
+                   help="number of operators: odd takes the sphere route, even the ball (default 2)")
     p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--fixture", default=None, help="commuting-family fixture JSON")
 
@@ -277,20 +275,14 @@ def _cmd_ascent(args) -> int:
             return 2
         mats = decoded["matrices"]
     else:
-        count = args.count or (3 if args.parity == "odd" else 2)
-        mats = fixture_from_json(commuting_family_fixture(count, args.dim, args.seed))["matrices"]
-    if args.parity is not None and len(mats) % 2 != (1 if args.parity == "odd" else 0):
-        sys.stderr.write(f"error: --parity {args.parity} conflicts with a family of {len(mats)} operators\n")
-        return 2
-    fam = CommutingFamily(mats)
-    result = cos_ascent(fam, args.t, rule_level=args.level)
+        mats = fixture_from_json(commuting_family_fixture(args.count, args.dim, args.seed))["matrices"]
+    result = cos_ascent(CommutingFamily(mats), args.t)
     oracle = cos_sqrt_sum_oracle(mats, args.t)
     gap = float(np.linalg.norm(result - oracle))
     report = {
         "subcommand": "ascent",
         "formula": "sphere-cosine-ladder" if len(mats) % 2 else "ball-cosine-ladder",
-        "inputs": {"t": args.t, "count": len(mats), "dim": int(mats[0].shape[0]),
-                   "level": args.level, "seed": args.seed},
+        "inputs": {"t": args.t, "count": len(mats), "dim": int(mats[0].shape[0]), "seed": args.seed},
         "result": matrix_to_json(result),
         "gaps": {"oracle_frobenius": gap},
         "tolerances": {"oracle_frobenius": 1e-5},
@@ -388,17 +380,10 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_oscillator(args) -> int:
-    import numpy as np
+    from .pde import _hermite_state, harmonic_oscillator
 
-    from .fields import GridField
-    from .pde import harmonic_oscillator
-
-    field = GridField(np.zeros(args.grid), (16.0,), (-8.0,))
-    x = field.axis_coordinates(0)
-    profile = x * np.exp(-(x ** 2) / 2.0) if args.excited else np.exp(-(x ** 2) / 2.0)
-    field.values = profile.astype(complex)
     propagated, report, diagnostics = harmonic_oscillator(
-        field, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap
+        _hermite_state(args.grid, args.excited), args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap
     )
     payload = {
         "subcommand": "oscillator",
@@ -414,19 +399,9 @@ def _cmd_oscillator(args) -> int:
 
 
 def _cmd_grushin(args) -> int:
-    import math
+    from .pde import _grushin_field, grushin_demo
 
-    import numpy as np
-
-    from .fields import GridField
-    from .pde import grushin_demo
-
-    n = args.grid
-    box = 2.0 * math.pi
-    field = GridField(np.zeros((n, n)), (box, box), (-math.pi, 0.0))
-    x1 = field.axis_coordinates(0)
-    field.values = np.repeat(np.exp(np.cos(x1))[:, None], n, axis=1).astype(complex)
-    propagated, report, diagnostics = grushin_demo(field, args.t, tol=args.tol)
+    propagated, report, diagnostics = grushin_demo(_grushin_field(args.grid), args.t, tol=args.tol)
     gaps = {"oracle_relative": diagnostics["oracle_gap"]}
     tols = {"oracle_relative": 1e-6}
     if "collapse_gap" in diagnostics:
@@ -435,7 +410,7 @@ def _cmd_grushin(args) -> int:
     payload = {
         "subcommand": "grushin",
         "formula": "splitting-series-grushin",
-        "inputs": {"grid": n, "t": args.t, "tol": args.tol, "seed": args.seed},
+        "inputs": {"grid": args.grid, "t": args.t, "tol": args.tol, "seed": args.seed},
         "report": report.to_dict(),
         "gaps": gaps,
         "tolerances": tols,

@@ -79,22 +79,29 @@ class GridField:
         return float(np.linalg.norm(self.values))
 
 
-def _k_grids(field: GridField) -> list[np.ndarray]:
-    shape = field.shape
-    out = []
+def _axis_sum_of_squares(field: GridField, axis_values) -> np.ndarray:
+    """sum over axes of axis_values(axis)^2, each 1-D array broadcast along its axis."""
+    total = np.zeros(field.shape)
     for axis in range(field.dim):
-        k = field.wavenumbers(axis)
-        view = [None] * field.dim
-        view[axis] = slice(None)
-        out.append(k[tuple(view)] * np.ones(shape))
-    return out
+        shape = [1] * field.dim
+        shape[axis] = -1
+        total += axis_values(axis).reshape(shape) ** 2
+    return total
 
 
 def _k_squared(field: GridField) -> np.ndarray:
-    total = np.zeros(field.shape)
-    for kg in _k_grids(field):
-        total += kg.real ** 2
-    return total
+    """|k|^2 at every discrete wavenumber of the grid."""
+    return _axis_sum_of_squares(field, field.wavenumbers)
+
+
+def _periodic_r2(field: GridField, center) -> np.ndarray:
+    """Squared distance from every grid point to the nearest periodic image of center."""
+
+    def offsets(axis):
+        length = field.lengths[axis]
+        return (field.axis_coordinates(axis) - center[axis] + length / 2.0) % length - length / 2.0
+
+    return _axis_sum_of_squares(field, offsets)
 
 
 def wave_symbol(field: GridField) -> np.ndarray:
@@ -128,15 +135,7 @@ def gaussian_bump(shape, lengths, center, sigma: float, origins=None, amplitude:
     """Gaussian bump exp(-|x-center|^2 / (2 sigma^2)) sampled on the box."""
     shape = tuple(np.atleast_1d(shape).astype(int))
     template = GridField(np.zeros(shape, dtype=complex), lengths, origins)
-    center = np.atleast_1d(center).astype(float)
-    r2 = np.zeros(shape)
-    for axis in range(template.dim):
-        x = template.axis_coordinates(axis) - center[axis]
-        # nearest periodic image
-        x = (x + template.lengths[axis] / 2.0) % template.lengths[axis] - template.lengths[axis] / 2.0
-        view = [None] * template.dim
-        view[axis] = slice(None)
-        r2 = r2 + (x[tuple(view)] ** 2) * np.ones(shape)
+    r2 = _periodic_r2(template, np.atleast_1d(center).astype(float))
     template.values = amplitude * np.exp(-r2 / (2.0 * sigma * sigma)).astype(complex)
     return template
 
@@ -166,16 +165,10 @@ def assert_no_wrap(field: GridField, t: float, support_radius: float | None = No
             return
         idx = np.unravel_index(int(mag.argmax()), field.shape)
         mask = mag > 1e-12 * peak
-        r2 = np.zeros(field.shape)
-        for axis in range(field.dim):
-            x = field.axis_coordinates(axis) - field.axis_coordinates(axis)[idx[axis]]
-            x = (x + field.lengths[axis] / 2.0) % field.lengths[axis] - field.lengths[axis] / 2.0
-            view = [None] * field.dim
-            view[axis] = slice(None)
-            r2 = r2 + (x[tuple(view)] ** 2) * np.ones(field.shape)
         if not mask.any():
             return
-        support_radius = float(np.sqrt(r2[mask].max()))
+        center = [field.axis_coordinates(axis)[idx[axis]] for axis in range(field.dim)]
+        support_radius = float(np.sqrt(_periodic_r2(field, center)[mask].max()))
         if support_radius > 0.45 * min(field.lengths):
             return  # field fills the box (e.g. constants); wrap is meaningless
     if abs(t) + support_radius >= min(field.lengths) / 2.0:

@@ -392,17 +392,17 @@ def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]
     return [float(np.linalg.norm(target - series[n])) for series in walk]
 
 
-def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
-                             rule_level: int | None = None,
-                             order: int | None = None):
+def fm_quadrature_crosscheck(a, b, h, t: float, m: int, order: int | None = None):
     """Evaluate F_m(t) h twice: series route and literal ball quadrature.
 
     The quadrature route averages cos(t w_1 A/sqrt(m)) cos(t w_2 B/sqrt(m))
     ... h over the unit ball in dimension 2m against (1-|w|^2)^(-1/2),
     with the ascent's evaluator (ascent._cos_product_average): the even
     t-series of the ordered product, integrated on the simplex in u = w^2
-    one stick at a time, factor i on stick i.  It then applies the
-    derivative ladder with prefactor (2 pi)^(-m).  Small m only; returns
+    one stick at a time, factor i on stick i, by the Dirichlet rule whose
+    level is the series order, so the rule integrates the truncated series
+    exactly.  It then applies the derivative ladder with prefactor
+    (2 pi)^(-m).  Small m only; returns
     (series, quadrature, gap).
     """
     if not 1 <= m <= 3:
@@ -411,10 +411,7 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int,
     (series,) = _depths(bases, vec, order, _checked_depths([m], order))
     series_value = _series_sum(series, t, sine=False)
 
-    level = order if rule_level is None else rule_level
-    if level < order:
-        raise ValueError(f"rule level {level} below series order {order}")
     squares = [mat @ mat / m for mat in [amat, bmat] * m]
-    bracket, _ = _cos_product_average(squares, level, order, sphere=False)
+    bracket, _ = _cos_product_average(squares, order, sphere=False)
     quad_value = _ladder_sum(bracket @ vec, t, m, sine=False) * (2.0 * math.pi) ** (-m)
     return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))

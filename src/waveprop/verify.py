@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -27,39 +26,25 @@ from .operators import (
 )
 from .serialization import fixture_from_json, load_json_file
 
-__all__ = ["CheckResult", "list_checks", "run_checks", "run_fixture_check"]
+__all__ = ["list_checks", "run_checks", "run_fixture_check"]
 
 _BOX = 2.0 * math.pi
 
 
-@dataclass
-class CheckResult:
-    name: str
-    formula: str
-    gaps: dict
-    tolerances: dict
-    passed: bool
-    warnings: list = dataclass_field(default_factory=list)
-    details: dict = dataclass_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "formula": self.formula,
-            "gaps": self.gaps,
-            "tolerances": self.tolerances,
-            "passed": self.passed,
-            "warnings": list(self.warnings),
-            "details": self.details,
-        }
+def _result(name, formula, gaps, tolerances, warnings_list=None, details=None) -> dict:
+    """One check's report: its gaps, the tolerances they were held to and whether all held."""
+    return {
+        "name": name,
+        "formula": formula,
+        "gaps": gaps,
+        "tolerances": tolerances,
+        "passed": all(gaps[k] <= tolerances[k] for k in tolerances),
+        "warnings": list(warnings_list or []),
+        "details": details or {},
+    }
 
 
-def _result(name, formula, gaps, tolerances, warnings_list=None, details=None) -> CheckResult:
-    passed = all(gaps[k] <= tolerances[k] for k in tolerances)
-    return CheckResult(name, formula, gaps, tolerances, passed, warnings_list or [], details or {})
-
-
-def _check_moments(seed: int) -> CheckResult:
+def _check_moments(seed: int) -> dict:
     gaps = {}
     worst_fact = 0.0
     for d in (2, 4):
@@ -90,7 +75,7 @@ def _check_moments(seed: int) -> CheckResult:
     return _result("moments", "unit-ball-moment-closed-form", gaps, tols)
 
 
-def _check_sphere_area(seed: int) -> CheckResult:
+def _check_sphere_area(seed: int) -> dict:
     closed = {3: 4 * math.pi, 5: 8 * math.pi ** 2 / 3, 7: 16 * math.pi ** 3 / 15, 9: 32 * math.pi ** 4 / 105}
     gaps = {}
     worst = 0.0
@@ -112,7 +97,7 @@ def _check_sphere_area(seed: int) -> CheckResult:
     )
 
 
-def _check_rule_symmetry(seed: int) -> CheckResult:
+def _check_rule_symmetry(seed: int) -> dict:
     two = pde.cos_to_exp_rewrite_check((1.0, 1.0), 1.0)
     three = pde.cos_to_exp_rewrite_check((1.0, 0.0, 1.0), 1.0)
     gaps = {
@@ -125,7 +110,7 @@ def _check_rule_symmetry(seed: int) -> CheckResult:
     return _result("rule-symmetry", "sign-symmetric-rewrite", gaps, tols)
 
 
-def _check_scalar_ascent(seed: int) -> CheckResult:
+def _check_scalar_ascent(seed: int) -> dict:
     fam2 = ascent.CommutingFamily([np.eye(1), np.eye(1)])
     fam3 = ascent.CommutingFamily([np.eye(1)] * 3)
     gaps = {}
@@ -138,7 +123,7 @@ def _check_scalar_ascent(seed: int) -> CheckResult:
     return _result("scalar-ascent", "scalar-cosine-ladder", gaps, tols)
 
 
-def _check_matrix_ascent(seed: int) -> CheckResult:
+def _check_matrix_ascent(seed: int) -> dict:
     rng = np.random.default_rng(seed + 61)
     mats = [np.diag(rng.uniform(-1.0, 1.0, 3).astype(complex)) for _ in range(4)]
     fam = ascent.CommutingFamily(mats)
@@ -157,7 +142,7 @@ def _check_matrix_ascent(seed: int) -> CheckResult:
     )
 
 
-def _check_transmutation(seed: int) -> CheckResult:
+def _check_transmutation(seed: int) -> dict:
     b = random_hermitian(6, seed=seed + 17)
     gaps = {}
     for rho in (0.1, 1.0):
@@ -171,7 +156,7 @@ def _check_transmutation(seed: int) -> CheckResult:
     )
 
 
-def _check_product_heat(seed: int) -> CheckResult:
+def _check_product_heat(seed: int) -> dict:
     rng = np.random.default_rng(seed + 29)
     fam = ascent.CommutingFamily(
         [np.diag(rng.uniform(-1.0, 1.0, 3).astype(complex)) for _ in range(2)]
@@ -185,7 +170,7 @@ def _check_product_heat(seed: int) -> CheckResult:
     )
 
 
-def _check_splitting_convergence(seed: int) -> CheckResult:
+def _check_splitting_convergence(seed: int) -> dict:
     rng = np.random.default_rng(seed + 5)
     a = random_hermitian(4, rng=rng, norm=1.0)
     b = random_hermitian(4, rng=rng, norm=1.0)
@@ -215,7 +200,7 @@ def _check_splitting_convergence(seed: int) -> CheckResult:
     return _result("splitting-convergence", "splitting-series-limit", gaps, tols, details=details)
 
 
-def _check_series_quadrature(seed: int) -> CheckResult:
+def _check_series_quadrature(seed: int) -> dict:
     rng = np.random.default_rng(seed + 43)
     a = random_hermitian(3, rng=rng, norm=1.0)
     b = random_hermitian(3, rng=rng, norm=1.0)
@@ -229,7 +214,7 @@ def _check_series_quadrature(seed: int) -> CheckResult:
     )
 
 
-def _check_taylor_limit(seed: int) -> CheckResult:
+def _check_taylor_limit(seed: int) -> dict:
     rng = np.random.default_rng(seed + 11)
     a = random_hermitian(4, rng=rng, norm=1.0)
     b = random_hermitian(4, rng=rng, norm=1.0)
@@ -250,7 +235,7 @@ def _check_taylor_limit(seed: int) -> CheckResult:
     )
 
 
-def _check_sine_routes(seed: int) -> CheckResult:
+def _check_sine_routes(seed: int) -> dict:
     rng = np.random.default_rng(seed + 71)
     mats = [np.diag(rng.uniform(-1.0, 1.0, 3).astype(complex)) for _ in range(3)]
     fam = ascent.CommutingFamily(mats)
@@ -282,7 +267,7 @@ def _bump2(n=64, sigma=0.3, box=_BOX):
     return gaussian_bump((n, n), (box, box), (box / 2, box / 2), sigma)
 
 
-def _check_wave2d(seed: int) -> CheckResult:
+def _check_wave2d(seed: int) -> dict:
     f = _bump2()
     t = 0.5
     u = pde.wave2d_poisson(f, t)
@@ -301,7 +286,7 @@ def _check_wave2d(seed: int) -> CheckResult:
     )
 
 
-def _check_wave3d(seed: int) -> CheckResult:
+def _check_wave3d(seed: int) -> dict:
     f = gaussian_bump((32, 32, 32), (_BOX,) * 3, (_BOX / 2,) * 3, 0.35)
     t = 0.4
     u = pde.wave3d_kirchhoff(f, t)
@@ -314,7 +299,7 @@ def _check_wave3d(seed: int) -> CheckResult:
     )
 
 
-def _check_ladder_routes(seed: int) -> CheckResult:
+def _check_ladder_routes(seed: int) -> dict:
     f = _bump2()
     t = 0.5
     tube = GridField(np.repeat(f.values[:, :, None], 8, axis=2), (_BOX,) * 3)
@@ -338,7 +323,7 @@ def _check_ladder_routes(seed: int) -> CheckResult:
     )
 
 
-def _check_huygens(seed: int) -> CheckResult:
+def _check_huygens(seed: int) -> dict:
     # 3-D: a point the front has not reached stays below 1e-8
     sigma = 0.25
     f = gaussian_bump((64, 64, 64), (_BOX,) * 3, (_BOX / 2,) * 3, sigma)
@@ -364,7 +349,7 @@ def _check_huygens(seed: int) -> CheckResult:
     )
 
 
-def _check_mass_kernels(seed: int) -> CheckResult:
+def _check_mass_kernels(seed: int) -> dict:
     f1 = gaussian_bump((256,), (_BOX,), (_BOX / 2,), 0.25)
     t, a = 0.5, 1.0
     u = pde.klein_gordon(f1, t, a)
@@ -391,18 +376,14 @@ def _check_mass_kernels(seed: int) -> CheckResult:
     return _result("mass-kernels", "interval-bessel-mass-average", gaps, tols)
 
 
-def _check_oscillator(seed: int) -> CheckResult:
-    n = 64
-    f = GridField(np.zeros(n), (16.0,), (-8.0,))
-    x = f.axis_coordinates(0)
-    f.values = np.exp(-(x ** 2) / 2).astype(complex)
+def _check_oscillator(seed: int) -> dict:
+    f = pde._hermite_state(64, excited=False)
     t = 0.2
-    a_mat = pde.spectral_derivative_matrix(n, 16.0)
-    b_mat = np.diag(x.astype(complex))
+    a_mat, b_mat = pde._oscillator_pair(f)
     reference = cos_sqrt_sum_oracle([a_mat, b_mat], t, f.values)
     got = trotter.fm_evaluate(a_mat, b_mat, f.values, t, 32)
     gap = float(np.linalg.norm(got - reference) / np.linalg.norm(reference))
-    excited = f.like((x * np.exp(-(x ** 2) / 2)).astype(complex))
+    excited = pde._hermite_state(64, excited=True)
     u, _, diag = pde.harmonic_oscillator(excited, t, tol=1e-6)
     factor_gap = float(
         np.linalg.norm(u.values - math.cos(math.sqrt(3.0) * t) * excited.values)
@@ -413,12 +394,8 @@ def _check_oscillator(seed: int) -> CheckResult:
     return _result("oscillator", "splitting-series-oscillator", gaps, tols)
 
 
-def _check_grushin(seed: int) -> CheckResult:
-    n = 12
-    g = GridField(np.zeros((n, n)), (_BOX, _BOX), (-math.pi, 0.0))
-    x1 = g.axis_coordinates(0)
-    g.values = np.repeat(np.exp(np.cos(x1))[:, None], n, axis=1).astype(complex)
-    _, report, diag = pde.grushin_demo(g, 0.2, tol=1e-8)
+def _check_grushin(seed: int) -> dict:
+    _, report, diag = pde.grushin_demo(pde._grushin_field(12), 0.2, tol=1e-8)
     gaps = {
         "oracle_gap": diag["oracle_gap"],
         "collapse_gap": diag.get("collapse_gap", float("inf")),
@@ -432,7 +409,7 @@ def _check_grushin(seed: int) -> CheckResult:
     )
 
 
-def _check_double_angle(seed: int) -> CheckResult:
+def _check_double_angle(seed: int) -> dict:
     f = _bump2(sigma=0.25)
     t = 0.35
     twice = pde.wave_general(f, 2 * t)
@@ -447,7 +424,7 @@ def _check_double_angle(seed: int) -> CheckResult:
     )
 
 
-def _check_energy_time_symmetry(seed: int) -> CheckResult:
+def _check_energy_time_symmetry(seed: int) -> dict:
     f = _bump2(sigma=0.3)
     t = 0.5
     u = pde.wave_general(f, t)
@@ -499,7 +476,7 @@ def list_checks() -> list[tuple[str, str]]:
     return [(name, desc) for name, desc, _ in _REGISTRY]
 
 
-def run_fixture_check(path) -> CheckResult:
+def run_fixture_check(path) -> dict:
     """Transmutation identity on a user-supplied matrix fixture.
 
     Non-Hermitian input is symmetrized by the operator wrapper; the
@@ -544,7 +521,7 @@ def run_checks(names=None, seed: int = 0, fixture=None) -> dict:
         results.append(run_fixture_check(fixture))
     return {
         "seed": seed,
-        "checks": [r.to_dict() for r in results],
-        "passed": all(r.passed for r in results),
-        "failures": [r.name for r in results if not r.passed],
+        "checks": results,
+        "passed": all(r["passed"] for r in results),
+        "failures": [r["name"] for r in results if not r["passed"]],
     }

@@ -86,10 +86,12 @@ def test_ascent_odd_count_uses_sphere_formula(tmp_path):
     assert json.loads(out)["formula"] == "sphere-cosine-ladder"
 
 
-def test_ascent_parity_conflict_is_usage_error():
-    code, _, err = run_cli(["ascent", "--parity", "odd", "--count", "2"])
-    assert code == 2
-    assert "conflicts" in err
+def test_ascent_has_no_level_or_parity_option():
+    # the rule level is the series order and --count sets the parity
+    for argv in (["ascent", "--level", "40"], ["ascent", "--parity", "odd"]):
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
 
 def test_noncomm_writes_error_table(tmp_path):

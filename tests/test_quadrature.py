@@ -450,7 +450,7 @@ def test_cold_and_warm_rule_caches_give_identical_outputs():
 
     def outputs():
         rule = _dirichlet_rule([0.5, 1.0, 1.5], 9)
-        return [wp.cos_ascent(fam, 0.7), wp.sin_ascent(fam, 0.7), _ascent_series(fam, 0.7, None)[3],
+        return [wp.cos_ascent(fam, 0.7), wp.sin_ascent(fam, 0.7), _ascent_series(fam, 0.7)[3],
                 *wp.fm_quadrature_crosscheck(a, b, h, 0.4, 2), rule.nodes, rule.weights, rule.moment_error]
 
     _clear_rule_caches()

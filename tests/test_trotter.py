@@ -236,12 +236,6 @@ def test_quadrature_crosscheck_small_m():
     assert gap <= 1e-10
 
 
-def test_quadrature_crosscheck_refuses_a_rule_below_the_series_order(unit_pair):
-    a, b, h = unit_pair
-    with pytest.raises(ValueError, match=r"^rule level 2 below series order \d+$"):
-        wp.fm_quadrature_crosscheck(a, b, h, 0.2, 2, rule_level=2)
-
-
 def test_quadrature_crosscheck_rejects_large_m(unit_pair):
     a, b, h = unit_pair
     with pytest.raises(ValueError, match="m in"):

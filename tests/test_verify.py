@@ -67,7 +67,7 @@ def test_moment_check_batches_every_probe(monkeypatch):
 
     monkeypatch.setattr(quadrature, "stable_sum", counted_sum)
     monkeypatch.setattr(quadrature, "_monomial_moments", counted_kernel)
-    assert verify._check_moments(0).passed
+    assert verify._check_moments(0)["passed"]
     # one check call for each of the d=2 and d=4 rules (their self-tests read
     # stick moments); stable_sum only takes the rules' 2-D first moments, never one probe
     assert len(kernel_calls) == 2
