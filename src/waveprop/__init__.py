@@ -15,75 +15,25 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    # operators
-    "HermitianOperator": "operators",
-    "SpectralDecomposition": "operators",
-    "as_matrix": "operators",
-    "cos_sqrt_sum_oracle": "operators",
-    "sinc_sqrt_sum_oracle": "operators",
-    "random_hermitian": "operators",
-    "random_state": "operators",
-    # quadrature
-    "SphereRule": "quadrature",
-    "BallRule": "quadrature",
-    "build_sphere_rule": "quadrature",
-    "build_ball_rule": "quadrature",
-    "dirichlet_moment": "quadrature",
-    "ball_moment": "quadrature",
-    "dirichlet_moment_double_factorial": "quadrature",
-    "gamma_duplication_check": "quadrature",
-    "sphere_area": "quadrature",
-    "stable_sum": "quadrature",
-    # commutative ascent
-    "CommutingFamily": "ascent",
-    "cos_ascent": "ascent",
-    "sin_ascent": "ascent",
-    "transmutation_check": "ascent",
-    "product_heat_expansion_check": "ascent",
-    # splitting series
-    "ConvergenceReport": "trotter",
-    "taylor_series_build": "trotter",
-    "fm_evaluate": "trotter",
-    "fm_evaluate_q": "trotter",
-    "sin_fm_evaluate": "trotter",
-    "cos_noncomm": "trotter",
-    "cos_noncomm_q": "trotter",
-    "sin_noncomm": "trotter",
-    "taylor_limit_check": "trotter",
-    "fm_quadrature_crosscheck": "trotter",
-    # grid fields
-    "GridField": "fields",
-    "wave_symbol": "fields",
-    "klein_gordon_symbol": "fields",
-    "damped_symbol": "fields",
-    "spectral_wave_reference": "fields",
-    "gaussian_bump": "fields",
-    "effective_support_radius": "fields",
-    "relative_l2_gap": "fields",
-    "assert_no_wrap": "fields",
-    # pde lab
-    "wave_general": "pde",
-    "wave2d_poisson": "pde",
-    "wave3d_kirchhoff": "pde",
-    "klein_gordon": "pde",
-    "damped_wave": "pde",
-    "bessel_kernel_check": "pde",
-    "cos_to_exp_rewrite_check": "pde",
-    "spectral_derivative_matrix": "pde",
-    "harmonic_oscillator": "pde",
-    "grushin_demo": "pde",
-}
+# each module is listed after the modules it imports, so a lookup loads
+# only the modules before the name's own: numpy-only ones and its imports
+_MODULES = ("operators", "fields", "quadrature", "ascent", "trotter", "pde")
 
-__all__ = sorted(_EXPORTS) + ["__version__"]
+
+def _exports() -> list:
+    return sorted(name for module in _MODULES
+                  for name in import_module(f".{module}", __name__).__all__) + ["__version__"]
 
 
 def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
+    if name == "__all__":
+        return _exports()
+    for module in _MODULES:
+        mod = import_module(f".{module}", __name__)
+        if name in mod.__all__:
+            return getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return __all__
+    return _exports()

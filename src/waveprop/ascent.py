@@ -40,6 +40,7 @@ from .operators import (
     SeriesCapError,
     SpectralDecomposition,
     _checked_operators,
+    _checked_time,
     as_matrix,
 )
 from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
@@ -204,8 +205,7 @@ def _ascent_series(fam: CommutingFamily, t: float):
     n = 2m is averaged over the ball, n = 2m+1 over the sphere with an
     extra factor 1/2.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got t = {t}")
+    _checked_time(t)
     n = len(fam)
     m, odd = n // 2, n % 2 == 1
     order = _truncation_order(fam.norm_sum(), t, m)

@@ -246,6 +246,16 @@ def _box_fixture(args, dim: int):
     return gaussian_bump((n,) * dim, (box,) * dim, (box / 2.0,) * dim, sigma), n, sigma
 
 
+def _fixture(args, kind: str) -> dict:
+    """The decoded --fixture file, refused (exit 2) unless it holds a fixture of this kind."""
+    from .serialization import fixture_from_json, load_json_file
+
+    decoded = fixture_from_json(load_json_file(args.fixture), where=args.fixture)
+    if decoded["kind"] != kind:
+        raise ValueError(f"{args.subcommand} expects a {kind} fixture")
+    return decoded
+
+
 def _cmd_verify(args) -> int:
     from .verify import list_checks, run_checks
 
@@ -266,14 +276,10 @@ def _cmd_ascent(args) -> int:
 
     from .ascent import CommutingFamily, cos_ascent
     from .operators import cos_sqrt_sum_oracle
-    from .serialization import commuting_family_fixture, fixture_from_json, load_json_file, matrix_to_json
+    from .serialization import commuting_family_fixture, fixture_from_json, matrix_to_json
 
     if args.fixture:
-        decoded = fixture_from_json(load_json_file(args.fixture), where=args.fixture)
-        if decoded["kind"] != "commuting-family":
-            sys.stderr.write("error: ascent expects a commuting-family fixture\n")
-            return 2
-        mats = decoded["matrices"]
+        mats = _fixture(args, "commuting-family")["matrices"]
     else:
         mats = fixture_from_json(commuting_family_fixture(args.count, args.dim, args.seed))["matrices"]
     result = cos_ascent(CommutingFamily(mats), args.t)
@@ -295,14 +301,11 @@ def _cmd_noncomm(args) -> int:
     import numpy as np
 
     from .operators import cos_sqrt_sum_oracle, random_hermitian, random_state
-    from .serialization import fixture_from_json, load_json_file, vector_to_json
-    from .trotter import cos_noncomm_q
+    from .serialization import vector_to_json
+    from .trotter import cos_noncomm
 
     if args.fixture:
-        decoded = fixture_from_json(load_json_file(args.fixture), where=args.fixture)
-        if decoded["kind"] != "hermitian-pair":
-            sys.stderr.write("error: noncomm expects a hermitian-pair fixture\n")
-            return 2
+        decoded = _fixture(args, "hermitian-pair")
         ops = [decoded["a"], decoded["b"]]
         h = decoded["h"]
         if h is None:
@@ -312,7 +315,7 @@ def _cmd_noncomm(args) -> int:
         ops = [random_hermitian(args.dim, rng=rng, norm=1.0) for _ in range(args.q)]
         h = random_state(args.dim, rng=rng)
     reference = cos_sqrt_sum_oracle(ops, args.t, h)
-    result, report = cos_noncomm_q(
+    result, report = cos_noncomm(
         ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap,
         reference=reference, richardson=args.richardson,
     )

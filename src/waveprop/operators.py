@@ -4,10 +4,16 @@ Everything downstream treats these as the ground truth: cos_sqrt_sum_oracle
 and sinc_sqrt_sum_oracle diagonalize the sum of squares directly, so the
 lifted quadrature and splitting constructions always have an independent
 answer to be measured against.
+
+The input checks of every route live here, one copy of each refusal:
+_checked_operators, _checked_vector and _checked_time serve the oracles,
+the splitting entries, the ascent, the grid routes and HermitianOperator,
+so a route and its oracle refuse the same input with the same message.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,7 +43,9 @@ class HermitianOperator:
 
     Inputs whose Hermitian defect exceeds HERMITIAN_RTOL (relative,
     Frobenius) are symmetrized to (M + M*)/2 with a warning rather than
-    rejected; the `symmetrized` flag records that this happened.
+    rejected; the `symmetrized` flag records that this happened.  Every
+    other refusal of _checked_operators holds: the matrix must be square
+    and finite.
     """
 
     entries: np.ndarray
@@ -45,21 +53,19 @@ class HermitianOperator:
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        scale = np.linalg.norm(entries)
-        defect = np.linalg.norm(entries - entries.conj().T)
-        if scale > 0 and defect > HERMITIAN_RTOL * scale:
-            warnings.warn(
-                f"input is not Hermitian (relative defect {defect / scale:.3e}); "
-                "using the Hermitian part",
-                stacklevel=2,
-            )
-            entries = (entries + entries.conj().T) / 2.0
-            self.symmetrized = True
-        else:
-            self.symmetrized = False
-        self.entries = entries
+        self.symmetrized = False
+        if entries.ndim == 2 and entries.shape[0] == entries.shape[1]:
+            scale = np.linalg.norm(entries)
+            defect = np.linalg.norm(entries - entries.conj().T)
+            if scale > 0 and defect > HERMITIAN_RTOL * scale:  # False for a non-finite entry
+                warnings.warn(
+                    f"input is not Hermitian (relative defect {defect / scale:.3e}); "
+                    "using the Hermitian part",
+                    stacklevel=2,
+                )
+                entries = (entries + entries.conj().T) / 2.0
+                self.symmetrized = True
+        (self.entries,) = _checked_operators([entries])
 
     def decomposition(self) -> "SpectralDecomposition":
         return SpectralDecomposition.from_matrix(self.entries)
@@ -136,13 +142,36 @@ def _checked_operators(ops) -> list[np.ndarray]:
     return mats
 
 
-def _sum_of_squares(ops) -> np.ndarray:
+def _checked_vector(vector, dim: int) -> np.ndarray:
+    """The vector as a complex array, refused unless finite and of length dim."""
+    vec = np.asarray(vector, dtype=complex)
+    if vec.shape != (dim,):
+        raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {dim}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vector h has non-finite entries")
+    return vec
+
+
+def _checked_time(t: float) -> None:
+    """Refuse a time t that is not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got t = {t}")
+
+
+def _oracle(ops, t: float, vector, fn):
+    """fn of the sum of squares, as a matrix, or applied to the vector when one is given.
+
+    The inputs pass the routes' checks before the sum is formed.
+    """
+    _checked_time(t)
     mats = _checked_operators(ops)
-    d = mats[0].shape[0]
+    d = len(mats[0])
+    vec = None if vector is None else _checked_vector(vector, d)
     total = np.zeros((d, d), dtype=complex)
     for m in mats:
         total += m @ m
-    return total
+    dec = SpectralDecomposition.from_matrix(total)
+    return dec.matrix_function(fn) if vec is None else dec.apply(fn, vec)
 
 
 def cos_sqrt_sum_oracle(ops, t: float, vector=None):
@@ -151,16 +180,11 @@ def cos_sqrt_sum_oracle(ops, t: float, vector=None):
     Eigenvalues of the sum of squares are clipped at zero before the
     square root; the result is the reference for every lifted route.
     """
-    dec = SpectralDecomposition.from_matrix(_sum_of_squares(ops))
-    fn = lambda lam: np.cos(t * np.sqrt(np.clip(lam, 0.0, None)))
-    if vector is None:
-        return dec.matrix_function(fn)
-    return dec.apply(fn, np.asarray(vector, dtype=complex))
+    return _oracle(ops, t, vector, lambda lam: np.cos(t * np.sqrt(np.clip(lam, 0.0, None))))
 
 
 def sinc_sqrt_sum_oracle(ops, t: float, vector=None):
     """sin(t sqrt(S)) / sqrt(S) with the value t on the kernel of S."""
-    dec = SpectralDecomposition.from_matrix(_sum_of_squares(ops))
 
     def fn(lam):
         lam = np.clip(lam, 0.0, None)
@@ -172,9 +196,7 @@ def sinc_sqrt_sum_oracle(ops, t: float, vector=None):
         out[nz] = np.sin(t * root[nz]) / root[nz]
         return out
 
-    if vector is None:
-        return dec.matrix_function(fn)
-    return dec.apply(fn, np.asarray(vector, dtype=complex))
+    return _oracle(ops, t, vector, fn)
 
 
 def random_hermitian(dim: int, rng=None, norm: float | None = None, seed: int | None = None) -> np.ndarray:

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import gammaln, i0, i1, j0, j1
 
 from .fields import GridField, _k_squared, assert_no_wrap
-from .operators import cos_sqrt_sum_oracle
+from .operators import _checked_time, cos_sqrt_sum_oracle
 from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
 from .trotter import cos_noncomm
 
@@ -220,8 +220,7 @@ def _propagate(field, t, level, kind, a=None, hyperbolic=False):
     """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    if not np.isfinite(t):
-        raise ValueError(f"time t must be finite, got t = {t}")
+    _checked_time(t)
     _finite_values(field)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
@@ -377,7 +376,7 @@ def _oracle_drive(a_mat, b_mat, vec, t: float, **drive):
     drive holds cos_noncomm's tol and depth bounds; returns (u, report, gap).
     """
     reference = cos_sqrt_sum_oracle([a_mat, b_mat], t, vec)
-    u, report = cos_noncomm(a_mat, b_mat, vec, t, reference=reference, **drive)
+    u, report = cos_noncomm([a_mat, b_mat], vec, t, reference=reference, **drive)
     gap = float(np.linalg.norm(u - reference) / max(np.linalg.norm(reference), 1e-300))
     return u, report, gap
 

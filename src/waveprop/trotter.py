@@ -33,16 +33,19 @@ sweeps, and so does a whole drive that ends at depth m (the drivers
 double m, and a power-of-two scale is exact, so every depth is
 bit-identical to a build from h).
 
-The same machinery covers q operators (pattern A_1^2 .. A_q^2 repeated m
-times) and the smoothed sine series with coefficients n!/(2n+1)!.
-Inputs are checked once, at each public entry point: the operators must
-be square, of one shape, finite and Hermitian to HERMITIAN_RTOL
-(operators._checked_operators), h must be finite and match their
-dimension, and the time t must be finite.  The timed entries (the F_m
-evaluators, the m drivers and fm_quadrature_crosscheck) share one front
-end, _prepared: it checks the inputs, diagonalizes each factor, forms
-the series scales and picks the order whose tail bound is at most
-DEFAULT_ORDER_TOL.
+Every entry takes the ordered operator list [A_1, .., A_q] (pattern
+A_1^2 .. A_q^2 repeated m times); the smoothed sine series has
+coefficients n!/(2n+1)!.  Only taylor_limit_check and
+fm_quadrature_crosscheck take a pair (a, b), because they check the
+paper's pair identities.  Inputs are checked once, at each public entry
+point, by the checks the oracles use (operators._checked_operators,
+_checked_vector, _checked_time): the operators must be square, of one
+shape, finite and Hermitian to HERMITIAN_RTOL, h must be finite and
+match their dimension, and t must be finite.  The timed entries
+(the F_m evaluators, the m drivers and fm_quadrature_crosscheck) share
+one front end, _prepared: it checks the inputs, diagonalizes each
+factor, forms the series scales and picks the order whose tail bound is
+at most DEFAULT_ORDER_TOL.
 """
 
 from __future__ import annotations
@@ -53,16 +56,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import _cos_product_average, _ladder_sum
-from .operators import SeriesCapError, SpectralDecomposition, _checked_operators
+from .operators import (
+    SeriesCapError,
+    SpectralDecomposition,
+    _checked_operators,
+    _checked_time,
+    _checked_vector,
+)
 
 __all__ = [
     "ConvergenceReport",
     "taylor_series_build",
     "fm_evaluate",
-    "fm_evaluate_q",
     "sin_fm_evaluate",
     "cos_noncomm",
-    "cos_noncomm_q",
     "sin_noncomm",
     "taylor_limit_check",
     "fm_quadrature_crosscheck",
@@ -100,23 +107,6 @@ class ConvergenceReport:
             "caution_outside_radius": bool(self.caution_outside_radius),
             "verdict": self.verdict,
         }
-
-
-def _checked(ops, h, t: float | None = None):
-    """The operators as finite Hermitian matrices of one square shape, and h, a finite vector of that length.
-
-    A time t, when given, must be finite.
-    """
-    if t is not None and not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got t = {t}")
-    mats = _checked_operators(ops)
-    dim = len(mats[0])
-    vec = np.asarray(h, dtype=complex)
-    if vec.shape != (dim,):
-        raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {dim}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("vector h has non-finite entries")
-    return mats, vec
 
 
 @dataclass(eq=False)
@@ -208,7 +198,8 @@ def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
     factor exp(z X/m) updates the truncated series by
     v_k <- sum_j (X/m)^j / j! v_(k-j), taken in the eigenbasis of X.
     """
-    mats, vec = _checked(ops, h)
+    mats = _checked_operators(ops)
+    vec = _checked_vector(h, len(mats[0]))
     (series,) = _depths(_eigenbases(mats), vec, order, _checked_depths([m], order))
     return series
 
@@ -261,7 +252,9 @@ def _prepared(ops, h, t: float, order: int | None = None, sine: bool = False):
     Returns (mats, vec, bases, order, (amp, y, x, radius)); the order is
     the automatic one (_auto_order) unless given.
     """
-    mats, vec = _checked(ops, h, t)
+    _checked_time(t)
+    mats = _checked_operators(ops)
+    vec = _checked_vector(h, len(mats[0]))
     bases = _eigenbases(mats)  # one decomposition per operator for every depth
     scales = _series_scales(bases.norms, vec, t)
     if order is None:
@@ -284,14 +277,9 @@ def _fm(ops, h, t: float, m: int, order: int | None, sine: bool) -> np.ndarray:
     return _series_sum(series, t, sine)
 
 
-def fm_evaluate_q(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
+def fm_evaluate(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
     """F_m(t) h for the ordered operator family, cosine weights n!/(2n)!."""
     return _fm(ops, h, t, m, order, sine=False)
-
-
-def fm_evaluate(a, b, h, t: float, m: int, order: int | None = None) -> np.ndarray:
-    """Two-operator F_m(t) h."""
-    return fm_evaluate_q([a, b], h, t, m, order)
 
 
 def sin_fm_evaluate(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
@@ -344,9 +332,9 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
     return result, report
 
 
-def cos_noncomm(a, b, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
+def cos_noncomm(ops, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
                 reference=None, richardson: bool = False):
-    """Drive F_m(t) h upward in m until successive refinements settle.
+    """Drive F_m(t) h for the ordered operator list upward in m until successive refinements settle.
 
     Halts when consecutive depths differ by at most tol * ||h||; the
     report carries the visited depths, errors, the truncation order, the
@@ -356,21 +344,14 @@ def cos_noncomm(a, b, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
     the depths.  The depths m0, 2 m0, .. share one walk (_depths), so a
     drive that ends at depth M runs M sweeps.
     """
-    return _drive([a, b], h, t, tol, m0, m_cap, sine=False,
+    return _drive(ops, h, t, tol, m0, m_cap, sine=False,
                   reference=reference, richardson=richardson)
 
 
-def cos_noncomm_q(ops, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
-                  reference=None, richardson: bool = False):
-    """q-operator version of cos_noncomm."""
-    return _drive(list(ops), h, t, tol, m0, m_cap, sine=False,
-                  reference=reference, richardson=richardson)
-
-
-def sin_noncomm(a, b, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
+def sin_noncomm(ops, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
                 reference=None, richardson: bool = False):
-    """Splitting-series smoothed sine propagator applied to h."""
-    return _drive([a, b], h, t, tol, m0, m_cap, sine=True,
+    """Splitting-series smoothed sine propagator applied to h, driven as cos_noncomm."""
+    return _drive(ops, h, t, tol, m0, m_cap, sine=True,
                   reference=reference, richardson=richardson)
 
 
@@ -383,7 +364,8 @@ def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]
     if n < 0:
         raise ValueError("n must be non-negative")
     depths = _checked_depths(m_values, n)
-    (amat, bmat), vec = _checked([a, b], h)
+    amat, bmat = _checked_operators([a, b])
+    vec = _checked_vector(h, len(amat))
     s = amat @ amat + bmat @ bmat
     target = vec.copy()
     for j in range(1, n + 1):

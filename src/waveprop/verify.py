@@ -178,10 +178,10 @@ def _check_splitting_convergence(seed: int) -> dict:
     t = 0.3
     reference = cos_sqrt_sum_oracle([a, b], t, h)
     errors = [
-        float(np.linalg.norm(trotter.fm_evaluate(a, b, h, t, m) - reference)) for m in (8, 16, 32)
+        float(np.linalg.norm(trotter.fm_evaluate([a, b], h, t, m) - reference)) for m in (8, 16, 32)
     ]
     slope = np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(errors), 1)[0]
-    _, report = trotter.cos_noncomm(a, b, h, t, tol=1e-3, reference=reference)
+    _, report = trotter.cos_noncomm([a, b], h, t, tol=1e-3, reference=reference)
     gaps = {
         "error_m32": errors[2],
         "monotone_violation": max(
@@ -252,7 +252,7 @@ def _check_sine_routes(seed: int) -> dict:
         trotter.sin_fm_evaluate([a, b], h, 0.3 + dt, m)
         - trotter.sin_fm_evaluate([a, b], h, 0.3 - dt, m)
     ) / (2.0 * dt)
-    cos_val = trotter.fm_evaluate(a, b, h, 0.3, m)
+    cos_val = trotter.fm_evaluate([a, b], h, 0.3, m)
     derivative_gap = float(np.linalg.norm(deriv - cos_val))
     gaps = {"commuting_vs_sinc": commuting_gap, "noncomm_ddt": derivative_gap}
     return _result(
@@ -381,7 +381,7 @@ def _check_oscillator(seed: int) -> dict:
     t = 0.2
     a_mat, b_mat = pde._oscillator_pair(f)
     reference = cos_sqrt_sum_oracle([a_mat, b_mat], t, f.values)
-    got = trotter.fm_evaluate(a_mat, b_mat, f.values, t, 32)
+    got = trotter.fm_evaluate([a_mat, b_mat], f.values, t, 32)
     gap = float(np.linalg.norm(got - reference) / np.linalg.norm(reference))
     excited = pde._hermite_state(64, excited=True)
     u, _, diag = pde.harmonic_oscillator(excited, t, tol=1e-6)

@@ -172,8 +172,8 @@ def test_criterion_07_noncommutative_convergence(report):
     start = time.perf_counter()
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
     ms = (8, 16, 32)
-    errs = [float(np.linalg.norm(wp.fm_evaluate(a, b, h, t, m) - ref)) for m in ms]
-    _, conv = wp.cos_noncomm(a, b, h, t, tol=1e-12, m0=8, m_cap=32, reference=ref)
+    errs = [float(np.linalg.norm(wp.fm_evaluate([a, b], h, t, m) - ref)) for m in ms]
+    _, conv = wp.cos_noncomm([a, b], h, t, tol=1e-12, m0=8, m_cap=32, reference=ref)
     elapsed = time.perf_counter() - start
     slope = -np.polyfit(np.log(ms), np.log(errs), 1)[0]
     passed = (
@@ -346,7 +346,7 @@ def test_criterion_14_sine_propagator(report):
         - wp.sin_fm_evaluate([a, b], h, 0.3 - dt, m)
     ) / (2.0 * dt)
     derivative_gap = float(
-        np.linalg.norm(diff - wp.fm_evaluate(a, b, h, 0.3, m))
+        np.linalg.norm(diff - wp.fm_evaluate([a, b], h, 0.3, m))
     )
     report(
         "criterion 14 sine propagator",

@@ -254,6 +254,30 @@ def test_verify_rejects_malformed_fixture(tmp_path):
     assert "rows[2][1]" in err
 
 
+def test_verify_refuses_a_non_finite_matrix_fixture(tmp_path):
+    fx = {"kind": "matrix", "matrix": ser.matrix_to_json([[1.0, 0.0], [0.0, 1.0]])}
+    fx["matrix"]["rows"][1][1] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(fx), encoding="utf-8")
+    code, out, err = run_cli(["verify", "--check", "sphere-area", "--fixture", str(path)])
+    assert code == 2 and out == ""
+    assert "operator 0 has non-finite entries" in err
+
+
+@pytest.mark.parametrize("subcommand, wrong, wanted", [
+    ("ascent", ser.hermitian_pair_fixture(3, seed=1), "commuting-family"),
+    ("noncomm", ser.commuting_family_fixture(2, 3, seed=1), "hermitian-pair"),
+])
+def test_fixture_of_the_wrong_kind_is_refused(tmp_path, subcommand, wrong, wanted):
+    path = tmp_path / "fixture.json"
+    ser.dump_json(wrong, path)
+    artifact = tmp_path / "out.json"
+    code, out, err = run_cli([subcommand, "--fixture", str(path), "--out", str(artifact)])
+    assert code == 2 and out == ""
+    assert f"error: {subcommand} expects a {wanted} fixture" in err
+    assert not artifact.exists()
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "waveprop.cli", "verify", "--list-checks"],

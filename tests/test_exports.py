@@ -1,22 +1,34 @@
-"""The package's lazy export table agrees with each module's __all__, and no module imports a name it never uses."""
+"""The package's lazy exports are each module's __all__, importing the package loads no numpy, and no module imports a name it never uses."""
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 import symtable
 
 import waveprop as wp
 
 
 def test_exports_resolve_and_match_module_all():
-    for name, module in wp._EXPORTS.items():
+    owner = {}
+    for module in wp._MODULES:
         mod = importlib.import_module(f"waveprop.{module}")
-        assert getattr(wp, name) is getattr(mod, name), name
-        assert name in mod.__all__, f"{name} is exported but not in {module}.__all__"
-    for module in sorted(set(wp._EXPORTS.values())):
-        mod = importlib.import_module(f"waveprop.{module}")
-        stale = [name for name in mod.__all__ if wp._EXPORTS.get(name) != module]
-        assert stale == [], f"{module}.__all__ names missing from waveprop._EXPORTS: {stale}"
+        for name in mod.__all__:
+            assert name not in owner, f"{name} is in both {owner[name]}.__all__ and {module}.__all__"
+            owner[name] = module
+            assert getattr(wp, name) is getattr(mod, name), name
+    assert wp.__all__ == sorted(owner) + ["__version__"]
+    assert dir(wp) == sorted(wp.__all__)
+
+
+def test_importing_the_package_loads_no_numpy():
+    # the command line pins the BLAS thread count before numpy loads
+    src = str(pathlib.Path(wp.__file__).parent.parent)
+    code = "import sys, waveprop; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def _read_below(table, name: str, binds: bool) -> bool:

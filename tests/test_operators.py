@@ -31,6 +31,12 @@ def test_non_square_input_rejected():
         wp.HermitianOperator(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ValueError, match="operator 0 has non-finite entries"):
+        wp.HermitianOperator(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
 def test_decomposition_reconstructs_operator():
     a = wp.random_hermitian(6, seed=11)
     dec = wp.HermitianOperator(a).decomposition()

@@ -84,8 +84,11 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
     a, b, h = unit_pair
     skew = a.copy()
     skew[0, 1] += 1e-6
-    for call in (lambda x, y, v: wp.taylor_series_build([x, y], v, 4, 3),
-                 lambda x, y, v: wp.cos_noncomm(x, y, v, 0.3, tol=1e-6)):
+    splitting = (lambda x, y, v: wp.taylor_series_build([x, y], v, 4, 3),
+                 lambda x, y, v: wp.cos_noncomm([x, y], v, 0.3, tol=1e-6))
+    oracles = (lambda x, y, v: wp.cos_sqrt_sum_oracle([x, y], 0.3, v),
+               lambda x, y, v: wp.sinc_sqrt_sum_oracle([x, y], 0.3, v))
+    for call in splitting + oracles:
         with pytest.raises(ValueError, match=r"not Hermitian: relative defect .* exceeds 1e-12"):
             call(skew, b, h)
         for bad in (np.nan, np.inf):
@@ -95,16 +98,19 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
             call(a, b[:3, :3], h)
         with pytest.raises(ValueError, match="operator dimension 4"):
             call(a, b, h[:3])
+    for call in splitting:  # an oracle given no vector returns the matrix
+        with pytest.raises(ValueError, match="does not match operator dimension 4"):
+            call(a, b, None)
 
 
 _TIMED_ENTRY_POINTS = {
-    "fm_evaluate": lambda a, b, h, t: wp.fm_evaluate(a, b, h, t, 4),
-    "fm_evaluate_q": lambda a, b, h, t: wp.fm_evaluate_q([a, b], h, t, 4),
+    "fm_evaluate": lambda a, b, h, t: wp.fm_evaluate([a, b], h, t, 4),
     "sin_fm_evaluate": lambda a, b, h, t: wp.sin_fm_evaluate([a, b], h, t, 4),
-    "cos_noncomm": lambda a, b, h, t: wp.cos_noncomm(a, b, h, t, tol=1e-6),
-    "cos_noncomm_q": lambda a, b, h, t: wp.cos_noncomm_q([a, b], h, t, tol=1e-6),
-    "sin_noncomm": lambda a, b, h, t: wp.sin_noncomm(a, b, h, t, tol=1e-6),
+    "cos_noncomm": lambda a, b, h, t: wp.cos_noncomm([a, b], h, t, tol=1e-6),
+    "sin_noncomm": lambda a, b, h, t: wp.sin_noncomm([a, b], h, t, tol=1e-6),
     "fm_quadrature_crosscheck": lambda a, b, h, t: wp.fm_quadrature_crosscheck(a, b, h, t, 2),
+    "cos_sqrt_sum_oracle": lambda a, b, h, t: wp.cos_sqrt_sum_oracle([a, b], t, h),
+    "sinc_sqrt_sum_oracle": lambda a, b, h, t: wp.sinc_sqrt_sum_oracle([a, b], t, h),
 }
 
 
@@ -128,7 +134,7 @@ def test_errors_halve_as_m_doubles(unit_pair):
     a, b, h = unit_pair
     t = 0.3
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
-    errs = [np.linalg.norm(wp.fm_evaluate(a, b, h, t, m) - ref) for m in (8, 16, 32, 64)]
+    errs = [np.linalg.norm(wp.fm_evaluate([a, b], h, t, m) - ref) for m in (8, 16, 32, 64)]
     for lo, hi in zip(errs[1:], errs):
         assert hi / lo == pytest.approx(2.0, rel=0.1)
 
@@ -138,7 +144,7 @@ def test_fitted_decay_exponent_near_one(unit_pair):
     t = 0.3
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
     ms = np.array([8, 16, 32, 64, 128])
-    errs = np.array([np.linalg.norm(wp.fm_evaluate(a, b, h, t, int(m)) - ref) for m in ms])
+    errs = np.array([np.linalg.norm(wp.fm_evaluate([a, b], h, t, int(m)) - ref) for m in ms])
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert -slope == pytest.approx(1.0, abs=0.05)
 
@@ -148,8 +154,8 @@ def test_tail_bound_covers_truncation_error(unit_pair):
     t = 0.6  # close enough to the radius that truncation is visible
     amp, y, x, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
     assert x < 1.0  # inside the radius
-    shallow = wp.fm_evaluate(a, b, h, t, 32, order=3)
-    deep = wp.fm_evaluate(a, b, h, t, 32, order=24)
+    shallow = wp.fm_evaluate([a, b], h, t, 32, order=3)
+    deep = wp.fm_evaluate([a, b], h, t, 32, order=24)
     diff = np.linalg.norm(shallow - deep)
     assert 0.0 < diff <= _tail_bound(amp, y, t, 3)
 
@@ -173,7 +179,7 @@ def test_series_coefficients_obey_the_norm_majorant(q, seed):
 def test_tail_bound_holds_inside_and_outside_the_radius(unit_pair, sine, t):
     a, b, h = unit_pair
     amp, y, _, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
-    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate_q
+    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate
     deep = evaluate([a, b], h, t, 16, order=60)
     for order in (2, 4, 8):
         diff = np.linalg.norm(evaluate([a, b], h, t, 16, order=order) - deep)
@@ -182,7 +188,7 @@ def test_tail_bound_holds_inside_and_outside_the_radius(unit_pair, sine, t):
 
 def test_driver_tail_bound_is_positive_outside_the_radius(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm(3.0 * a, 3.0 * b, h, 0.5, tol=1e-4)
+    _, report = wp.cos_noncomm([3.0 * a, 3.0 * b], h, 0.5, tol=1e-4)
     assert report.caution_outside_radius
     assert 0.0 < report.tail_bound <= 1e-12
 
@@ -191,7 +197,7 @@ def test_driver_converges_with_reference(unit_pair):
     a, b, h = unit_pair
     t = 0.3
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
-    result, report = wp.cos_noncomm(a, b, h, t, tol=1e-6, reference=ref)
+    result, report = wp.cos_noncomm([a, b], h, t, tol=1e-6, reference=ref)
     assert report.verdict == "converged"
     assert not report.caution_outside_radius
     assert report.errors == sorted(report.errors, reverse=True)
@@ -201,14 +207,14 @@ def test_driver_converges_with_reference(unit_pair):
 
 def test_driver_reports_slow_when_cap_hit(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm(a, b, h, 0.3, tol=1e-14, m0=8, m_cap=16)
+    _, report = wp.cos_noncomm([a, b], h, 0.3, tol=1e-14, m0=8, m_cap=16)
     assert report.verdict == "slow"
     assert report.m_values == [8, 16]
 
 
 def test_driver_flags_time_outside_radius(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm(a, b, h, 2.0, tol=1e-12, m0=8, m_cap=16)
+    _, report = wp.cos_noncomm([a, b], h, 2.0, tol=1e-12, m0=8, m_cap=16)
     assert report.caution_outside_radius
     assert report.verdict == "outside_radius"
     assert report.radius == pytest.approx(1.0 / math.sqrt(2.0))
@@ -218,8 +224,8 @@ def test_richardson_extrapolation_improves_result(unit_pair):
     a, b, h = unit_pair
     t = 0.3
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
-    plain, _ = wp.cos_noncomm(a, b, h, t, tol=1e-9, m_cap=64)
-    rich, _ = wp.cos_noncomm(a, b, h, t, tol=1e-9, m_cap=64, richardson=True)
+    plain, _ = wp.cos_noncomm([a, b], h, t, tol=1e-9, m_cap=64)
+    rich, _ = wp.cos_noncomm([a, b], h, t, tol=1e-9, m_cap=64, richardson=True)
     assert np.linalg.norm(rich - ref) <= np.linalg.norm(plain - ref) / 100.0
 
 
@@ -268,7 +274,7 @@ def test_sine_is_time_derivative_antiderivative_of_cosine(unit_pair):
     t, dt, m = 0.3, 1e-3, 64
     plus = wp.sin_fm_evaluate([a, b], h, t + dt, m)
     minus = wp.sin_fm_evaluate([a, b], h, t - dt, m)
-    cos_val = wp.fm_evaluate(a, b, h, t, m)
+    cos_val = wp.fm_evaluate([a, b], h, t, m)
     assert np.linalg.norm((plus - minus) / (2.0 * dt) - cos_val) <= 1e-5
 
 
@@ -276,7 +282,7 @@ def test_sine_driver_converges(unit_pair):
     a, b, h = unit_pair
     t = 0.3
     ref = wp.sinc_sqrt_sum_oracle([a, b], t) @ h
-    result, report = wp.sin_noncomm(a, b, h, t, tol=1e-6, reference=ref)
+    result, report = wp.sin_noncomm([a, b], h, t, tol=1e-6, reference=ref)
     assert report.verdict == "converged"
     assert np.linalg.norm(result - ref) <= 1e-4
 
@@ -287,15 +293,15 @@ def test_three_operator_family(unit_pair):
     h = wp.random_state(4, rng=rng)
     t = 0.2
     ref = wp.cos_sqrt_sum_oracle(ops, t) @ h
-    errs = [np.linalg.norm(wp.fm_evaluate_q(ops, h, t, m) - ref) for m in (16, 64)]
+    errs = [np.linalg.norm(wp.fm_evaluate(ops, h, t, m) - ref) for m in (16, 64)]
     assert errs[1] <= errs[0] / 3.0
-    result, report = wp.cos_noncomm_q(ops, h, t, tol=1e-7, reference=ref)
+    result, report = wp.cos_noncomm(ops, h, t, tol=1e-7, reference=ref)
     assert report.verdict == "converged"
 
 
 def test_report_serializes_to_plain_dict(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm(a, b, h, 0.3, tol=1e-6)
+    _, report = wp.cos_noncomm([a, b], h, 0.3, tol=1e-6)
     d = report.to_dict()
     assert set(d) == {
         "m_values",
@@ -316,9 +322,7 @@ def _family(q, seed=0, dim=5):
 
 
 def _drive(ops, h, t, sine, **kwargs):
-    if sine:
-        return wp.sin_noncomm(ops[0], ops[1], h, t, **kwargs)
-    return wp.cos_noncomm_q(ops, h, t, **kwargs)
+    return (wp.sin_noncomm if sine else wp.cos_noncomm)(ops, h, t, **kwargs)
 
 
 @pytest.mark.parametrize("m0", [1, 3, 8])
@@ -366,7 +370,7 @@ def test_drive_to_depth_m_runs_m_sweeps(monkeypatch, sine, m0, m_cap, tol):
 def test_one_depth_and_the_limit_check_run_their_last_depth_in_sweeps(monkeypatch, unit_pair):
     a, b, h = unit_pair
     calls = _count_sweeps(monkeypatch)
-    wp.fm_evaluate(a, b, h, 0.3, 5)
+    wp.fm_evaluate([a, b], h, 0.3, 5)
     assert len(calls) == 5
     wp.taylor_limit_check(a, b, 2, h)
     assert len(calls) == 5 + 64
@@ -392,7 +396,7 @@ def test_walk_with_ratios_off_powers_of_two_matches_fresh_builds(q):
 @pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
 def test_richardson_is_the_extrapolation_of_the_last_two_depths(unit_pair, sine):
     a, b, h = unit_pair
-    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate_q
+    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate
     plain, report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64)
     rich, rich_report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64, richardson=True)
     assert rich_report.to_dict() == report.to_dict()
@@ -412,10 +416,10 @@ def test_taylor_limit_check_refuses_depths_that_do_not_increase(unit_pair, m_val
 
 def test_driver_errors_without_a_reference_are_one_fewer_than_the_depths(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm(a, b, h, 0.3, tol=1e-6)
+    _, report = wp.cos_noncomm([a, b], h, 0.3, tol=1e-6)
     assert report.m_values == [8, 16, 32, 64, 128]
     assert len(report.errors) == 4  # ||F(m_(i+1)) - F(m_i)||
     ref = wp.cos_sqrt_sum_oracle([a, b], 0.3) @ h
-    _, with_ref = wp.cos_noncomm(a, b, h, 0.3, tol=1e-6, reference=ref)
+    _, with_ref = wp.cos_noncomm([a, b], h, 0.3, tol=1e-6, reference=ref)
     assert with_ref.m_values == report.m_values
     assert len(with_ref.errors) == 5  # ||F(m_i) - reference||
