@@ -5,23 +5,25 @@ cos(t sqrt(A_1^2+...+A_n^2)) is one formula in one-dimensional cosines,
 
     (2 pi)^(-m) D [ t^(2m-1) average of cos(t w_1 A_1)...cos(t w_n A_n) ],
 
-with D = d/dt (1/t d/dt)^(m-1), the average taken over the unit ball
-against (1-|w|^2)^(-1/2) for n = 2m and over the unit sphere, with an
-extra factor 1/2, for n = 2m+1.  The product of cosines is expanded as
-an even power series in t, so D acts exactly on monomials and no
-numerical differentiation enters: D takes t^(2k+2m-1) to
-_ladder_cos(k, m) t^(2k), and _ladder_sum is the one place that ladder
-is applied.
+with D = d/dt (1/t d/dt)^(m-1), the average taken over the unit sphere
+S^(2m) for n = 2m+1 and over the unit ball of R^(2m) against
+(1-|w|^2)^(-1/2) for n = 2m.  That ball measure is S^(2m)'s with the
+last coordinate dropped, so the ball average is the sphere average with
+a zero last operator.  The product of cosines is expanded as an even
+power series in t, so D acts exactly on monomials and no numerical
+differentiation enters: D takes t^(2k+2m-1) to _ladder_cos(k, m) t^(2k),
+and _ladder_sum is the one place that ladder is applied.
 
 The product is even in every w_i, so the average is taken on the simplex
-in u_i = w_i^2, where the sphere and ball measures are Dirichlet
-measures.  The coefficient of t^(2k) is a degree-k polynomial in u, so
-the series truncated at order N is integrated exactly by the
-stick-breaking Dirichlet Gauss-Jacobi rule whose level is N, the series
-order itself.  _cos_product_average never forms that rule's tensor
-nodes: each monomial's integral is a product of one-dimensional stick
-moments, so the sum factorizes one stick at a time (sum factorization)
-at about n * N^2 / 2 matrix products in every dimension n.
+in u_i = w_i^2, where the sphere measure is a Dirichlet measure.  The
+coefficient of t^(2k) is a degree-k polynomial in u, so the series
+truncated at order N is integrated exactly by the stick-breaking
+Dirichlet Gauss-Jacobi rule whose level is N, the series order itself.
+_cos_product_average never forms that rule's tensor nodes: each
+monomial's integral is a product of one-dimensional stick moments, so
+the sum factorizes one stick at a time (sum factorization), one block
+recursion at about n * N^2 / 2 products of X_i^2 with a (d, r) block:
+the identity for the operator, one state for the splitting cross-check.
 
 The same formula with the left-most d/dt dropped yields the smoothed
 sine propagator sin(t sqrt(S)) / sqrt(S).
@@ -151,74 +153,66 @@ def _truncation_order(norm_sum: float, t: float, m: int) -> int:
     )
 
 
-def _cos_product_average(squares, order: int, sphere: bool):
-    """Average of the even t-series of cos(t w_1 X_1)...cos(t w_n X_n), and the rule's moment error.
+def _cos_product_average(squares, order: int, block):
+    """Average of the even t-series of cos(t w_1 X_1)...cos(t w_n X_n) block, and the rule's moment error.
 
     squares[i] = X_i^2; the product keeps its factor order, so the X_i
-    need not commute.  The average is over S^(n-1) (sphere) or the unit
-    ball against (1-|w|^2)^(-1/2), taken on the simplex in u_i = w_i^2
-    with the stick-breaking Dirichlet rule of level order, exact for the
+    need not commute; block is (d, r): the identity, or a state as one
+    column.  The average is over S^(n-1) (a zero last square makes it the
+    ball average in R^(n-1)), taken on the simplex in u_i = w_i^2 with the
+    stick-breaking Dirichlet rule of level order, exact for the
     degree-order coefficients.  The coefficient of t^(2k) is sum over
-    a_1+...+a_n = k of E[u^a] P_1[a_1]...P_n[a_n],
+    a_1+...+a_n = k of E[u^a] P_1[a_1]...P_n[a_n] block,
     P_i[a] = (-1)^a X_i^(2a)/(2a)!, and E[u^a] is a product of per-stick
-    moments c_i[a_i, a_(i+1)+...+a_n], so the tensor sum factorizes one
-    stick at a time, from the last to the first:
+    moments c_i[a_i, a_(i+1)+...+a_n], so the sum factorizes one stick at
+    a time, from the last to the first:
 
-        G_i[k] = sum_(a+b=k) c_i[a, b] P_i[a] G_(i+1)[b].
+        G_n[b] = P_n[b] block,   G_i[k] = sum_(a+b=k) c_i[a, b] P_i[a] G_(i+1)[b],
 
-    The sphere starts from the last factor's table on the remaining
-    stick, the ball from the identity, as the slack carries no factor.
-    Returns the (order+1, d, d) coefficients, the sphere's carrying the
-    factor 2 of its surface measure, and the moment error of the rule.
-    The stick moments and that error come from quadrature._stick_rule,
-    built once per process for each (n, order, top).
+    with P_i[a] G[b] = X_i^2 P_i[a-1] G[b] / (-(2a)(2a-1)), one product
+    by X_i^2 for every b <= order-a at once.  Returns the (order+1, d, r)
+    coefficients and the rule's moment error, which with the stick
+    moments comes from quadrature._stick_rule, built once per (n, order, top).
     """
-    n, d = len(squares), squares[0].shape[0]
-    moments, moment_error = _stick_rule((0.5,) * (n + (not sphere)), order, max(order, PROBE_DEGREE))
-
-    def table(x2):
-        p = np.empty((order + 1, d, d), dtype=complex)
-        p[0] = np.eye(d)
-        for a in range(1, order + 1):
-            p[a] = (p[a - 1] @ x2) * (-1.0 / ((2 * a) * (2 * a - 1)))
-        return p
-
-    # column block b of g is G[b], so every P_i[a] G[b], b <= order-a, is one GEMM
-    if sphere:
-        g = table(squares[-1]).transpose(1, 0, 2).reshape(d, -1)
-    else:
-        g = np.zeros((d, (order + 1) * d), dtype=complex)
-        g[:, :d] = np.eye(d)
-    for i in reversed(range(len(moments))):
-        p, new = table(squares[i]), np.zeros((d, order + 1, d), dtype=complex)
+    n, (d, r) = len(squares), block.shape
+    moments, moment_error = _stick_rule((0.5,) * n, order, max(order, PROBE_DEGREE))
+    step = [0.0] + [-1.0 / ((2 * a) * (2 * a - 1)) for a in range(1, order + 1)]
+    # g[:, b] is G[b]; the last factor fills the remaining stick
+    g = np.zeros((d, order + 1, r), dtype=complex)
+    g[:, 0] = block
+    for b in range(1, order + 1):
+        g[:, b] = (squares[-1] @ g[:, b - 1]) * step[b]
+    for i in reversed(range(n - 1)):
+        new, pg = np.zeros_like(g), g  # pg[:, b] = P_i[a] G[b], b <= order-a
         for a in range(order + 1):
             tail = order + 1 - a
-            new[:, a:] += (p[a] @ g[:, : tail * d]).reshape(d, tail, d) * moments[i][a, :tail, None]
-        g = new.reshape(d, -1)
-    coeffs = g.reshape(d, order + 1, d).transpose(1, 0, 2) * (2.0 if sphere else 1.0)
-    return coeffs, moment_error
+            if a:
+                pg = (squares[i] @ pg[:, :tail].reshape(d, -1)).reshape(d, tail, r) * step[a]
+            new[:, a:] += pg * moments[i][a, :tail, None]
+        g = new
+    return g.transpose(1, 0, 2), moment_error
 
 
 def _ascent_series(fam: CommutingFamily, t: float):
     """Bracket coefficients of t^(2k), ladder depth m, prefactor and rule moment error at t.
 
-    n = 2m is averaged over the ball, n = 2m+1 over the sphere with an
-    extra factor 1/2.
+    n = 2m+1 is averaged over the sphere S^(2m); n = 2m over the ball,
+    which is S^(2m) with a zero slack square appended.
     """
     _checked_time(t)
     n = len(fam)
-    m, odd = n // 2, n % 2 == 1
+    m = n // 2
     order = _truncation_order(fam.norm_sum(), t, m)
-    prefactor = (0.5 if odd else 1.0) * (2.0 * math.pi) ** (-m)
-    coeffs, moment_error = _cos_product_average([a @ a for a in fam.operators], order, sphere=odd)
-    return coeffs, m, prefactor, moment_error
+    squares = [a @ a for a in fam.operators] + [np.zeros((fam.dim, fam.dim))] * (1 - n % 2)
+    coeffs, moment_error = _cos_product_average(squares, order, np.eye(fam.dim))
+    return coeffs, m, (2.0 * math.pi) ** (-m), moment_error
 
 
 def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
     """cos(t sqrt(sum A_i^2)) for a commuting family.
 
     Realizes (2 pi)^(-m) D [ t^(2m-1) average of the cosine product ],
-    the ball average for n = 2m and half the sphere average for n = 2m+1,
+    the ball average for n = 2m and the sphere average for n = 2m+1,
     with the integrand expanded as an even series in t to the order N its
     tail bound picks, and averaged by the Dirichlet rule of level N, which
     integrates every kept term exactly.  n = 1 degenerates to the plain
@@ -252,8 +246,8 @@ def transmutation_check(b, rho: float):
     [-T, T], with T chosen so the discarded Gaussian tail is below 1e-10.
     Returns (lhs, rhs, gap) with gap in the Frobenius norm.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"heat time rho must be positive and finite, got {rho}")
     mat = as_matrix(b)
     dec = HermitianOperator(mat).decomposition()
     lhs = dec.matrix_function(lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None)))
@@ -280,8 +274,8 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
     level-12 Dirichlet rule; the integrand is entire in u, so the rule
     converges rapidly.  Returns (lhs, rhs, gap).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"heat time rho must be positive and finite, got {rho}")
     mats = fam.operators
     n = len(mats)
     d = fam.dim

@@ -63,8 +63,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be strictly positive")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be strictly positive and finite")
     return value
 
 
@@ -192,6 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _gated(checks: dict) -> dict:
+    """The report's gaps, tolerances and verdict from {name: (gap, tolerance)}."""
+    return {"gaps": {k: gap for k, (gap, _) in checks.items()},
+            "tolerances": {k: tol for k, (_, tol) in checks.items()},
+            "passed": all(gap <= tol for gap, tol in checks.values())}
+
+
 def _emit(args, report: dict, csv_writer=None, json_payload=None) -> int:
     """Write the artifact main resolved, print the report, return the exit code.
 
@@ -290,9 +297,7 @@ def _cmd_ascent(args) -> int:
         "formula": "sphere-cosine-ladder" if len(mats) % 2 else "ball-cosine-ladder",
         "inputs": {"t": args.t, "count": len(mats), "dim": int(mats[0].shape[0]), "seed": args.seed},
         "result": matrix_to_json(result),
-        "gaps": {"oracle_frobenius": gap},
-        "tolerances": {"oracle_frobenius": 1e-5},
-        "passed": gap <= 1e-5,
+        **_gated({"oracle_frobenius": (gap, 1e-5)}),
     }
     return _emit(args, report)
 
@@ -328,10 +333,9 @@ def _cmd_noncomm(args) -> int:
                    "richardson": bool(args.richardson)},
         "report": report.to_dict(),
         "result": vector_to_json(result),
-        "gaps": {"oracle_relative": gap},
-        "tolerances": {"oracle_relative": max(args.tol * 10.0, 1e-12)},
-        "passed": report.verdict == "converged" and gap <= max(args.tol * 10.0, 1e-12),
+        **_gated({"oracle_relative": (gap, max(args.tol * 10.0, 1e-12))}),
     }
+    payload["passed"] &= report.verdict == "converged"
     return _emit_series(args, payload, report)
 
 
@@ -357,8 +361,7 @@ def _cmd_grid(args) -> int:
     field, n, sigma = _box_fixture(args, dim or args.dim)
     inputs = {"grid": n, "t": args.t, "sigma": sigma, "level": args.level,
               "tol": args.tol, "seed": args.seed}
-    gaps, tols = {}, {"reference_l2": args.tol}
-    symbol = None
+    checks, symbol = {}, None
     if dim is None:  # mass routes: --dim picks the formula, --a the mass
         route, make_symbol = ((klein_gordon, klein_gordon_symbol) if name == "kg"
                               else (damped_wave, damped_symbol))
@@ -367,18 +370,12 @@ def _cmd_grid(args) -> int:
         propagated = route(field, args.t, args.a, level=args.level)
         if args.a == 0.0:
             collapse = wave_general(field, args.t, level=args.level)
-            gaps["wave_collapse"], tols["wave_collapse"] = relative_l2_gap(propagated, collapse), 1e-8
+            checks["wave_collapse"] = (relative_l2_gap(propagated, collapse), 1e-8)
     else:
         propagated = wave_general(field, args.t, level=args.level)
-    gaps["reference_l2"] = relative_l2_gap(propagated, spectral_wave_reference(field, args.t, symbol))
-    report = {
-        "subcommand": name,
-        "formula": formula,
-        "inputs": inputs,
-        "gaps": gaps,
-        "tolerances": tols,
-        "passed": all(gaps[k] <= tols[k] for k in tols),
-    }
+    reference = spectral_wave_reference(field, args.t, symbol)
+    checks["reference_l2"] = (relative_l2_gap(propagated, reference), args.tol)
+    report = {"subcommand": name, "formula": formula, "inputs": inputs, **_gated(checks)}
     return _emit_field(args, report, propagated)
 
 
@@ -394,9 +391,7 @@ def _cmd_oscillator(args) -> int:
         "inputs": {"grid": args.grid, "t": args.t, "tol": args.tol, "m0": args.m0,
                    "mcap": args.mcap, "excited": bool(args.excited), "seed": args.seed},
         "report": report.to_dict(),
-        "gaps": {"oracle_relative": diagnostics["oracle_gap"]},
-        "tolerances": {"oracle_relative": 1e-3},
-        "passed": diagnostics["oracle_gap"] <= 1e-3,
+        **_gated({"oracle_relative": (diagnostics["oracle_gap"], 1e-3)}),
     }
     return _emit_series(args, payload, report)
 
@@ -405,19 +400,15 @@ def _cmd_grushin(args) -> int:
     from .pde import _grushin_field, grushin_demo
 
     propagated, report, diagnostics = grushin_demo(_grushin_field(args.grid), args.t, tol=args.tol)
-    gaps = {"oracle_relative": diagnostics["oracle_gap"]}
-    tols = {"oracle_relative": 1e-6}
+    checks = {"oracle_relative": (diagnostics["oracle_gap"], 1e-6)}
     if "collapse_gap" in diagnostics:
-        gaps["collapse"] = diagnostics["collapse_gap"]
-        tols["collapse"] = 1e-3
+        checks["collapse"] = (diagnostics["collapse_gap"], 1e-3)
     payload = {
         "subcommand": "grushin",
         "formula": "splitting-series-grushin",
         "inputs": {"grid": args.grid, "t": args.t, "tol": args.tol, "seed": args.seed},
         "report": report.to_dict(),
-        "gaps": gaps,
-        "tolerances": tols,
-        "passed": all(gaps[k] <= tols[k] for k in tols),
+        **_gated(checks),
     }
     return _emit_field(args, payload, propagated)
 

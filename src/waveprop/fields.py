@@ -41,16 +41,20 @@ class GridField:
         self.values = np.asarray(self.values, dtype=complex)
         if not 1 <= self.values.ndim <= 3:
             raise ValueError("fields must have one, two, or three axes")
+        if 0 in self.values.shape:
+            raise ValueError(f"every axis needs at least one sample, got shape {self.values.shape}")
         self.lengths = tuple(float(x) for x in np.atleast_1d(self.lengths))
         if len(self.lengths) != self.values.ndim:
             raise ValueError("one box length per axis required")
-        if any(x <= 0 for x in self.lengths):
-            raise ValueError("box lengths must be positive")
+        if not all(0.0 < x < math.inf for x in self.lengths):
+            raise ValueError(f"box lengths must be positive and finite, got {self.lengths}")
         if self.origins is None:
             self.origins = (0.0,) * self.values.ndim
         self.origins = tuple(float(x) for x in np.atleast_1d(self.origins))
         if len(self.origins) != self.values.ndim:
             raise ValueError("one origin per axis required")
+        if not all(map(math.isfinite, self.origins)):
+            raise ValueError(f"origins must be finite, got {self.origins}")
 
     @property
     def dim(self) -> int:

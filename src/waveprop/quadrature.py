@@ -140,8 +140,8 @@ def ball_moment(alpha, d: int, boundary_exponent: float = -0.5) -> float:
     if d != len(comp):
         raise ValueError(f"dimension {d} does not match multi-index length {len(comp)}")
     p = boundary_exponent
-    if p <= -1:
-        raise ValueError("boundary exponent must exceed -1 for integrability")
+    if not -1.0 < p < math.inf:
+        raise ValueError(f"boundary exponent must be finite and exceed -1 for integrability, got {p}")
     a = np.asarray(comp, dtype=float)
     lg = gammaln(a + 0.5).sum() + gammaln(p + 1.0) - gammaln(a.sum() + d / 2.0 + p + 1.0)
     return float(math.exp(lg))
@@ -271,6 +271,8 @@ def build_sphere_rule(n: int, level: int, method: str = "auto",
         raise ValueError("ambient dimension must be positive")
     if level < 0:
         raise ValueError("level must be non-negative")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if method == "auto":
         method = "tensor" if n <= TENSOR_DIM_LIMIT + 1 else "montecarlo"
     if method == "tensor":
@@ -299,9 +301,11 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
         raise ValueError("dimension must be positive")
     if level < 0:
         raise ValueError("level must be non-negative")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     p = boundary_exponent
-    if p <= -1:
-        raise ValueError("boundary exponent must exceed -1")
+    if not -1.0 < p < math.inf:
+        raise ValueError(f"boundary exponent must be finite and exceed -1, got {p}")
     if method == "auto":
         method = "tensor" if d <= TENSOR_DIM_LIMIT else "montecarlo"
     if method == "tensor":

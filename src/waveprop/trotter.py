@@ -289,8 +289,8 @@ def sin_fm_evaluate(ops, h, t: float, m: int, order: int | None = None) -> np.nd
 
 def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
            reference=None, richardson: bool = False):
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if m0 < 1 or m_cap < m0:
         raise ValueError("need 1 <= m0 <= m_cap")
     _, vec, bases, order, (amp, y, x, radius) = _prepared(ops, h, t, sine=sine)
@@ -379,13 +379,13 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int, order: int | None = None
 
     The quadrature route averages cos(t w_1 A/sqrt(m)) cos(t w_2 B/sqrt(m))
     ... h over the unit ball in dimension 2m against (1-|w|^2)^(-1/2),
-    with the ascent's evaluator (ascent._cos_product_average): the even
-    t-series of the ordered product, integrated on the simplex in u = w^2
-    one stick at a time, factor i on stick i, by the Dirichlet rule whose
-    level is the series order, so the rule integrates the truncated series
-    exactly.  It then applies the derivative ladder with prefactor
-    (2 pi)^(-m).  Small m only; returns
-    (series, quadrature, gap).
+    with the ascent's evaluator (ascent._cos_product_average) run on h as
+    a one-column block: the even t-series of the ordered product, averaged
+    over S^(2m) with a zero slack square last, integrated on the simplex
+    in u = w^2 one stick at a time, factor i on stick i, by the Dirichlet
+    rule whose level is the series order, so the rule integrates the
+    truncated series exactly.  It then applies the derivative ladder with
+    prefactor (2 pi)^(-m).  Small m only; returns (series, quadrature, gap).
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
@@ -393,7 +393,7 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int, order: int | None = None
     (series,) = _depths(bases, vec, order, _checked_depths([m], order))
     series_value = _series_sum(series, t, sine=False)
 
-    squares = [mat @ mat / m for mat in [amat, bmat] * m]
-    bracket, _ = _cos_product_average(squares, order, sphere=False)
-    quad_value = _ladder_sum(bracket @ vec, t, m, sine=False) * (2.0 * math.pi) ** (-m)
+    squares = [mat @ mat / m for mat in [amat, bmat] * m] + [np.zeros_like(amat)]
+    bracket, _ = _cos_product_average(squares, order, vec[:, None])
+    quad_value = _ladder_sum(bracket[..., 0], t, m, sine=False) * (2.0 * math.pi) ** (-m)
     return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))

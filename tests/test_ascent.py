@@ -77,6 +77,11 @@ def test_family_and_time_are_validated_at_the_boundary():
         for t in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="time t must be finite"):
                 route(fam, t)
+    for rho in (math.nan, math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="heat time rho must be positive and finite"):
+            wp.transmutation_check(sx, rho)
+        with pytest.raises(ValueError, match="heat time rho must be positive and finite"):
+            wp.product_heat_expansion_check(fam, rho)
 
 
 def test_family_records_zero_defect_for_diagonals():
@@ -160,11 +165,10 @@ def _rotated_family(count, dim, seed):
     return wp.CommutingFamily([(m + m.conj().T) / 2.0 for m in mats])
 
 
-def _per_node_average(squares, level, order, sphere):
+def _per_node_average(squares, level, order):
     """The tensor rule's nodes walked one at a time: the plain sum the evaluator factorizes."""
     n, d = len(squares), squares[0].shape[0]
-    alphas = np.full(n + (not sphere), 0.5)
-    u, weights = quadrature._dirichlet_tensor(quadrature._dirichlet_sticks(alphas, level))
+    u, weights = quadrature._dirichlet_tensor(quadrature._dirichlet_sticks(np.full(n, 0.5), level))
     # series[k, j] is the coefficient of t^(2k) of node j's product so far
     series = np.zeros((order + 1, len(weights), d, d), dtype=complex)
     series[0] = np.eye(d)
@@ -174,21 +178,28 @@ def _per_node_average(squares, level, order, sphere):
             p.append(-(p[-1] @ x2) / ((2 * a) * (2 * a - 1)))
         series = np.array([sum(series[k - a] @ p[a] * (ui ** a)[:, None, None] for a in range(k + 1))
                            for k in range(order + 1)])
-    total = np.einsum("j,kjab->kab", weights, series)
-    return total * (2.0 if sphere else 1.0)
+    return np.einsum("j,kjab->kab", weights, series)
 
 
-@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "ball"])
+@pytest.mark.parametrize("slack", [False, True], ids=["sphere", "ball"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_factorized_average_equals_the_per_node_sum(n, sphere):
+def test_factorized_average_equals_the_per_node_sum(n, slack):
+    # the ball is the sphere with a zero last square on the slack coordinate
     fam = _rotated_family(n, 3, seed=60 + n)
-    squares = [a @ a for a in fam.operators]
+    ordered = [h @ h for h in (wp.random_hermitian(3, seed=70 + n + i) for i in range(n))]
     order = 6 if n <= 5 else 4  # keeps the n = 7 ball reference at 3^7 nodes
-    got, _ = _cos_product_average(squares, order, sphere)
-    for level in (order, order + 3):
-        want = _per_node_average(squares, level, order, sphere)
+    v = np.random.default_rng(n).standard_normal(3) + 1j
+    for squares, levels in (([a @ a for a in fam.operators], (order, order + 3)), (ordered, (order,))):
+        squares = squares + [np.zeros((3, 3))] * slack
+        got, _ = _cos_product_average(squares, order, np.eye(3))
+        for level in levels:
+            want = _per_node_average(squares, level, order)
+            for k in range(order + 1):
+                assert np.linalg.norm(got[k] - want[k]) <= 1e-13 * np.linalg.norm(want[k])
+        # one state as a one-column block: the cross-check's path
+        column, _ = _cos_product_average(squares, order, v[:, None])
         for k in range(order + 1):
-            assert np.linalg.norm(got[k] - want[k]) <= 1e-13 * np.linalg.norm(want[k])
+            assert np.linalg.norm(column[k, :, 0] - got[k] @ v) <= 1e-14 * np.linalg.norm(got[k] @ v)
 
 
 @pytest.mark.parametrize("n", [9, 12])

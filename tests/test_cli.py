@@ -156,6 +156,10 @@ def test_rejects_nonpositive_tolerance():
     code, _, err = run_cli(["kg", "--tol", "0", "--grid", "16"])
     assert code == 2
     assert "strictly positive" in err
+    for value in ("inf", "nan"):
+        code, out, err = run_cli(["noncomm", "--tol", value])
+        assert (code, out) == (2, "")
+        assert "strictly positive and finite" in err
 
 
 def test_oscillator_subcommand(tmp_path):

@@ -170,3 +170,14 @@ def test_grid_field_validation():
         wp.GridField(np.zeros((2, 2), dtype=complex), (TWO_PI,))
     with pytest.raises(ValueError):
         wp.GridField(np.zeros((2, 2, 2, 2), dtype=complex), (1.0, 1.0, 1.0, 1.0))
+    for values, lengths, origins, match in [
+        (np.zeros(8), (math.nan,), None, "box lengths must be positive and finite"),
+        (np.zeros(8), (math.inf,), None, "box lengths must be positive and finite"),
+        (np.zeros(8), (-TWO_PI,), None, "box lengths must be positive and finite"),
+        (np.zeros(8), (TWO_PI,), (math.nan,), "origins must be finite"),
+        (np.zeros((8, 8)), (TWO_PI, TWO_PI), (0.0, -math.inf), "origins must be finite"),
+        (np.zeros(0), (1.0,), None, "every axis needs at least one sample"),
+        (np.zeros((4, 0)), (1.0, 1.0), None, "every axis needs at least one sample"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            wp.GridField(values, lengths, origins)

@@ -181,6 +181,16 @@ def test_rule_construction_validation():
         wp.build_ball_rule(2, -1)
     with pytest.raises(ValueError):
         wp.build_sphere_rule(2, 8, method="nope")
+    # n = 9 is past both builders' Monte Carlo cut-over, where samples=0 divided by zero
+    for build in (wp.build_ball_rule, wp.build_sphere_rule):
+        for n in (2, 9):
+            with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+                build(n, 4, samples=0)
+    for p in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="boundary exponent must be finite and exceed -1"):
+            wp.build_ball_rule(2, 4, boundary_exponent=p)
+        with pytest.raises(ValueError, match="boundary exponent must be finite and exceed -1"):
+            wp.ball_moment((1, 0), 2, boundary_exponent=p)
 
 
 def test_moments_refuse_negative_or_fractional_exponents():

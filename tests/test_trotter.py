@@ -101,6 +101,10 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
     for call in splitting:  # an oracle given no vector returns the matrix
         with pytest.raises(ValueError, match="does not match operator dimension 4"):
             call(a, b, None)
+    for route in (wp.cos_noncomm, wp.sin_noncomm):
+        for tol in (math.nan, math.inf, 0.0, -1e-6):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                route([a, b], h, 0.3, tol=tol)
 
 
 _TIMED_ENTRY_POINTS = {
