@@ -177,11 +177,13 @@ def _cos_product_average(squares, order: int, block):
     n, (d, r) = len(squares), block.shape
     moments, moment_error = _stick_rule((0.5,) * n, order, max(order, PROBE_DEGREE))
     step = [0.0] + [-1.0 / ((2 * a) * (2 * a - 1)) for a in range(1, order + 1)]
-    # g[:, b] is G[b]; the last factor fills the remaining stick
+    # g[:, b] is G[b]; the last factor fills the remaining stick, and a
+    # zero last square (the ball's slack) leaves G[b >= 1] at zero
     g = np.zeros((d, order + 1, r), dtype=complex)
     g[:, 0] = block
-    for b in range(1, order + 1):
-        g[:, b] = (squares[-1] @ g[:, b - 1]) * step[b]
+    if squares[-1].any():
+        for b in range(1, order + 1):
+            g[:, b] = (squares[-1] @ g[:, b - 1]) * step[b]
     for i in reversed(range(n - 1)):
         new, pg = np.zeros_like(g), g  # pg[:, b] = P_i[a] G[b], b <= order-a
         for a in range(order + 1):

@@ -305,6 +305,7 @@ def _cmd_ascent(args) -> int:
 def _cmd_noncomm(args) -> int:
     import numpy as np
 
+    from .fields import relative_l2_gap
     from .operators import cos_sqrt_sum_oracle, random_hermitian, random_state
     from .serialization import vector_to_json
     from .trotter import cos_noncomm
@@ -324,7 +325,7 @@ def _cmd_noncomm(args) -> int:
         ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap,
         reference=reference, richardson=args.richardson,
     )
-    gap = float(np.linalg.norm(result - reference) / max(np.linalg.norm(reference), 1e-300))
+    gap = relative_l2_gap(result, reference)
     payload = {
         "subcommand": "noncomm",
         "formula": "splitting-series-limit",

@@ -23,7 +23,6 @@ __all__ = [
     "damped_symbol",
     "spectral_wave_reference",
     "gaussian_bump",
-    "effective_support_radius",
     "relative_l2_gap",
     "assert_no_wrap",
 ]
@@ -79,9 +78,6 @@ class GridField:
     def like(self, values: np.ndarray) -> "GridField":
         return GridField(values, self.lengths, self.origins)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 def _axis_sum_of_squares(field: GridField, axis_values) -> np.ndarray:
     """sum over axes of axis_values(axis)^2, each 1-D array broadcast along its axis."""
@@ -135,18 +131,24 @@ def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | Non
     return field.like(np.fft.ifftn(multiplier * field.fft()))
 
 
-def gaussian_bump(shape, lengths, center, sigma: float, origins=None, amplitude: float = 1.0) -> GridField:
-    """Gaussian bump exp(-|x-center|^2 / (2 sigma^2)) sampled on the box."""
+def gaussian_bump(shape, lengths, center, sigma: float) -> GridField:
+    """Gaussian bump exp(-|x-center|^2 / (2 sigma^2)) sampled on the box with origin 0.
+
+    sigma must be positive and finite, and center finite with one
+    coordinate per axis; the box is checked by GridField.
+    """
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     shape = tuple(np.atleast_1d(shape).astype(int))
-    template = GridField(np.zeros(shape, dtype=complex), lengths, origins)
-    r2 = _periodic_r2(template, np.atleast_1d(center).astype(float))
-    template.values = amplitude * np.exp(-r2 / (2.0 * sigma * sigma)).astype(complex)
+    template = GridField(np.zeros(shape, dtype=complex), lengths)
+    center = np.atleast_1d(center).astype(float)
+    if center.shape != (template.dim,):
+        raise ValueError(f"center needs one coordinate per axis ({template.dim}), got {center.tolist()}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
+    r2 = _periodic_r2(template, center)
+    template.values = np.exp(-r2 / (2.0 * sigma * sigma)).astype(complex)
     return template
-
-
-def effective_support_radius(sigma: float, floor: float = 1e-12) -> float:
-    """Radius past which the Gaussian bump falls below floor (relative)."""
-    return sigma * math.sqrt(2.0 * math.log(1.0 / floor))
 
 
 def relative_l2_gap(a: GridField | np.ndarray, b: GridField | np.ndarray) -> float:
@@ -155,26 +157,22 @@ def relative_l2_gap(a: GridField | np.ndarray, b: GridField | np.ndarray) -> flo
     return float(np.linalg.norm(va - vb) / max(np.linalg.norm(vb), 1e-300))
 
 
-def assert_no_wrap(field: GridField, t: float, support_radius: float | None = None) -> None:
+def assert_no_wrap(field: GridField, t: float) -> None:
     """Warn when translated samples could wrap around the periodic box.
 
-    Needs |t| + support radius < box/2.  When no radius is supplied it is
-    estimated from the smallest ball around the field's peak containing
-    all samples above 1e-12 of the maximum.
+    Needs |t| + support radius < box/2.  The radius is estimated from the
+    smallest ball around the field's peak containing all samples above
+    1e-12 of the maximum.
     """
-    if support_radius is None:
-        mag = np.abs(field.values)
-        peak = mag.max()
-        if peak == 0.0:
-            return
-        idx = np.unravel_index(int(mag.argmax()), field.shape)
-        mask = mag > 1e-12 * peak
-        if not mask.any():
-            return
-        center = [field.axis_coordinates(axis)[idx[axis]] for axis in range(field.dim)]
-        support_radius = float(np.sqrt(_periodic_r2(field, center)[mask].max()))
-        if support_radius > 0.45 * min(field.lengths):
-            return  # field fills the box (e.g. constants); wrap is meaningless
+    mag = np.abs(field.values)
+    mask = mag > 1e-12 * mag.max()
+    if not mask.any():
+        return  # a zero (or non-finite) field
+    idx = np.unravel_index(int(mag.argmax()), field.shape)
+    center = [field.axis_coordinates(axis)[idx[axis]] for axis in range(field.dim)]
+    support_radius = float(np.sqrt(_periodic_r2(field, center)[mask].max()))
+    if support_radius > 0.45 * min(field.lengths):
+        return  # field fills the box (e.g. constants); wrap is meaningless
     if abs(t) + support_radius >= min(field.lengths) / 2.0:
         warnings.warn(
             f"|t| + support radius = {abs(t) + support_radius:.3f} exceeds half the box "

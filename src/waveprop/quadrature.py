@@ -19,8 +19,9 @@ and handed out read-only.  The public sphere and ball rules are the
 Dirichlet rule mirrored into every sign pattern w_i = +-sqrt(u_i),
 exact on even monomials up to the requested level, and carry its
 self-test error.  Above dimension 6 they switch by default to an
-importance-sampled Monte Carlo rule with a fixed seed; its statistical
-error is reported, never hidden.
+importance-sampled Monte Carlo rule with a fixed seed.  That rule has no
+moment error (moment_error is None); its statistical error depends on
+the integrand, and error_estimate(values) gives it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from scipy.special import gammaln, roots_jacobi
 __all__ = [
     "SphereRule",
     "BallRule",
-    "dirichlet_moment",
     "ball_moment",
     "dirichlet_moment_double_factorial",
     "gamma_duplication_check",
@@ -63,8 +63,8 @@ def _components(alpha) -> tuple[int, ...]:
     return tuple(int(c) for c in comp)
 
 
-def stable_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Compensated summation along one axis, deterministic order.
+def stable_sum(values: np.ndarray) -> np.ndarray:
+    """Compensated summation along the first axis, deterministic order.
 
     One-dimensional float input is laid out in zero-padded rows of 1024,
     summed down each column with Neumaier compensation, and the column
@@ -81,7 +81,6 @@ def stable_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
             comp += np.where(np.abs(total) >= np.abs(row), (total - t) + row, (row - t) + total)
             total = t
         return np.float64(math.fsum(np.concatenate([total, comp]).tolist()))
-    values = np.moveaxis(values, axis, 0)
     partials = [values[i : i + chunk].sum(axis=0) for i in range(0, len(values), chunk)]
     total = np.zeros_like(partials[0])
     comp = np.zeros_like(partials[0])
@@ -120,25 +119,14 @@ def _monomial_moments(nodes: np.ndarray, weights: np.ndarray, exponents) -> np.n
 # closed-form moments
 
 
-def dirichlet_moment(alpha, d: int | None = None) -> float:
-    """Moment of w^(2*alpha) over the unit ball against (1-|w|^2)^(-1/2).
+def ball_moment(alpha, boundary_exponent: float = -0.5) -> float:
+    """Moment of w^(2*alpha) over the unit ball of R^len(alpha) against (1-|w|^2)^p.
 
-    Equals Gamma(a_1+1/2)...Gamma(a_d+1/2)Gamma(1/2) / Gamma(|a|+d/2+1/2),
-    evaluated in log space.
+    Equals Gamma(a_1+1/2)...Gamma(a_d+1/2) Gamma(p+1) / Gamma(|a|+d/2+p+1),
+    evaluated in log space; p = -1/2 is the standard boundary weight.
     """
     comp = _components(alpha)
-    if d is None:
-        d = len(comp)
-    if d != len(comp):
-        raise ValueError(f"dimension {d} does not match multi-index length {len(comp)}")
-    return ball_moment(comp, d, boundary_exponent=-0.5)
-
-
-def ball_moment(alpha, d: int, boundary_exponent: float = -0.5) -> float:
-    """Moment of w^(2*alpha) over the unit ball against (1-|w|^2)^p."""
-    comp = _components(alpha)
-    if d != len(comp):
-        raise ValueError(f"dimension {d} does not match multi-index length {len(comp)}")
+    d = len(comp)
     p = boundary_exponent
     if not -1.0 < p < math.inf:
         raise ValueError(f"boundary exponent must be finite and exceed -1 for integrability, got {p}")
@@ -151,7 +139,7 @@ def dirichlet_moment_double_factorial(alpha) -> float:
     """Same moment in even dimension d=2m through factorials alone.
 
     (2 pi)^m (2a)! / (2^|a| a! (2m+2|a|-1)!!); agreement with
-    dirichlet_moment is an independent consistency check.
+    ball_moment at p = -1/2 is an independent consistency check.
     """
     comp = _components(alpha)
     d = len(comp)
@@ -317,7 +305,7 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
     g = rng.standard_normal((samples, d))
     directions = g / np.linalg.norm(g, axis=1, keepdims=True)
     nodes = np.sqrt(u)[:, None] * directions
-    mass = ball_moment((0,) * d, d, boundary_exponent=p)
+    mass = ball_moment((0,) * d, boundary_exponent=p)
     weights = np.full(samples, mass / samples)
     return BallRule(d, level, nodes, weights, "montecarlo",
                     boundary_exponent=p, seed=seed)

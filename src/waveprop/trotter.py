@@ -29,9 +29,10 @@ product of one sweep's factors, e^(z A^2/m) e^(z B^2/m) for a pair,
 Q_m(z) = Q_p(z p/m), so the first p sweeps at depth m are the depth-p
 series with row n scaled by (p/m)^n: each depth continues the one
 before with that scale and m - p more sweeps.  A single depth m costs m
-sweeps, and so does a whole drive that ends at depth m (the drivers
-double m, and a power-of-two scale is exact, so every depth is
-bit-identical to a build from h).
+sweeps, and so does a whole drive that ends at depth m.  Every public
+walk doubles m (the drivers from m0, taylor_limit_check over 8, 16, 32,
+64), and a power-of-two scale is exact, so every depth is bit-identical
+to a fresh build.
 
 Every entry takes the ordered operator list [A_1, .., A_q] (pattern
 A_1^2 .. A_q^2 repeated m times); the smoothed sine series has
@@ -45,7 +46,7 @@ match their dimension, and t must be finite.  The timed entries
 (the F_m evaluators, the m drivers and fm_quadrature_crosscheck) share
 one front end, _prepared: it checks the inputs, diagonalizes each
 factor, forms the series scales and picks the order whose tail bound is
-at most DEFAULT_ORDER_TOL.
+at most DEFAULT_ORDER_TOL; none of them takes an order argument.
 """
 
 from __future__ import annotations
@@ -145,14 +146,13 @@ def _toeplitz(lam: np.ndarray, m: int, order: int) -> np.ndarray:
     return stack
 
 
-def _checked_depths(depths, order: int) -> list[int]:
-    """The splitting depths as a list; refused unless positive and strictly increasing, with order >= 0."""
-    depths = list(depths)
-    if not depths or depths[0] < 1 or any(lo >= hi for lo, hi in zip(depths, depths[1:])):
-        raise ValueError(f"splitting depths must be positive and strictly increasing, got {depths}")
+def _checked_depth(m: int, order: int) -> list[int]:
+    """The one splitting depth m as a walk [m]; refused unless m >= 1 and order >= 0."""
+    if m < 1:
+        raise ValueError(f"splitting depth m must be at least 1, got {m}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    return depths
+    return [m]
 
 
 def _sweep(bases: _Eigenbases, stacks, coeffs: np.ndarray) -> np.ndarray:
@@ -171,11 +171,12 @@ def _depths(bases: _Eigenbases, vec: np.ndarray, order: int, depths):
 
     From depth p to depth m the coefficient of z^n is scaled by (p/m)^n,
     then m - p sweeps of the depth-m factors follow, so a walk that ends
-    at depth M runs M sweeps.  A power-of-two ratio m/p scales exactly;
-    other ratios agree with a walk from h to rounding.  The state starts
-    at p = 0 with coefficients (V^H h, 0, .., 0), so one depth is the same
-    code.  The depths must pass _checked_depths; each yield is the
-    (order+1, dim) array whose row n is W_n h.
+    at depth M runs M sweeps.  Every public walk doubles m, and a
+    power-of-two ratio m/p scales exactly, so each depth is bit-identical
+    to a fresh build; other ratios agree with one to rounding.  The state
+    starts at p = 0 with coefficients (V^H h, 0, .., 0), so one depth is
+    the same code.  The depths must be positive and strictly increasing;
+    each yield is the (order+1, dim) array whose row n is W_n h.
     """
     coeffs = np.zeros((len(vec), order + 1), dtype=complex)  # coeffs[:, k]: z^k, basis `last`
     coeffs[:, 0] = (bases.last.T @ vec.conj()).conj()  # V^H h with no conjugated copy of V
@@ -200,7 +201,7 @@ def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
     """
     mats = _checked_operators(ops)
     vec = _checked_vector(h, len(mats[0]))
-    (series,) = _depths(_eigenbases(mats), vec, order, _checked_depths([m], order))
+    (series,) = _depths(_eigenbases(mats), vec, order, _checked_depth(m, order))
     return series
 
 
@@ -246,20 +247,18 @@ def _auto_order(amp: float, y: float, t: float, sine: bool) -> int:
     raise SeriesCapError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
 
 
-def _prepared(ops, h, t: float, order: int | None = None, sine: bool = False):
+def _prepared(ops, h, t: float, sine: bool = False):
     """The setup of every timed entry: checked inputs, eigenbases, series scales, order.
 
     Returns (mats, vec, bases, order, (amp, y, x, radius)); the order is
-    the automatic one (_auto_order) unless given.
+    the automatic one (_auto_order).
     """
     _checked_time(t)
     mats = _checked_operators(ops)
     vec = _checked_vector(h, len(mats[0]))
     bases = _eigenbases(mats)  # one decomposition per operator for every depth
     scales = _series_scales(bases.norms, vec, t)
-    if order is None:
-        order = _auto_order(scales[0], scales[1], t, sine)
-    return mats, vec, bases, order, scales
+    return mats, vec, bases, _auto_order(scales[0], scales[1], t, sine), scales
 
 
 def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
@@ -271,20 +270,20 @@ def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
     return out
 
 
-def _fm(ops, h, t: float, m: int, order: int | None, sine: bool) -> np.ndarray:
-    _, vec, bases, order, _ = _prepared(ops, h, t, order, sine)
-    (series,) = _depths(bases, vec, order, _checked_depths([m], order))
+def _fm(ops, h, t: float, m: int, sine: bool) -> np.ndarray:
+    _, vec, bases, order, _ = _prepared(ops, h, t, sine)
+    (series,) = _depths(bases, vec, order, _checked_depth(m, order))
     return _series_sum(series, t, sine)
 
 
-def fm_evaluate(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
+def fm_evaluate(ops, h, t: float, m: int) -> np.ndarray:
     """F_m(t) h for the ordered operator family, cosine weights n!/(2n)!."""
-    return _fm(ops, h, t, m, order, sine=False)
+    return _fm(ops, h, t, m, sine=False)
 
 
-def sin_fm_evaluate(ops, h, t: float, m: int, order: int | None = None) -> np.ndarray:
+def sin_fm_evaluate(ops, h, t: float, m: int) -> np.ndarray:
     """Sine-series analogue with weights n!/(2n+1)!; odd in t."""
-    return _fm(ops, h, t, m, order, sine=True)
+    return _fm(ops, h, t, m, sine=True)
 
 
 def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
@@ -355,26 +354,25 @@ def sin_noncomm(ops, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
                   reference=reference, richardson=richardson)
 
 
-def taylor_limit_check(a, b, n: int, h, m_values=(8, 16, 32, 64)) -> list[float]:
-    """Gaps || (A^2+B^2)^n h / n! - W_n h || for each splitting depth.
+def taylor_limit_check(a, b, n: int, h) -> list[float]:
+    """Gaps || (A^2+B^2)^n h / n! - W_n h || at the splitting depths 8, 16, 32, 64.
 
-    The depths must be positive and strictly increasing; they share one
-    walk, so the last depth sets the number of sweeps.
+    The depths share one walk, so the last depth sets the number of
+    sweeps.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    depths = _checked_depths(m_values, n)
     amat, bmat = _checked_operators([a, b])
     vec = _checked_vector(h, len(amat))
     s = amat @ amat + bmat @ bmat
     target = vec.copy()
     for j in range(1, n + 1):
         target = (s @ target) / j
-    walk = _depths(_eigenbases([amat, bmat]), vec, n, depths)
+    walk = _depths(_eigenbases([amat, bmat]), vec, n, (8, 16, 32, 64))
     return [float(np.linalg.norm(target - series[n])) for series in walk]
 
 
-def fm_quadrature_crosscheck(a, b, h, t: float, m: int, order: int | None = None):
+def fm_quadrature_crosscheck(a, b, h, t: float, m: int):
     """Evaluate F_m(t) h twice: series route and literal ball quadrature.
 
     The quadrature route averages cos(t w_1 A/sqrt(m)) cos(t w_2 B/sqrt(m))
@@ -389,8 +387,8 @@ def fm_quadrature_crosscheck(a, b, h, t: float, m: int, order: int | None = None
     """
     if not 1 <= m <= 3:
         raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
-    (amat, bmat), vec, bases, order, _ = _prepared([a, b], h, t, order)
-    (series,) = _depths(bases, vec, order, _checked_depths([m], order))
+    (amat, bmat), vec, bases, order, _ = _prepared([a, b], h, t)
+    (series,) = _depths(bases, vec, order, [m])
     series_value = _series_sum(series, t, sine=False)
 
     squares = [mat @ mat / m for mat in [amat, bmat] * m] + [np.zeros_like(amat)]

@@ -1,7 +1,8 @@
-"""The package's lazy exports are each module's __all__, importing the package loads no numpy, and no module imports a name it never uses."""
+"""The package's lazy exports are each module's __all__, importing the package loads no numpy, no module imports a name it never uses, and deleted options and exports stay deleted."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -72,3 +73,25 @@ def test_src_has_no_unused_imports():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"), path.name)
               for path in sorted(src.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# options that no caller in the package set differently, and exports only tests called
+_DELETED_PARAMETERS = {
+    ("trotter", "fm_evaluate"): ["order"],
+    ("trotter", "sin_fm_evaluate"): ["order"],
+    ("trotter", "fm_quadrature_crosscheck"): ["order"],
+    ("trotter", "taylor_limit_check"): ["m_values"],
+    ("pde", "grushin_demo"): ["m_cap"],
+    ("quadrature", "stable_sum"): ["axis"],
+    ("quadrature", "ball_moment"): ["d"],
+    ("fields", "gaussian_bump"): ["origins", "amplitude"],
+    ("fields", "assert_no_wrap"): ["support_radius"],
+}
+
+
+def test_deleted_options_and_exports_stay_deleted():
+    for (module, name), params in _DELETED_PARAMETERS.items():
+        signature = inspect.signature(getattr(importlib.import_module(f"waveprop.{module}"), name))
+        assert not set(params) & set(signature.parameters), (name, params)
+    assert {"dirichlet_moment", "effective_support_radius"}.isdisjoint(wp.__all__)
+    assert not hasattr(wp.GridField, "norm")

@@ -37,8 +37,9 @@ def test_grid_geometry():
 
 
 def test_norm_is_plain_l2():
+    # gaps between fields take the plain l2 norm of the samples, with no cell volume
     f = wp.GridField(np.ones(8, dtype=complex), (TWO_PI,))
-    assert f.norm() == pytest.approx(math.sqrt(8.0))
+    assert wp.relative_l2_gap(f.like(f.values + np.eye(8)[0]), f) == pytest.approx(1.0 / math.sqrt(8.0))
 
 
 def test_like_preserves_geometry():
@@ -121,18 +122,24 @@ def test_gaussian_bump_uses_nearest_periodic_image():
 
 
 def test_gaussian_bump_amplitude_and_peak():
-    f = wp.gaussian_bump((32, 32), (TWO_PI, TWO_PI), (math.pi, math.pi), 0.4,
-                         amplitude=2.5)
-    assert abs(f.values).max() == pytest.approx(2.5)
+    f = wp.gaussian_bump((32, 32), (TWO_PI, TWO_PI), (math.pi, math.pi), 0.4)
+    assert abs(f.values).max() == 1.0
+    assert f.origins == (0.0, 0.0)
     peak = np.unravel_index(abs(f.values).argmax(), f.shape)
     assert peak == (16, 16)
 
 
 def test_effective_support_radius_values():
-    assert wp.effective_support_radius(0.25) == pytest.approx(1.8584610944249191)
-    assert wp.effective_support_radius(0.25, floor=1e-6) < wp.effective_support_radius(
-        0.25
-    )
+    # the no-wrap guard's support estimate is the radius sigma sqrt(2 ln 1e12),
+    # where the bump falls below 1e-12 of its peak, to within one grid spacing
+    bump = wp.gaussian_bump((64,), (TWO_PI,), (math.pi,), 0.25)
+    radius = 0.25 * math.sqrt(2.0 * math.log(1e12))
+    assert radius == pytest.approx(1.8584610944249191)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_no_wrap(bump, math.pi - radius - 1e-9)
+    with pytest.warns(UserWarning, match="periodic images"):
+        assert_no_wrap(bump, math.pi - radius + TWO_PI / 64)
 
 
 def test_relative_l2_gap_normalizes_by_reference():
@@ -181,3 +188,15 @@ def test_grid_field_validation():
     ]:
         with pytest.raises(ValueError, match=match):
             wp.GridField(values, lengths, origins)
+    for center, sigma, match in [
+        ((1.0, 1.0), 0.0, "sigma must be positive and finite"),
+        ((1.0, 1.0), -0.3, "sigma must be positive and finite"),
+        ((1.0, 1.0), math.nan, "sigma must be positive and finite"),
+        ((1.0, 1.0), math.inf, "sigma must be positive and finite"),
+        ((1.0, math.nan), 0.3, "center must be finite"),
+        ((math.inf, 1.0), 0.3, "center must be finite"),
+        ((1.0,), 0.3, r"center needs one coordinate per axis \(2\)"),
+        ((1.0, 1.0, 1.0), 0.3, r"center needs one coordinate per axis \(2\)"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            wp.gaussian_bump((8, 8), (TWO_PI, TWO_PI), center, sigma)

@@ -257,7 +257,7 @@ def test_shell_rule_moments_match_dirichlet_closed_form(d, p, a):
                 exact = 2.0 * math.pi ** ((d - 1) / 2.0) * math.exp(
                     math.lgamma(i + 0.5) - math.lgamma(i + d / 2.0))
             else:  # (1-|w|^2)^j folds into the ball weight
-                exact = wp.ball_moment((i,) + (0,) * (d - 1), d, boundary_exponent=p + j)
+                exact = wp.ball_moment((i,) + (0,) * (d - 1), boundary_exponent=p + j)
             assert got == pytest.approx(exact, rel=1e-13)
 
 
@@ -379,7 +379,7 @@ def test_huygens_exterior_point_silent_in_3d():
     out = wp.wave3d_kirchhoff(f, t)
     # sample a point the light cone cannot have reached
     offset = 2.4
-    assert offset > t + wp.effective_support_radius(sigma)
+    assert offset > t + sigma * math.sqrt(2.0 * math.log(1e12))  # bump below 1e-12 of its peak
     idx = round((math.pi + offset) % TWO_PI / (TWO_PI / n))
     center = n // 2
     assert abs(out.values[idx, center, center]) <= 1e-8
@@ -391,7 +391,7 @@ def test_interior_tail_persists_in_2d():
     n, sigma, t = 96, 0.25, 2.0
     length = 2.0 * TWO_PI
     f = wp.gaussian_bump((n, n), (length, length), (TWO_PI, TWO_PI), sigma)
-    assert t > wp.effective_support_radius(sigma)
+    assert t > sigma * math.sqrt(2.0 * math.log(1e12))  # bump below 1e-12 of its peak
     out = wp.wave2d_poisson(f, t)
     center = n // 2
     assert abs(out.values[center, center]) > 1e-6
@@ -416,6 +416,15 @@ def test_spectral_derivative_matrix_is_hermitian_and_exact():
     x = np.arange(n) * (length / n)
     mode = np.exp(2j * x)
     assert np.allclose(mat @ mode, 2.0 * mode, atol=1e-12)
+    for bad_n, bad_length, match in [
+        (4, 0.0, "box length must be positive and finite, got 0.0"),
+        (4, -TWO_PI, "box length must be positive and finite"),
+        (4, math.nan, "box length must be positive and finite, got nan"),
+        (4, math.inf, "box length must be positive and finite, got inf"),
+        (0, TWO_PI, "grid size n must be at least 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            wp.spectral_derivative_matrix(bad_n, bad_length)
 
 
 def test_oscillator_ground_state_converges():
@@ -477,7 +486,7 @@ def test_grushin_random_field_errors_shrink():
     n = 10
     vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     f = wp.GridField(vals, (TWO_PI, TWO_PI))
-    _, report, diag = wp.grushin_demo(f, 0.2, tol=1e-10, m_cap=64)
+    _, report, diag = wp.grushin_demo(f, 0.2, tol=1e-10)
     assert diag["oracle_gap"] <= 1e-3
     assert report.errors == sorted(report.errors, reverse=True)
 

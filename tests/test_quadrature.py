@@ -77,7 +77,7 @@ def test_ball_rule_matches_closed_form_moments():
         rule = wp.build_ball_rule(d, 12)
         for beta in ((1,) + (0,) * (d - 1), (1, 2) + (0,) * (d - 2), (2,) * d):
             vals = np.prod(rule.nodes ** (2 * np.asarray(beta)), axis=1)
-            closed = wp.ball_moment(beta, d)
+            closed = wp.ball_moment(beta)
             assert rule.integrate(vals) == pytest.approx(closed, rel=1e-10)
 
 
@@ -90,9 +90,9 @@ def test_ball_moment_against_independent_quadrature():
     radial, _ = integrate.quad(
         lambda r: r**7 / math.sqrt(1.0 - r * r), 0.0, 1.0
     )
-    assert wp.ball_moment((1, 2), 2) == pytest.approx(angular * radial, rel=1e-9)
+    assert wp.ball_moment((1, 2)) == pytest.approx(angular * radial, rel=1e-9)
     # frozen value of the same moment
-    assert wp.ball_moment((1, 2), 2) == pytest.approx(0.179519580205131, rel=1e-12)
+    assert wp.ball_moment((1, 2)) == pytest.approx(0.179519580205131, rel=1e-12)
 
 
 def test_ball_rule_odd_moments_vanish():
@@ -105,7 +105,7 @@ def test_ball_rule_odd_moments_vanish():
 def test_dirichlet_double_factorial_form_agrees():
     # the factorial-only rewrite exists in even dimension d = 2m
     for alpha in ((0, 0), (1, 0), (1, 2), (2, 1, 1, 0), (3, 2, 0, 1)):
-        gamma_form = wp.dirichlet_moment(alpha, len(alpha))
+        gamma_form = wp.ball_moment(alpha)
         df_form = wp.dirichlet_moment_double_factorial(alpha)
         assert df_form == pytest.approx(gamma_form, rel=1e-12)
 
@@ -124,7 +124,7 @@ def test_gamma_duplication_rejects_nonpositive():
 def test_montecarlo_ball_within_three_sigma():
     rule = wp.build_ball_rule(5, 10, method="montecarlo", samples=200_000, seed=0)
     vals = rule.nodes[:, 0] ** 2 * rule.nodes[:, 1] ** 2
-    closed = wp.ball_moment((1, 1, 0, 0, 0), 5)
+    closed = wp.ball_moment((1, 1, 0, 0, 0))
     sigma = rule.error_estimate(vals)
     assert sigma > 0.0
     assert abs(rule.integrate(vals) - closed) <= 3.0 * sigma
@@ -148,7 +148,7 @@ def test_stable_sum_compensates_cancellation():
     values = np.array([1.0, 1e16, 1.0, -1e16, 1.0])
     assert wp.stable_sum(values) == math.fsum(values)
     block = np.arange(12.0).reshape(3, 4)
-    assert np.allclose(wp.stable_sum(block, axis=0), block.sum(axis=0))
+    assert np.allclose(wp.stable_sum(block), block.sum(axis=0))
 
 
 def test_stable_sum_matches_fsum_on_long_inputs():
@@ -190,15 +190,13 @@ def test_rule_construction_validation():
         with pytest.raises(ValueError, match="boundary exponent must be finite and exceed -1"):
             wp.build_ball_rule(2, 4, boundary_exponent=p)
         with pytest.raises(ValueError, match="boundary exponent must be finite and exceed -1"):
-            wp.ball_moment((1, 0), 2, boundary_exponent=p)
+            wp.ball_moment((1, 0), boundary_exponent=p)
 
 
 def test_moments_refuse_negative_or_fractional_exponents():
     for alpha in ((-1, 2), (0.5, 1)):
         with pytest.raises(ValueError, match="non-negative integers"):
-            wp.dirichlet_moment(alpha)
-        with pytest.raises(ValueError, match="non-negative integers"):
-            wp.ball_moment(alpha, 2)
+            wp.ball_moment(alpha)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +206,7 @@ def test_moments_refuse_negative_or_fractional_exponents():
 def test_tensor_rule_integrates_even_monomials_exactly(beta):
     rule = wp.build_ball_rule(2, 10)
     vals = rule.nodes[:, 0] ** (2 * beta[0]) * rule.nodes[:, 1] ** (2 * beta[1])
-    closed = wp.ball_moment(beta, 2)
+    closed = wp.ball_moment(beta)
     assert rule.integrate(vals) == pytest.approx(closed, rel=1e-10, abs=1e-13)
 
 
@@ -242,7 +240,7 @@ def test_dirichlet_ball_pushforward_moments_are_exact():
             rule = _dirichlet_rule([0.5] * n + [p + 1.0], level)
             u = rule.nodes[:, :n]  # drop the slack coordinate 1 - |w|^2
             for beta in _bounded(n, level):
-                closed = wp.ball_moment(beta, n, boundary_exponent=p)
+                closed = wp.ball_moment(beta, boundary_exponent=p)
                 assert _u_moment(u, rule.weights, beta) == pytest.approx(closed, rel=1e-12)
 
 
@@ -319,7 +317,7 @@ def test_mirrored_rule_size_sign_symmetry_and_moments(kind, n, p, level):
         closed = lambda b: 2.0 * math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + n / 2.0))
     else:
         rule, sticks = wp.build_ball_rule(n, level, boundary_exponent=p), n
-        closed = lambda b: wp.ball_moment(tuple(b), n, boundary_exponent=p)
+        closed = lambda b: wp.ball_moment(tuple(b), boundary_exponent=p)
     assert rule.method == "tensor"
     assert len(rule.weights) == (level // 2 + 1) ** sticks * 2 ** n
     reference = _sorted_rows(rule.nodes, rule.weights)
@@ -406,7 +404,7 @@ def test_tensor_moment_errors_match_per_probe_reference():
     for d, p in ((4, -0.5), (2, 0.0)):
         ball = wp.build_ball_rule(d, 8 if d == 4 else 14, boundary_exponent=p)
         probes = np.asarray(quadrature._even_probe_indices(d, 4))
-        exact = [wp.ball_moment(tuple(b), d, boundary_exponent=p) for b in probes]
+        exact = [wp.ball_moment(tuple(b), boundary_exponent=p) for b in probes]
         ref = _reference_moment_error(ball.nodes, ball.weights, 2 * probes, exact)
         assert abs(ball.moment_error - ref) <= 1e-14
     simplex = _dirichlet_rule([0.5] * 5, 8)

@@ -82,7 +82,8 @@ def test_field_csv_matches_rowwise_writer(t):
 
 def test_field_json_roundtrip():
     # the JSON text keeps the layout and every sample exactly
-    f = wp.gaussian_bump((8, 4), (2 * math.pi, 4 * math.pi), (1.0, 2.0), 0.5, origins=(-1.5, 0.25))
+    bump = wp.gaussian_bump((8, 4), (2 * math.pi, 4 * math.pi), (1.0, 2.0), 0.5)
+    f = wp.GridField(bump.values, bump.lengths, origins=(-1.5, 0.25))
     obj = json.loads(json.dumps(ser.field_to_json(f, t=0.25)))
     assert obj["dims"] == [8, 4]
     assert obj["lengths"] == [2 * math.pi, 4 * math.pi]

@@ -7,7 +7,7 @@ import pytest
 
 import waveprop as wp
 from waveprop import trotter
-from waveprop.trotter import _series_scales, _tail_bound
+from waveprop.trotter import _series_scales, _series_sum, _tail_bound
 
 
 @pytest.fixture()
@@ -158,9 +158,9 @@ def test_tail_bound_covers_truncation_error(unit_pair):
     t = 0.6  # close enough to the radius that truncation is visible
     amp, y, x, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
     assert x < 1.0  # inside the radius
-    shallow = wp.fm_evaluate([a, b], h, t, 32, order=3)
-    deep = wp.fm_evaluate([a, b], h, t, 32, order=24)
-    diff = np.linalg.norm(shallow - deep)
+    # the order-3 sum is the prefix of one deep series
+    series = wp.taylor_series_build([a, b], h, 32, 24)
+    diff = np.linalg.norm(_series_sum(series[:4], t, False) - _series_sum(series, t, False))
     assert 0.0 < diff <= _tail_bound(amp, y, t, 3)
 
 
@@ -183,10 +183,10 @@ def test_series_coefficients_obey_the_norm_majorant(q, seed):
 def test_tail_bound_holds_inside_and_outside_the_radius(unit_pair, sine, t):
     a, b, h = unit_pair
     amp, y, _, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
-    evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate
-    deep = evaluate([a, b], h, t, 16, order=60)
+    series = wp.taylor_series_build([a, b], h, 16, 60)
+    deep = _series_sum(series, t, sine)
     for order in (2, 4, 8):
-        diff = np.linalg.norm(evaluate([a, b], h, t, 16, order=order) - deep)
+        diff = np.linalg.norm(_series_sum(series[: order + 1], t, sine) - deep)
         assert diff <= _tail_bound(amp, y, t, order, sine)
 
 
@@ -241,9 +241,6 @@ def test_quadrature_crosscheck_small_m():
     for m in (1, 2, 3):
         _, _, gap = wp.fm_quadrature_crosscheck(a, b, h, 0.2, m)
         assert gap <= 1e-10
-    # an explicit order is shared by both routes, so the gap isolates the quadrature
-    _, _, gap = wp.fm_quadrature_crosscheck(a, b, h, 0.2, 3, order=5)
-    assert gap <= 1e-10
 
 
 def test_quadrature_crosscheck_rejects_large_m(unit_pair):
@@ -258,6 +255,11 @@ def test_taylor_coefficient_gap_halves(unit_pair):
     for hi, lo in zip(gaps, gaps[1:]):
         assert hi / lo == pytest.approx(2.0, abs=1e-9)
     assert gaps[0] / gaps[-1] == pytest.approx(8.0, abs=1e-8)
+    # the check's walk doubles m, so each depth is bit-identical to a fresh build
+    s = a @ a + b @ b
+    target = s @ (s @ h) / 2.0
+    fresh = [float(np.linalg.norm(target - wp.taylor_series_build([a, b], h, m, 2)[2])) for m in (8, 16, 32, 64)]
+    assert gaps == fresh
 
 
 def test_sine_series_matches_sinc_oracle(unit_pair):
@@ -388,13 +390,6 @@ def test_walk_with_ratios_off_powers_of_two_matches_fresh_builds(q):
     for m, series in zip(depths, walk):
         fresh = wp.taylor_series_build(ops, h, m, order)
         assert np.max(np.abs(series - fresh)) <= 1e-13 * np.max(np.abs(fresh))
-    if q == 2:
-        gaps = wp.taylor_limit_check(ops[0], ops[1], 2, h, m_values=depths)
-        s = ops[0] @ ops[0] + ops[1] @ ops[1]
-        target = s @ (s @ h) / 2.0
-        for m, gap in zip(depths, gaps):
-            fresh = np.linalg.norm(target - wp.taylor_series_build(ops, h, m, 2)[2])
-            assert gap == pytest.approx(fresh, rel=1e-10)
 
 
 @pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
@@ -405,17 +400,10 @@ def test_richardson_is_the_extrapolation_of_the_last_two_depths(unit_pair, sine)
     rich, rich_report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64, richardson=True)
     assert rich_report.to_dict() == report.to_dict()
     *_, lo, hi = report.m_values
-    order = report.truncation_order
-    assert np.array_equal(plain, evaluate([a, b], h, 0.3, hi, order=order))
-    expected = 2.0 * evaluate([a, b], h, 0.3, hi, order=order) - evaluate([a, b], h, 0.3, lo, order=order)
+    # the evaluators pick the driver's automatic order
+    assert np.array_equal(plain, evaluate([a, b], h, 0.3, hi))
+    expected = 2.0 * evaluate([a, b], h, 0.3, hi) - evaluate([a, b], h, 0.3, lo)
     assert np.array_equal(rich, expected)
-
-
-@pytest.mark.parametrize("m_values", [(64, 8), (8, 8, 16), (0, 8), (-4,), ()])
-def test_taylor_limit_check_refuses_depths_that_do_not_increase(unit_pair, m_values):
-    a, b, h = unit_pair
-    with pytest.raises(ValueError, match=r"positive and strictly increasing, got \[" + ", ".join(map(str, m_values))):
-        wp.taylor_limit_check(a, b, 2, h, m_values=m_values)
 
 
 def test_driver_errors_without_a_reference_are_one_fewer_than_the_depths(unit_pair):
