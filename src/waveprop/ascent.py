@@ -37,14 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
-from .operators import (
-    HermitianOperator,
-    SeriesCapError,
-    SpectralDecomposition,
-    _checked_operators,
-    _checked_time,
-    as_matrix,
-)
+from .operators import SeriesCapError, _checked_operators, _checked_time, _eigh
 from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
 
 __all__ = [
@@ -246,23 +239,24 @@ def transmutation_check(b, rho: float):
 
     rhs = (4 pi rho)^(-1/2) integral e^(-t^2/(4 rho)) cos(B t) dt over
     [-T, T], with T chosen so the discarded Gaussian tail is below 1e-10.
-    Returns (lhs, rhs, gap) with gap in the Frobenius norm.
+    Returns (lhs, rhs, gap) with gap in the Frobenius norm.  b is refused
+    as the oracles refuse an operator: it must be square, finite and Hermitian.
     """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"heat time rho must be positive and finite, got {rho}")
-    mat = as_matrix(b)
-    dec = HermitianOperator(mat).decomposition()
-    lhs = dec.matrix_function(lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None)))
-    norm_b = float(max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]))) if mat.size else 0.0
+    (mat,) = _checked_operators([b])
+    lam, vecs = _eigh(mat)
+    lhs = (vecs * np.exp(-rho * np.clip(lam * lam, 0.0, None))) @ vecs.conj().T
+    norm_b = float(max(abs(lam[0]), abs(lam[-1]))) if mat.size else 0.0
     # two-sided Gaussian tail beyond T equals erfc(T / (2 sqrt(rho))), set a tenth of 1e-10
     horizon = 2.0 * math.sqrt(rho) * float(erfcinv(1e-10 / 10.0))
     count = max(96, int(1.5 * horizon * max(1.0, norm_b)) + 48)
     x, w = roots_legendre(count)
     ts = horizon * x
     gauss = (4.0 * math.pi * rho) ** (-0.5) * np.exp(-ts * ts / (4.0 * rho)) * (horizon * w)
-    cos_t_lam = np.cos(np.outer(ts, dec.eigenvalues))  # (count, d)
+    cos_t_lam = np.cos(np.outer(ts, lam))  # (count, d)
     diag = stable_sum(gauss[:, None] * cos_t_lam)
-    rhs = (dec.eigenvectors * diag) @ dec.eigenvectors.conj().T
+    rhs = (vecs * diag) @ vecs.conj().T
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))
 
 
@@ -282,26 +276,23 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
     n = len(mats)
     d = fam.dim
     lhs = np.eye(d, dtype=complex)
-    decs = [SpectralDecomposition.from_matrix(m) for m in mats]
-    for dec in decs:
-        lhs = lhs @ dec.matrix_function(
-            lambda lam: np.exp(-rho * np.clip(lam * lam, 0.0, None))
-        )
-    sphere = _dirichlet_rule([0.5] * n, 12)  # S^(n-1) in u = w^2: the integrand is even in every w_i
+    lams, vecs = zip(*map(_eigh, mats))
+    for lam, v in zip(lams, vecs):
+        lhs = lhs @ ((v * np.exp(-rho * np.clip(lam * lam, 0.0, None))) @ v.conj().T)
+    sphere_u, sphere_w = _dirichlet_rule([0.5] * n, 12)  # S^(n-1) in u = w^2: the integrand is even in every w_i
     u, wu = roots_genlaguerre(64, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)
     # cos(t w_i lambda) at every radial x sphere node, for all operators at once
-    phases = np.multiply.outer(ts, np.sqrt(sphere.nodes))  # (radial, sphere, n)
-    lams = np.array([dec.eigenvalues for dec in decs])
-    cosines = np.cos(phases[..., None] * lams)  # (radial, sphere, n, d)
+    phases = np.multiply.outer(ts, np.sqrt(sphere_u))  # (radial, sphere, n)
+    cosines = np.cos(phases[..., None] * np.array(lams))  # (radial, sphere, n, d)
     # prod_i V_i C_i V_i^H = V_1 C_1 (V_1^H V_2) C_2 ... C_n V_n^H, node by node
     chain = cosines[..., 0, :, None] * np.eye(d)
     for i in range(1, n):
-        move = decs[i - 1].eigenvectors.conj().T @ decs[i].eigenvectors
+        move = vecs[i - 1].conj().T @ vecs[i]
         chain = (chain @ move) * cosines[..., i, None, :]
     # sphere average per t, then the radial sum: the order of a plain loop
-    inner = (chain * 2.0 * sphere.weights[:, None, None]).sum(axis=1)
+    inner = (chain * 2.0 * sphere_w[:, None, None]).sum(axis=1)
     inner = (inner * (prefactor * wu)[:, None, None]).sum(axis=0)
-    rhs = decs[0].eigenvectors @ inner @ decs[-1].eigenvectors.conj().T
+    rhs = vecs[0] @ inner @ vecs[-1].conj().T
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))

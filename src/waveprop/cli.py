@@ -305,10 +305,9 @@ def _cmd_ascent(args) -> int:
 def _cmd_noncomm(args) -> int:
     import numpy as np
 
-    from .fields import relative_l2_gap
-    from .operators import cos_sqrt_sum_oracle, random_hermitian, random_state
+    from .operators import random_hermitian, random_state
+    from .pde import _oracle_drive
     from .serialization import vector_to_json
-    from .trotter import cos_noncomm
 
     if args.fixture:
         decoded = _fixture(args, "hermitian-pair")
@@ -320,12 +319,8 @@ def _cmd_noncomm(args) -> int:
         rng = np.random.default_rng(args.seed)
         ops = [random_hermitian(args.dim, rng=rng, norm=1.0) for _ in range(args.q)]
         h = random_state(args.dim, rng=rng)
-    reference = cos_sqrt_sum_oracle(ops, args.t, h)
-    result, report = cos_noncomm(
-        ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap,
-        reference=reference, richardson=args.richardson,
-    )
-    gap = relative_l2_gap(result, reference)
+    result, report, gap = _oracle_drive(ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap,
+                                        richardson=args.richardson)
     payload = {
         "subcommand": "noncomm",
         "formula": "splitting-series-limit",

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _checked_time
+
 __all__ = [
     "GridField",
     "wave_symbol",
@@ -79,6 +81,13 @@ class GridField:
         return GridField(values, self.lengths, self.origins)
 
 
+def _finite_values(field: GridField) -> np.ndarray:
+    """The field's samples, refused before any work if one is not finite."""
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field values have non-finite entries")
+    return field.values
+
+
 def _axis_sum_of_squares(field: GridField, axis_values) -> np.ndarray:
     """sum over axes of axis_values(axis)^2, each 1-D array broadcast along its axis."""
     total = np.zeros(field.shape)
@@ -123,7 +132,11 @@ def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | Non
     """cos(t * symbol) applied in the Fourier basis; the oracle for grids.
 
     symbol is a complex array of the field's shape (wave_symbol by default).
+    t and the field samples are refused as the grid routes refuse them:
+    both must be finite.
     """
+    _checked_time(t)
+    _finite_values(field)
     symbol = wave_symbol(field) if symbol is None else symbol
     if symbol.shape != field.shape:
         raise ValueError("symbol shape does not match the field")
@@ -152,8 +165,11 @@ def gaussian_bump(shape, lengths, center, sigma: float) -> GridField:
 
 
 def relative_l2_gap(a: GridField | np.ndarray, b: GridField | np.ndarray) -> float:
+    """||a - b|| / ||b||, refused unless a and b have one shape."""
     va = a.values if isinstance(a, GridField) else np.asarray(a)
     vb = b.values if isinstance(b, GridField) else np.asarray(b)
+    if va.shape != vb.shape:
+        raise ValueError(f"operands of shapes {va.shape} and {vb.shape} differ")
     return float(np.linalg.norm(va - vb) / max(np.linalg.norm(vb), 1e-300))
 
 

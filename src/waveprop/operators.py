@@ -7,22 +7,20 @@ answer to be measured against.
 
 The input checks of every route live here, one copy of each refusal:
 _checked_operators, _checked_vector and _checked_time serve the oracles,
-the splitting entries, the ascent, the grid routes and HermitianOperator,
-so a route and its oracle refuse the same input with the same message.
+the splitting entries, the ascent and the grid routes, so a route and its
+oracle refuse the same input with the same message.  Operators are plain
+arrays; _eigh is the one validated eigendecomposition, and _hermitian_part
+the symmetrize-and-warn policy of the matrix fixture check.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HermitianOperator",
-    "SpectralDecomposition",
-    "as_matrix",
     "cos_sqrt_sum_oracle",
     "sinc_sqrt_sum_oracle",
     "random_hermitian",
@@ -37,81 +35,52 @@ class SeriesCapError(ValueError):
     """A numerical refusal: the series a route needs runs past its order cap, which the message names."""
 
 
-@dataclass(eq=False)
-class HermitianOperator:
-    """Dense Hermitian matrix.
+def _hermitian_defect(mat: np.ndarray) -> float:
+    """Relative Hermitian defect ||M - M*|| / ||M|| (Frobenius), or 0.0 when within HERMITIAN_RTOL."""
+    scale = np.linalg.norm(mat)
+    defect = np.linalg.norm(mat - mat.conj().T)
+    return float(defect / scale) if defect > HERMITIAN_RTOL * scale else 0.0  # 0.0 for a non-finite entry
 
-    Inputs whose Hermitian defect exceeds HERMITIAN_RTOL (relative,
-    Frobenius) are symmetrized to (M + M*)/2 with a warning rather than
-    rejected; the `symmetrized` flag records that this happened.  Every
-    other refusal of _checked_operators holds: the matrix must be square
-    and finite.
+
+def _hermitian_part(matrix) -> tuple[np.ndarray, bool]:
+    """The matrix, or its Hermitian part (M + M*)/2 with a warning, and whether it was symmetrized.
+
+    A square matrix whose _hermitian_defect is not zero is symmetrized
+    rather than refused; every other refusal of _checked_operators holds:
+    the matrix must be square and finite.
     """
-
-    entries: np.ndarray
-    symmetrized: bool = False
-
-    def __init__(self, entries):
-        entries = np.asarray(entries, dtype=complex)
-        self.symmetrized = False
-        if entries.ndim == 2 and entries.shape[0] == entries.shape[1]:
-            scale = np.linalg.norm(entries)
-            defect = np.linalg.norm(entries - entries.conj().T)
-            if scale > 0 and defect > HERMITIAN_RTOL * scale:  # False for a non-finite entry
-                warnings.warn(
-                    f"input is not Hermitian (relative defect {defect / scale:.3e}); "
-                    "using the Hermitian part",
-                    stacklevel=2,
-                )
-                entries = (entries + entries.conj().T) / 2.0
-                self.symmetrized = True
-        (self.entries,) = _checked_operators([entries])
-
-    def decomposition(self) -> "SpectralDecomposition":
-        return SpectralDecomposition.from_matrix(self.entries)
+    mat = np.asarray(matrix, dtype=complex)
+    defect = _hermitian_defect(mat) if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else 0.0
+    if defect:
+        warnings.warn(f"input is not Hermitian (relative defect {defect:.3e}); using the Hermitian part",
+                      stacklevel=2)
+        mat = (mat + mat.conj().T) / 2.0
+    (mat,) = _checked_operators([mat])
+    return mat, bool(defect)
 
 
-@dataclass(eq=False)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
+def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a Hermitian matrix.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "SpectralDecomposition":
-        matrix = np.asarray(matrix, dtype=complex)
-        try:
-            w, v = np.linalg.eigh(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"eigendecomposition failed for {matrix.shape[0]}x{matrix.shape[1]} input: {exc}"
-            ) from exc
-        dec = cls(eigenvalues=w, eigenvectors=v)
-        scale = max(np.linalg.norm(matrix), 1e-300)
-        recon = np.linalg.norm((v * w) @ v.conj().T - matrix)
-        ortho = np.linalg.norm(v.conj().T @ v - np.eye(len(w)))
-        if recon > RECONSTRUCT_RTOL * scale or ortho > RECONSTRUCT_RTOL:
-            raise np.linalg.LinAlgError(
-                f"eigendecomposition failed validation: reconstruction {recon / scale:.3e}, "
-                f"orthonormality {ortho:.3e}"
-            )
-        return dec
-
-    def apply(self, fn, vector: np.ndarray) -> np.ndarray:
-        """f(M) v through the eigenbasis."""
-        coeffs = self.eigenvectors.conj().T @ vector
-        return self.eigenvectors @ (fn(self.eigenvalues) * coeffs)
-
-    def matrix_function(self, fn) -> np.ndarray:
-        return (self.eigenvectors * fn(self.eigenvalues)) @ self.eigenvectors.conj().T
-
-
-def as_matrix(op) -> np.ndarray:
-    """Accept HermitianOperator or a plain array."""
-    if isinstance(op, HermitianOperator):
-        return op.entries
-    return np.asarray(op, dtype=complex)
+    The pair is validated: it must rebuild the matrix and the eigenvectors
+    be orthonormal, both to RECONSTRUCT_RTOL, or LinAlgError is raised.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed for {matrix.shape[0]}x{matrix.shape[1]} input: {exc}"
+        ) from exc
+    scale = max(np.linalg.norm(matrix), 1e-300)
+    recon = np.linalg.norm((v * w) @ v.conj().T - matrix)
+    ortho = np.linalg.norm(v.conj().T @ v - np.eye(len(w)))
+    if recon > RECONSTRUCT_RTOL * scale or ortho > RECONSTRUCT_RTOL:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed validation: reconstruction {recon / scale:.3e}, "
+            f"orthonormality {ortho:.3e}"
+        )
+    return w, v
 
 
 def _checked_operators(ops) -> list[np.ndarray]:
@@ -121,7 +90,7 @@ def _checked_operators(ops) -> list[np.ndarray]:
     non-square or mismatched shape, a non-finite entry, or a Hermitian
     defect above HERMITIAN_RTOL (relative, Frobenius).
     """
-    mats = [as_matrix(op) for op in ops]
+    mats = [np.asarray(op, dtype=complex) for op in ops]
     if not mats:
         raise ValueError("need at least one operator")
     shape = mats[0].shape
@@ -132,12 +101,10 @@ def _checked_operators(ops) -> list[np.ndarray]:
             raise ValueError(f"operator {i} has shape {mat.shape}, operator 0 has {shape}")
         if not np.isfinite(mat).all():
             raise ValueError(f"operator {i} has non-finite entries")
-        scale = np.linalg.norm(mat)
-        defect = np.linalg.norm(mat - mat.conj().T)
-        if defect > HERMITIAN_RTOL * scale:
+        defect = _hermitian_defect(mat)
+        if defect:
             raise ValueError(
-                f"operator {i} is not Hermitian: relative defect {defect / scale:.3e} "
-                f"exceeds {HERMITIAN_RTOL:.0e}"
+                f"operator {i} is not Hermitian: relative defect {defect:.3e} exceeds {HERMITIAN_RTOL:.0e}"
             )
     return mats
 
@@ -170,8 +137,8 @@ def _oracle(ops, t: float, vector, fn):
     total = np.zeros((d, d), dtype=complex)
     for m in mats:
         total += m @ m
-    dec = SpectralDecomposition.from_matrix(total)
-    return dec.matrix_function(fn) if vec is None else dec.apply(fn, vec)
+    w, v = _eigh(total)
+    return (v * fn(w)) @ v.conj().T if vec is None else v @ (fn(w) * (v.conj().T @ vec))
 
 
 def cos_sqrt_sum_oracle(ops, t: float, vector=None):

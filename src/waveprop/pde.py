@@ -46,7 +46,7 @@ import warnings
 import numpy as np
 from scipy.special import gammaln, i0, i1, j0, j1
 
-from .fields import GridField, _k_squared, assert_no_wrap, relative_l2_gap
+from .fields import GridField, _finite_values, _k_squared, assert_no_wrap, relative_l2_gap
 from .operators import _checked_time, cos_sqrt_sum_oracle
 from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
 from .trotter import cos_noncomm
@@ -122,11 +122,11 @@ def _shell_rule(d: int, level: int, p: float | None = None, a: float | None = No
     else:
         alphas = [0.5] + ([(d - 1) / 2.0 + p + 1.0] if a is None else middle + [p + 1.0])
         mass = ball_moment((0,) * d, boundary_exponent=p)
-    rule = _dirichlet_rule(alphas, level)
-    s = np.sqrt(rule.nodes[:, 0])
-    rho = np.zeros_like(s) if a is None else a * np.sqrt(rule.nodes[:, -1])
+    u, weights = _dirichlet_rule(alphas, level)
+    s = np.sqrt(u[:, 0])
+    rho = np.zeros_like(s) if a is None else a * np.sqrt(u[:, -1])
     scale = mass * np.exp(gammaln(sum(alphas)) - gammaln(alphas).sum())
-    return s, rho, rule.weights * scale
+    return s, rho, weights * scale
 
 
 def _bessel_jet(x, hyperbolic: bool):
@@ -204,13 +204,6 @@ _ROUTES = {
     (3, True): (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
 }
 _HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
-
-
-def _finite_values(field: GridField) -> np.ndarray:
-    """The field's samples, refused before any work if one is not finite."""
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field values have non-finite entries")
-    return field.values
 
 
 def _propagate(field, t, level, kind, a=None, hyperbolic=False):
@@ -375,13 +368,14 @@ def _grushin_field(n: int) -> GridField:
     return box.like(np.repeat(np.exp(np.cos(x1))[:, None], n, axis=1).astype(complex))
 
 
-def _oracle_drive(a_mat, b_mat, vec, t: float, **drive):
+def _oracle_drive(ops, vec, t: float, **drive):
     """The dense oracle, cos_noncomm held against it, and the relative gap to it.
 
-    drive holds cos_noncomm's tol and depth bounds; returns (u, report, gap).
+    ops is the ordered operator list; drive holds cos_noncomm's options
+    (tol, depth bounds, richardson).  Returns (u, report, gap).
     """
-    reference = cos_sqrt_sum_oracle([a_mat, b_mat], t, vec)
-    u, report = cos_noncomm([a_mat, b_mat], vec, t, reference=reference, **drive)
+    reference = cos_sqrt_sum_oracle(ops, t, vec)
+    u, report = cos_noncomm(ops, vec, t, reference=reference, **drive)
     return u, report, relative_l2_gap(u, reference)
 
 
@@ -406,7 +400,7 @@ def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int =
             "the position operator needs near-vanishing data there"
         )
     a_mat, b_mat = _oscillator_pair(field)
-    u, report, gap = _oracle_drive(a_mat, b_mat, v, t, tol=tol, m0=m0, m_cap=m_cap)
+    u, report, gap = _oracle_drive([a_mat, b_mat], v, t, tol=tol, m0=m0, m_cap=m_cap)
     return field.like(u), report, {"oracle_gap": gap, "verdict": report.verdict}
 
 
@@ -430,7 +424,7 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8):
     d2 = spectral_derivative_matrix(n2, field.lengths[1])
     a_mat = np.kron(d1, np.eye(n2))
     b_mat = np.kron(np.diag(x1.astype(complex)), d2)
-    u, report, gap = _oracle_drive(a_mat, b_mat, vec, t, tol=tol, m_cap=256)
+    u, report, gap = _oracle_drive([a_mat, b_mat], vec, t, tol=tol, m_cap=256)
     diagnostics = {
         "oracle_gap": gap,
         "b_action_residual": float(np.linalg.norm(b_mat @ vec) / max(np.linalg.norm(vec), 1e-300)),

@@ -70,7 +70,8 @@ def stable_sum(values: np.ndarray) -> np.ndarray:
     summed down each column with Neumaier compensation, and the column
     sums and compensations are finished by math.fsum; otherwise
     fixed-size chunks are reduced pairwise and the chunk partials combined
-    with Kahan compensation.
+    with Kahan compensation.  Input with no rows sums to zeros of the
+    trailing shape.
     """
     values = np.asarray(values)
     chunk = 1024
@@ -82,8 +83,7 @@ def stable_sum(values: np.ndarray) -> np.ndarray:
             total = t
         return np.float64(math.fsum(np.concatenate([total, comp]).tolist()))
     partials = [values[i : i + chunk].sum(axis=0) for i in range(0, len(values), chunk)]
-    total = np.zeros_like(partials[0])
-    comp = np.zeros_like(partials[0])
+    total = comp = np.zeros_like(values[:0].sum(axis=0))
     for p in partials:
         y = p - comp
         t = total + y
@@ -311,18 +311,6 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
                     boundary_exponent=p, seed=seed)
 
 
-@dataclass(eq=False)
-class DirichletRule:
-    """Nodes u on the simplex (rows sum to 1) against prod u_i^(alpha_i - 1).
-
-    Weights sum to Gamma(alpha_1)...Gamma(alpha_K) / Gamma(sum alpha).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    moment_error: float
-
-
 def _read_only(arrays) -> tuple:
     for array in arrays:
         array.flags.writeable = False
@@ -410,14 +398,16 @@ def _mirrored(u: np.ndarray, weights: np.ndarray):
     return nodes.reshape(-1, u.shape[1]), np.repeat(weights / len(signs), len(signs))
 
 
-def _dirichlet_rule(alphas, level: int) -> DirichletRule:
-    """Rule on the simplex u_1+...+u_K = 1 against prod u_i^(alpha_i - 1).
+def _dirichlet_rule(alphas, level: int):
+    """Nodes u and weights on the simplex u_1+...+u_K = 1 against prod u_i^(alpha_i - 1).
 
     Under u_i = w_i^2 the surface measure of S^(n-1) is twice the measure
     with alphas (1/2,)*n, and the ball weight (1-|w|^2)^p in R^n is the
     measure with alphas (1/2,)*n + (p+1,), whose last coordinate is the
     slack 1-|w|^2.  The rule is _dirichlet_tensor, exact on polynomials
-    in u of total degree <= level, with its _stick_rule self-test error.
+    in u of total degree <= level; the weights sum to
+    Gamma(alpha_1)...Gamma(alpha_K) / Gamma(sum alpha), and _stick_rule
+    holds its self-test error.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or len(a) == 0:
@@ -426,8 +416,7 @@ def _dirichlet_rule(alphas, level: int) -> DirichletRule:
         raise ValueError("Dirichlet parameters must be positive")
     if level < 0:
         raise ValueError("level must be non-negative")
-    u, weights = _dirichlet_tensor(_dirichlet_sticks(a, level))
-    return DirichletRule(u, weights, _stick_rule(tuple(a.tolist()), level, min(level, PROBE_DEGREE))[1])
+    return _dirichlet_tensor(_dirichlet_sticks(a, level))
 
 
 def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields):
@@ -444,10 +433,11 @@ def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields
     if count > MIRRORED_NODE_LIMIT:
         raise ValueError(f"tensor rule would form {count} mirrored nodes, "
                          f"above the limit of {MIRRORED_NODE_LIMIT}")
-    simplex = _dirichlet_rule(alphas, level)
-    nodes, weights = _mirrored(simplex.nodes[:, :d], simplex.weights)
+    u, weights = _dirichlet_rule(alphas, level)
+    nodes, weights = _mirrored(u[:, :d], weights)
     rule = cls(d, level, nodes, scale * weights, "tensor", **fields)
     # benchmarks/test_benchmark.py traces this integrate inside build_ball_rule
     first = np.max(np.abs(rule.integrate(nodes))) / rule.weights.sum()
-    rule.moment_error = max(simplex.moment_error, float(first))
+    selftest = _stick_rule(tuple(alphas), level, min(level, PROBE_DEGREE))[1]
+    rule.moment_error = max(selftest, float(first))
     return rule

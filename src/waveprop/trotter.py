@@ -57,13 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import _cos_product_average, _ladder_sum
-from .operators import (
-    SeriesCapError,
-    SpectralDecomposition,
-    _checked_operators,
-    _checked_time,
-    _checked_vector,
-)
+from .operators import SeriesCapError, _checked_operators, _checked_time, _checked_vector, _eigh
 
 __all__ = [
     "ConvergenceReport",
@@ -120,17 +114,15 @@ class _Eigenbases:
     and ends in the eigenbasis `last` of A_1.
     """
 
-    eigenvalues: list
+    eigenvalues: tuple
     moves: list
     last: np.ndarray
     norms: list  # ||A_i|| = max |lambda|
 
 
 def _eigenbases(mats) -> _Eigenbases:
-    decs = [SpectralDecomposition.from_matrix(mat) for mat in reversed(mats)]
-    vecs = [dec.eigenvectors for dec in decs]
+    lams, vecs = zip(*map(_eigh, reversed(mats)))
     moves = [v.conj().T @ prev for v, prev in zip(vecs, vecs[-1:] + vecs[:-1])]
-    lams = [dec.eigenvalues for dec in decs]
     norms = [float(np.max(np.abs(lam), initial=0.0)) for lam in lams]
     return _Eigenbases(lams, moves, vecs[-1], norms)
 

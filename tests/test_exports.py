@@ -93,5 +93,9 @@ def test_deleted_options_and_exports_stay_deleted():
     for (module, name), params in _DELETED_PARAMETERS.items():
         signature = inspect.signature(getattr(importlib.import_module(f"waveprop.{module}"), name))
         assert not set(params) & set(signature.parameters), (name, params)
-    assert {"dirichlet_moment", "effective_support_radius"}.isdisjoint(wp.__all__)
+    assert {"dirichlet_moment", "effective_support_radius", "HermitianOperator",
+            "SpectralDecomposition", "as_matrix"}.isdisjoint(wp.__all__)
+    for module, name in (("operators", "HermitianOperator"), ("operators", "SpectralDecomposition"),
+                         ("operators", "as_matrix"), ("quadrature", "DirichletRule")):
+        assert not hasattr(importlib.import_module(f"waveprop.{module}"), name), name
     assert not hasattr(wp.GridField, "norm")

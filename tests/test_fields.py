@@ -1,6 +1,7 @@
 """Tests for periodic grid fields, Fourier symbols, and the spectral reference."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -149,6 +150,15 @@ def test_relative_l2_gap_normalizes_by_reference():
     assert wp.relative_l2_gap(2.0 * a, a) == pytest.approx(1.0)
 
 
+def test_relative_l2_gap_refuses_operands_of_different_shapes():
+    # broadcasting (3,) against (3, 1) would compare a 3 x 3 difference
+    with pytest.raises(ValueError, match=re.escape("operands of shapes (3,) and (3, 1) differ")):
+        wp.relative_l2_gap(np.ones(3), 2.0 * np.ones((3, 1)))
+    f = wp.GridField(np.ones(4, dtype=complex), (TWO_PI,))
+    with pytest.raises(ValueError, match=re.escape("(4,) and (2, 2)")):
+        wp.relative_l2_gap(f, np.ones((2, 2)))
+
+
 def test_no_wrap_guard_warns_only_when_cone_reaches_boundary():
     bump = wp.gaussian_bump((64,), (TWO_PI,), (math.pi,), 0.25)
     with pytest.warns(UserWarning, match="periodic images"):
@@ -170,6 +180,19 @@ def test_spectral_operator_shape_mismatch():
     sym = wp.wave_symbol(f)
     with pytest.raises(ValueError, match="shape"):
         wp.spectral_wave_reference(wp.GridField(np.zeros(4, dtype=complex), (TWO_PI,)), 0.5, sym)
+
+
+def test_spectral_reference_refuses_what_the_grid_routes_refuse():
+    f = wp.gaussian_bump((16,), (TWO_PI,), (math.pi,), 0.5)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time t must be finite"):
+            wp.spectral_wave_reference(f, t)
+    bad = f.like(f.values.copy())
+    bad.values[3] = math.nan
+    with pytest.raises(ValueError, match="field values have non-finite entries"):
+        wp.spectral_wave_reference(bad, 0.5)
+    with pytest.raises(ValueError, match="field values have non-finite entries"):
+        wp.wave_general(bad, 0.5)
 
 
 def test_grid_field_validation():

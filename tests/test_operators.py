@@ -1,54 +1,85 @@
-"""Tests for Hermitian operator wrappers, eigendecompositions, and oracles."""
+"""Tests for the operator input policies, the validated eigendecomposition, and the oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import waveprop as wp
+from waveprop import verify
+from waveprop.operators import _eigh, _hermitian_part
+from waveprop.serialization import dump_json, matrix_to_json
 
 
-def test_hermitian_input_accepted_without_warning():
+def _fixture_check(tmp_path, matrix):
+    path = tmp_path / "matrix.json"
+    dump_json({"kind": "matrix", "matrix": matrix_to_json(matrix)}, path)
+    return verify.run_fixture_check(path)
+
+
+def test_hermitian_input_accepted_without_warning(tmp_path):
     a = wp.random_hermitian(4, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        op = wp.HermitianOperator(a)
-    assert not op.symmetrized
-    assert np.allclose(op.entries, a)
+        mat, symmetrized = _hermitian_part(a)
+        report = _fixture_check(tmp_path, a)
+    assert not symmetrized
+    assert np.array_equal(mat, a)
+    assert report["warnings"] == [] and report["details"] == {"symmetrized": False}
 
 
-def test_non_hermitian_input_warns_and_symmetrizes():
+def test_non_hermitian_input_warns_and_symmetrizes(tmp_path):
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.warns(UserWarning, match="not Hermitian"):
-        op = wp.HermitianOperator(m)
-    assert op.symmetrized
-    assert np.allclose(op.entries, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    message = "input is not Hermitian (relative defect 1.155e+00); using the Hermitian part"
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        mat, symmetrized = _hermitian_part(m)
+    assert symmetrized
+    assert np.allclose(mat, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    report = _fixture_check(tmp_path, m)
+    assert report["warnings"] == [message] and report["details"] == {"symmetrized": True}
+    assert report["passed"]
 
 
 def test_non_square_input_rejected():
-    with pytest.raises(ValueError, match="square"):
-        wp.HermitianOperator(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=re.escape("expected square operators, got shape (2, 3)")):
+        _hermitian_part(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_input_rejected(bad):
     with pytest.raises(ValueError, match="operator 0 has non-finite entries"):
-        wp.HermitianOperator(np.array([[1.0, bad], [0.0, 1.0]]))
+        _hermitian_part(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_decomposition_reconstructs_operator():
     a = wp.random_hermitian(6, seed=11)
-    dec = wp.HermitianOperator(a).decomposition()
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    v = dec.eigenvectors
-    rebuilt = (v * dec.eigenvalues) @ v.conj().T
+    w, v = _eigh(a)
+    assert np.all(np.diff(w) >= 0)
+    rebuilt = (v * w) @ v.conj().T
     assert np.linalg.norm(rebuilt - a) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(6)) <= 1e-12
+
+
+def test_eigh_refuses_a_pair_that_does_not_rebuild_the_matrix():
+    # eigh reads one triangle, so a non-Hermitian matrix fails the reconstruction check
+    with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed validation"):
+        _eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_matrix_function_of_zero_argument_is_identity():
-    dec = wp.HermitianOperator(np.zeros((3, 3))).decomposition()
-    assert np.allclose(dec.matrix_function(np.cos), np.eye(3))
+    w, v = _eigh(np.zeros((3, 3)))
+    assert np.allclose((v * np.cos(w)) @ v.conj().T, np.eye(3))
+
+
+def test_transmutation_check_refuses_what_the_oracle_refuses():
+    m = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="operator 0 is not Hermitian") as oracle:
+        wp.cos_sqrt_sum_oracle([m], 0.5)
+    with pytest.raises(ValueError, match="operator 0 is not Hermitian") as check:
+        wp.transmutation_check(m, 0.5)
+    assert str(check.value) == str(oracle.value)
 
 
 def test_cos_oracle_diagonal_values():

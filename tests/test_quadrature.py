@@ -151,6 +151,13 @@ def test_stable_sum_compensates_cancellation():
     assert np.allclose(wp.stable_sum(block), block.sum(axis=0))
 
 
+def test_stable_sum_of_no_rows_is_zero_of_the_trailing_shape():
+    assert wp.stable_sum(np.zeros(0)) == 0.0
+    empty = wp.stable_sum(np.zeros((0, 3)))
+    assert empty.shape == (3,) and np.array_equal(empty, np.zeros(3))
+    assert wp.stable_sum(np.zeros((0, 2, 2), dtype=complex)).shape == (2, 2)
+
+
 def test_stable_sum_matches_fsum_on_long_inputs():
     rng = np.random.default_rng(3)
     big = rng.standard_normal(50_000) * 1e10
@@ -218,6 +225,11 @@ def _u_moment(nodes, weights, beta):
     return float(weights @ np.prod(nodes ** np.asarray(beta, dtype=float), axis=1))
 
 
+def _selftest(alphas, level):
+    """The simplex rule's self-test error, as _mirrored_rule reads it."""
+    return quadrature._stick_rule(tuple(alphas), level, min(level, quadrature.PROBE_DEGREE))[1]
+
+
 def _bounded(d, level):
     return [a for a in itertools.product(range(level + 1), repeat=d) if sum(a) <= level]
 
@@ -225,11 +237,11 @@ def _bounded(d, level):
 def test_dirichlet_sphere_pushforward_moments_are_exact():
     level = 5
     for n in range(1, 8):
-        rule = _dirichlet_rule([0.5] * n, level)
+        u, weights = _dirichlet_rule([0.5] * n, level)
         for beta in _bounded(n, level):
             b = np.asarray(beta, dtype=float)
             closed = 2.0 * math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + n / 2.0))
-            got = 2.0 * _u_moment(rule.nodes, rule.weights, beta)
+            got = 2.0 * _u_moment(u, weights, beta)
             assert got == pytest.approx(closed, rel=1e-12)
 
 
@@ -237,37 +249,37 @@ def test_dirichlet_ball_pushforward_moments_are_exact():
     level = 5
     for p in (-0.5, 0.0):
         for n in range(1, 7):
-            rule = _dirichlet_rule([0.5] * n + [p + 1.0], level)
-            u = rule.nodes[:, :n]  # drop the slack coordinate 1 - |w|^2
+            u, weights = _dirichlet_rule([0.5] * n + [p + 1.0], level)
+            u = u[:, :n]  # drop the slack coordinate 1 - |w|^2
             for beta in _bounded(n, level):
                 closed = wp.ball_moment(beta, boundary_exponent=p)
-                assert _u_moment(u, rule.weights, beta) == pytest.approx(closed, rel=1e-12)
+                assert _u_moment(u, weights, beta) == pytest.approx(closed, rel=1e-12)
 
 
 def test_dirichlet_tensor_rule_shape():
     for alphas, level in (([0.5] * 3, 6), ([0.5] * 5, 8), ([0.3, 1.2, 2.0, 0.7], 7), ([1.5], 4)):
-        rule = _dirichlet_rule(alphas, level)
-        assert len(rule.weights) == (level // 2 + 1) ** (len(alphas) - 1)
-        assert np.all(rule.weights > 0.0)
-        assert np.all(rule.nodes >= 0.0)
-        assert np.abs(rule.nodes.sum(axis=1) - 1.0).max() <= 1e-15
+        u, weights = _dirichlet_rule(alphas, level)
+        assert len(weights) == (level // 2 + 1) ** (len(alphas) - 1)
+        assert np.all(weights > 0.0)
+        assert np.all(u >= 0.0)
+        assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-15
         mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
-        assert rule.weights.sum() == pytest.approx(mass, rel=1e-13)
-        assert rule.moment_error <= 1e-12
+        assert weights.sum() == pytest.approx(mass, rel=1e-13)
+        assert _selftest(alphas, level) <= 1e-12
 
 
 def test_dirichlet_switches_to_montecarlo_above_tensor_limit():
     # only the public rules switch to Monte Carlo: the simplex rule stays tensor above TENSOR_DIM_LIMIT
     k = TENSOR_DIM_LIMIT + 2
     alphas = [0.5] * k
-    rule = _dirichlet_rule(alphas, 2)
-    assert len(rule.weights) == 2 ** (k - 1)
-    assert np.all(rule.weights > 0.0)
-    assert np.all(rule.nodes >= 0.0)
-    assert np.abs(rule.nodes.sum(axis=1) - 1.0).max() <= 1e-15
+    u, weights = _dirichlet_rule(alphas, 2)
+    assert len(weights) == 2 ** (k - 1)
+    assert np.all(weights > 0.0)
+    assert np.all(u >= 0.0)
+    assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-15
     mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
-    assert rule.weights.sum() == pytest.approx(mass, rel=1e-13)
-    assert rule.moment_error <= 1e-12
+    assert weights.sum() == pytest.approx(mass, rel=1e-13)
+    assert _selftest(alphas, 2) <= 1e-12
 
 
 def test_dirichlet_rule_refusals():
@@ -358,22 +370,27 @@ def _kernel_gap(nodes, weights, exponents):
     return float(np.max(np.abs(got - ref) / np.where(relative, np.abs(ref), 1.0)))
 
 
+def _arrays(rule):
+    return rule.nodes, rule.weights
+
+
+# each entry builds (nodes, weights)
 KERNEL_RULES = {
-    "sphere3": lambda: wp.build_sphere_rule(3, 8),
-    "ball4": lambda: wp.build_ball_rule(4, 8),
-    "flat_ball2": lambda: wp.build_ball_rule(2, 14, boundary_exponent=0),
-    "mc_ball7": lambda: wp.build_ball_rule(7, 4, samples=20_000),
+    "sphere3": lambda: _arrays(wp.build_sphere_rule(3, 8)),
+    "ball4": lambda: _arrays(wp.build_ball_rule(4, 8)),
+    "flat_ball2": lambda: _arrays(wp.build_ball_rule(2, 14, boundary_exponent=0)),
+    "mc_ball7": lambda: _arrays(wp.build_ball_rule(7, 4, samples=20_000)),
     "simplex5": lambda: _dirichlet_rule([0.5] * 5, 8),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_RULES))
 def test_monomial_moments_match_per_probe_reference(name):
-    rule = KERNEL_RULES[name]()
-    d = rule.nodes.shape[1]
+    nodes, weights = KERNEL_RULES[name]()
+    d = nodes.shape[1]
     degree = 3 if d > 4 else 6
     exponents = _bounded(d, degree)  # even and odd rows, |e| <= degree
-    assert _kernel_gap(rule.nodes, rule.weights, exponents) <= 1e-14
+    assert _kernel_gap(nodes, weights, exponents) <= 1e-14
 
 
 def test_monomial_moments_ragged_chunks_single_probe_and_mass(monkeypatch):
@@ -407,11 +424,11 @@ def test_tensor_moment_errors_match_per_probe_reference():
         exact = [wp.ball_moment(tuple(b), boundary_exponent=p) for b in probes]
         ref = _reference_moment_error(ball.nodes, ball.weights, 2 * probes, exact)
         assert abs(ball.moment_error - ref) <= 1e-14
-    simplex = _dirichlet_rule([0.5] * 5, 8)
+    u, weights = _dirichlet_rule([0.5] * 5, 8)
     probes = np.asarray(quadrature._even_probe_indices(5, 4))
     exact = [math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + 2.5)) for b in probes]
-    ref = _reference_moment_error(simplex.nodes, simplex.weights, probes, exact)
-    assert abs(simplex.moment_error - ref) <= 1e-14
+    ref = _reference_moment_error(u, weights, probes, exact)
+    assert abs(_selftest([0.5] * 5, 8) - ref) <= 1e-14
 
 
 def test_even_probe_indices_match_the_filtered_product_order():
@@ -457,9 +474,9 @@ def test_cold_and_warm_rule_caches_give_identical_outputs():
     h = wp.random_state(4, seed=3)
 
     def outputs():
-        rule = _dirichlet_rule([0.5, 1.0, 1.5], 9)
         return [wp.cos_ascent(fam, 0.7), wp.sin_ascent(fam, 0.7), _ascent_series(fam, 0.7)[3],
-                *wp.fm_quadrature_crosscheck(a, b, h, 0.4, 2), rule.nodes, rule.weights, rule.moment_error]
+                *wp.fm_quadrature_crosscheck(a, b, h, 0.4, 2), *_dirichlet_rule([0.5, 1.0, 1.5], 9),
+                _selftest([0.5, 1.0, 1.5], 9)]
 
     _clear_rule_caches()
     cold = outputs()
