@@ -12,7 +12,7 @@ last coordinate dropped, so the ball average is the sphere average with
 a zero last operator.  The product of cosines is expanded as an even
 power series in t, so D acts exactly on monomials and no numerical
 differentiation enters: D takes t^(2k+2m-1) to _ladder_cos(k, m) t^(2k),
-and _ladder_sum is the one place that ladder is applied.
+read off _ladder_row, the ladder table the grid routes in pde share too.
 
 The product is even in every w_i, so the average is taken on the simplex
 in u_i = w_i^2, where the sphere measure is a Dirichlet measure.  The
@@ -31,6 +31,7 @@ sine propagator sin(t sqrt(S)) / sqrt(S).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,19 +95,35 @@ class CommutingFamily:
         return float(sum(self.norms))
 
 
+@functools.cache
+def _ladder_row(m: int, sine: bool) -> tuple:
+    """Integer row a_j with D[t^(2m-1) f] = sum_j a_j t^j f^(j); (1,) when m = 0.
+
+    With sine the left-most d/dt of D is dropped and the sum gains a factor
+    t.  Each d/dt takes c t^p f^(j) to c (p t^(p-1) f^(j) + t^p f^(j+1)).
+    """
+    row, power = [1], 2 * m - 1  # sum_j row[j] t^(power+j) f^(j)
+    for step in range(m - sine):
+        row = [(power + j) * c + (row[j - 1] if j else 0) for j, c in enumerate(row)] + [row[-1]]
+        power -= 1 if step == m - 1 else 2  # every d/dt but the last is followed by 1/t
+    return tuple(row)
+
+
 def _ladder_cos(k: int, m: int) -> float:
-    """D maps t^(2k+2m-1) to this constant times t^(2k); 1 when m = 0."""
-    if m == 0:
-        return 1.0
-    out = float(2 * k + 1)
-    for j in range(1, m):
-        out *= 2 * k + 2 * j + 1
-    return out
+    """D maps t^(2k+2m-1) to this constant times t^(2k): the row on f = t^(2k)."""
+    return float(sum(a * math.perm(2 * k, j) for j, a in enumerate(_ladder_row(m, False))))
 
 
 def _ladder_sin(k: int, m: int) -> float:
-    """Ladder with the left-most d/dt dropped: exponent stays 2k+1."""
+    """Ladder with the left-most d/dt dropped: exponent stays 2k+1 (for m = 0, integration)."""
     return _ladder_cos(k, m) / (2 * k + 1)
+
+
+@functools.cache
+def _ladder_constants(m: int, sine: bool, count: int) -> tuple:
+    """The ladder's constants for k < count, computed once per (m, sine, count)."""
+    ladder = _ladder_sin if sine else _ladder_cos
+    return tuple(ladder(k, m) for k in range(count))
 
 
 def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
@@ -117,12 +134,12 @@ def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
     with sine True the left-most d/dt is dropped, L = _ladder_sin and the
     power is t^(2k+1).
     """
-    ladder = _ladder_sin if sine else _ladder_cos
+    ladder = _ladder_constants(m, sine, len(coeffs))
     t2 = t * t
     acc = np.zeros_like(coeffs[0])
     power = float(t) if sine else 1.0
-    for k, c in enumerate(coeffs):
-        acc = acc + c * ladder(k, m) * power
+    for c, constant in zip(coeffs, ladder):
+        acc = acc + c * constant * power
         power *= t2
     return acc
 
@@ -133,10 +150,11 @@ def _truncation_order(norm_sum: float, t: float, m: int) -> int:
     if x == 0.0:
         return 2
     logx = math.log(x)
+    ladder = _ladder_constants(max(m, 1), False, SERIES_ORDER_CAP + 1)
     n = 2
     while n < SERIES_ORDER_CAP:
         log_tail = (2 * n + 2) * logx - math.lgamma(2 * n + 3)
-        log_tail += math.log(_ladder_cos(n + 1, max(m, 1)))
+        log_tail += math.log(ladder[n + 1])
         if log_tail <= math.log(SERIES_TAIL_TOL):
             return n
         n += 1
@@ -188,19 +206,23 @@ def _cos_product_average(squares, order: int, block):
     return g.transpose(1, 0, 2), moment_error
 
 
-def _ascent_series(fam: CommutingFamily, t: float):
-    """Bracket coefficients of t^(2k), ladder depth m, prefactor and rule moment error at t.
+def _ascent(squares, order: int, block, t: float, sine: bool):
+    """(2 pi)^(-m) D[t^(2m-1) average of the cosine product] block, m = n // 2, and the rule's moment error.
 
-    n = 2m+1 is averaged over the sphere S^(2m); n = 2m over the ball,
-    which is S^(2m) with a zero slack square appended.
+    n = len(squares) = 2m+1 is averaged over the sphere S^(2m); n = 2m
+    over the ball, which is S^(2m) with a zero slack square appended.
     """
+    n = len(squares)
+    slack = [np.zeros_like(squares[0])] * (1 - n % 2)
+    coeffs, moment_error = _cos_product_average(list(squares) + slack, order, block)
+    return (2.0 * math.pi) ** (-(n // 2)) * _ladder_sum(coeffs, t, n // 2, sine), moment_error
+
+
+def _family_ascent(fam: CommutingFamily, t: float, sine: bool):
+    """_ascent on the family's squares at the order of its tail bound at t."""
     _checked_time(t)
-    n = len(fam)
-    m = n // 2
-    order = _truncation_order(fam.norm_sum(), t, m)
-    squares = [a @ a for a in fam.operators] + [np.zeros((fam.dim, fam.dim))] * (1 - n % 2)
-    coeffs, moment_error = _cos_product_average(squares, order, np.eye(fam.dim))
-    return coeffs, m, (2.0 * math.pi) ** (-m), moment_error
+    order = _truncation_order(fam.norm_sum(), t, len(fam) // 2)
+    return _ascent([a @ a for a in fam.operators], order, np.eye(fam.dim), t, sine)
 
 
 def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
@@ -213,8 +235,7 @@ def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
     integrates every kept term exactly.  n = 1 degenerates to the plain
     two-point average, which reproduces cos(t A) exactly.
     """
-    coeffs, m, prefactor, _ = _ascent_series(fam, t)
-    return prefactor * _ladder_sum(coeffs, t, m, sine=False)
+    return _family_ascent(fam, t, sine=False)[0]
 
 
 def sin_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
@@ -226,8 +247,7 @@ def sin_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
     those of cos_ascent.  At sum A_i^2 = 0 the value is t times the
     identity, matching the spectral convention.
     """
-    coeffs, m, prefactor, _ = _ascent_series(fam, t)
-    return prefactor * _ladder_sum(coeffs, t, m, sine=True)
+    return _family_ascent(fam, t, sine=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Periodic grid fields and Fourier multiplier references.
 
-Fields live on uniform periodic boxes in one to three dimensions.  The
+Fields live on uniform periodic boxes in any number of dimensions.  The
 reference propagator is diagonal in the discrete Fourier basis, so
 round-trip FFT exactness makes the discrete model self-consistent: the
 kernel-averaging routes in pde.py are compared against these multipliers.
@@ -40,8 +40,8 @@ class GridField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if not 1 <= self.values.ndim <= 3:
-            raise ValueError("fields must have one, two, or three axes")
+        if self.values.ndim == 0:
+            raise ValueError("fields need at least one axis")
         if 0 in self.values.shape:
             raise ValueError(f"every axis needs at least one sample, got shape {self.values.shape}")
         self.lengths = tuple(float(x) for x in np.atleast_1d(self.lengths))
@@ -131,15 +131,17 @@ def damped_symbol(field: GridField, a: float) -> np.ndarray:
 def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | None = None) -> GridField:
     """cos(t * symbol) applied in the Fourier basis; the oracle for grids.
 
-    symbol is a complex array of the field's shape (wave_symbol by default).
-    t and the field samples are refused as the grid routes refuse them:
-    both must be finite.
+    symbol is a complex array of the field's shape (wave_symbol by default)
+    with finite entries.  t and the field samples are refused as the grid
+    routes refuse them: both must be finite.
     """
     _checked_time(t)
     _finite_values(field)
-    symbol = wave_symbol(field) if symbol is None else symbol
+    symbol = wave_symbol(field) if symbol is None else np.asarray(symbol, dtype=complex)
     if symbol.shape != field.shape:
         raise ValueError("symbol shape does not match the field")
+    if not np.all(np.isfinite(symbol)):
+        raise ValueError("symbol has non-finite entries")
     multiplier = np.cos(t * symbol)
     return field.like(np.fft.ifftn(multiplier * field.fft()))
 
@@ -147,13 +149,15 @@ def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | Non
 def gaussian_bump(shape, lengths, center, sigma: float) -> GridField:
     """Gaussian bump exp(-|x-center|^2 / (2 sigma^2)) sampled on the box with origin 0.
 
-    sigma must be positive and finite, and center finite with one
-    coordinate per axis; the box is checked by GridField.
+    shape holds integers, sigma must be positive and finite, and center
+    finite with one coordinate per axis; the box is checked by GridField.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    shape = tuple(np.atleast_1d(shape).astype(int))
-    template = GridField(np.zeros(shape, dtype=complex), lengths)
+    shape = np.atleast_1d(shape)
+    if not np.issubdtype(shape.dtype, np.integer):
+        raise ValueError(f"shape entries must be integers, got {shape.tolist()}")
+    template = GridField(np.zeros(tuple(shape), dtype=complex), lengths)
     center = np.atleast_1d(center).astype(float)
     if center.shape != (template.dim,):
         raise ValueError(f"center needs one coordinate per axis ({template.dim}), got {center.tolist()}")

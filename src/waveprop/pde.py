@@ -16,11 +16,10 @@ cos(tau |k| s) in s = w.k/|k|, against the Gauss-Jacobi weight
 (1-s^2)^((d-3)/2) for the sphere S^(d-1).  The multiplier is therefore
 evaluated once per distinct |k|^2 shell of the FFT grid, as
 g(tau) = sum_i w_i K(tau rho_i) cos(tau |k| s_i) with a mass kernel K
-(1 for the plain wave).  Its first two tau-derivatives are closed form,
-so the ladder d/dtau (1/tau d/dtau)^(m-1) [tau^(2m-1) g] is applied
-exactly at tau = t: g + t g' for m = 1 and 3g + 5t g' + t^2 g'' for
-m = 2 (sine: t g and 3t g + t^2 g').  No difference stencil and no fit
-enters.
+(1 for the plain wave).  The ladder d/dtau (1/tau d/dtau)^(m-1) [tau^(2m-1) g]
+is sum_j a_j t^j g^(j)(t) at tau = t, with the row a_j of ascent._ladder_row;
+the jets t^j g^(j) follow from Leibniz's rule on K(tau rho) cos(tau |k| s),
+so a shell costs one cos and one sin per node, and no stencil or fit enters.
 
 Kernel average identities used for the mass-a symbol sqrt(|k|^2 + a^2):
 the flat interval with a J0(a tau sqrt(1-nu^2)) factor in one dimension,
@@ -34,18 +33,20 @@ with its weight, one node per distinct pair.
 Replacing a^2 by -a^2 (J0 -> I0, cos -> cosh) gives the partially
 imaginary symbol sqrt(|k|^2 - a^2).
 
-One table, _ROUTES, keyed by (dimension, massive) holds every grid route's
-rule weight, kernel, prefactor and ladder depth; _propagate runs them all.
+The massless route in R^d, any d, is the ascent's (see _propagate); the mass
+routes are a table, _MASS_ROUTES, of one to three axes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
 from scipy.special import gammaln, i0, i1, j0, j1
 
+from .ascent import _ladder_row
 from .fields import GridField, _finite_values, _k_squared, assert_no_wrap, relative_l2_gap
 from .operators import _checked_time, cos_sqrt_sum_oracle
 from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
@@ -140,50 +141,42 @@ def _bessel_jet(x, hyperbolic: bool):
     return zeroth, -first, ratio - zeroth
 
 
-# K(x), K'(x), K''(x) of each mass kernel
+# the jets K(x), K'(x), K''(x) of each mass kernel; the plain wave's K = 1 has one
 _KERNELS = {
-    None: lambda x: (np.ones_like(x), np.zeros_like(x), np.zeros_like(x)),
+    None: lambda x: (np.ones_like(x),),
     "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
     "cosh": lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
     "j0": lambda x: _bessel_jet(x, hyperbolic=False),
     "i0": lambda x: _bessel_jet(x, hyperbolic=True),
 }
 
-# (kind, m) -> coefficients of g, t g', t^2 g'' in the exact time ladder;
-# the sine rows are further multiplied by t
-_LADDER = {
-    ("cos", 0): (1.0, 0.0, 0.0),
-    ("cos", 1): (1.0, 1.0, 0.0),
-    ("cos", 2): (3.0, 5.0, 1.0),
-    ("sin", 1): (1.0, 0.0, 0.0),
-    ("sin", 2): (3.0, 1.0, 0.0),
-}
-
 
 def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
-    """Apply pref * ladder[g](t) per |k|^2 shell, g(tau) = sum w K(tau rho) cos(tau |k| s)."""
+    """Apply pref * sum_j a_j t^j g^(j)(t) per |k|^2 shell, g(tau) = sum w K(tau rho) cos(tau |k| s).
+
+    a_j is _ladder_row(m, kind == "sin") (sine: times t).  With x = t|k|,
+    t^j g^(j)(t) = sum_l C(j,l) sum w (t rho)^l K^(l)(t rho) (x s)^(j-l) cos(x s + (j-l) pi/2).
+    """
     s, rho, weights = rule
-    c0, c1, c2 = _LADDER[(kind, m)]
+    row = _ladder_row(m, kind == "sin")
     values, k2_grid = spectrum
     k2, inverse = np.unique(k2_grid, return_inverse=True)
-    kappa = np.sqrt(k2)
-    big_k, dk, ddk = _KERNELS[kernel](t * rho)
-    # g'  = sum w [rho K' cos - |k| s K sin]
-    # g'' = sum w [rho^2 K'' cos - 2 |k| rho s K' sin - |k|^2 s^2 K cos]
-    cos_cols = np.stack([weights * big_k, weights * rho * dk,
-                         weights * rho * rho * ddk, weights * s * s * big_k], axis=1)
-    sin_cols = np.stack([weights * s * big_k, weights * rho * s * dk], axis=1)
-    multiplier = np.empty_like(kappa)
+    x = t * np.sqrt(k2)
+    jets = _KERNELS[kernel](t * rho)
+    # column n: w s^n sum_l a_(n+l) C(n+l, l) (t rho)^l K^(l), signed as cos(. + n pi/2)
+    cols = [(-1) ** ((n + 1) // 2) * weights * s ** n
+            * sum(row[n + l] * math.comb(n + l, l) * (t * rho) ** l * jets[l]
+                  for l in range(min(len(jets), len(row) - n)))
+            for n in range(len(row))]
+    parts = [(trig, np.stack(cols[odd::2], axis=1), np.arange(odd, len(row), 2))
+             for odd, trig in enumerate((np.cos, np.sin)) if cols[odd::2]]
+    multiplier = np.empty_like(x)
     step = max(1, _SHELL_BLOCK // len(s))
-    for start in range(0, len(kappa), step):
-        kb = kappa[start : start + step]
-        phase = t * np.outer(kb, s)
-        cs = np.cos(phase) @ cos_cols
-        sn = np.sin(phase) @ sin_cols
-        g = cs[:, 0]
-        dg = cs[:, 1] - kb * sn[:, 0]
-        ddg = cs[:, 2] - 2.0 * kb * sn[:, 1] - kb * kb * cs[:, 3]
-        multiplier[start : start + step] = c0 * g + c1 * t * dg + c2 * t * t * ddg
+    for start in range(0, len(x), step):
+        xb = x[start : start + step]
+        phase = np.outer(xb, s)
+        multiplier[start : start + step] = sum(
+            ((trig(phase) @ col) * xb[:, None] ** power).sum(axis=1) for trig, col, power in parts)
     if kind == "sin":
         multiplier *= t
     return field.like(np.fft.ifftn(values * (pref * multiplier)[inverse.reshape(field.shape)]))
@@ -192,42 +185,47 @@ def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
 # ---------------------------------------------------------------------------
 # wave propagators
 
-# (dimension, massive) -> (ball exponent p, None for the sphere; mass kernel;
-# prefactor; ladder depth m).  The massless 1-D cosine is the two-point
-# sphere S^0 with m = 0 instead.
-_ROUTES = {
-    (1, False): (0.0, None, 0.5, 1),
-    (2, False): (-0.5, None, 1.0 / (2.0 * np.pi), 1),
-    (3, False): (None, None, 1.0 / (4.0 * np.pi), 1),
-    (1, True): (0.0, "j0", 0.5, 1),
-    (2, True): (-0.5, "cos", 1.0 / (2.0 * np.pi), 1),
-    (3, True): (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
+# dimension -> (ball exponent p; mass kernel; prefactor; ladder depth m) of
+# the mass-a routes, whose kernel identities stop at three axes
+_MASS_ROUTES = {
+    1: (0.0, "j0", 0.5, 1),
+    2: (-0.5, "cos", 1.0 / (2.0 * np.pi), 1),
+    3: (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
 }
 _HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
 
 
 def _propagate(field, t, level, kind, a=None, hyperbolic=False):
-    """Shell rule and ladder of the _ROUTES entry; a mass a picks the kernel route.
+    """The _MASS_ROUTES entry for a mass a, else the ascent's route in R^d, m = d // 2.
 
-    Every grid route enters here, so t and the field samples are checked
-    here, once: both must be finite.
+    That is S^(d-1) with prefactor (2 pi)^(-m)/2 for odd d (S^0 needs no
+    level), the p = -1/2 ball with (2 pi)^(-m) for even d, and the flat
+    interval for the 1-D sine.  Every grid route enters here, so level, t
+    and the field samples are checked here, once.
     """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
+    if level is not None and not (isinstance(level, numbers.Integral) and level >= 0):
+        raise ValueError(f"level must be None or a non-negative integer, got {level!r}")
+    d = field.dim
+    if a is not None and d not in _MASS_ROUTES:
+        raise ValueError(f"the mass routes support at most three axes, got a {d}-axis field")
     _checked_time(t)
     _finite_values(field)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     assert_no_wrap(field, t)
-    p, kernel, pref, m = _ROUTES[(field.dim, a is not None)]
-    spectrum = _spectrum(field)
-    if (field.dim, a, kind) == (1, None, "cos"):
-        rule, m = _shell_rule(1, 1), 0
+    if a is not None:
+        p, kernel, pref, m = _MASS_ROUTES[d]
+    elif (d, kind) == (1, "sin"):
+        p, kernel, pref, m = 0.0, None, 0.5, 1
     else:
-        if level is None:
-            level = _auto_level(spectrum, t, a or 0.0)
-        rule = _shell_rule(field.dim, level, p, a)
-    return _shell_propagate(field, spectrum, t, rule, pref, m, kind,
+        m = d // 2
+        p, kernel, pref = (None if d % 2 else -0.5), None, (2.0 * math.pi) ** (-m) / (1 + d % 2)
+    spectrum = _spectrum(field)
+    if level is None:
+        level = _auto_level(spectrum, t, a or 0.0) if m else 0
+    return _shell_propagate(field, spectrum, t, _shell_rule(d, level, p, a), pref, m, kind,
                             _HYPERBOLIC[kernel] if hyperbolic else kernel)
 
 
@@ -249,11 +247,11 @@ def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind:
 
 
 def wave_general(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
-    """Dimension dispatching wave propagator through the derivative ladder.
+    """Wave propagator in any number of dimensions through the derivative ladder.
 
     One dimension degenerates to the two point average (cosine) or the
-    flat interval average (sine); two and three dimensions are the disk
-    and sphere routes of wave2d_poisson and wave3d_kirchhoff.
+    flat interval average (sine); R^d averages over S^(d-1) for odd d and
+    the (1-|w|^2)^(-1/2) ball for even d, with the ladder of depth d // 2.
     """
     return _propagate(field, t, level, kind)
 

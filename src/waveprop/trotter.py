@@ -36,13 +36,13 @@ to a fresh build.
 
 Every entry takes the ordered operator list [A_1, .., A_q] (pattern
 A_1^2 .. A_q^2 repeated m times); the smoothed sine series has
-coefficients n!/(2n+1)!.  Only taylor_limit_check and
-fm_quadrature_crosscheck take a pair (a, b), because they check the
-paper's pair identities.  Inputs are checked once, at each public entry
-point, by the checks the oracles use (operators._checked_operators,
-_checked_vector, _checked_time): the operators must be square, of one
-shape, finite and Hermitian to HERMITIAN_RTOL, h must be finite and
-match their dimension, and t must be finite.  The timed entries
+coefficients n!/(2n+1)!.  Only taylor_limit_check takes a pair (a, b),
+because it checks the paper's pair identity.  Inputs are checked once,
+at each public entry point, by the checks the oracles use
+(operators._checked_operators, _checked_vector, _checked_time): the
+operators must be square, of one shape, finite and Hermitian to
+HERMITIAN_RTOL, h must be finite and match their dimension, and t must
+be finite.  The timed entries
 (the F_m evaluators, the m drivers and fm_quadrature_crosscheck) share
 one front end, _prepared: it checks the inputs, diagonalizes each
 factor, forms the series scales and picks the order whose tail bound is
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import _cos_product_average, _ladder_sum
+from .ascent import _ascent
 from .operators import SeriesCapError, _checked_operators, _checked_time, _checked_vector, _eigh
 
 __all__ = [
@@ -364,26 +364,22 @@ def taylor_limit_check(a, b, n: int, h) -> list[float]:
     return [float(np.linalg.norm(target - series[n])) for series in walk]
 
 
-def fm_quadrature_crosscheck(a, b, h, t: float, m: int):
-    """Evaluate F_m(t) h twice: series route and literal ball quadrature.
+def fm_quadrature_crosscheck(ops, h, t: float, m: int):
+    """Evaluate F_m(t) h twice: series route and literal sphere or ball quadrature.
 
-    The quadrature route averages cos(t w_1 A/sqrt(m)) cos(t w_2 B/sqrt(m))
-    ... h over the unit ball in dimension 2m against (1-|w|^2)^(-1/2),
-    with the ascent's evaluator (ascent._cos_product_average) run on h as
-    a one-column block: the even t-series of the ordered product, averaged
-    over S^(2m) with a zero slack square last, integrated on the simplex
-    in u = w^2 one stick at a time, factor i on stick i, by the Dirichlet
-    rule whose level is the series order, so the rule integrates the
-    truncated series exactly.  It then applies the derivative ladder with
-    prefactor (2 pi)^(-m).  Small m only; returns (series, quadrature, gap).
+    The quadrature route is cos_ascent's formula (ascent._ascent) on the
+    n = q m squares [A_1^2/m, .., A_q^2/m] repeated m times, run on h as a
+    one-column block: the even t-series of the ordered product
+    cos(t w_1 A_1/sqrt(m)) cos(t w_2 A_2/sqrt(m)) ... h, averaged over
+    S^(n-1) for odd n and over the unit ball of R^n against
+    (1-|w|^2)^(-1/2) for even n (S^n with a zero slack square last), on
+    the simplex in u = w^2 one stick at a time by the Dirichlet rule whose
+    level is the series order, so the rule integrates the truncated series
+    exactly; then the derivative ladder of depth n // 2 with prefactor
+    (2 pi)^(-(n // 2)).  Returns (series, quadrature, gap).
     """
-    if not 1 <= m <= 3:
-        raise ValueError("quadrature crosscheck supports m in {1, 2, 3}")
-    (amat, bmat), vec, bases, order, _ = _prepared([a, b], h, t)
-    (series,) = _depths(bases, vec, order, [m])
+    mats, vec, bases, order, _ = _prepared(ops, h, t)
+    (series,) = _depths(bases, vec, order, _checked_depth(m, order))
     series_value = _series_sum(series, t, sine=False)
-
-    squares = [mat @ mat / m for mat in [amat, bmat] * m] + [np.zeros_like(amat)]
-    bracket, _ = _cos_product_average(squares, order, vec[:, None])
-    quad_value = _ladder_sum(bracket[..., 0], t, m, sine=False) * (2.0 * math.pi) ** (-m)
+    quad_value = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t, sine=False)[0][:, 0]
     return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))

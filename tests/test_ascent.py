@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import waveprop as wp
 from waveprop import quadrature
-from waveprop.ascent import _ascent_series, _cos_product_average, _ladder_cos, _ladder_sin
+from waveprop.ascent import _cos_product_average, _family_ascent, _ladder_cos, _ladder_row, _ladder_sin
 
 
 def _scalar_family(*values):
@@ -157,6 +157,23 @@ def test_d_ladder_matches_symbolic_differentiation():
             assert sympy.simplify(sympy.diff(expr, t) - _ladder_cos(k, m) * t ** (2 * k)) == 0
 
 
+def test_ladder_row_matches_symbolic_differentiation():
+    # D[t^(2m-1) f] = sum_j a_j t^j f^(j) for a generic f; the sine row drops
+    # the left-most d/dt and carries a factor t
+    t = sympy.Symbol("t")
+    f = sympy.Function("f")(t)
+    for m in (1, 2, 3, 4):
+        expr = t ** (2 * m - 1) * f
+        for _ in range(m - 1):
+            expr = sympy.diff(expr, t) / t
+        for sine, target, scale in ((True, expr, t), (False, sympy.diff(expr, t), 1)):
+            row = _ladder_row(m, sine)
+            assert all(isinstance(a, int) for a in row)
+            jets = sum(a * t ** j * sympy.diff(f, t, j) for j, a in enumerate(row))
+            assert sympy.expand(target - scale * jets) == 0
+    assert _ladder_row(0, False) == (1,)
+
+
 def _rotated_family(count, dim, seed):
     """Commuting Hermitian family sharing one random unitary eigenbasis."""
     rng = np.random.default_rng(seed)
@@ -209,7 +226,7 @@ def test_high_dimensional_families_use_the_exact_rule(n):
     for t in (0.3, -0.5):
         assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-12
         assert np.linalg.norm(wp.sin_ascent(fam, t) - wp.sinc_sqrt_sum_oracle(fam.operators, t)) <= 1e-12
-    assert _ascent_series(fam, 0.5)[3] <= 1e-12
+    assert _family_ascent(fam, 0.5, sine=False)[1] <= 1e-12
 
 
 def test_norm_sum_is_the_sum_of_spectral_norms():

@@ -136,6 +136,43 @@ def test_general_route_3d_tube_descends_to_2d():
         assert wp.relative_l2_gap(slab, native.values) <= 1e-9
 
 
+@pytest.mark.parametrize("shape", [(16,) * 4, (12,) * 5], ids=["16^4", "12^5"])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_general_route_beyond_three_axes_matches_spectral_multipliers(shape, kind):
+    # the ascent's route in R^d: the ball for even d, the sphere S^(d-1) for odd d
+    f = _bump(shape, sigma=0.6)
+    got = wp.wave_general(f, 0.4, kind=kind)
+    want = spectral_wave_reference(f, 0.4) if kind == "cos" else _sine_reference(f, 0.4)
+    assert wp.relative_l2_gap(got, want) <= 1e-12
+
+
+def test_general_route_4d_tube_descends_to_3d():
+    # data constant along the fourth axis: the 4-D ball route reproduces the
+    # 3-D sphere route on every slab
+    solid = _bump((16, 16, 16), sigma=0.6)
+    tube = wp.GridField(np.repeat(solid.values[..., None], 4, axis=3), (TWO_PI,) * 4)
+    for kind in ("cos", "sin"):
+        slab = wp.wave_general(tube, 0.4, kind=kind).values[..., 1]
+        assert wp.relative_l2_gap(slab, wp.wave_general(solid, 0.4, kind=kind).values) <= 1e-12
+
+
+def test_mass_routes_refuse_more_than_three_axes():
+    f = _bump((4,) * 4, sigma=0.6)
+    for route in (wp.klein_gordon, wp.damped_wave):
+        with pytest.raises(ValueError, match="at most three axes, got a 4-axis field"):
+            route(f, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 16)])
+@pytest.mark.parametrize("level", [-3, 2.5, "8"])
+def test_grid_routes_refuse_a_bad_level(shape, level):
+    # checked before the route is picked, so S^0, which needs no level, refuses it too
+    f = _bump(shape, sigma=0.4)
+    for call in (wp.wave_general, lambda f, t, level: wp.klein_gordon(f, t, 1.0, level=level)):
+        with pytest.raises(ValueError, match="level must be None or a non-negative integer"):
+            call(f, 0.3, level=level)
+
+
 def test_general_route_identity_at_zero_time():
     f = _bump((32, 32), sigma=0.3)
     out = wp.wave_general(f, 0.0)

@@ -112,7 +112,7 @@ _TIMED_ENTRY_POINTS = {
     "sin_fm_evaluate": lambda a, b, h, t: wp.sin_fm_evaluate([a, b], h, t, 4),
     "cos_noncomm": lambda a, b, h, t: wp.cos_noncomm([a, b], h, t, tol=1e-6),
     "sin_noncomm": lambda a, b, h, t: wp.sin_noncomm([a, b], h, t, tol=1e-6),
-    "fm_quadrature_crosscheck": lambda a, b, h, t: wp.fm_quadrature_crosscheck(a, b, h, t, 2),
+    "fm_quadrature_crosscheck": lambda a, b, h, t: wp.fm_quadrature_crosscheck([a, b], h, t, 2),
     "cos_sqrt_sum_oracle": lambda a, b, h, t: wp.cos_sqrt_sum_oracle([a, b], t, h),
     "sinc_sqrt_sum_oracle": lambda a, b, h, t: wp.sinc_sqrt_sum_oracle([a, b], t, h),
 }
@@ -239,14 +239,20 @@ def test_quadrature_crosscheck_small_m():
     b = wp.random_hermitian(3, rng=rng, norm=1.0)
     h = wp.random_state(3, rng=rng)
     for m in (1, 2, 3):
-        _, _, gap = wp.fm_quadrature_crosscheck(a, b, h, 0.2, m)
+        _, _, gap = wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
         assert gap <= 1e-10
 
 
-def test_quadrature_crosscheck_rejects_large_m(unit_pair):
+def test_quadrature_crosscheck_large_m(unit_pair):
+    # the paper's ball quadrature at a deep splitting, on the pair and on a three-operator list
     a, b, h = unit_pair
-    with pytest.raises(ValueError, match="m in"):
-        wp.fm_quadrature_crosscheck(a, b, h, 0.2, 4)
+    c = wp.random_hermitian(4, seed=9, norm=1.0)
+    for ops in ([a, b], [a, b, c]):
+        series, quad, gap = wp.fm_quadrature_crosscheck(ops, h, 0.2, 64)
+        assert gap <= 1e-12 * np.linalg.norm(series)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="splitting depth m must be at least 1"):
+            wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
 
 
 def test_taylor_coefficient_gap_halves(unit_pair):
