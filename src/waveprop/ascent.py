@@ -109,21 +109,24 @@ def _ladder_row(m: int, sine: bool) -> tuple:
     return tuple(row)
 
 
+@functools.cache
+def _ladder_constants(m: int, count: int) -> tuple:
+    """The exact integers L(k, m) for k < count, computed once per (m, count).
+
+    D maps t^(2k+2m-1) to L(k, m) t^(2k): the row on f = t^(2k).
+    """
+    row = _ladder_row(m, False)
+    return tuple(sum(a * math.perm(2 * k, j) for j, a in enumerate(row)) for k in range(count))
+
+
 def _ladder_cos(k: int, m: int) -> float:
-    """D maps t^(2k+2m-1) to this constant times t^(2k): the row on f = t^(2k)."""
-    return float(sum(a * math.perm(2 * k, j) for j, a in enumerate(_ladder_row(m, False))))
+    """L(k, m) as a float."""
+    return float(_ladder_constants(m, k + 1)[k])
 
 
 def _ladder_sin(k: int, m: int) -> float:
     """Ladder with the left-most d/dt dropped: exponent stays 2k+1 (for m = 0, integration)."""
     return _ladder_cos(k, m) / (2 * k + 1)
-
-
-@functools.cache
-def _ladder_constants(m: int, sine: bool, count: int) -> tuple:
-    """The ladder's constants for k < count, computed once per (m, sine, count)."""
-    ladder = _ladder_sin if sine else _ladder_cos
-    return tuple(ladder(k, m) for k in range(count))
 
 
 def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
@@ -132,9 +135,14 @@ def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
     coeffs[k] is the coefficient of t^(2k) in the bracket.  With sine
     False, L = _ladder_cos and D = d/dt (1/t d/dt)^(m-1) lands on t^(2k);
     with sine True the left-most d/dt is dropped, L = _ladder_sin and the
-    power is t^(2k+1).
+    power is t^(2k+1).  A ladder whose constants overflow a float is refused:
+    from depth m = 130 to 150, by the series order.
     """
-    ladder = _ladder_constants(m, sine, len(coeffs))
+    try:
+        ladder = [float(c) / (2 * k + 1) if sine else float(c)
+                  for k, c in enumerate(_ladder_constants(m, len(coeffs)))]
+    except OverflowError:
+        raise ValueError(f"ladder depth m = n // 2 = {m} is too deep: its constants overflow a float") from None
     t2 = t * t
     acc = np.zeros_like(coeffs[0])
     power = float(t) if sine else 1.0
@@ -150,7 +158,7 @@ def _truncation_order(norm_sum: float, t: float, m: int) -> int:
     if x == 0.0:
         return 2
     logx = math.log(x)
-    ladder = _ladder_constants(max(m, 1), False, SERIES_ORDER_CAP + 1)
+    ladder = _ladder_constants(max(m, 1), SERIES_ORDER_CAP + 1)  # exact: math.log takes any int
     n = 2
     while n < SERIES_ORDER_CAP:
         log_tail = (2 * n + 2) * logx - math.lgamma(2 * n + 3)

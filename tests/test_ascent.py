@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import waveprop as wp
 from waveprop import quadrature
-from waveprop.ascent import _cos_product_average, _family_ascent, _ladder_cos, _ladder_row, _ladder_sin
+from waveprop.ascent import _cos_product_average, _family_ascent, _ladder_cos, _ladder_row, _ladder_sin, _ladder_sum
 
 
 def _scalar_family(*values):
@@ -227,6 +227,19 @@ def test_high_dimensional_families_use_the_exact_rule(n):
         assert np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t)) <= 1e-12
         assert np.linalg.norm(wp.sin_ascent(fam, t) - wp.sinc_sqrt_sum_oracle(fam.operators, t)) <= 1e-12
     assert _family_ascent(fam, 0.5, sine=False)[1] <= 1e-12
+
+
+def test_deep_ladders_are_exact_or_refused():
+    # 260 operators: a ladder of depth 130, whose constants pass 1e280 and still fit a float
+    rng = np.random.default_rng(4)
+    ops = [np.diag(rng.uniform(-1e-3, 1e-3, size=3)) for _ in range(260)]
+    fam = wp.CommutingFamily(ops)
+    assert np.linalg.norm(wp.cos_ascent(fam, 0.2) - wp.cos_sqrt_sum_oracle(ops, 0.2)) <= 1e-12
+    assert np.linalg.norm(wp.sin_ascent(fam, 0.2) - wp.sinc_sqrt_sum_oracle(ops, 0.2)) <= 1e-12
+    # at depth 150 (300 operators) the constants overflow a float: refused by name
+    for sine in (False, True):
+        with pytest.raises(ValueError, match=r"ladder depth m = n // 2 = 150 is too deep"):
+            _ladder_sum(np.ones((3, 1, 1)), 0.2, 150, sine)
 
 
 def test_norm_sum_is_the_sum_of_spectral_norms():

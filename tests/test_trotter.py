@@ -250,6 +250,9 @@ def test_quadrature_crosscheck_large_m(unit_pair):
     for ops in ([a, b], [a, b, c]):
         series, quad, gap = wp.fm_quadrature_crosscheck(ops, h, 0.2, 64)
         assert gap <= 1e-12 * np.linalg.norm(series)
+    # past depth about 145 the ladder's constants overflow a float: refused by name
+    with pytest.raises(ValueError, match=r"ladder depth m = n // 2 = 160 is too deep"):
+        wp.fm_quadrature_crosscheck([a, b], h, 0.2, 160)
     for m in (0, -1):
         with pytest.raises(ValueError, match="splitting depth m must be at least 1"):
             wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
