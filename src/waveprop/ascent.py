@@ -11,7 +11,7 @@ S^(2m) for n = 2m+1 and over the unit ball of R^(2m) against
 last coordinate dropped, so the ball average is the sphere average with
 a zero last operator.  The product of cosines is expanded as an even
 power series in t, so D acts exactly on monomials and no numerical
-differentiation enters: D takes t^(2k+2m-1) to _ladder_cos(k, m) t^(2k),
+differentiation enters: D takes t^(2k+2m-1) to L(k, m) t^(2k),
 read off _ladder_row, the ladder table the grid routes in pde share too.
 
 The product is even in every w_i, so the average is taken on the simplex
@@ -27,6 +27,12 @@ the identity for the operator, one state for the splitting cross-check.
 
 The same formula with the left-most d/dt dropped yields the smoothed
 sine propagator sin(t sqrt(S)) / sqrt(S).
+
+The ascent at order N is the degree-N Taylor polynomial of the
+propagator, so the splitting's factorial tail bounds its error and one
+rule, operators._series_order, picks both orders.  A long time is halved
+to tau = t / 2^k, |tau| sqrt(sum ||A_i||^2) <= X_MAX, and doubled back by
+C(2 tau) = 2 C^2 - I and S(2 tau) = 2 S C (Serbin & Blalock 1980).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
-from .operators import SeriesCapError, _checked_operators, _checked_time, _eigh
+from .operators import _checked_operators, _checked_time, _eigh, _series_order
 from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
 
 __all__ = [
@@ -50,8 +56,7 @@ __all__ = [
 ]
 
 COMMUTATOR_RTOL = 1e-10
-SERIES_TAIL_TOL = 1e-13
-SERIES_ORDER_CAP = 120
+X_MAX = 2.0  # |tau| sqrt(sum ||A_i||^2) at which halving stops; measured against 1 and 4
 
 
 @dataclass(eq=False)
@@ -91,9 +96,6 @@ class CommutingFamily:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    def norm_sum(self) -> float:
-        return float(sum(self.norms))
-
 
 @functools.cache
 def _ladder_row(m: int, sine: bool) -> tuple:
@@ -119,57 +121,24 @@ def _ladder_constants(m: int, count: int) -> tuple:
     return tuple(sum(a * math.perm(2 * k, j) for j, a in enumerate(row)) for k in range(count))
 
 
-def _ladder_cos(k: int, m: int) -> float:
-    """L(k, m) as a float."""
-    return float(_ladder_constants(m, k + 1)[k])
-
-
-def _ladder_sin(k: int, m: int) -> float:
-    """Ladder with the left-most d/dt dropped: exponent stays 2k+1 (for m = 0, integration)."""
-    return _ladder_cos(k, m) / (2 * k + 1)
-
-
 def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
     """sum_k c_k L(k, m, sine) t^(2k+sine): the ladder applied to t^(2m-1) times the bracket.
 
     coeffs[k] is the coefficient of t^(2k) in the bracket.  With sine
-    False, L = _ladder_cos and D = d/dt (1/t d/dt)^(m-1) lands on t^(2k);
-    with sine True the left-most d/dt is dropped, L = _ladder_sin and the
-    power is t^(2k+1).  A ladder whose constants overflow a float is refused:
-    from depth m = 130 to 150, by the series order.
+    False, L = L(k, m) of _ladder_constants and D = d/dt (1/t d/dt)^(m-1)
+    lands on t^(2k); with sine True the left-most d/dt is dropped,
+    L = L(k, m) / (2k+1) and the power is t^(2k+1).  A ladder whose
+    constants overflow a float is refused: from depth m = 130 to 150, by
+    the series order.
     """
     try:
-        ladder = [float(c) / (2 * k + 1) if sine else float(c)
-                  for k, c in enumerate(_ladder_constants(m, len(coeffs)))]
+        ladder = np.array([float(c) for c in _ladder_constants(m, len(coeffs))])
     except OverflowError:
         raise ValueError(f"ladder depth m = n // 2 = {m} is too deep: its constants overflow a float") from None
-    t2 = t * t
-    acc = np.zeros_like(coeffs[0])
-    power = float(t) if sine else 1.0
-    for c, constant in zip(coeffs, ladder):
-        acc = acc + c * constant * power
-        power *= t2
-    return acc
-
-
-def _truncation_order(norm_sum: float, t: float, m: int) -> int:
-    """Smallest N with ladder-amplified cosine-product tail below SERIES_TAIL_TOL."""
-    x = norm_sum * abs(t)
-    if x == 0.0:
-        return 2
-    logx = math.log(x)
-    ladder = _ladder_constants(max(m, 1), SERIES_ORDER_CAP + 1)  # exact: math.log takes any int
-    n = 2
-    while n < SERIES_ORDER_CAP:
-        log_tail = (2 * n + 2) * logx - math.lgamma(2 * n + 3)
-        log_tail += math.log(ladder[n + 1])
-        if log_tail <= math.log(SERIES_TAIL_TOL):
-            return n
-        n += 1
-    raise SeriesCapError(
-        f"time horizon too large for the series route (norm*|t| = {x:.3e}); "
-        f"no truncation order below the series order cap {SERIES_ORDER_CAP} reaches the tolerance"
-    )
+    k = np.arange(len(coeffs))
+    if sine:
+        ladder /= 2 * k + 1
+    return np.tensordot(float(t) ** (2 * k + sine), coeffs * ladder[:, None, None], axes=1)
 
 
 def _cos_product_average(squares, order: int, block):
@@ -214,23 +183,39 @@ def _cos_product_average(squares, order: int, block):
     return g.transpose(1, 0, 2), moment_error
 
 
-def _ascent(squares, order: int, block, t: float, sine: bool):
-    """(2 pi)^(-m) D[t^(2m-1) average of the cosine product] block, m = n // 2, and the rule's moment error.
+def _ascent(squares, order: int, block, t: float):
+    """(2 pi)^(-m) D[t^(2m-1) average of the cosine product] block, its sine, and the moment error.
 
-    n = len(squares) = 2m+1 is averaged over the sphere S^(2m); n = 2m
-    over the ball, which is S^(2m) with a zero slack square appended.
+    m = n // 2; the sine drops the left-most d/dt of D, and both ladders
+    read the one average.  n = len(squares) = 2m+1 is averaged over the
+    sphere S^(2m); n = 2m over the ball, which is S^(2m) with a zero
+    slack square appended.
     """
     n = len(squares)
     slack = [np.zeros_like(squares[0])] * (1 - n % 2)
     coeffs, moment_error = _cos_product_average(list(squares) + slack, order, block)
-    return (2.0 * math.pi) ** (-(n // 2)) * _ladder_sum(coeffs, t, n // 2, sine), moment_error
+    cos, sin = ((2.0 * math.pi) ** (-(n // 2)) * _ladder_sum(coeffs, t, n // 2, sine) for sine in (False, True))
+    return cos, sin, moment_error
 
 
 def _family_ascent(fam: CommutingFamily, t: float, sine: bool):
-    """_ascent on the family's squares at the order of its tail bound at t."""
+    """The family's cosine (or sine) propagator at t, halved and doubled back, and the moment error.
+
+    One average at tau yields both series, so its order bounds both tails.
+    """
     _checked_time(t)
-    order = _truncation_order(fam.norm_sum(), t, len(fam) // 2)
-    return _ascent([a @ a for a in fam.operators], order, np.eye(fam.dim), t, sine)
+    root = math.sqrt(sum(norm * norm for norm in fam.norms))
+    x = abs(t) * root
+    k = math.frexp(x / X_MAX)[1] if x > X_MAX else 0  # x / 2^k < X_MAX
+    tau = math.ldexp(t, -k)
+    order = max(_series_order((tau * root) ** 2, tau, s) for s in (False, True))
+    eye = np.eye(fam.dim)
+    cos, sin, moment_error = _ascent([a @ a for a in fam.operators], order, eye, tau)
+    for _ in range(k):
+        if sine:
+            sin = 2.0 * sin @ cos
+        cos = 2.0 * cos @ cos - eye
+    return (sin if sine else cos), moment_error
 
 
 def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
@@ -238,10 +223,12 @@ def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
 
     Realizes (2 pi)^(-m) D [ t^(2m-1) average of the cosine product ],
     the ball average for n = 2m and the sphere average for n = 2m+1,
-    with the integrand expanded as an even series in t to the order N its
-    tail bound picks, and averaged by the Dirichlet rule of level N, which
-    integrates every kept term exactly.  n = 1 degenerates to the plain
-    two-point average, which reproduces cos(t A) exactly.
+    with the integrand expanded as an even series in t to the order N
+    whose factorial tails, cosine and sine, are at most the float's
+    rounding unit, and averaged by the Dirichlet rule of level N, which
+    integrates every kept term exactly.  A long time is halved first and
+    doubled back.  n = 1 degenerates to the plain two-point average, which
+    reproduces cos(t A) exactly.
     """
     return _family_ascent(fam, t, sine=False)[0]
 
@@ -251,9 +238,9 @@ def sin_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
 
     The cosine formula with the left-most d/dt of the ladder dropped; the
     coefficient of t^(2k) gains 1/(2k+1) relative to the cosine ladder and
-    the result is odd in t.  The series order and the rule level are
-    those of cos_ascent.  At sum A_i^2 = 0 the value is t times the
-    identity, matching the spectral convention.
+    the result is odd in t.  The order and the halving are those of
+    cos_ascent, and S(2 tau) = 2 S C doubles back.  At sum A_i^2 = 0 the
+    value is t times the identity, matching the spectral convention.
     """
     return _family_ascent(fam, t, sine=True)[0]
 

@@ -4,7 +4,8 @@ Every subcommand prints one deterministic JSON report to stdout (sorted
 keys, no timings, seed echoed) and returns exit code 0 when all gaps sit
 inside their tolerances, 1 when a check fails, 2 on usage or parse
 problems, and 3 on a numerical refusal (operators.SeriesCapError: the
-time needs a series order above a cap, which the message names).
+splitting series needs an order above operators.ORDER_CAP, which the
+message names; the ascent halves a long time instead).
 Wall-clock timings go to stderr so identical configurations produce
 byte-identical artifacts.  The BLAS thread count is pinned from --threads
 before numpy loads; the default of one thread keeps reductions in a fixed

@@ -11,11 +11,16 @@ the splitting entries, the ascent and the grid routes, so a route and its
 oracle refuse the same input with the same message.  Operators are plain
 arrays; _eigh is the one validated eigendecomposition, and _hermitian_part
 the symmetrize-and-warn policy of the matrix fixture check.
+
+One rule, _series_order, picks the order of every even t-series both
+operator routes sum: the least whose factorial tail bound is at most the
+float's rounding unit, refused past ORDER_CAP with SeriesCapError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -29,10 +34,42 @@ __all__ = [
 
 HERMITIAN_RTOL = 1e-12
 RECONSTRUCT_RTOL = 1e-10
+ORDER_CAP = 400
 
 
 class SeriesCapError(ValueError):
     """A numerical refusal: the series a route needs runs past its order cap, which the message names."""
+
+
+def _tail_bound(amp: float, y: float, t: float, order: int, sine: bool = False) -> float:
+    """amp sum_(n>order) y^n/(2n)!, or amp |t| sum_(n>order) y^n/(2n+1)! for the sine series.
+
+    Terms are added until the ratio r of the next term to the current one
+    is at most 1/2; the ratios fall with n, so the rest is at most
+    term r / (1 - r).  A term past e^700 gives inf.
+    """
+    if amp == 0.0 or y == 0.0:
+        return 0.0
+    shift, log_y, total = int(sine), math.log(y), 0.0
+    n = order + 1
+    while True:
+        log_term = n * log_y - math.lgamma(2 * n + 1 + shift)
+        if log_term > 700.0:
+            return math.inf
+        term = math.exp(log_term)
+        total += term
+        ratio = y / ((2 * n + 1 + shift) * (2 * n + 2 + shift))
+        if ratio <= 0.5:
+            return amp * (abs(t) if sine else 1.0) * (total + term * ratio / (1.0 - ratio))
+        n += 1
+
+
+def _series_order(y: float, t: float, sine: bool) -> int:
+    """Smallest order N >= 2 whose relative tail bound _tail_bound(1, y, t, N, sine) is at most float eps."""
+    for n in range(2, ORDER_CAP + 1):
+        if _tail_bound(1.0, y, t, n, sine) <= sys.float_info.epsilon:
+            return n
+    raise SeriesCapError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
 
 
 def _hermitian_defect(mat: np.ndarray) -> float:

@@ -19,10 +19,12 @@ product of exponentials is bounded by that of the product of their norm
 series, so ||W_n h|| <= ||h|| (||A||^2+||B||^2)^n / n! for every m, and
 the tail beyond order N is at most the explicit factorial tail
 ||h|| sum_(n>N) y^n / (2n)! with y = t^2 (||A||^2+||B||^2) (sine:
-||h|| |t| sum_(n>N) y^n / (2n+1)!), for every t.  That tail picks the
-order and is the reported bound.  The paper's radius sqrt(2)|t| K < 1,
-K = max(||A||, ||B||), is still reported; outside it the depth m may
-converge slowly, and the driver flags the caution.
+||h|| |t| sum_(n>N) y^n / (2n+1)!), for every t.  That tail over ||h||
+picks the order, by the rule every series shares
+(operators._series_order), and the tail is the reported bound.  The
+paper's radius sqrt(2)|t| K < 1, K = max(||A||, ||B||), is still
+reported; outside it the depth m may converge slowly, and the driver
+flags the caution.
 
 One depth walk, _depths, is the only sweep loop.  With Q_m(z) the
 product of one sweep's factors, e^(z A^2/m) e^(z B^2/m) for a pair,
@@ -45,8 +47,9 @@ HERMITIAN_RTOL, h must be finite and match their dimension, and t must
 be finite.  The timed entries
 (the F_m evaluators, the m drivers and fm_quadrature_crosscheck) share
 one front end, _prepared: it checks the inputs, diagonalizes each
-factor, forms the series scales and picks the order whose tail bound is
-at most DEFAULT_ORDER_TOL; none of them takes an order argument.
+factor, forms the series scales and picks the order whose relative tail
+bound is at most the float's rounding unit; none of them takes an order
+argument.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import _ascent
-from .operators import SeriesCapError, _checked_operators, _checked_time, _checked_vector, _eigh
+from .operators import _checked_operators, _checked_time, _checked_vector, _eigh, _series_order, _tail_bound
 
 __all__ = [
     "ConvergenceReport",
@@ -69,10 +72,6 @@ __all__ = [
     "taylor_limit_check",
     "fm_quadrature_crosscheck",
 ]
-
-DEFAULT_ORDER_TOL = 1e-12
-ORDER_CAP = 400
-
 
 @dataclass
 class ConvergenceReport:
@@ -208,49 +207,18 @@ def _series_scales(norms, vec: np.ndarray, t: float):
     return amp, y, x, radius
 
 
-def _tail_bound(amp: float, y: float, t: float, order: int, sine: bool = False) -> float:
-    """amp sum_(n>order) y^n/(2n)!, or amp |t| sum_(n>order) y^n/(2n+1)! for the sine series.
-
-    Terms are added until the ratio r of the next term to the current one
-    is at most 1/2; the ratios fall with n, so the rest is at most
-    term r / (1 - r).  A term past e^700 gives inf.
-    """
-    if amp == 0.0 or y == 0.0:
-        return 0.0
-    shift, log_y, total = int(sine), math.log(y), 0.0
-    n = order + 1
-    while True:
-        log_term = n * log_y - math.lgamma(2 * n + 1 + shift)
-        if log_term > 700.0:
-            return math.inf
-        term = math.exp(log_term)
-        total += term
-        ratio = y / ((2 * n + 1 + shift) * (2 * n + 2 + shift))
-        if ratio <= 0.5:
-            return amp * (abs(t) if sine else 1.0) * (total + term * ratio / (1.0 - ratio))
-        n += 1
-
-
-def _auto_order(amp: float, y: float, t: float, sine: bool) -> int:
-    """Smallest order N >= 2 whose factorial tail bound is at most DEFAULT_ORDER_TOL."""
-    for n in range(2, ORDER_CAP + 1):
-        if _tail_bound(amp, y, t, n, sine) <= DEFAULT_ORDER_TOL:
-            return n
-    raise SeriesCapError(f"series order cap {ORDER_CAP} exceeded; |t| too large for these norms")
-
-
 def _prepared(ops, h, t: float, sine: bool = False):
     """The setup of every timed entry: checked inputs, eigenbases, series scales, order.
 
     Returns (mats, vec, bases, order, (amp, y, x, radius)); the order is
-    the automatic one (_auto_order).
+    the one every series takes (operators._series_order).
     """
     _checked_time(t)
     mats = _checked_operators(ops)
     vec = _checked_vector(h, len(mats[0]))
     bases = _eigenbases(mats)  # one decomposition per operator for every depth
     scales = _series_scales(bases.norms, vec, t)
-    return mats, vec, bases, _auto_order(scales[0], scales[1], t, sine), scales
+    return mats, vec, bases, _series_order(scales[1], t, sine), scales
 
 
 def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
@@ -383,5 +351,5 @@ def fm_quadrature_crosscheck(ops, h, t: float, m: int):
     mats, vec, bases, order, _ = _prepared(ops, h, t)
     (series,) = _depths(bases, vec, order, _checked_depth(m, order))
     series_value = _series_sum(series, t, sine=False)
-    quad_value = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t, sine=False)[0][:, 0]
+    quad_value = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t)[0][:, 0]
     return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))

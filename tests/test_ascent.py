@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import waveprop as wp
 from waveprop import quadrature
-from waveprop.ascent import _cos_product_average, _family_ascent, _ladder_cos, _ladder_row, _ladder_sin, _ladder_sum
+from waveprop.ascent import (X_MAX, _ascent, _cos_product_average, _family_ascent, _ladder_constants,
+                             _ladder_row, _ladder_sum)
+from waveprop.operators import _tail_bound
 
 
 def _scalar_family(*values):
@@ -137,24 +139,24 @@ def test_routes_at_time_zero():
 
 def test_ladder_coefficients_frozen_values():
     # m=1: 2k+1; m=2: (2k+1)(2k+3); m=3: (2k+1)(2k+3)(2k+5)
-    assert [_ladder_cos(k, 1) for k in range(3)] == [1.0, 3.0, 5.0]
-    assert [_ladder_cos(k, 2) for k in range(3)] == [3.0, 15.0, 35.0]
-    assert [_ladder_cos(k, 3) for k in range(3)] == [15.0, 105.0, 315.0]
+    assert list(_ladder_constants(1, 5)[:3]) == [1.0, 3.0, 5.0]
+    assert list(_ladder_constants(2, 5)[:3]) == [3.0, 15.0, 35.0]
+    assert list(_ladder_constants(3, 5)[:3]) == [15.0, 105.0, 315.0]
     # sine ladder drops the leading 2k+1 factor
-    assert [_ladder_sin(k, 3) for k in range(3)] == [15.0, 35.0, 63.0]
+    assert [c / (2 * k + 1) for k, c in enumerate(_ladder_constants(3, 5)[:3])] == [15.0, 35.0, 63.0]
 
 
 def test_d_ladder_matches_symbolic_differentiation():
-    # D = d/dt (1/t d/dt)^(m-1) takes t^(2k+2m-1) to _ladder_cos(k, m) t^(2k);
-    # without the left-most d/dt it lands on _ladder_sin(k, m) t^(2k+1)
+    # D = d/dt (1/t d/dt)^(m-1) takes t^(2k+2m-1) to L(k, m) t^(2k);
+    # without the left-most d/dt it lands on L(k, m) / (2k+1) t^(2k+1)
     t = sympy.Symbol("t")
     for m in (1, 2, 3):
-        for k in range(5):
+        for k, constant in enumerate(_ladder_constants(m, 5)):
             expr = t ** (2 * k + 2 * m - 1)
             for _ in range(m - 1):
                 expr = sympy.diff(expr, t) / t
-            assert sympy.simplify(expr - _ladder_sin(k, m) * t ** (2 * k + 1)) == 0
-            assert sympy.simplify(sympy.diff(expr, t) - _ladder_cos(k, m) * t ** (2 * k)) == 0
+            assert sympy.simplify(expr - sympy.Rational(constant, 2 * k + 1) * t ** (2 * k + 1)) == 0
+            assert sympy.simplify(sympy.diff(expr, t) - constant * t ** (2 * k)) == 0
 
 
 def test_ladder_row_matches_symbolic_differentiation():
@@ -242,11 +244,55 @@ def test_deep_ladders_are_exact_or_refused():
             _ladder_sum(np.ones((3, 1, 1)), 0.2, 150, sine)
 
 
-def test_norm_sum_is_the_sum_of_spectral_norms():
+def test_norms_are_the_spectral_norms():
     fam = _rotated_family(5, 4, seed=11)
     assert fam.commutator_defect > 0.0  # not diagonal in the standard basis
-    want = sum(np.linalg.norm(a, 2) for a in fam.operators)
-    assert abs(fam.norm_sum() - want) <= 1e-14 * want
+    for got, a in zip(fam.norms, fam.operators):
+        want = np.linalg.norm(a, 2)
+        assert abs(got - want) <= 1e-14 * want
+
+
+def _oracle_gaps(fam, t):
+    """Frobenius gaps of cos_ascent and sin_ascent to the spectral oracles at t."""
+    cos_gap = np.linalg.norm(wp.cos_ascent(fam, t) - wp.cos_sqrt_sum_oracle(fam.operators, t))
+    sin_gap = np.linalg.norm(wp.sin_ascent(fam, t) - wp.sinc_sqrt_sum_oracle(fam.operators, t))
+    return cos_gap, sin_gap
+
+
+@pytest.mark.parametrize("fam, t", [
+    # four random diagonals at t = 20: one unhalved series there overflows to NaN
+    (wp.CommutingFamily([np.diag(np.random.default_rng(1).uniform(-1.0, 1.0, 8)) for _ in range(4)]), 20.0),
+    # one diagonal four times at t = 19: one unhalved series there loses 1e-2 with no warning
+    (wp.CommutingFamily([np.diag(np.linspace(-0.95, 0.95, 8))] * 4), 19.0),
+], ids=["nan", "linspace"])
+def test_long_time_reproducers_are_finite_and_accurate(fam, t):
+    cos_gap, sin_gap = _oracle_gaps(fam, t)
+    assert cos_gap <= 1e-10 and sin_gap <= 1e-10 * abs(t)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 8), (3, 16), (4, 64), (5, 32), (6, 64)])
+@pytest.mark.parametrize("t", [20.0, -1000.0, 1000.0])
+def test_long_times_halve_and_double_back_to_the_oracles(n, dim, t):
+    fam = _rotated_family(n, dim, seed=90 + n)
+    cos_gap, sin_gap = _oracle_gaps(fam, t)
+    assert cos_gap <= 1e-10 and sin_gap <= 1e-10 * abs(t)
+
+
+@pytest.mark.parametrize("x", [0.8, 3.0])
+@pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
+def test_ascent_truncation_is_within_the_factorial_tail_bound(sine, x):
+    # the ascent at order N is the degree-N Taylor polynomial of cos(t sqrt(S)), so
+    # it differs from a deep order by at most the splitting's own factorial tail,
+    # below X_MAX (where the family's ascent runs) and above it
+    assert 0.8 < X_MAX < 3.0
+    fam = _rotated_family(3, 6, seed=5)
+    squares = [a @ a for a in fam.operators]
+    total = sum(norm * norm for norm in fam.norms)
+    t = x / math.sqrt(total)
+    deep = _ascent(squares, 40, np.eye(6), t)[sine]
+    for order in (2, 3, 4, 5):
+        diff = np.linalg.norm(_ascent(squares, order, np.eye(6), t)[sine] - deep, 2)
+        assert 0.0 < diff <= _tail_bound(1.0, t * t * total, t, order, sine)
 
 
 def test_transmutation_heat_from_cosines():

@@ -56,15 +56,18 @@ def test_verify_unknown_check_is_usage_error():
     assert "unknown checks" in err
 
 
-@pytest.mark.parametrize("argv, cap", [
-    (["ascent", "--t", "1e3"], "120"),
-    (["noncomm", "--t", "1e4"], "400"),
-])
-def test_series_order_cap_is_a_numerical_refusal(argv, cap):
-    # exit 3, not the usage code 2, and the message names the cap that was hit
-    code, out, err = run_cli(argv)
+def test_series_order_cap_is_a_numerical_refusal():
+    # exit 3, not the usage code 2, and the message names the splitting series' cap
+    code, out, err = run_cli(["noncomm", "--t", "1e4"])
     assert code == 3 and out == ""
-    assert f"cap {cap}" in err
+    assert "cap 400" in err
+
+
+def test_ascent_long_time_halves_and_doubles_back(tmp_path):
+    # the ascent has no order cap: a long time is halved, then doubled back
+    code, out, _ = run_cli(["ascent", "--t", "1e3"], cwd=tmp_path)
+    assert code == 0
+    assert json.loads(out)["gaps"]["oracle_frobenius"] <= 1e-10
 
 
 def test_ascent_report_shape(tmp_path):

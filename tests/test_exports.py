@@ -99,3 +99,9 @@ def test_deleted_options_and_exports_stay_deleted():
                          ("operators", "as_matrix"), ("quadrature", "DirichletRule")):
         assert not hasattr(importlib.import_module(f"waveprop.{module}"), name), name
     assert not hasattr(wp.GridField, "norm")
+    assert not hasattr(wp.CommutingFamily, "norm_sum")
+    # one rule picks every series order: the ascent's own order rule and both tolerances are gone
+    for module in ("operators", "ascent", "trotter"):
+        for name in ("_truncation_order", "SERIES_TAIL_TOL", "SERIES_ORDER_CAP", "DEFAULT_ORDER_TOL",
+                     "_ladder_cos", "_ladder_sin"):
+            assert not hasattr(importlib.import_module(f"waveprop.{module}"), name), (module, name)

@@ -7,7 +7,8 @@ import pytest
 
 import waveprop as wp
 from waveprop import trotter
-from waveprop.trotter import _series_scales, _series_sum, _tail_bound
+from waveprop.operators import _tail_bound
+from waveprop.trotter import _series_scales, _series_sum
 
 
 @pytest.fixture()
