@@ -3,16 +3,16 @@
 For pairwise commuting Hermitian A_1..A_n the propagator
 cos(t sqrt(A_1^2+...+A_n^2)) is one formula in one-dimensional cosines,
 
-    (2 pi)^(-m) D [ t^(2m-1) average of cos(t w_1 A_1)...cos(t w_n A_n) ],
+    D [ t^(2m-1) E[cos(t w_1 A_1)...cos(t w_n A_n)] ] / (2m-1)!!,
 
-with D = d/dt (1/t d/dt)^(m-1), the average taken over the unit sphere
-S^(2m) for n = 2m+1 and over the unit ball of R^(2m) against
-(1-|w|^2)^(-1/2) for n = 2m.  That ball measure is S^(2m)'s with the
-last coordinate dropped, so the ball average is the sphere average with
-a zero last operator.  The product of cosines is expanded as an even
-power series in t, so D acts exactly on monomials and no numerical
-differentiation enters: D takes t^(2k+2m-1) to L(k, m) t^(2k),
-read off _ladder_row, the ladder table the grid routes in pde share too.
+with D = d/dt (1/t d/dt)^(m-1) and E the probability average over the
+unit sphere S^(2m) for n = 2m+1 and over the unit ball of R^(2m)
+against (1-|w|^2)^(-1/2) for n = 2m, which is S^(2m)'s with a zero last
+operator.  It is the paper's (2 pi)^(-m) D [ t^(2m-1) integral over
+S^(2m) ] by (2m-1)!! |S^(2m)| = 2 (2 pi)^m.  The product of cosines is
+expanded as an even power series in t, so D acts exactly on monomials:
+D takes t^(2k+2m-1) to L(k, m) t^(2k), read off _ladder_row (the grid
+routes in pde share it), and L(0, m) = (2m-1)!!.
 
 The product is even in every w_i, so the average is taken on the simplex
 in u_i = w_i^2, where the sphere measure is a Dirichlet measure.  The
@@ -45,6 +45,7 @@ import numpy as np
 from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
 from .operators import _checked_operators, _checked_time, _eigh, _series_order
+from . import quadrature
 from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
 
 __all__ = [
@@ -122,19 +123,20 @@ def _ladder_constants(m: int, count: int) -> tuple:
 
 
 def _ladder_sum(coeffs, t: float, m: int, sine: bool) -> np.ndarray:
-    """sum_k c_k L(k, m, sine) t^(2k+sine): the ladder applied to t^(2m-1) times the bracket.
+    """sum_k c_k L(k, m, sine) / L(0, m) t^(2k+sine): D on t^(2m-1) times the bracket, over (2m-1)!!.
 
     coeffs[k] is the coefficient of t^(2k) in the bracket.  With sine
     False, L = L(k, m) of _ladder_constants and D = d/dt (1/t d/dt)^(m-1)
     lands on t^(2k); with sine True the left-most d/dt is dropped,
-    L = L(k, m) / (2k+1) and the power is t^(2k+1).  A ladder whose
-    constants overflow a float is refused: from depth m = 130 to 150, by
-    the series order.
+    L = L(k, m) / (2k+1) and the power is t^(2k+1).  Each ratio of exact
+    integers is rounded once.  A ladder whose ratios overflow a float is
+    refused: at m = 1000 they fit up to order 305.
     """
+    constants = _ladder_constants(m, len(coeffs))
     try:
-        ladder = np.array([float(c) for c in _ladder_constants(m, len(coeffs))])
+        ladder = np.array([c / constants[0] for c in constants])
     except OverflowError:
-        raise ValueError(f"ladder depth m = n // 2 = {m} is too deep: its constants overflow a float") from None
+        raise ValueError(f"ladder depth m = n // 2 = {m} is too deep: its ratios overflow a float") from None
     k = np.arange(len(coeffs))
     if sine:
         ladder /= 2 * k + 1
@@ -146,10 +148,10 @@ def _cos_product_average(squares, order: int, block):
 
     squares[i] = X_i^2; the product keeps its factor order, so the X_i
     need not commute; block is (d, r): the identity, or a state as one
-    column.  The average is over S^(n-1) (a zero last square makes it the
-    ball average in R^(n-1)), taken on the simplex in u_i = w_i^2 with the
-    stick-breaking Dirichlet rule of level order, exact for the
-    degree-order coefficients.  The coefficient of t^(2k) is sum over
+    column.  The probability average is over S^(n-1) (a zero last square
+    makes it the ball average in R^(n-1)), taken on the simplex in
+    u_i = w_i^2 with the stick-breaking Dirichlet rule of level order,
+    exact for the degree-order coefficients.  The coefficient of t^(2k) is sum over
     a_1+...+a_n = k of E[u^a] P_1[a_1]...P_n[a_n] block,
     P_i[a] = (-1)^a X_i^(2a)/(2a)!, and E[u^a] is a product of per-stick
     moments c_i[a_i, a_(i+1)+...+a_n], so the sum factorizes one stick at
@@ -184,18 +186,16 @@ def _cos_product_average(squares, order: int, block):
 
 
 def _ascent(squares, order: int, block, t: float):
-    """(2 pi)^(-m) D[t^(2m-1) average of the cosine product] block, its sine, and the moment error.
+    """D[t^(2m-1) E[cosine product]] block / (2m-1)!!, its sine, and the moment error.
 
-    m = n // 2; the sine drops the left-most d/dt of D, and both ladders
-    read the one average.  n = len(squares) = 2m+1 is averaged over the
-    sphere S^(2m); n = 2m over the ball, which is S^(2m) with a zero
-    slack square appended.
+    m = n // 2; the sine drops the left-most d/dt of D, and both read the
+    one average: n = 2m+1 squares over S^(2m), n = 2m over the ball, which
+    is S^(2m) with a zero slack square appended.
     """
     n = len(squares)
     slack = [np.zeros_like(squares[0])] * (1 - n % 2)
     coeffs, moment_error = _cos_product_average(list(squares) + slack, order, block)
-    cos, sin = ((2.0 * math.pi) ** (-(n // 2)) * _ladder_sum(coeffs, t, n // 2, sine) for sine in (False, True))
-    return cos, sin, moment_error
+    return _ladder_sum(coeffs, t, n // 2, False), _ladder_sum(coeffs, t, n // 2, True), moment_error
 
 
 def _family_ascent(fam: CommutingFamily, t: float, sine: bool):
@@ -221,8 +221,8 @@ def _family_ascent(fam: CommutingFamily, t: float, sine: bool):
 def cos_ascent(fam: CommutingFamily, t: float) -> np.ndarray:
     """cos(t sqrt(sum A_i^2)) for a commuting family.
 
-    Realizes (2 pi)^(-m) D [ t^(2m-1) average of the cosine product ],
-    the ball average for n = 2m and the sphere average for n = 2m+1,
+    Realizes D [ t^(2m-1) E[cosine product] ] / (2m-1)!!, the ball
+    average for n = 2m and the sphere average for n = 2m+1,
     with the integrand expanded as an even series in t to the order N
     whose factorial tails, cosine and sine, are at most the float's
     rounding unit, and averaged by the Dirichlet rule of level N, which
@@ -279,25 +279,27 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
     """Product of heat factors against its radial cosine representation.
 
     prod_i exp(-rho A_i^2) = (4 pi rho)^(-n/2) int_0^inf t^(n-1)
-    e^(-t^2/(4 rho)) [sphere average of prod_i cos(t w_i A_i)] dt.
-    The radial integral is mapped by u = t^2/(4 rho) onto a 64-node
-    generalized Gauss-Laguerre rule and the sphere average is the
-    level-12 Dirichlet rule; the integrand is entire in u, so the rule
-    converges rapidly.  Returns (lhs, rhs, gap).
+    e^(-t^2/(4 rho)) [integral over S^(n-1) of prod_i cos(t w_i A_i)] dt.
+    With u = t^2/(4 rho) on a 64-node generalized Gauss-Laguerre rule and
+    the sphere's probability average by the level-12 Dirichlet rule, the
+    prefactor is 1/Gamma(n/2).  More than quadrature.MIRRORED_NODE_LIMIT
+    node-chain entries are refused before any node forms.  Returns (lhs, rhs, gap).
     """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"heat time rho must be positive and finite, got {rho}")
-    mats = fam.operators
+    mats, d = fam.operators, fam.dim
     n = len(mats)
-    d = fam.dim
+    radial, level, limit = 64, 12, quadrature.MIRRORED_NODE_LIMIT
+    entries = radial * (level // 2 + 1) ** (n - 1) * d * d
+    if entries > limit:
+        raise ValueError(f"product heat check would form {entries} node-chain entries, above the limit of {limit}")
     lhs = np.eye(d, dtype=complex)
     lams, vecs = zip(*map(_eigh, mats))
     for lam, v in zip(lams, vecs):
         lhs = lhs @ ((v * np.exp(-rho * np.clip(lam * lam, 0.0, None))) @ v.conj().T)
-    sphere_u, sphere_w = _dirichlet_rule([0.5] * n, 12)  # S^(n-1) in u = w^2: the integrand is even in every w_i
-    u, wu = roots_genlaguerre(64, n / 2.0 - 1.0)
+    sphere_u, sphere_w = _dirichlet_rule([0.5] * n, level)  # S^(n-1) in u = w^2: the integrand is even in every w_i
+    u, wu = roots_genlaguerre(radial, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
-    prefactor = 2.0 ** (n - 1) * (4.0 * math.pi) ** (-n / 2.0)
     # cos(t w_i lambda) at every radial x sphere node, for all operators at once
     phases = np.multiply.outer(ts, np.sqrt(sphere_u))  # (radial, sphere, n)
     cosines = np.cos(phases[..., None] * np.array(lams))  # (radial, sphere, n, d)
@@ -307,7 +309,7 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
         move = vecs[i - 1].conj().T @ vecs[i]
         chain = (chain @ move) * cosines[..., i, None, :]
     # sphere average per t, then the radial sum: the order of a plain loop
-    inner = (chain * 2.0 * sphere_w[:, None, None]).sum(axis=1)
-    inner = (inner * (prefactor * wu)[:, None, None]).sum(axis=0)
+    inner = (chain * sphere_w[:, None, None]).sum(axis=1)
+    inner = (inner * (wu / math.gamma(n / 2.0))[:, None, None]).sum(axis=0)
     rhs = vecs[0] @ inner @ vecs[-1].conj().T
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))

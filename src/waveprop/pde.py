@@ -44,7 +44,7 @@ import numbers
 import warnings
 
 import numpy as np
-from scipy.special import gammaln, i0, i1, j0, j1
+from scipy.special import i0, i1, j0, j1
 
 from .ascent import _ladder_row
 from .fields import GridField, _finite_values, _k_squared, assert_no_wrap, relative_l2_gap
@@ -113,9 +113,9 @@ def _shell_rule(d: int, level: int, p: float | None = None, a: float | None = No
 
     s = w.k/|k| and rho = sqrt(1-|w|^2).  The shell sums are even in s, and
     u = (s^2, |w|^2-s^2, 1-|w|^2) is Dirichlet(1/2, (d-1)/2, p+1), so one
-    Dirichlet rule gives every (s, rho) pair: the sphere has no slack
-    term, d = 1 no middle term, and without a mass the two merge.  rho is
-    zero when a is None.
+    Dirichlet probability rule, times the measure's mass, gives every
+    (s, rho) pair: the sphere has no slack term, d = 1 no middle term,
+    and without a field mass a the two merge.  rho is zero when a is None.
     """
     middle = [(d - 1) / 2.0] if d > 1 else []
     if p is None:
@@ -126,8 +126,7 @@ def _shell_rule(d: int, level: int, p: float | None = None, a: float | None = No
     u, weights = _dirichlet_rule(alphas, level)
     s = np.sqrt(u[:, 0])
     rho = np.zeros_like(s) if a is None else a * np.sqrt(u[:, -1])
-    scale = mass * np.exp(gammaln(sum(alphas)) - gammaln(alphas).sum())
-    return s, rho, weights * scale
+    return s, rho, weights * mass
 
 
 def _bessel_jet(x, hyperbolic: bool):

@@ -6,8 +6,9 @@ surface measure on S^{n-1} and the measure (1 - |w|^2)^p dw on the unit
 ball (p = -1/2 is the standard boundary weight, p = 0 the flat ball).
 
 Integrands even in every coordinate only see u_i = w_i^2.  Under that
-map both measures become Dirichlet measures on the simplex, integrated
-by one tensor rule (_dirichlet_rule), a conical product of
+map both measures become Dirichlet distributions on the simplex times
+a closed-form mass, integrated by one probability rule (_dirichlet_rule;
+each caller multiplies by its mass), a conical product of
 one-dimensional Gauss-Jacobi rules (Stroud, Approximate Calculation of
 Multiple Integrals, 1971), one per stick (_dirichlet_sticks).  The
 tensor nodes are formed only where a caller needs them; the ascent and
@@ -164,10 +165,10 @@ def gamma_duplication_check(k: int) -> tuple[float, float]:
 
 
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^(n-1) in R^n."""
+    """Surface area 2 pi^(n/2) / Gamma(n/2) of the unit sphere S^(n-1) in R^n, in log space."""
     if n < 1:
         raise ValueError("ambient dimension must be positive")
-    return float(2.0 * math.pi ** (n / 2.0) / math.exp(gammaln(n / 2.0)))
+    return float(2.0 * math.exp(n / 2.0 * math.log(math.pi) - gammaln(n / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +194,7 @@ class SphereRule:
     def error_estimate(self, values) -> float:
         values = values(self.nodes) if callable(values) else np.asarray(values)
         if self.method == "montecarlo":
-            mass = float(self.weights.sum())
-            return float(mass * np.std(values, axis=0).max() / math.sqrt(len(self.weights)))
+            return float(self.weights.sum() * np.std(values, axis=0).max() / math.sqrt(len(self.weights)))
         return 0.0 if self.moment_error is None else self.moment_error
 
 
@@ -252,8 +252,8 @@ def build_sphere_rule(n: int, level: int, method: str = "auto",
                       samples: int = 200_000, seed: int = 0) -> SphereRule:
     """Rule on S^(n-1) exact (tensor) on even monomials of degree <= 2*level.
 
-    Tensor rules mirror the Dirichlet rule with alphas (1/2,)*n, at twice
-    its weights, into every sign pattern of w_i = +-sqrt(u_i).
+    Tensor rules mirror the Dirichlet rule with alphas (1/2,)*n into every
+    sign pattern of w_i = +-sqrt(u_i), at the sphere's area as mass.
     """
     if n < 1:
         raise ValueError("ambient dimension must be positive")
@@ -263,15 +263,15 @@ def build_sphere_rule(n: int, level: int, method: str = "auto",
         raise ValueError(f"samples must be at least 1, got {samples}")
     if method == "auto":
         method = "tensor" if n <= TENSOR_DIM_LIMIT + 1 else "montecarlo"
+    mass = sphere_area(n)
     if method == "tensor":
-        return _mirrored_rule(SphereRule, n, level, [0.5] * n, scale=2.0)
+        return _mirrored_rule(SphereRule, n, level, [0.5] * n, mass)
     if method != "montecarlo":
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n))
     nodes = g / np.linalg.norm(g, axis=1, keepdims=True)
-    weights = np.full(samples, sphere_area(n) / samples)
-    return SphereRule(n, level, nodes, weights, "montecarlo", seed=seed)
+    return SphereRule(n, level, nodes, np.full(samples, mass / samples), "montecarlo", seed=seed)
 
 
 def build_ball_rule(d: int, level: int, method: str = "auto",
@@ -296,8 +296,9 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
         raise ValueError(f"boundary exponent must be finite and exceed -1, got {p}")
     if method == "auto":
         method = "tensor" if d <= TENSOR_DIM_LIMIT else "montecarlo"
+    mass = ball_moment((0,) * d, boundary_exponent=p)
     if method == "tensor":
-        return _mirrored_rule(BallRule, d, level, [0.5] * d + [p + 1.0], boundary_exponent=p)
+        return _mirrored_rule(BallRule, d, level, [0.5] * d + [p + 1.0], mass, boundary_exponent=p)
     if method != "montecarlo":
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
@@ -305,9 +306,7 @@ def build_ball_rule(d: int, level: int, method: str = "auto",
     g = rng.standard_normal((samples, d))
     directions = g / np.linalg.norm(g, axis=1, keepdims=True)
     nodes = np.sqrt(u)[:, None] * directions
-    mass = ball_moment((0,) * d, boundary_exponent=p)
-    weights = np.full(samples, mass / samples)
-    return BallRule(d, level, nodes, weights, "montecarlo",
+    return BallRule(d, level, nodes, np.full(samples, mass / samples), "montecarlo",
                     boundary_exponent=p, seed=seed)
 
 
@@ -319,16 +318,16 @@ def _read_only(arrays) -> tuple:
 
 @functools.lru_cache(maxsize=_GAUSS_JACOBI_CACHE)
 def _gauss_jacobi_unit(k: int, a: float, b: float):
-    """k-node rule on [0,1] for x^(a-1) (1-x)^(b-1): read-only (x, 1-x, weights)."""
+    """k-node probability rule on [0,1] for Beta(a, b): read-only (x, 1-x, weights)."""
     xj, wj = roots_jacobi(k, b - 1.0, a - 1.0)
-    return _read_only([(1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj * 2.0 ** (1.0 - a - b)])
+    return _read_only([(1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj / math.fsum(wj.tolist())])
 
 
 def _dirichlet_sticks(alphas, level: int) -> list:
     """The one-dimensional rules of the stick-breaking tensor rule, one per stick.
 
-    Stick j < K carries a (level//2+1)-node Gauss-Jacobi rule for
-    x^(alpha_j-1) (1-x)^(alpha_(j+1)+...+alpha_K-1) as (x, 1-x, weights);
+    Stick j < K carries a (level//2+1)-node Gauss-Jacobi probability rule
+    for Beta(alpha_j, alpha_(j+1)+...+alpha_K) as (x, 1-x, weights);
     u_j = x_j (1-x_1)...(1-x_(j-1)) and u_K = (1-x_1)...(1-x_(K-1)).
     """
     alphas = np.asarray(alphas, dtype=float)
@@ -364,12 +363,13 @@ def _stick_selftest(alphas, level: int, moments) -> float:
     """Max relative error of the tensor rule on u^b, |b| <= min(level, PROBE_DEGREE).
 
     Each probe is integrated from the stick moments, whose top must reach
-    min(level, PROBE_DEGREE), and compared with the closed form
-    Gamma(a_1+b_1)...Gamma(a_K+b_K) / Gamma(|a|+|b|).
+    min(level, PROBE_DEGREE), and compared with the Dirichlet mean
+    E[u^b] = Gamma(|a|) / Gamma(|a|+|b|) prod_i Gamma(a_i+b_i) / Gamma(a_i).
     """
     alphas = np.asarray(alphas, dtype=float)
     b = np.asarray(_even_probe_indices(len(alphas), min(level, PROBE_DEGREE)))
-    exact = np.exp(gammaln(alphas + b).sum(axis=1) - gammaln(alphas.sum() + b.sum(axis=1)))
+    rising = gammaln(alphas + b) - gammaln(alphas)
+    exact = np.exp(rising.sum(axis=1) + gammaln(alphas.sum()) - gammaln(alphas.sum() + b.sum(axis=1)))
     tails = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]  # tails[:, j] = b_j + ... + b_K
     got = np.ones(len(b))
     for j, c in enumerate(moments):
@@ -399,15 +399,14 @@ def _mirrored(u: np.ndarray, weights: np.ndarray):
 
 
 def _dirichlet_rule(alphas, level: int):
-    """Nodes u and weights on the simplex u_1+...+u_K = 1 against prod u_i^(alpha_i - 1).
+    """Nodes u and weights of the Dirichlet(alpha_1, ..., alpha_K) distribution on the simplex.
 
-    Under u_i = w_i^2 the surface measure of S^(n-1) is twice the measure
-    with alphas (1/2,)*n, and the ball weight (1-|w|^2)^p in R^n is the
-    measure with alphas (1/2,)*n + (p+1,), whose last coordinate is the
-    slack 1-|w|^2.  The rule is _dirichlet_tensor, exact on polynomials
-    in u of total degree <= level; the weights sum to
-    Gamma(alpha_1)...Gamma(alpha_K) / Gamma(sum alpha), and _stick_rule
-    holds its self-test error.
+    Under u_i = w_i^2 the normalized surface measure of S^(n-1) is the
+    distribution with alphas (1/2,)*n, and the normalized ball weight
+    (1-|w|^2)^p in R^n the one with alphas (1/2,)*n + (p+1,), whose last
+    coordinate is the slack 1-|w|^2.  The rule is _dirichlet_tensor,
+    exact on polynomials in u of total degree <= level; its weights sum
+    to 1, and _stick_rule holds its self-test error.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or len(a) == 0:
@@ -419,12 +418,12 @@ def _dirichlet_rule(alphas, level: int):
     return _dirichlet_tensor(_dirichlet_sticks(a, level))
 
 
-def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields):
+def _mirrored_rule(cls, d: int, level: int, alphas, mass: float, **fields):
     """Public tensor rule on R^d from the Dirichlet rule with these alphas.
 
     The first d coordinates are mirrored into every sign pattern and the
-    weights scaled by scale.  The moment error is the larger of the
-    Dirichlet rule's self-test error and the first moments relative to
+    weights multiplied by the measure's mass.  The moment error is the
+    larger of the Dirichlet rule's self-test error and the first moments relative to
     the mass: those vanish by sign symmetry, so a broken mirroring shows.
     A rule of more than MIRRORED_NODE_LIMIT nodes is refused before any
     node forms.
@@ -435,7 +434,7 @@ def _mirrored_rule(cls, d: int, level: int, alphas, scale: float = 1.0, **fields
                          f"above the limit of {MIRRORED_NODE_LIMIT}")
     u, weights = _dirichlet_rule(alphas, level)
     nodes, weights = _mirrored(u[:, :d], weights)
-    rule = cls(d, level, nodes, scale * weights, "tensor", **fields)
+    rule = cls(d, level, nodes, mass * weights, "tensor", **fields)
     # benchmarks/test_benchmark.py traces this integrate inside build_ball_rule
     first = np.max(np.abs(rule.integrate(nodes))) / rule.weights.sum()
     selftest = _stick_rule(tuple(alphas), level, min(level, PROBE_DEGREE))[1]

@@ -343,9 +343,8 @@ def fm_quadrature_crosscheck(ops, h, t: float, m: int):
     (1-|w|^2)^(-1/2) for even n (S^n with a zero slack square last), on
     the simplex in u = w^2 one stick at a time by the Dirichlet rule whose
     level is the series order, so the rule integrates the truncated series
-    exactly; then the derivative ladder of depth n // 2 with prefactor
-    (2 pi)^(-(n // 2)).  A ladder whose constants overflow a float (a pair
-    at m = 160, three operators at m = 100) is refused with a ValueError.
+    exactly; then the derivative ladder of depth n // 2 over (2 (n // 2) - 1)!!,
+    the probability average's form of the paper's (2 pi)^(-(n // 2)).
     Returns (series, quadrature, gap).
     """
     mats, vec, bases, order, _ = _prepared(ops, h, t)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveprop as wp
-from waveprop import quadrature
+from waveprop import ascent, quadrature
 from waveprop.ascent import (X_MAX, _ascent, _cos_product_average, _family_ascent, _ladder_constants,
                              _ladder_row, _ladder_sum)
 from waveprop.operators import _tail_bound
@@ -231,14 +231,19 @@ def test_high_dimensional_families_use_the_exact_rule(n):
     assert _family_ascent(fam, 0.5, sine=False)[1] <= 1e-12
 
 
-def test_deep_ladders_are_exact_or_refused():
-    # 260 operators: a ladder of depth 130, whose constants pass 1e280 and still fit a float
+def test_deep_ladders_are_exact_or_refused(monkeypatch):
+    # 300 and 600 operators: ladders of depth 150 and 300, whose constants L(k, m)
+    # overflow a float while the ratios L(k, m) / L(0, m) the ascent applies fit
     rng = np.random.default_rng(4)
-    ops = [np.diag(rng.uniform(-1e-3, 1e-3, size=3)) for _ in range(260)]
-    fam = wp.CommutingFamily(ops)
-    assert np.linalg.norm(wp.cos_ascent(fam, 0.2) - wp.cos_sqrt_sum_oracle(ops, 0.2)) <= 1e-12
-    assert np.linalg.norm(wp.sin_ascent(fam, 0.2) - wp.sinc_sqrt_sum_oracle(ops, 0.2)) <= 1e-12
-    # at depth 150 (300 operators) the constants overflow a float: refused by name
+    for count in (300, 600):
+        ops = [np.diag(rng.uniform(-2e-3, 2e-3, size=3)) for _ in range(count)]
+        fam = wp.CommutingFamily(ops)
+        with pytest.raises(OverflowError):
+            float(_ladder_constants(count // 2, 2)[1])
+        assert np.linalg.norm(wp.cos_ascent(fam, 1.0) - wp.cos_sqrt_sum_oracle(ops, 1.0)) <= 1e-12
+        assert np.linalg.norm(wp.sin_ascent(fam, 1.0) - wp.sinc_sqrt_sum_oracle(ops, 1.0)) <= 1e-12
+    # a ratio past the float range is refused by name
+    monkeypatch.setattr(ascent, "_ladder_constants", lambda m, count: (1, 10 ** 400, 1)[:count])
     for sine in (False, True):
         with pytest.raises(ValueError, match=r"ladder depth m = n // 2 = 150 is too deep"):
             _ladder_sum(np.ones((3, 1, 1)), 0.2, 150, sine)
@@ -306,6 +311,20 @@ def test_product_heat_expansion_identity():
     fam = _diag_family(2, 3, seed=30)
     _, _, gap = wp.product_heat_expansion_check(fam, 0.3)
     assert gap <= 1e-10
+
+
+def test_product_heat_expansion_refuses_before_any_node_forms(monkeypatch):
+    # 64 radial x 7 sphere nodes of 3 x 3 entries for a pair: 4032 entries
+    def no_rule(*args):
+        raise AssertionError("a refused check must not build its sphere rule")
+
+    fam = _diag_family(2, 3, seed=30)
+    monkeypatch.setattr(quadrature, "MIRRORED_NODE_LIMIT", 4032)
+    assert wp.product_heat_expansion_check(fam, 0.3)[2] <= 1e-10
+    monkeypatch.setattr(quadrature, "MIRRORED_NODE_LIMIT", 4031)
+    monkeypatch.setattr(ascent, "_dirichlet_rule", no_rule)
+    with pytest.raises(ValueError, match="4032 node-chain entries, above the limit of 4031"):
+        wp.product_heat_expansion_check(fam, 0.3)
 
 
 @settings(max_examples=25, deadline=None)

@@ -70,6 +70,15 @@ def test_ascent_long_time_halves_and_doubles_back(tmp_path):
     assert json.loads(out)["gaps"]["oracle_frobenius"] <= 1e-10
 
 
+def test_ascent_on_301_operators_runs_a_depth_150_ladder(tmp_path):
+    # the ladder's constants L(k, 150) overflow a float; the ascent applies their ratios to L(0, 150)
+    code, out, _ = run_cli(["ascent", "--count", "301", "--dim", "2"], cwd=tmp_path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["formula"] == "sphere-cosine-ladder"
+    assert report["gaps"]["oracle_frobenius"] <= 1e-10
+
+
 def test_ascent_report_shape(tmp_path):
     code, out, _ = run_cli(["ascent", "--t", "0.5", "--count", "2", "--dim", "1"],
                            cwd=tmp_path)
@@ -194,6 +203,17 @@ def test_rule_export(tmp_path):
             if not r.startswith("#")]
     assert len(rows) == report["size"] + 1
     assert report["moment_error"] <= 1e-10
+
+
+def test_monte_carlo_sphere_rule_past_the_gamma_overflow(tmp_path):
+    # Gamma(200) overflows a float while the area of S^399, 1.4e-273, fits
+    code, out, _ = run_cli(["rule", "--kind", "sphere", "--dim", "400", "--level", "2",
+                            "--samples", "10"], cwd=tmp_path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["method"] == "montecarlo"
+    assert report["size"] == 10
+    assert report["mass"] == pytest.approx(1.3650416103661198e-273, rel=1e-12)
 
 
 def test_fixture_export_decodes(tmp_path):

@@ -33,6 +33,18 @@ def test_sphere_area_closed_forms():
         assert wp.sphere_area(n) == pytest.approx(expected, rel=1e-14)
 
 
+def test_sphere_area_fits_a_float_wherever_its_value_does():
+    # pi^(n/2) alone overflows past n = 1240 and Gamma(n/2) past n = 343; the area is tiny there
+    for n in (100, 343, 344, 400, 1000):
+        log_area = math.log(2.0) + n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0)
+        assert wp.sphere_area(n) == pytest.approx(math.exp(log_area), rel=1e-12)
+    assert wp.sphere_area(344) == pytest.approx(5.2e-224, rel=1e-2)
+    assert wp.sphere_area(2000) == 0.0
+    rule = wp.build_sphere_rule(400, 2, samples=10)
+    assert rule.method == "montecarlo"
+    assert rule.weights.sum() == pytest.approx(wp.sphere_area(400), rel=1e-14)
+
+
 def test_sphere_rule_mass_and_even_moments():
     rule = wp.build_sphere_rule(3, 10)
     ones = np.ones(len(rule.weights))
@@ -234,14 +246,20 @@ def _bounded(d, level):
     return [a for a in itertools.product(range(level + 1), repeat=d) if sum(a) <= level]
 
 
+def _dirichlet_mass(alphas):
+    """Gamma(alpha_1)...Gamma(alpha_K) / Gamma(sum alpha): the mass the probability rules divide out."""
+    return math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
+
+
 def test_dirichlet_sphere_pushforward_moments_are_exact():
     level = 5
     for n in range(1, 8):
         u, weights = _dirichlet_rule([0.5] * n, level)
+        mass = _dirichlet_mass([0.5] * n)
         for beta in _bounded(n, level):
             b = np.asarray(beta, dtype=float)
-            closed = 2.0 * math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + n / 2.0))
-            got = 2.0 * _u_moment(u, weights, beta)
+            closed = math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + n / 2.0)) / mass
+            got = _u_moment(u, weights, beta)
             assert got == pytest.approx(closed, rel=1e-12)
 
 
@@ -251,9 +269,33 @@ def test_dirichlet_ball_pushforward_moments_are_exact():
         for n in range(1, 7):
             u, weights = _dirichlet_rule([0.5] * n + [p + 1.0], level)
             u = u[:, :n]  # drop the slack coordinate 1 - |w|^2
+            mass = _dirichlet_mass([0.5] * n + [p + 1.0])
             for beta in _bounded(n, level):
-                closed = wp.ball_moment(beta, boundary_exponent=p)
+                closed = wp.ball_moment(beta, boundary_exponent=p) / mass
                 assert _u_moment(u, weights, beta) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("alphas, level", [([1.5], 4), ([0.5] * 3, 6), ([0.3, 1.2, 2.0, 0.7], 7),
+                                           ([0.5] * 7, 12), ([0.5] * 4 + [1.0], 14), ([0.5] * 8, 2)])
+def test_every_dirichlet_and_stick_rule_is_a_probability_rule(alphas, level):
+    sticks = quadrature._dirichlet_sticks(alphas, level)
+    for _, _, wx in sticks:
+        assert abs(math.fsum(wx.tolist()) - 1.0) <= 1e-15
+    for c in quadrature._stick_moments(sticks, 2):
+        assert abs(c[0, 0] - 1.0) <= 1e-15
+    for c in quadrature._stick_rule(tuple(alphas), level, min(level, quadrature.PROBE_DEGREE))[0]:
+        assert abs(c[0, 0] - 1.0) <= 1e-15
+    _, weights = quadrature._dirichlet_tensor(sticks)
+    assert abs(math.fsum(weights.tolist()) - 1.0) <= 1e-15
+    _, weights = _dirichlet_rule(alphas, level)
+    assert abs(math.fsum(weights.tolist()) - 1.0) <= 1e-15
+
+
+def test_stick_selftest_stays_finite_with_hundreds_of_sticks():
+    # 500 unnormalized stick masses would multiply to 0.0, so only probability rules keep this finite
+    moments, error = quadrature._stick_rule((0.5,) * 501, 4, 4)
+    assert len(moments) == 500
+    assert math.isfinite(error) and error <= 1e-11
 
 
 def test_dirichlet_tensor_rule_shape():
@@ -263,8 +305,7 @@ def test_dirichlet_tensor_rule_shape():
         assert np.all(weights > 0.0)
         assert np.all(u >= 0.0)
         assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-15
-        mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
-        assert weights.sum() == pytest.approx(mass, rel=1e-13)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-13)
         assert _selftest(alphas, level) <= 1e-12
 
 
@@ -277,8 +318,7 @@ def test_dirichlet_switches_to_montecarlo_above_tensor_limit():
     assert np.all(weights > 0.0)
     assert np.all(u >= 0.0)
     assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-15
-    mass = math.exp(gammaln(alphas).sum() - gammaln(sum(alphas)))
-    assert weights.sum() == pytest.approx(mass, rel=1e-13)
+    assert weights.sum() == pytest.approx(1.0, rel=1e-13)
     assert _selftest(alphas, 2) <= 1e-12
 
 
@@ -426,7 +466,7 @@ def test_tensor_moment_errors_match_per_probe_reference():
         assert abs(ball.moment_error - ref) <= 1e-14
     u, weights = _dirichlet_rule([0.5] * 5, 8)
     probes = np.asarray(quadrature._even_probe_indices(5, 4))
-    exact = [math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + 2.5)) for b in probes]
+    exact = [math.exp(gammaln(b + 0.5).sum() - gammaln(b.sum() + 2.5)) / _dirichlet_mass([0.5] * 5) for b in probes]
     ref = _reference_moment_error(u, weights, probes, exact)
     assert abs(_selftest([0.5] * 5, 8) - ref) <= 1e-14
 
