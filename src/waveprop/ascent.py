@@ -42,11 +42,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcinv, roots_genlaguerre, roots_legendre
 
 from .operators import _checked_operators, _checked_time, _eigh, _series_order
 from . import quadrature
-from .quadrature import PROBE_DEGREE, _dirichlet_rule, _stick_rule, stable_sum
+from .quadrature import PROBE_DEGREE, _dirichlet_rule, _gauss_jacobi_unit, _gauss_laguerre, _stick_rule, stable_sum
 
 __all__ = [
     "CommutingFamily",
@@ -58,6 +57,18 @@ __all__ = [
 
 COMMUTATOR_RTOL = 1e-10
 X_MAX = 2.0  # |tau| sqrt(sum ||A_i||^2) at which halving stops; measured against 1 and 4
+
+
+def _erfc_root(y: float) -> float:
+    """z >= 0 with erfc(z) = y, 0 < y < 1, by bisection of math.erfc to adjacent floats."""
+    lo, hi = 0.0, 27.0  # erfc(27) underflows a double
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if math.erfc(mid) > y else (lo, mid)
+    return hi
+
+
+# the two-sided Gaussian tail beyond T = 2 sqrt(rho) z is erfc(z); transmutation_check sets it to 1e-11
+_TAIL_Z = _erfc_root(1e-11)
 
 
 @dataclass(eq=False)
@@ -74,13 +85,13 @@ class CommutingFamily:
 
     def __init__(self, operators):
         mats = _checked_operators(operators)
+        stack = np.array(mats)
+        norms = np.linalg.norm(stack, axis=(1, 2))
         worst = 0.0
-        for i, a in enumerate(mats):
-            na = np.linalg.norm(a)
-            for b in mats[i + 1 :]:
-                nb = np.linalg.norm(b)
-                if na > 0 and nb > 0:
-                    worst = max(worst, np.linalg.norm(a @ b - b @ a) / (na * nb))
+        for i in range(len(mats) - 1):  # one batched product per row, against every later operator
+            a, rest, scale = stack[i], stack[i + 1 :], norms[i] * norms[i + 1 :]
+            defects = np.linalg.norm(a @ rest - rest @ a, axis=(1, 2))
+            worst = max(worst, float(np.divide(defects, scale, out=np.zeros_like(scale), where=scale > 0).max()))
         if worst > COMMUTATOR_RTOL:
             raise ValueError(
                 f"family does not commute (relative defect {worst:.3e}); "
@@ -263,12 +274,11 @@ def transmutation_check(b, rho: float):
     lam, vecs = _eigh(mat)
     lhs = (vecs * np.exp(-rho * np.clip(lam * lam, 0.0, None))) @ vecs.conj().T
     norm_b = float(max(abs(lam[0]), abs(lam[-1]))) if mat.size else 0.0
-    # two-sided Gaussian tail beyond T equals erfc(T / (2 sqrt(rho))), set a tenth of 1e-10
-    horizon = 2.0 * math.sqrt(rho) * float(erfcinv(1e-10 / 10.0))
+    horizon = 2.0 * math.sqrt(rho) * _TAIL_Z
     count = max(96, int(1.5 * horizon * max(1.0, norm_b)) + 48)
-    x, w = roots_legendre(count)
-    ts = horizon * x
-    gauss = (4.0 * math.pi * rho) ** (-0.5) * np.exp(-ts * ts / (4.0 * rho)) * (horizon * w)
+    x, one_minus_x, w = _gauss_jacobi_unit(count, 1.0, 1.0)  # Gauss-Legendre on [0, 1], cached per count
+    ts = horizon * (x - one_minus_x)
+    gauss = (4.0 * math.pi * rho) ** (-0.5) * np.exp(-ts * ts / (4.0 * rho)) * (2.0 * horizon * w)
     cos_t_lam = np.cos(np.outer(ts, lam))  # (count, d)
     diag = stable_sum(gauss[:, None] * cos_t_lam)
     rhs = (vecs * diag) @ vecs.conj().T
@@ -280,9 +290,10 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
 
     prod_i exp(-rho A_i^2) = (4 pi rho)^(-n/2) int_0^inf t^(n-1)
     e^(-t^2/(4 rho)) [integral over S^(n-1) of prod_i cos(t w_i A_i)] dt.
-    With u = t^2/(4 rho) on a 64-node generalized Gauss-Laguerre rule and
-    the sphere's probability average by the level-12 Dirichlet rule, the
-    prefactor is 1/Gamma(n/2).  More than quadrature.MIRRORED_NODE_LIMIT
+    With u = t^2/(4 rho) the radial measure is Gamma(n/2), averaged by the
+    64-node generalized Gauss-Laguerre probability rule, and the sphere's
+    probability average is taken by the level-12 Dirichlet rule, so no
+    prefactor is left.  More than quadrature.MIRRORED_NODE_LIMIT
     node-chain entries are refused before any node forms.  Returns (lhs, rhs, gap).
     """
     if not 0.0 < rho < math.inf:
@@ -298,7 +309,7 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
     for lam, v in zip(lams, vecs):
         lhs = lhs @ ((v * np.exp(-rho * np.clip(lam * lam, 0.0, None))) @ v.conj().T)
     sphere_u, sphere_w = _dirichlet_rule([0.5] * n, level)  # S^(n-1) in u = w^2: the integrand is even in every w_i
-    u, wu = roots_genlaguerre(radial, n / 2.0 - 1.0)
+    u, wu = _gauss_laguerre(radial, n / 2.0 - 1.0)
     ts = 2.0 * np.sqrt(rho * u)
     # cos(t w_i lambda) at every radial x sphere node, for all operators at once
     phases = np.multiply.outer(ts, np.sqrt(sphere_u))  # (radial, sphere, n)
@@ -310,6 +321,6 @@ def product_heat_expansion_check(fam: CommutingFamily, rho: float):
         chain = (chain @ move) * cosines[..., i, None, :]
     # sphere average per t, then the radial sum: the order of a plain loop
     inner = (chain * sphere_w[:, None, None]).sum(axis=1)
-    inner = (inner * (wu / math.gamma(n / 2.0))[:, None, None]).sum(axis=0)
+    inner = (inner * wu[:, None, None]).sum(axis=0)
     rhs = vecs[0] @ inner @ vecs[-1].conj().T
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))

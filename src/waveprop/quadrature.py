@@ -13,10 +13,12 @@ one-dimensional Gauss-Jacobi rules (Stroud, Approximate Calculation of
 Multiple Integrals, 1971), one per stick (_dirichlet_sticks).  The
 tensor nodes are formed only where a caller needs them; the ascent and
 the one rule self-test read the per-stick mixed moments instead
-(_stick_moments).  None of this depends on an operator, so each
-one-dimensional rule (_gauss_jacobi_unit) and each stick table with its
-self-test (_stick_rule) is built once per process, in bounded caches,
-and handed out read-only.  The public sphere and ball rules are the
+(_stick_moments).  Each one-dimensional rule is Golub-Welsch with a
+Newton polish on the three-term recurrence (_gauss_rule).  None of this
+depends on an operator, so each one-dimensional rule
+(_gauss_jacobi_unit) and each stick table with its self-test
+(_stick_rule) is built once per process, in bounded caches, and handed
+out read-only.  The public sphere and ball rules are the
 Dirichlet rule mirrored into every sign pattern w_i = +-sqrt(u_i),
 exact on even monomials up to the requested level, and carry its
 self-test error.  Above dimension 6 they switch by default to an
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 __all__ = [
     "SphereRule",
@@ -124,22 +125,31 @@ def ball_moment(alpha, boundary_exponent: float = -0.5) -> float:
     """Moment of w^(2*alpha) over the unit ball of R^len(alpha) against (1-|w|^2)^p.
 
     Equals Gamma(a_1+1/2)...Gamma(a_d+1/2) Gamma(p+1) / Gamma(|a|+d/2+p+1),
-    evaluated in log space; p = -1/2 is the standard boundary weight.
+    taken as the mass pi^(d/2) Gamma(p+1) / Gamma(c), c = d/2+p+1, times
+    the rising factorials (1/2)_(a_1)...(1/2)_(a_d) / (c)_(|a|), one
+    factor below 1 at a time; p = -1/2 is the standard boundary weight.
+    The mass takes math.gamma until Gamma(c) overflows past 171, then logs.
     """
     comp = _components(alpha)
     d = len(comp)
     p = boundary_exponent
     if not -1.0 < p < math.inf:
         raise ValueError(f"boundary exponent must be finite and exceed -1 for integrability, got {p}")
-    a = np.asarray(comp, dtype=float)
-    lg = gammaln(a + 0.5).sum() + gammaln(p + 1.0) - gammaln(a.sum() + d / 2.0 + p + 1.0)
-    return float(math.exp(lg))
+    c = d / 2.0 + p + 1.0
+    if c < 171.0:
+        mass = math.pi ** (d / 2.0) * math.gamma(p + 1.0) / math.gamma(c)
+    else:
+        mass = math.exp(d / 2.0 * math.log(math.pi) + math.lgamma(p + 1.0) - math.lgamma(c))
+    steps = [j + 0.5 for a in comp for j in range(a)]
+    return mass * math.prod(step / (c + k) for k, step in enumerate(steps))
 
 
 def dirichlet_moment_double_factorial(alpha) -> float:
     """Same moment in even dimension d=2m through factorials alone.
 
-    (2 pi)^m (2a)! / (2^|a| a! (2m+2|a|-1)!!); agreement with
+    (2 pi)^m (2a)! / (2^|a| a! (2m+2|a|-1)!!)
+    = prod_(j<=m) (2 pi / (2j-1)) * prod_i (2a_i-1)!! / ((2m+1)(2m+3)...(2m+2|a|-1)),
+    the last ratio of exact integers rounded once; agreement with
     ball_moment at p = -1/2 is an independent consistency check.
     """
     comp = _components(alpha)
@@ -147,28 +157,32 @@ def dirichlet_moment_double_factorial(alpha) -> float:
     if d % 2 != 0:
         raise ValueError("double-factorial form requires even dimension")
     m = d // 2
-    k = sum(comp)
-    a = np.asarray(comp, dtype=float)
-    lg = m * math.log(2 * math.pi) + gammaln(2 * a + 1).sum()
-    lg -= k * math.log(2.0) + gammaln(a + 1).sum()
-    lg -= sum(math.log(j) for j in range(2 * m + 2 * k - 1, 0, -2))
-    return float(math.exp(lg))
+    odd = math.prod(math.prod(range(2 * c - 1, 0, -2)) for c in comp)
+    ratio = odd / math.prod(range(2 * m + 1, 2 * m + 2 * sum(comp), 2))
+    return math.prod(2.0 * math.pi / j for j in range(1, 2 * m, 2)) * ratio
 
 
 def gamma_duplication_check(k: int) -> tuple[float, float]:
     """Gamma(k+1/2) next to sqrt(pi) Gamma(2k) / (2^(2k-1) Gamma(k))."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    lhs = math.exp(gammaln(k + 0.5))
-    rhs = math.exp(0.5 * math.log(math.pi) + gammaln(2 * k) - (2 * k - 1) * math.log(2.0) - gammaln(k))
+    lhs = math.exp(math.lgamma(k + 0.5))
+    rhs = math.exp(0.5 * math.log(math.pi) + math.lgamma(2 * k) - (2 * k - 1) * math.log(2.0) - math.lgamma(k))
     return lhs, rhs
 
 
 def sphere_area(n: int) -> float:
-    """Surface area 2 pi^(n/2) / Gamma(n/2) of the unit sphere S^(n-1) in R^n, in log space."""
+    """Surface area 2 pi^(n/2) / Gamma(n/2) of the unit sphere S^(n-1) in R^n.
+
+    Climbed from |S^0| = 2 or |S^1| = 2 pi by |S^(j+1)| = 2 pi / j |S^(j-1)|,
+    so no factor overflows and |S^0| is exactly 2.
+    """
     if n < 1:
         raise ValueError("ambient dimension must be positive")
-    return float(2.0 * math.exp(n / 2.0 * math.log(math.pi) - gammaln(n / 2.0)))
+    area = 2.0 if n % 2 else 2.0 * math.pi
+    for j in range(2 - n % 2, n - 1, 2):
+        area *= 2.0 * math.pi / j
+    return area
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +330,67 @@ def _read_only(arrays) -> tuple:
     return tuple(arrays)
 
 
+def _gauss_rule(diag: np.ndarray, off: np.ndarray):
+    """Longdouble nodes and float probability weights of the k-node Gauss rule of a probability measure.
+
+    The measure's orthonormal polynomials satisfy p_0 = 1 and
+    sqrt(b_(n+1)) p_(n+1) = (x - c_n) p_n - sqrt(b_n) p_(n-1); diag holds
+    c_0..c_(k-1) and off b_1..b_k, both longdouble.  The eigenvalues of
+    the Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969) start two
+    Newton steps on p_k; the weights are the Christoffel numbers
+    1 / sum_(n<k) p_n(x_i)^2, summed by the second step at nodes the
+    first has already polished.  The steps and the weights run in numpy's
+    longdouble (80-bit extended on x86-64), so the coefficients' and the
+    recurrence's rounding stay below a double's even at the nodes next
+    to an end, where a double recurrence loses about k^2 eps; where
+    longdouble is a plain double, that loss returns.
+    """
+    root = np.sqrt(off)
+    x = np.linalg.eigvalsh(np.diag(diag.astype(float)) + np.diag(root[:-1].astype(float), -1))
+    x = x.astype(np.longdouble)
+    for _ in range(2):
+        # p_(-1) = 0, so the n = 0 step reads root[-1] only times zero
+        p_prev, p, dp_prev, dp, total = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
+        for n, c in enumerate(diag):
+            total = total + p * p
+            shift = x - c
+            p_prev, p, dp_prev, dp = (p, (shift * p - root[n - 1] * p_prev) / root[n],
+                                      dp, (shift * dp + p - root[n - 1] * dp_prev) / root[n])
+        x = x - p / dp
+    weights = (1.0 / total).astype(float)
+    return x, weights / math.fsum(weights.tolist())
+
+
 @functools.lru_cache(maxsize=_GAUSS_JACOBI_CACHE)
 def _gauss_jacobi_unit(k: int, a: float, b: float):
-    """k-node probability rule on [0,1] for Beta(a, b): read-only (x, 1-x, weights)."""
-    xj, wj = roots_jacobi(k, b - 1.0, a - 1.0)
-    return _read_only([(1.0 + xj) / 2.0, (1.0 - xj) / 2.0, wj / math.fsum(wj.tolist())])
+    """k-node probability rule on [0,1] for Beta(a, b): read-only (x, 1-x, weights).
+
+    The recurrence of the Beta(a, b) orthonormal polynomials, with
+    s = a+b-2, has c_0 = a/(a+b), the mean, b_1 = ab/((a+b)^2 (a+b+1)),
+    the variance (a closed form also where a+b = 1, the Chebyshev sticks),
+    and for n >= 1 the cancellation-free forms
+    c_n = ((n+a)(n+s) + n(n+b)) / ((2n+s)(2n+s+2)) and
+    b_(n+1) = m(m+a-1)(m+b-1)(m+s) / ((2m+s)^2 (2m+s+1)(2m+s-1)), m = n+1.
+    """
+    a, b = np.longdouble(a), np.longdouble(b)
+    s, n = a + b - 2, np.arange(1, k, dtype=np.longdouble)
+    m = n + 1
+    diag = np.concatenate([[a / (a + b)], ((n + a) * (n + s) + n * (n + b)) / ((2 * n + s) * (2 * n + s + 2))])
+    off = np.concatenate([[a * b / ((a + b) ** 2 * (a + b + 1))],
+                          m * (m + a - 1) * (m + b - 1) * (m + s) / ((2 * m + s) ** 2 * (2 * m + s + 1) * (2 * m + s - 1))])
+    x, weights = _gauss_rule(diag, off)
+    return _read_only([x.astype(float), (1 - x).astype(float), weights])
+
+
+@functools.lru_cache(maxsize=_GAUSS_JACOBI_CACHE)
+def _gauss_laguerre(k: int, alpha: float):
+    """k-node probability rule on [0, inf) for Gamma(alpha+1), weight u^alpha e^(-u): read-only (u, weights).
+
+    The orthonormal recurrence has c_n = 2n+alpha+1 and b_n = n(n+alpha).
+    """
+    n = np.arange(k, dtype=np.longdouble)
+    u, weights = _gauss_rule(2 * n + alpha + 1, (n + 1) * (n + 1 + alpha))
+    return _read_only([u.astype(float), weights])
 
 
 def _dirichlet_sticks(alphas, level: int) -> list:
@@ -364,12 +434,14 @@ def _stick_selftest(alphas, level: int, moments) -> float:
 
     Each probe is integrated from the stick moments, whose top must reach
     min(level, PROBE_DEGREE), and compared with the Dirichlet mean
-    E[u^b] = Gamma(|a|) / Gamma(|a|+|b|) prod_i Gamma(a_i+b_i) / Gamma(a_i).
+    E[u^b] = prod_i (a_i)_(b_i) / (|a|)_(|b|), in rising factorials.
     """
     alphas = np.asarray(alphas, dtype=float)
     b = np.asarray(_even_probe_indices(len(alphas), min(level, PROBE_DEGREE)))
-    rising = gammaln(alphas + b) - gammaln(alphas)
-    exact = np.exp(rising.sum(axis=1) + gammaln(alphas.sum()) - gammaln(alphas.sum() + b.sum(axis=1)))
+    # (x)_j = x (x+1)...(x+j-1) for j <= PROBE_DEGREE, of every a_i and of |a|
+    starts = np.append(alphas, alphas.sum())
+    table = np.cumprod(np.hstack([np.ones((len(starts), 1)), np.add.outer(starts, np.arange(PROBE_DEGREE))]), axis=1)
+    exact = table[np.arange(len(alphas)), b].prod(axis=1) / table[-1, b.sum(axis=1)]
     tails = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]  # tails[:, j] = b_j + ... + b_K
     got = np.ones(len(b))
     for j, c in enumerate(moments):

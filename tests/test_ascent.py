@@ -86,6 +86,20 @@ def test_family_and_time_are_validated_at_the_boundary():
             wp.product_heat_expansion_check(fam, rho)
 
 
+def test_commutator_defect_is_the_worst_pair_and_refusal_finds_any_pair():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    mats = [(q * rng.uniform(-1.0, 1.0, 6)) @ q.T for _ in range(5)] + [np.zeros((6, 6))]
+    fam = wp.CommutingFamily(mats)
+    pairs = [np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+             for i, a in enumerate(fam.operators) for b in fam.operators[i + 1 :] if a.any() and b.any()]
+    assert 0.0 < fam.commutator_defect <= ascent.COMMUTATOR_RTOL
+    assert fam.commutator_defect == pytest.approx(max(pairs), rel=1e-12)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="splitting-series"):
+        wp.CommutingFamily([np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2)), sx])
+
+
 def test_family_records_zero_defect_for_diagonals():
     fam = _diag_family(3, 4, seed=0)
     assert fam.commutator_defect == 0.0

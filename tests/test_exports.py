@@ -1,4 +1,4 @@
-"""The package's lazy exports are each module's __all__, importing the package loads no numpy, no module imports a name it never uses, and deleted options and exports stay deleted."""
+"""The package's lazy exports are each module's __all__, importing the package loads no numpy, no run-time path loads scipy, no module imports a name it never uses, and deleted options and exports stay deleted."""
 
 import ast
 import importlib
@@ -30,6 +30,26 @@ def test_importing_the_package_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_no_run_time_path_imports_scipy():
+    # scipy is a test-only dependency: every module and these subcommands run on numpy alone
+    src = str(pathlib.Path(wp.__file__).parent.parent)
+    code = """
+import contextlib, importlib, io, sys
+import waveprop
+for module in waveprop._MODULES:
+    importlib.import_module(f"waveprop.{module}")
+from waveprop import cli
+checks = ["--check", "transmutation", "--check", "product-heat", "--check", "mass-kernels", "--check", "moments"]
+for argv in (["kg"], ["damped"], ["rule", "--dim", "3", "--level", "24"], ["verify", *checks]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def _read_below(table, name: str, binds: bool) -> bool:

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import i0, i1, j0, j1
 
 import waveprop as wp
 from waveprop import pde
@@ -388,10 +389,42 @@ def test_damped_wave_matches_reference_2d():
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
+@pytest.mark.parametrize("route, shape, t, a", [
+    (wp.wave2d_poisson, (64, 64), 0.5, None), (wp.wave2d_poisson, (64, 64), 1.0, None),
+    (wp.wave3d_kirchhoff, (24, 24, 24), 0.5, None),
+    (wp.klein_gordon, (128,), 0.5, 1.0), (wp.klein_gordon, (64, 64), 0.5, 1.0), (wp.klein_gordon, (24, 24, 24), 0.5, 1.0),
+    (wp.damped_wave, (128,), 0.4, 0.5), (wp.damped_wave, (64, 64), 0.4, 0.5), (wp.damped_wave, (24, 24, 24), 0.4, 0.5),
+])
+def test_grid_routes_sit_at_rounding_against_the_spectral_reference(route, shape, t, a):
+    # the gaps are rounding, ~5e-16; rule weights a few 1e-11 off read up to 2.4e-13 on these cases
+    f = _bump(shape, sigma=0.25 if len(shape) < 3 else 0.3)
+    if a is None:
+        out, ref = route(f, t), spectral_wave_reference(f, t)
+    else:
+        symbol = (wp.klein_gordon_symbol if route is wp.klein_gordon else wp.damped_symbol)(f, a)
+        out, ref = route(f, t, a), spectral_wave_reference(f, t, symbol=symbol)
+    assert wp.relative_l2_gap(out, ref) <= 1e-14
+
+
 def test_bessel_kernel_identity():
     for theta in (0.3, 1.0, 2.7):
         report = wp.bessel_kernel_check(theta)
         assert report["gap"] <= 1e-10
+        # the power-series reference, independent of the circle rules
+        assert abs(report["bessel_reference"] - math.pi * j0(theta)) <= 2e-15
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            wp.bessel_kernel_check(theta)
+
+
+def test_circle_rule_bessel_jets_match_scipy():
+    x = np.concatenate([np.linspace(-60.0, 60.0, 241), [0.0, 1e-8]])
+    ratio_j = np.divide(j1(x), x, out=np.full_like(x, 0.5), where=x != 0.0)
+    ratio_i = np.divide(i1(x), x, out=np.full_like(x, 0.5), where=x != 0.0)
+    wants = [(j0(x), -j1(x), ratio_j - j0(x)), (i0(x), i1(x), i0(x) - ratio_i)]
+    for hyperbolic, want in zip((False, True), wants):
+        for got, ref in zip(pde._bessel_jet(x, hyperbolic), want):
+            assert np.all(np.abs(got - ref) <= 5e-15 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_cos_to_exp_rewrite_identity_for_symmetric_rule():

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_genlaguerre, roots_legendre
 
 import waveprop as wp
 from waveprop import quadrature
@@ -227,6 +228,168 @@ def test_tensor_rule_integrates_even_monomials_exactly(beta):
     vals = rule.nodes[:, 0] ** (2 * beta[0]) * rule.nodes[:, 1] ** (2 * beta[1])
     closed = wp.ball_moment(beta)
     assert rule.integrate(vals) == pytest.approx(closed, rel=1e-10, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional Gauss rules: Golub-Welsch with a Newton polish
+
+# (k, a, b) -> {index: (x, 1-x, weight)} of the k-node Beta(a, b) probability
+# rule, to 40 digits (mpmath.gauss_quadrature at 60 digits); every node of
+# k = 8, and for k = 61 and 121 both ends and the quartiles
+GAUSS_JACOBI_40 = {
+    (8, 0.5, 2.0): {
+        0: ("8.054899781316824004523052951554755661029e-3", "9.91945100218683175995476947048445244339e-1", "2.663608629006455632602257732084570356324e-1"),
+        1: ("7.094906284835560905951618812411933563418e-2", "9.290509371516443909404838118758806643658e-1", "2.414539877910751881933556407483875410114e-1"),
+        2: ("1.887164242953620360015357040532915608344e-1", "8.112835757046379639984642959467084391656e-1", "1.970683058886075054546907825249124576425e-1"),
+        3: ("3.463379400164355298247040900680545180206e-1", "6.536620599835644701752959099319454819794e-1", "1.42575423522873764836690456931950040449e-1"),
+        4: ("5.237117716318439881839047379028262335251e-1", "4.762882283681560118160952620971737664749e-1", "8.874002215584756460580326929025662519421e-2"),
+        5: ("6.982165560982657702993458245926477882373e-1", "3.017834439017342297006541754073522117627e-1", "4.482220722182682086062628872223124137024e-2"),
+        6: ("8.475949224810777805382071595683175226994e-1", "1.524050775189222194617928404316824773006e-1", "1.614819434238306648717728817480355999823e-2"),
+        7: ("9.527820592109788257246268791028246490245e-1", "4.721794078902117427537312089717535097554e-2", "2.830996176740526301430500399001498702008e-3"),
+    },
+    (61, 0.5, 2.0): {
+        0: ("1.61772156592258360673224004096582729262e-4", "9.998382278434077416393267759959034172707e-1", "3.814867513413409870167328375211638679258e-2"),
+        1: ("1.455321422408298077328578340648119924658e-3", "9.985446785775917019226714216593518800753e-1", "3.807466753470707943451176428116517656491e-2"),
+        2: ("4.039072496182605138078684788287202103043e-3", "9.95960927503817394861921315211712797897e-1", "3.792698733352380942424559660740595581968e-2"),
+        15: ("1.475798628326253448568238207118062182478e-1", "8.524201371673746551431761792881937817522e-1", "3.003082418626807751418152883135655811417e-2"),
+        30: ("4.904854472440784458462144406195938511798e-1", "5.095145527559215541537855593804061488202e-1", "1.387810019310216221688771350083760565442e-2"),
+        45: ("8.386820215240634054203500031977586537016e-1", "1.613179784759365945796499968022413462984e-1", "2.472660526957273427475043473736022902185e-3"),
+        58: ("9.932293763430477122177791879116766092378e-1", "6.770623656952287782220812088323390762231e-3", "2.133427034424327468673766567197574122371e-5"),
+        59: ("9.967764531638402936980065777658510448111e-1", "3.223546836159706301993422234148955188934e-3", "7.035861125762263541192306288754254272232e-6"),
+        60: ("9.990376829150066959253284198749924813068e-1", "9.623170849933040746715801250075186931841e-4", "1.166679628818667016265503336091173769435e-6"),
+    },
+    (121, 0.5, 2.0): {
+        0: ("4.161417528431437004767398495145218851137e-5", "9.999583858247156856299523260150485478115e-1", "1.935164120566211167389392646436708382007e-2"),
+        1: ("3.7448601748752068225207346426876331566e-4", "9.996255139825124793177479265357312366843e-1", "1.934197922380011436763461323824423632636e-2"),
+        2: ("1.040008078925287013464348080950145999939e-3", "9.989599919210747129865356519190498540001e-1", "1.932266651621188178757128241941185860692e-2"),
+        30: ("1.470191137763589983851590851116095675875e-1", "8.529808862236410016148409148883904324125e-1", "1.524594454036756734811730033103933566795e-2"),
+        60: ("4.951681572026573245569239020974008655923e-1", "5.048318427973426754430760979025991344077e-1", "6.941730005050676948923053098786953558342e-3"),
+        90: ("8.460745286738207342969730374567681361611e-1", "1.539254713261792657030269625432318638389e-1", "1.168761096118677196496224946904835354635e-3"),
+        118: ("9.982554266096072358771859158671759985775e-1", "1.744573390392764122814084132824001422484e-3", "1.415252700922431928390422734892920458081e-6"),
+        119: ("9.991701268459942248574327856252215798145e-1", "8.298731540057751425672143747784201855196e-4", "4.661215708607482137553247496302596783052e-7"),
+        120: ("9.997523989943629252833362310063095600911e-1", "2.476010056370747166637689936904399089175e-4", "7.722684174280715999308067674170381733721e-8"),
+    },
+    (8, 0.5, 1.0): {
+        0: ("9.02737702564715135032571125009012104566e-3", "9.909726229743528486496742887499098789543e-1", "1.894506104550684962853967232082831051469e-1"),
+        1: ("7.93005598114866532769237445412301454635e-2", "9.206994401885133467230762554587698545365e-1", "1.826034150449235888667636679692199393836e-1"),
+        2: ("2.097793686155100679293253806734347952972e-1", "7.902206313844899320706746193265652047028e-1", "1.691565193950025381893120790303599622116e-1"),
+        3: ("3.817710533971155500827427559058291457155e-1", "6.182289466028844499172572440941708542845e-1", "1.495959888165767320815017305474785489705e-1"),
+        4: ("5.706358201621721774414928584623759219067e-1", "4.293641798378278225585071415376240780933e-1", "1.246289712555338720524762821920164201449e-1"),
+        5: ("7.493173785474033214084246027997486835959e-1", "2.506826214525966785915753972002513164041e-1", "9.515851168249278480992510760224622635526e-2"),
+        6: ("8.922219742137978534717933249936908308625e-1", "1.077780257862021465282066750063091691375e-1", "6.225352393864789286284383699437769427499e-2"),
+        7: ("9.789142101623510960067135568574713238549e-1", "2.108578983764890399328644314252867614506e-2", "2.715245941175409485178057245601810351227e-2"),
+    },
+    (61, 0.5, 1.0): {
+        0: ("1.644131456735408173167593368196992780783e-4", "9.998355868543264591826832406631803007219e-1", "2.564333235445792146452470919122565971977e-2"),
+        1: ("1.47906961098822479398373711417770888496e-3", "9.98520930389011775206016262885822291115e-1", "2.562646766979196385375144617816433533522e-2"),
+        2: ("4.104924703748991996484555228132484573393e-3", "9.958950752962510080035154447718675154266e-1", "2.559274939174848198460025699184735920005e-2"),
+        15: ("1.49860575746650869268603852898198309276e-1", "8.50139424253349130731396147101801690724e-1", "2.364583241103248115080839498361653586062e-2"),
+        30: ("4.967860394473049909822619999305325604147e-1", "5.032139605526950090177380000694674395853e-1", "1.819210427243297977219759745198088632428e-2"),
+        45: ("8.455172418705814186298433894872089375824e-1", "1.544827581294185813701566105127910624176e-1", "1.007930039142753991313414366717707377529e-2"),
+        58: ("9.950179356402116385895267075765409111978e-1", "4.982064359788361410473292423459088802174e-3", "1.807203584188406226377336992557399109804e-3"),
+        59: ("9.979708138789086675454507531061604949626e-1", "2.02918612109133245454924689383950503742e-3", "1.150732433894679893618357316078569793097e-3"),
+        60: ("9.996146664905904997529892963838688039004e-1", "3.853335094095002470107036161311960995633e-4", "4.944768701851650609000892580547114782278e-4"),
+    },
+    (121, 0.5, 1.0): {
+        0: ("4.195737871433320099365832672609759832367e-5", "9.999580426212856667990063416732739024017e-1", "1.295472193193431208028195019006698454735e-2"),
+        1: ("3.775741593121169216861723447226118885722e-4", "9.996224258406878830783138276552773881114e-1", "1.295254773799471753922071867863472508517e-2"),
+        2: ("1.048582423397341026671312267138416596656e-3", "9.989514175766026589733286877328615834033e-1", "1.294819971501099429489424010242201588046e-2"),
+        30: ("1.481677543213307185743270894900681759817e-1", "8.518322456786692814256729105099318240183e-1", "1.195677574926361610579774938424090260775e-2"),
+        60: ("4.983785064824579135178525872850581273015e-1", "5.016214935175420864821474127149418726985e-1", "9.17538630164364463239059927690667931315e-3"),
+        90: ("8.495193949109919710021897530844284869188e-1", "1.504806050890080289978102469155715130812e-1", "5.025418805080295617509330582253517826145e-3"),
+        118: ("9.987270890801219946121667297906121553885e-1", "1.272910919878005387833270209387844611548e-3", "4.6145213913046764901777053814353129477e-4"),
+        119: ("9.994819265553095520910665209554256223739e-1", "5.18073444690447908933479044574377626121e-4", "2.937205432109215365966553154836724778644e-4"),
+        120: ("9.999016603134534599479846512825167049767e-1", "9.833968654654005201534871748329502331162e-5", "1.261877645042432537902827897666997768168e-4"),
+    },
+    (8, 0.5, 2.5): {
+        0: ("7.643231310535782626586415231370179904755e-3", "9.923567686894642173734135847686298200952e-1", "2.926945980270108300938995675836319081868e-1"),
+        1: ("6.740273768264680728958491199643477959422e-2", "9.325972623173531927104150880035652204058e-1", "2.585555412466881187556063932866585995979e-1"),
+        2: ("1.797139527758744839572142724467273733165e-1", "8.202860472241255160427857275532726266835e-1", "2.00121121349956706557682078752528083166e-1"),
+        3: ("3.310306905693228918130188554538603542232e-1", "6.689693094306771081869811445461396457768e-1", "1.332121627772607667140098857094811282455e-1"),
+        4: ("5.031023811922370422009229159716799770772e-1", "4.968976188077629577990770840283200229228e-1", "7.36135189029902138996370203057219288209e-2"),
+        5: ("6.751757979982902823602325718499790674917e-1", "3.248242020017097176397674281500209325083e-1", "3.156041774526321152451102982839665404481e-2"),
+        6: ("8.265000642625596355389352305081860308123e-1", "1.734999357374403644610647694918139691877e-1", "9.078334579178376552371580796581420586078e-3"),
+        7: ("9.388429089144154271546812971299975316978e-1", "6.115709108558457284531870287000246830223e-2", "1.164305371651775902282443737000277352088e-3"),
+    },
+    (61, 0.5, 2.5): {
+        0: ("1.604832256150290607342273543419919535164e-4", "9.998395167743849709392657726456580080465e-1", "4.299974578563908715753412396856524863172e-2"),
+        1: ("1.443731060272957920678805056041253169714e-3", "9.985562689397270420793211949439587468303e-1", "4.288944382744205646787243091660874506933e-2"),
+        2: ("4.006932650815703692089661187003838480535e-3", "9.959930673491842963079103388129961615195e-1", "4.266954710729193658202433853855076650023e-2"),
+        15: ("1.464656600271241063082793715130276622228e-1", "8.535343399728758936917206284869723377772e-1", "3.133661866415264557669795184132282048978e-2"),
+        30: ("4.873970385525218055608182244473118817727e-1", "5.126029614474781944391817755526881182273e-1", "1.130301660708549076195100155211128472443e-2"),
+        45: ("8.353010743992751773231492374380502489936e-1", "1.646989256007248226768507625619497510064e-1", "1.167159063194641460557365932821142068425e-3"),
+        58: ("9.922867560214936655456064012043284251094e-1", "7.713243978506334454393598795671574890594e-3", "2.580464820519153974219843302937259535768e-6"),
+        59: ("9.961235090163490764479585715577167873078e-1", "3.876490983650923552041428442283212692249e-3", "6.571747028472477261728245978719084045965e-7"),
+        60: ("9.986873850688599955775637158474433096613e-1", "1.312614931140004422436284152556690338689e-3", "7.77776897336048595953115228021662006297e-8"),
+    },
+    (121, 0.5, 2.5): {
+        0: ("4.14446705002782948579828830054420764777e-5", "9.999585553294997217051420171169945579235e-1", "2.185647887481342587356699452700985527888e-2"),
+        1: ("3.729608131691631935185885160686495920818e-4", "9.996270391868308368064814114839313504079e-1", "2.184198924701769568923571014462154092579e-2"),
+        2: ("1.035773281765346358457332565083082402805e-3", "9.989642267182346536415426674349169175972e-1", "2.181303400452970123714618305264085344416e-2"),
+        30: ("1.464515291315828749678912397618887958958e-1", "8.535484708684171250321087602381112041042e-1", "1.592479407739416263652502487645820912464e-2"),
+        60: ("4.935790687699883109152582275818443891325e-1", "5.064209312300116890847417724181556108675e-1", "5.605916193668582933350525692007006606492e-3"),
+        90: ("8.443612789078399426912385948466059351236e-1", "1.556387210921600573087614051533940648764e-1", "5.295306173167343641128040542100017386247e-4"),
+        118: ("9.980041979965825245757020189574437191751e-1", "1.995802003417475424297981042556280824856e-3", "8.779778815620584797928769513796283821049e-8"),
+        119: ("9.989979131052742447019269175405769569935e-1", "1.002086894725755298073082459423043006513e-3", "2.231715934461547280580224846490873993309e-8"),
+        120: ("9.996608997539776271978415521450704840234e-1", "3.391002460223728021584478549295159766294e-4", "2.637918910878806851092096058054640245596e-9"),
+    },
+    (121, 0.5, 0.5): {
+        0: ("4.213111209155071329791061889217875697482e-5", "9.99957868887908449286702089381107821243e-1", "8.264462809917355371900826446280991735537e-3"),
+        1: ("3.79137409285954935108764365024238826893e-4", "9.996208625907140450648912356349757611731e-1", "8.264462809917355371900826446280991735537e-3"),
+        2: ("1.052922838044584755718098462057457201083e-3", "9.989470771619554152442819015379425427989e-1", "8.264462809917355371900826446280991735537e-3"),
+        30: ("1.487489187201573364626700410104105679577e-1", "8.512510812798426635373299589895894320423e-1", "8.264462809917355371900826446280991735537e-3"),
+        60: ("5.0e-1", "5.0e-1", "8.264462809917355371900826446280991735537e-3"),
+        90: ("8.512510812798426635373299589895894320423e-1", "1.487489187201573364626700410104105679577e-1", "8.264462809917355371900826446280991735537e-3"),
+        118: ("9.989470771619554152442819015379425427989e-1", "1.052922838044584755718098462057457201083e-3", "8.264462809917355371900826446280991735537e-3"),
+        119: ("9.996208625907140450648912356349757611731e-1", "3.79137409285954935108764365024238826893e-4", "8.264462809917355371900826446280991735537e-3"),
+        120: ("9.99957868887908449286702089381107821243e-1", "4.213111209155071329791061889217875697482e-5", "8.264462809917355371900826446280991735537e-3"),
+    },
+}
+
+
+@pytest.mark.parametrize("k, a, b", list(GAUSS_JACOBI_40))
+def test_gauss_jacobi_matches_the_40_digit_table(k, a, b):
+    x, one_minus_x, weights = quadrature._gauss_jacobi_unit(k, a, b)
+    assert len(x) == k and math.fsum(weights.tolist()) == pytest.approx(1.0, rel=1e-15)
+    for i, row in GAUSS_JACOBI_40[(k, a, b)].items():
+        for got, want in zip((x[i], one_minus_x[i], weights[i]), map(float, row)):
+            assert abs(got - want) <= 2e-15 * want, (i, got, want)
+
+
+@pytest.mark.parametrize("k, a, b", list(GAUSS_JACOBI_40))
+def test_gauss_jacobi_integrates_beta_moments(k, a, b):
+    # E[x^j] = (a)_j / (a+b)_j and E[(1-x)^j] = (b)_j / (a+b)_j for j < 2k; the summands
+    # are positive, so each sum is as accurate as x^j, about j roundings
+    x, one_minus_x, weights = quadrature._gauss_jacobi_unit(k, a, b)
+    eps = np.finfo(float).eps
+    for node, p, q in ((x, a, b), (one_minus_x, b, a)):
+        exact = Fraction(1)
+        for j in range(2 * k):
+            got = math.fsum((weights * node**j).tolist())
+            assert abs(got - float(exact)) <= (4 + j) * eps * float(exact), (j, got, float(exact))
+            exact *= (Fraction(p) + j) / (Fraction(p) + Fraction(q) + j)
+
+
+@pytest.mark.parametrize("k", [96, 150])
+def test_legendre_rule_matches_scipy(k):
+    # scipy's weights carry up to ~3e-11 relative error at k = 150; its nodes are as close as ours
+    x, one_minus_x, weights = quadrature._gauss_jacobi_unit(k, 1.0, 1.0)
+    nodes, want = roots_legendre(k)
+    assert np.max(np.abs((x - one_minus_x) - nodes)) <= 4.0 * np.finfo(float).eps
+    assert np.max(np.abs(2.0 * weights - want) / want) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.5])
+def test_laguerre_rule_matches_scipy_and_gamma_moments(alpha):
+    u, weights = quadrature._gauss_laguerre(64, alpha)
+    nodes, want = roots_genlaguerre(64, alpha)
+    assert np.max(np.abs(u - nodes) / nodes) <= 1e-14
+    assert np.max(np.abs(weights - want / want.sum()) / weights) <= 1e-12
+    eps, exact = np.finfo(float).eps, Fraction(1)
+    for j in range(40):  # E[u^j] = (alpha+1)_j under Gamma(alpha+1)
+        got = math.fsum((weights * u**j).tolist())
+        assert abs(got - float(exact)) <= (4 + j) * eps * float(exact), (j, got, float(exact))
+        exact *= Fraction(alpha) + 1 + j
 
 
 # ---------------------------------------------------------------------------
