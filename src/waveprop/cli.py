@@ -140,11 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noncomm", parents=[common], help="splitting-series propagator with refinement")
     p.add_argument("--t", type=float, default=0.3)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--m0", type=_positive_int, default=8)
+    p.add_argument("--m0", type=_positive_int, default=1)
     p.add_argument("--mcap", type=_positive_int, default=512)
     p.add_argument("--q", type=_positive_int, default=2, help="number of operators")
     p.add_argument("--dim", type=_positive_int, default=4)
-    p.add_argument("--richardson", action="store_true")
     p.add_argument("--fixture", default=None, help="hermitian-pair fixture JSON")
 
     for name, help_text in (
@@ -167,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=64)
     p.add_argument("--t", type=float, default=0.2)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--m0", type=_positive_int, default=8)
+    p.add_argument("--m0", type=_positive_int, default=1)
     p.add_argument("--mcap", type=_positive_int, default=512)
     p.add_argument("--excited", action="store_true", help="first excited state instead of the ground state")
 
@@ -320,14 +319,12 @@ def _cmd_noncomm(args) -> int:
         rng = np.random.default_rng(args.seed)
         ops = [random_hermitian(args.dim, rng=rng, norm=1.0) for _ in range(args.q)]
         h = random_state(args.dim, rng=rng)
-    result, report, gap = _oracle_drive(ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap,
-                                        richardson=args.richardson)
+    result, report, gap = _oracle_drive(ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap)
     payload = {
         "subcommand": "noncomm",
         "formula": "splitting-series-limit",
         "inputs": {"t": args.t, "tol": args.tol, "m0": args.m0, "mcap": args.mcap,
-                   "q": len(ops), "dim": int(ops[0].shape[0]), "seed": args.seed,
-                   "richardson": bool(args.richardson)},
+                   "q": len(ops), "dim": int(ops[0].shape[0]), "seed": args.seed},
         "report": report.to_dict(),
         "result": vector_to_json(result),
         **_gated({"oracle_relative": (gap, max(args.tol * 10.0, 1e-12))}),

@@ -389,14 +389,16 @@ def _oracle_drive(ops, vec, t: float, **drive):
     """The dense oracle, cos_noncomm held against it, and the relative gap to it.
 
     ops is the ordered operator list; drive holds cos_noncomm's options
-    (tol, depth bounds, richardson).  Returns (u, report, gap).
+    (tol and the depth bounds m0, m_cap of its Romberg walk).  The report's
+    errors are the gaps of the walk's diagonal entries to the oracle, and
+    its column is the Romberg column returned.  Returns (u, report, gap).
     """
     reference = cos_sqrt_sum_oracle(ops, t, vec)
     u, report = cos_noncomm(ops, vec, t, reference=reference, **drive)
     return u, report, relative_l2_gap(u, reference)
 
 
-def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int = 8, m_cap: int = 512):
+def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int = 1, m_cap: int = 512):
     """cos(t sqrt(A^2 + B^2)) for A = (1/i) d/dx and B = x on a periodic box.
 
     The splitting series needs the data to die out at the box edge, since

@@ -26,15 +26,26 @@ paper's radius sqrt(2)|t| K < 1, K = max(||A||, ||B||), is still
 reported; outside it the depth m may converge slowly, and the driver
 flags the caution.
 
+Each row W_n h is a polynomial in 1/m of degree at most n whose constant
+term is the limit, so the truncated F_m(t) h is a polynomial in 1/m.
+The drivers (cos_noncomm, sin_noncomm) keep Romberg's table on the
+doubling walk m_i = 2^i m0, by default m0 = 1: T[i][0] = F_(m_i) and
+T[i][k] = T[i][k-1] + (T[i][k-1] - T[i-1][k-1]) / (2^k - 1), column k
+free of the 1/m .. 1/m^k terms (W. Romberg 1955; Blanes, Casas & Ros,
+Celest. Mech. Dyn. Astron. 75, 1999).  They stop when two successive
+diagonal entries agree to tol ||h|| and return the last, and the report
+names its column.  The evaluators, taylor_series_build,
+taylor_limit_check and fm_quadrature_crosscheck keep the plain F_m.
+
 One depth walk, _depths, is the only sweep loop.  With Q_m(z) the
 product of one sweep's factors, e^(z A^2/m) e^(z B^2/m) for a pair,
 Q_m(z) = Q_p(z p/m), so the first p sweeps at depth m are the depth-p
 series with row n scaled by (p/m)^n: each depth continues the one
 before with that scale and m - p more sweeps.  A single depth m costs m
 sweeps, and so does a whole drive that ends at depth m.  Every public
-walk doubles m (the drivers from m0, taylor_limit_check over 8, 16, 32,
-64), and a power-of-two scale is exact, so every depth is bit-identical
-to a fresh build.
+walk doubles m (the drivers from m0, by default 1, taylor_limit_check
+over 8, 16, 32, 64), and a power-of-two scale is exact, so every depth
+is bit-identical to a fresh build.
 
 Every entry takes the ordered operator list [A_1, .., A_q] (pattern
 A_1^2 .. A_q^2 repeated m times); the smoothed sine series has
@@ -77,14 +88,17 @@ __all__ = [
 class ConvergenceReport:
     """Outcome of driving the splitting depth m upward.
 
-    With a reference, errors[i] is the gap ||F(m_values[i]) - reference||
-    and the two lists have one length.  Without one, errors[i] is the
-    successive difference ||F(m_values[i+1]) - F(m_values[i])||, so errors
-    is one shorter than m_values.
+    F(m_values[i]) is Romberg's diagonal entry T[i][i] at depth
+    m_values[i], and column is the i of the one returned.  With a
+    reference, errors[i] is the gap ||F(m_values[i]) - reference|| and the
+    two lists have one length.  Without one, errors[i] is the successive
+    difference ||F(m_values[i+1]) - F(m_values[i])||, so errors is one
+    shorter than m_values.
     """
 
     m_values: list[int]
     errors: list[float]
+    column: int  # the Romberg column returned: the diagonal entry at the last depth
     truncation_order: int
     tail_bound: float
     radius: float
@@ -95,6 +109,7 @@ class ConvergenceReport:
         return {
             "m_values": list(self.m_values),
             "errors": [float(e) for e in self.errors],
+            "column": int(self.column),
             "truncation_order": int(self.truncation_order),
             "tail_bound": float(self.tail_bound),
             "radius": float(self.radius),
@@ -246,8 +261,7 @@ def sin_fm_evaluate(ops, h, t: float, m: int) -> np.ndarray:
     return _fm(ops, h, t, m, sine=True)
 
 
-def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
-           reference=None, richardson: bool = False):
+def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool, reference=None):
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if m0 < 1 or m_cap < m0:
@@ -259,59 +273,58 @@ def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool,
         depths.append(2 * depths[-1])
     # a lazy walk: the depths after convergence are never swept
     values = (_series_sum(series, t, sine) for series in _depths(bases, vec, order, depths))
-
-    def gap(v):
-        return float(np.linalg.norm(v - ref))
-
-    m_values, errors = [m0], []
-    prev = next(values)
-    if ref is not None:
-        errors.append(gap(prev))
-    result, verdict = prev, "slow"
-    for m, current in zip(depths[1:], values):
-        diff = float(np.linalg.norm(current - prev))
+    m_values, errors, row, verdict = [], [], [], "slow"
+    for m, value in zip(depths, values):
+        # Romberg row at depth m: column k takes the 1/m^k term out of column k-1
+        prev, row = row, [value]
+        for k, left in enumerate(prev, start=1):
+            row.append(row[-1] + (row[-1] - left) / (2 ** k - 1))
         m_values.append(m)
-        errors.append(gap(current) if ref is not None else diff)
-        result = (2.0 * current - prev) if richardson else current
-        if diff <= tol * max(amp, 1e-300):
-            verdict = "converged"
-            break
-        prev = current
+        if ref is not None:
+            errors.append(float(np.linalg.norm(row[-1] - ref)))
+        if prev:
+            diff = float(np.linalg.norm(row[-1] - prev[-1]))
+            if ref is None:
+                errors.append(diff)
+            if diff <= tol * max(amp, 1e-300):
+                verdict = "converged"
+                break
     if verdict != "converged" and x >= 1.0:
         verdict = "outside_radius"
     report = ConvergenceReport(
         m_values=m_values,
         errors=errors,
+        column=len(row) - 1,
         truncation_order=order,
         tail_bound=_tail_bound(amp, y, t, order, sine),
         radius=radius,
         caution_outside_radius=x >= 1.0,
         verdict=verdict,
     )
-    return result, report
+    return row[-1], report
 
 
-def cos_noncomm(ops, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
-                reference=None, richardson: bool = False):
-    """Drive F_m(t) h for the ordered operator list upward in m until successive refinements settle.
+def cos_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, reference=None):
+    """Drive F_m(t) h for the ordered operator list upward in m, Romberg-extrapolated in 1/m.
 
-    Halts when consecutive depths differ by at most tol * ||h||; the
-    report carries the visited depths, errors, the truncation order, the
-    tail bound, and the convergence verdict.  The errors are the gaps to
-    the reference at each visited depth when one is given; otherwise they
-    are the successive differences ||F(m_(i+1)) - F(m_i)||, one fewer than
-    the depths.  The depths m0, 2 m0, .. share one walk (_depths), so a
-    drive that ends at depth M runs M sweeps.
+    The depths m0, 2 m0, 4 m0, .. share one walk (_depths), so a drive
+    that ends at depth M runs M sweeps.  Each depth adds a row to
+    Romberg's table, T[i][0] = F_(m_i) and
+    T[i][k] = T[i][k-1] + (T[i][k-1] - T[i-1][k-1]) / (2^k - 1); the
+    drive halts when two successive diagonal entries T[i][i] differ by at
+    most tol * ||h|| and returns the last one.  The report carries the
+    visited depths, the Romberg column returned, the errors, the
+    truncation order, the tail bound and the convergence verdict.  The
+    errors are taken at the diagonal entries: the gaps to the reference
+    at each visited depth when one is given, otherwise the successive
+    differences ||T[i+1][i+1] - T[i][i]||, one fewer than the depths.
     """
-    return _drive(ops, h, t, tol, m0, m_cap, sine=False,
-                  reference=reference, richardson=richardson)
+    return _drive(ops, h, t, tol, m0, m_cap, sine=False, reference=reference)
 
 
-def sin_noncomm(ops, h, t: float, tol: float, m0: int = 8, m_cap: int = 512,
-                reference=None, richardson: bool = False):
+def sin_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, reference=None):
     """Splitting-series smoothed sine propagator applied to h, driven as cos_noncomm."""
-    return _drive(ops, h, t, tol, m0, m_cap, sine=True,
-                  reference=reference, richardson=richardson)
+    return _drive(ops, h, t, tol, m0, m_cap, sine=True, reference=reference)
 
 
 def taylor_limit_check(a, b, n: int, h) -> list[float]:
@@ -333,7 +346,7 @@ def taylor_limit_check(a, b, n: int, h) -> list[float]:
 
 
 def fm_quadrature_crosscheck(ops, h, t: float, m: int):
-    """Evaluate F_m(t) h twice: series route and literal sphere or ball quadrature.
+    """Evaluate F_m(t) h and its sine twin twice: series route and literal sphere or ball quadrature.
 
     The quadrature route is cos_ascent's formula (ascent._ascent) on the
     n = q m squares [A_1^2/m, .., A_q^2/m] repeated m times, run on h as a
@@ -344,11 +357,16 @@ def fm_quadrature_crosscheck(ops, h, t: float, m: int):
     the simplex in u = w^2 one stick at a time by the Dirichlet rule whose
     level is the series order, so the rule integrates the truncated series
     exactly; then the derivative ladder of depth n // 2 over (2 (n // 2) - 1)!!,
-    the probability average's form of the paper's (2 pi)^(-(n // 2)).
-    Returns (series, quadrature, gap).
+    the probability average's form of the paper's (2 pi)^(-(n // 2)).  The
+    sine drops the ladder's left-most d/dt; its series reads the same W_n h
+    rows with the weights n!/(2n+1)!.
+    Returns (series, quadrature, gap, sine_series, sine_quadrature, sine_gap).
     """
     mats, vec, bases, order, _ = _prepared(ops, h, t)
     (series,) = _depths(bases, vec, order, _checked_depth(m, order))
-    series_value = _series_sum(series, t, sine=False)
-    quad_value = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t)[0][:, 0]
-    return series_value, quad_value, float(np.linalg.norm(series_value - quad_value))
+    cos_quad, sin_quad, _ = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t)
+    out = []
+    for sine, quad in ((False, cos_quad[:, 0]), (True, sin_quad[:, 0])):
+        value = _series_sum(series, t, sine)
+        out += [value, quad, float(np.linalg.norm(value - quad))]
+    return tuple(out)

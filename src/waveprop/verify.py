@@ -200,9 +200,11 @@ def _check_series_quadrature(seed: int) -> dict:
     a = random_hermitian(3, rng=rng, norm=1.0)
     b = random_hermitian(3, rng=rng, norm=1.0)
     h = random_state(3, rng=rng)
-    gaps = {key: trotter.fm_quadrature_crosscheck([a, b], h, 0.2, m)[2]
-            for key, m in (("gap", 2), ("gap_m64", 64))}
-    return _result("series-quadrature", "series-vs-ball-quadrature", gaps, {"gap": 1e-4, "gap_m64": 1e-11})
+    gap = trotter.fm_quadrature_crosscheck([a, b], h, 0.2, 2)[2]
+    _, _, gap_m64, _, _, sine_gap_m64 = trotter.fm_quadrature_crosscheck([a, b], h, 0.2, 64)
+    gaps = {"gap": gap, "gap_m64": gap_m64, "sine_gap_m64": sine_gap_m64}
+    tols = {"gap": 1e-4, "gap_m64": 1e-11, "sine_gap_m64": 1e-11}
+    return _result("series-quadrature", "series-vs-ball-quadrature", gaps, tols)
 
 
 def _check_taylor_limit(seed: int) -> dict:

@@ -199,7 +199,7 @@ def test_criterion_08_series_quadrature_crosscheck(report):
     a = wp.random_hermitian(3, rng=rng, norm=1.0)
     b = wp.random_hermitian(3, rng=rng, norm=1.0)
     h = wp.random_state(3, rng=rng)
-    _, _, gap = wp.fm_quadrature_crosscheck([a, b], h, 0.2, 2)
+    _, _, gap, *_ = wp.fm_quadrature_crosscheck([a, b], h, 0.2, 2)
     report(
         "criterion 08 series quadrature crosscheck",
         gap <= tol,

@@ -124,6 +124,19 @@ def test_noncomm_writes_error_table(tmp_path):
     assert errs == sorted(errs, reverse=True)
 
 
+def test_noncomm_romberg_walk_starts_at_one_and_has_no_richardson_option():
+    code, out, _ = run_cli(["noncomm", "--t", "0.3", "--tol", "1e-6"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["m0"] == 1 and "richardson" not in report["inputs"]
+    walk = report["report"]
+    assert walk["m_values"][0] == 1 and walk["column"] == len(walk["m_values"]) - 1
+    assert report["gaps"]["oracle_relative"] <= 1e-9
+    code, _, err = run_cli(["noncomm", "--richardson"])
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
 def test_noncomm_formula_slug():
     code, out, _ = run_cli(["noncomm", "--t", "0.2", "--tol", "1e-4", "--mcap", "32"])
     assert code == 0

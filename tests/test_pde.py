@@ -520,6 +520,13 @@ def test_oscillator_excited_state_factor():
     assert wp.relative_l2_gap(out.values, want) <= 1e-3
 
 
+def test_oscillator_romberg_walk_reaches_the_oracle():
+    excited = pde._hermite_state(256, excited=True)
+    _, report, diag = wp.harmonic_oscillator(excited, 0.2, tol=1e-10)
+    assert report.verdict == "converged" and report.m_values[0] == 1
+    assert diag["oracle_gap"] <= 1e-12
+
+
 def test_oscillator_refuses_non_decaying_data():
     ones = wp.GridField(np.ones(64, dtype=complex), (16.0,), origins=(-8.0,))
     with pytest.raises(ValueError, match="near-vanishing"):

@@ -600,11 +600,11 @@ def test_monomial_moments_ragged_chunks_single_probe_and_mass(monkeypatch):
     rule = wp.build_ball_rule(3, 8)
     exponents = _bounded(3, 5)
     # 7 nodes per chunk: the node count is not a multiple of the chunk
-    monkeypatch.setattr(quadrature, "_PROBE_BLOCK", 7 * len(exponents))
+    monkeypatch.setattr(quadrature, "_MOMENT_CHUNK", 7)
     assert len(rule.weights) % 7 != 0
     assert _kernel_gap(rule.nodes, rule.weights, exponents) <= 1e-14
     monkeypatch.undo()
-    assert _kernel_gap(rule.nodes, rule.weights, [(4, 0, 2)]) <= 1e-14
+    assert _kernel_gap(rule.nodes, rule.weights, [(4, 0, 2), (1, 2, 3)]) <= 1e-14  # helper prefix rows
     mass = quadrature._monomial_moments(rule.nodes, rule.weights, [(0, 0, 0)])
     assert mass.shape == (1,)
     assert mass[0] == pytest.approx(math.fsum(rule.weights.tolist()), rel=1e-15)

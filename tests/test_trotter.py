@@ -225,13 +225,28 @@ def test_driver_flags_time_outside_radius(unit_pair):
     assert report.radius == pytest.approx(1.0 / math.sqrt(2.0))
 
 
-def test_richardson_extrapolation_improves_result(unit_pair):
+def test_romberg_extrapolation_improves_result(unit_pair):
     a, b, h = unit_pair
     t = 0.3
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
-    plain, _ = wp.cos_noncomm([a, b], h, t, tol=1e-9, m_cap=64)
-    rich, _ = wp.cos_noncomm([a, b], h, t, tol=1e-9, m_cap=64, richardson=True)
-    assert np.linalg.norm(rich - ref) <= np.linalg.norm(plain - ref) / 100.0
+    plain = wp.fm_evaluate([a, b], h, t, 64)
+    romberg, report = wp.cos_noncomm([a, b], h, t, tol=1e-9, m_cap=64)
+    assert report.verdict == "converged" and report.m_values[-1] <= 8
+    assert np.linalg.norm(romberg - ref) <= np.linalg.norm(plain - ref) / 1e6
+
+
+@pytest.mark.parametrize("t, depth", [(2.0, 16), (5.0, 64)])
+def test_romberg_drive_on_a_wide_unit_pair(monkeypatch, t, depth):
+    rng = np.random.default_rng(0)
+    a = wp.random_hermitian(64, rng=rng, norm=1.0)
+    b = wp.random_hermitian(64, rng=rng, norm=1.0)
+    h = wp.random_state(64, rng=rng)
+    ref = wp.cos_sqrt_sum_oracle([a, b], t, h)
+    calls = _count_sweeps(monkeypatch)
+    got, report = wp.cos_noncomm([a, b], h, t, tol=1e-6)
+    assert report.verdict == "converged"
+    assert len(calls) == report.m_values[-1] <= depth
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(h)
 
 
 def test_quadrature_crosscheck_small_m():
@@ -240,7 +255,7 @@ def test_quadrature_crosscheck_small_m():
     b = wp.random_hermitian(3, rng=rng, norm=1.0)
     h = wp.random_state(3, rng=rng)
     for m in (1, 2, 3):
-        _, _, gap = wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
+        _, _, gap, *_ = wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
         assert gap <= 1e-10
 
 
@@ -249,15 +264,25 @@ def test_quadrature_crosscheck_large_m(unit_pair):
     a, b, h = unit_pair
     c = wp.random_hermitian(4, seed=9, norm=1.0)
     for ops in ([a, b], [a, b, c]):
-        series, quad, gap = wp.fm_quadrature_crosscheck(ops, h, 0.2, 64)
+        series, quad, gap, *_ = wp.fm_quadrature_crosscheck(ops, h, 0.2, 64)
         assert gap <= 1e-12 * np.linalg.norm(series)
     # ladders of depth 160 and 256, whose constants L(k, m) overflow a float
     for m in (160, 256):
-        series, quad, gap = wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
+        series, quad, gap, *_ = wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
         assert gap <= 1e-12 * np.linalg.norm(series)
     for m in (0, -1):
         with pytest.raises(ValueError, match="splitting depth m must be at least 1"):
             wp.fm_quadrature_crosscheck([a, b], h, 0.2, m)
+
+
+def test_quadrature_crosscheck_sine_twin(unit_pair):
+    # the ascent's sine, from the same average, against the series sine of the same depth
+    a, b, h = unit_pair
+    series, quad, gap, sine_series, sine_quad, sine_gap = wp.fm_quadrature_crosscheck([a, b], h, 0.2, 128)
+    assert np.array_equal(sine_series, wp.sin_fm_evaluate([a, b], h, 0.2, 128))
+    assert sine_gap == float(np.linalg.norm(sine_series - sine_quad))
+    assert sine_gap <= 1e-12 * np.linalg.norm(sine_series)
+    assert gap <= 1e-12 * np.linalg.norm(series)
 
 
 def test_taylor_coefficient_gap_halves(unit_pair):
@@ -323,6 +348,7 @@ def test_report_serializes_to_plain_dict(unit_pair):
     assert set(d) == {
         "m_values",
         "errors",
+        "column",
         "truncation_order",
         "tail_bound",
         "radius",
@@ -404,25 +430,36 @@ def test_walk_with_ratios_off_powers_of_two_matches_fresh_builds(q):
 
 
 @pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
-def test_richardson_is_the_extrapolation_of_the_last_two_depths(unit_pair, sine):
+def test_romberg_is_the_diagonal_of_the_table_over_the_visited_depths(unit_pair, sine):
     a, b, h = unit_pair
     evaluate = wp.sin_fm_evaluate if sine else wp.fm_evaluate
-    plain, report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64)
-    rich, rich_report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64, richardson=True)
-    assert rich_report.to_dict() == report.to_dict()
-    *_, lo, hi = report.m_values
-    # the evaluators pick the driver's automatic order
-    assert np.array_equal(plain, evaluate([a, b], h, 0.3, hi))
-    expected = 2.0 * evaluate([a, b], h, 0.3, hi) - evaluate([a, b], h, 0.3, lo)
-    assert np.array_equal(rich, expected)
+    result, report = _drive([a, b], h, 0.3, sine, tol=1e-9, m_cap=64)
+    assert report.verdict == "converged"
+    assert report.column == len(report.m_values) - 1 >= 2
+    # the table by hand, from the evaluators, which pick the driver's automatic order
+    rows = []
+    for m in report.m_values:
+        row = [evaluate([a, b], h, 0.3, m)]
+        for k, left in enumerate(rows[-1] if rows else [], start=1):
+            row.append(row[-1] + (row[-1] - left) / (2 ** k - 1))
+        rows.append(row)
+    diagonal = [row[-1] for row in rows]
+    assert np.array_equal(result, diagonal[-1])
+    assert report.errors == [float(np.linalg.norm(hi - lo)) for lo, hi in zip(diagonal, diagonal[1:])]
+    assert report.errors[-1] <= 1e-9 * np.linalg.norm(h) < report.errors[-2]
+    # plain depths gain 2 a step; column k also removes the 1/m^k term, so step k gains more than 2^(k+1)
+    gains = [hi / lo for hi, lo in zip(report.errors, report.errors[1:])]
+    assert all(g > 2.0 ** (k + 1) for k, g in enumerate(gains))
 
 
 def test_driver_errors_without_a_reference_are_one_fewer_than_the_depths(unit_pair):
     a, b, h = unit_pair
     _, report = wp.cos_noncomm([a, b], h, 0.3, tol=1e-6)
-    assert report.m_values == [8, 16, 32, 64, 128]
-    assert len(report.errors) == 4  # ||F(m_(i+1)) - F(m_i)||
+    assert report.m_values == [1, 2, 4]
+    assert report.column == 2
+    assert len(report.errors) == 2  # ||F(m_(i+1)) - F(m_i)|| on the diagonal
     ref = wp.cos_sqrt_sum_oracle([a, b], 0.3) @ h
     _, with_ref = wp.cos_noncomm([a, b], h, 0.3, tol=1e-6, reference=ref)
     assert with_ref.m_values == report.m_values
-    assert len(with_ref.errors) == 5  # ||F(m_i) - reference||
+    assert with_ref.column == report.column
+    assert len(with_ref.errors) == 3  # ||F(m_i) - reference||
