@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcap", type=_positive_int, default=512)
     p.add_argument("--excited", action="store_true", help="first excited state instead of the ground state")
 
-    p = sub.add_parser("grushin", parents=[common], help="degenerate pair demo vs dense oracle")
+    p = sub.add_parser("grushin", parents=[common], help="degenerate pair demo vs block oracle")
     p.add_argument("--grid", type=_positive_int, default=16)
     p.add_argument("--t", type=float, default=0.2)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
@@ -305,9 +305,10 @@ def _cmd_ascent(args) -> int:
 def _cmd_noncomm(args) -> int:
     import numpy as np
 
-    from .operators import random_hermitian, random_state
-    from .pde import _oracle_drive
+    from .fields import relative_l2_gap
+    from .operators import cos_sqrt_sum_oracle, random_hermitian, random_state
     from .serialization import vector_to_json
+    from .trotter import cos_noncomm
 
     if args.fixture:
         decoded = _fixture(args, "hermitian-pair")
@@ -319,7 +320,9 @@ def _cmd_noncomm(args) -> int:
         rng = np.random.default_rng(args.seed)
         ops = [random_hermitian(args.dim, rng=rng, norm=1.0) for _ in range(args.q)]
         h = random_state(args.dim, rng=rng)
-    result, report, gap = _oracle_drive(ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap)
+    reference = cos_sqrt_sum_oracle(ops, args.t, h)
+    result, report = cos_noncomm(ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap, reference=reference)
+    gap = relative_l2_gap(result, reference)
     payload = {
         "subcommand": "noncomm",
         "formula": "splitting-series-limit",

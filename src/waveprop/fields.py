@@ -133,7 +133,8 @@ def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | Non
 
     symbol is a complex array of the field's shape (wave_symbol by default)
     with finite entries.  t and the field samples are refused as the grid
-    routes refuse them: both must be finite.
+    routes refuse them: both must be finite.  Real samples through a real
+    multiplier that is even in k give exactly real values.
     """
     _checked_time(t)
     _finite_values(field)
@@ -143,7 +144,16 @@ def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | Non
     if not np.all(np.isfinite(symbol)):
         raise ValueError("symbol has non-finite entries")
     multiplier = np.cos(t * symbol)
-    return field.like(np.fft.ifftn(multiplier * field.fft()))
+    out = np.fft.ifftn(multiplier * field.fft())
+    if not (np.any(field.values.imag) or np.any(multiplier.imag)) and _is_even(multiplier):
+        out = out.real  # real data through a real even multiplier: the imaginary part is rounding
+    return field.like(out)
+
+
+def _is_even(multiplier: np.ndarray) -> bool:
+    """Whether multiplier[k] == multiplier[-k] at every discrete wavenumber k."""
+    axes = tuple(range(multiplier.ndim))
+    return np.array_equal(multiplier, np.roll(np.flip(multiplier, axes), 1, axes))
 
 
 def gaussian_bump(shape, lengths, center, sigma: float) -> GridField:

@@ -99,23 +99,25 @@ def _hermitian_part(matrix) -> tuple[np.ndarray, bool]:
 def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a Hermitian matrix.
 
-    The pair is validated: it must rebuild the matrix and the eigenvectors
-    be orthonormal, both to RECONSTRUCT_RTOL, or LinAlgError is raised.
+    A stack (..., n, n) is decomposed block by block.  Each pair is
+    validated: it must rebuild its matrix and the eigenvectors be
+    orthonormal, both to RECONSTRUCT_RTOL, or LinAlgError is raised.
     """
     matrix = np.asarray(matrix, dtype=complex)
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for {matrix.shape[0]}x{matrix.shape[1]} input: {exc}"
+            f"eigendecomposition failed for {matrix.shape[-2]}x{matrix.shape[-1]} input: {exc}"
         ) from exc
-    scale = max(np.linalg.norm(matrix), 1e-300)
-    recon = np.linalg.norm((v * w) @ v.conj().T - matrix)
-    ortho = np.linalg.norm(v.conj().T @ v - np.eye(len(w)))
-    if recon > RECONSTRUCT_RTOL * scale or ortho > RECONSTRUCT_RTOL:
+    vh = np.swapaxes(v.conj(), -1, -2)
+    scale = np.maximum(np.linalg.norm(matrix, axis=(-2, -1)), 1e-300)
+    recon = np.linalg.norm((v * w[..., None, :]) @ vh - matrix, axis=(-2, -1)) / scale
+    ortho = np.linalg.norm(vh @ v - np.eye(w.shape[-1]), axis=(-2, -1))
+    if np.any(recon > RECONSTRUCT_RTOL) or np.any(ortho > RECONSTRUCT_RTOL):
         raise np.linalg.LinAlgError(
-            f"eigendecomposition failed validation: reconstruction {recon / scale:.3e}, "
-            f"orthonormality {ortho:.3e}"
+            f"eigendecomposition failed validation: reconstruction {np.max(recon):.3e}, "
+            f"orthonormality {np.max(ortho):.3e}"
         )
     return w, v
 
@@ -184,7 +186,12 @@ def cos_sqrt_sum_oracle(ops, t: float, vector=None):
     Eigenvalues of the sum of squares are clipped at zero before the
     square root; the result is the reference for every lifted route.
     """
-    return _oracle(ops, t, vector, lambda lam: np.cos(t * np.sqrt(np.clip(lam, 0.0, None))))
+    return _oracle(ops, t, vector, lambda lam: _cos_sqrt(lam, t))
+
+
+def _cos_sqrt(lam: np.ndarray, t: float) -> np.ndarray:
+    """cos(t sqrt(lam)) on eigenvalues of a sum of squares, clipped at zero first."""
+    return np.cos(t * np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def sinc_sqrt_sum_oracle(ops, t: float, vector=None):

@@ -47,9 +47,9 @@ import numpy as np
 
 from .ascent import _ladder_row
 from .fields import GridField, _finite_values, _k_squared, assert_no_wrap, relative_l2_gap
-from .operators import _checked_time, cos_sqrt_sum_oracle
+from .operators import _checked_time, _cos_sqrt, _eigh, cos_sqrt_sum_oracle
 from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
-from .trotter import cos_noncomm
+from .trotter import _AxisDFT, _cos_known_bases
 
 __all__ = [
     "wave_general",
@@ -67,7 +67,7 @@ __all__ = [
 _LEVEL_CAP = 240
 _SHELL_BLOCK = 1 << 18  # shells x nodes entries per block of phases
 _EDGE_DECAY_RTOL = 1e-11
-_DENSE_ORACLE_CAP = 4096
+_TOEPLITZ_CAP = 4096  # grid points: the splitting holds N (order+1)^2 Toeplitz entries per factor
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,9 @@ def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
             ((trig(phase) @ col) * xb[:, None] ** power).sum(axis=1) for trig, col, power in parts)
     if kind == "sin":
         multiplier *= t
-    return field.like(np.fft.ifftn(values * (pref * multiplier)[inverse.reshape(field.shape)]))
+    out = np.fft.ifftn(values * (pref * multiplier)[inverse.reshape(field.shape)])
+    # a real multiplier of |k|^2 is even in k, so real data stay real: the imaginary part is rounding
+    return field.like(out if np.any(field.values.imag) else out.real)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def _hermite_state(n: int, excited: bool) -> GridField:
 
 
 def _oscillator_pair(field: GridField):
-    """A = (1/i) d/dx and B = x on the field's periodic box, as dense matrices."""
+    """A = (1/i) d/dx and B = x on the field's periodic box, as dense matrices: the oracle's input."""
     x = field.axis_coordinates(0)
     return spectral_derivative_matrix(field.shape[0], field.lengths[0]), np.diag(x.astype(complex))
 
@@ -385,16 +387,15 @@ def _grushin_field(n: int) -> GridField:
     return box.like(np.repeat(np.exp(np.cos(x1))[:, None], n, axis=1).astype(complex))
 
 
-def _oracle_drive(ops, vec, t: float, **drive):
-    """The dense oracle, cos_noncomm held against it, and the relative gap to it.
+def _oracle_drive(factors, vec, t: float, reference, tol: float, m0: int, m_cap: int):
+    """The splitting walk on factors of known bases held against an oracle, and the relative gap to it.
 
-    ops is the ordered operator list; drive holds cos_noncomm's options
-    (tol and the depth bounds m0, m_cap of its Romberg walk).  The report's
-    errors are the gaps of the walk's diagonal entries to the oracle, and
-    its column is the Romberg column returned.  Returns (u, report, gap).
+    factors are as trotter._cos_known_bases takes them; tol and the depth
+    bounds m0, m_cap are cos_noncomm's.  The report's errors are the gaps
+    of the walk's diagonal entries to the reference, and its column is the
+    Romberg column returned.  Returns (u, report, gap).
     """
-    reference = cos_sqrt_sum_oracle(ops, t, vec)
-    u, report = cos_noncomm(ops, vec, t, reference=reference, **drive)
+    u, report = _cos_known_bases(factors, vec, t, tol, m0, m_cap, reference=reference)
     return u, report, relative_l2_gap(u, reference)
 
 
@@ -403,8 +404,9 @@ def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int =
 
     The splitting series needs the data to die out at the box edge, since
     B breaks periodicity there; data above 1e-12 of the peak at the edge
-    is refused.  Returns the propagated field, the refinement report, and
-    diagnostics against the dense eigensolver oracle.
+    is refused.  A acts by the FFT and B pointwise, so the walk diagonalizes
+    nothing.  Returns the propagated field, the refinement report, and
+    diagnostics against the dense eigensolver oracle of A^2 + B^2.
     """
     if field.dim != 1:
         raise ValueError("harmonic_oscillator expects a one dimensional field")
@@ -418,9 +420,27 @@ def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int =
             f"initial data at the box edge is {edge / peak:.2e} of the peak; "
             "the position operator needs near-vanishing data there"
         )
-    a_mat, b_mat = _oscillator_pair(field)
-    u, report, gap = _oracle_drive([a_mat, b_mat], v, t, tol=tol, m0=m0, m_cap=m_cap)
+    reference = cos_sqrt_sum_oracle(_oscillator_pair(field), t, v)
+    factors = [(field.wavenumbers(0), _AxisDFT(field.shape, 0)), (field.axis_coordinates(0), None)]
+    u, report, gap = _oracle_drive(factors, v, t, reference, tol, m0, m_cap)
     return field.like(u), report, {"oracle_gap": gap, "verdict": report.verdict}
+
+
+def _grushin_oracle(field: GridField, t: float) -> np.ndarray:
+    """cos(t sqrt(A^2 + B^2)) applied to the field by blocks, flattened.
+
+    In the Fourier basis of x2, A^2 + B^2 = D1^2 (x) I + X1^2 (x) D2^2 is
+    the direct sum over k2 of the n1 x n1 blocks D1^2 + k2^2 X1^2, so one
+    validated eigendecomposition of that stack replaces one of the N x N sum.
+    """
+    d1 = spectral_derivative_matrix(field.shape[0], field.lengths[0])
+    x1 = field.axis_coordinates(0)
+    blocks = d1 @ d1 + np.multiply.outer(field.wavenumbers(1) ** 2, np.diag(x1 * x1))
+    w, v = _eigh(blocks)
+    spectrum2 = np.fft.fft(field.values, axis=1, norm="ortho").T  # row j: the field at the j-th k2
+    coeffs = (np.swapaxes(v.conj(), -1, -2) @ spectrum2[:, :, None])[..., 0]
+    out = (v @ (_cos_sqrt(w, t) * coeffs)[:, :, None])[..., 0]
+    return np.fft.ifft(out.T, axis=1, norm="ortho").reshape(-1)
 
 
 def grushin_demo(field: GridField, t: float, tol: float = 1e-8):
@@ -429,24 +449,27 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8):
     The squares do not commute, yet fields constant along x2 are
     annihilated by B, so the series collapses to the one dimensional
     propagator in x1 for every refinement stage; the diagnostics expose
-    that collapse together with the dense oracle gap.  The depth walk
-    stops at m = 256.
+    that collapse together with the gap to the oracle, which diagonalizes
+    A^2 + B^2 by blocks (_grushin_oracle).  A and B act by FFTs along x1
+    and x2, so no N x N operator is built.  The depth walk stops at m = 256.
     """
     if field.dim != 2:
         raise ValueError("grushin_demo expects a two dimensional field")
-    vec = _finite_values(field).reshape(-1)
+    v = _finite_values(field)
     n1, n2 = field.shape
-    if n1 * n2 > _DENSE_ORACLE_CAP:
-        raise ValueError("grid too large for the dense oracle; keep n1*n2 <= 4096")
-    x1 = field.axis_coordinates(0)
-    d1 = spectral_derivative_matrix(n1, field.lengths[0])
-    d2 = spectral_derivative_matrix(n2, field.lengths[1])
-    a_mat = np.kron(d1, np.eye(n2))
-    b_mat = np.kron(np.diag(x1.astype(complex)), d2)
-    u, report, gap = _oracle_drive([a_mat, b_mat], vec, t, tol=tol, m_cap=256)
+    if n1 * n2 > _TOEPLITZ_CAP:
+        raise ValueError(
+            f"grid too large for the splitting's N (order+1)^2 Toeplitz stacks; keep n1*n2 <= {_TOEPLITZ_CAP}")
+    _checked_time(t)
+    x1, k2 = field.axis_coordinates(0), field.wavenumbers(1)
+    reference = _grushin_oracle(field, t)
+    factors = [(np.repeat(field.wavenumbers(0), n2), _AxisDFT(field.shape, 0)),
+               (np.outer(x1, k2).reshape(-1), _AxisDFT(field.shape, 1))]
+    u, report, gap = _oracle_drive(factors, v.reshape(-1), t, reference, tol, 1, 256)
+    b_vec = x1[:, None] * np.fft.ifft(k2 * np.fft.fft(v, axis=1), axis=1)
     diagnostics = {
         "oracle_gap": gap,
-        "b_action_residual": float(np.linalg.norm(b_mat @ vec) / max(np.linalg.norm(vec), 1e-300)),
+        "b_action_residual": float(np.linalg.norm(b_vec) / max(np.linalg.norm(v), 1e-300)),
         "verdict": report.verdict,
     }
     if diagnostics["b_action_residual"] < 1e-12:

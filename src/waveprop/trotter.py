@@ -8,12 +8,16 @@ The vector cos(t sqrt(A^2+B^2)) h is the m -> infinity limit of
 with W_n built by truncated power-series multiplication, one exponential
 factor at a time; the series is an (order+1, N) array whose row n is
 W_n h.  Each factor is a function of one operator, so it acts diagonally
-in that operator's own eigenbasis: the coefficient vectors
-move into the basis of the next factor by one fixed unitary U_i =
-V_i^H V_(i-1), an (order+1) x N x N product, and the factor is then a
-Cauchy product with the scalar series exp(z lambda^2/m), O(order^2 N).
-Only the single operators are diagonalized, never the sum.  W_0 h = h
-and W_1 h = (A^2+B^2) h hold for every m; higher coefficients approach
+in that operator's own eigenbasis V_i: the coefficient vectors move into
+the basis of the next factor by the unitary V_i^H V_(i-1), and the
+factor is then a Cauchy product with the scalar series
+exp(z lambda^2/m), O(order^2 N).  A basis is a dense unitary from
+operators._eigh, when the public entries are handed matrices, and the
+move between two of those is one precomputed N x N product; or it is
+known, as pde's oscillator and Grushin routes know theirs: the unitary
+DFT along one axis of a grid (_AxisDFT) or the identity, and the move
+is two FFTs or one.  The sum of the squares is never diagonalized.
+W_0 h = h and W_1 h = (A^2+B^2) h hold for every m; higher coefficients approach
 (A^2+B^2)^n h / n! at rate O(1/m).  The coefficient of z^n in the
 product of exponentials is bounded by that of the product of their norm
 series, so ||W_n h|| <= ||h|| (||A||^2+||B||^2)^n / n! for every m, and
@@ -55,16 +59,19 @@ at each public entry point, by the checks the oracles use
 (operators._checked_operators, _checked_vector, _checked_time): the
 operators must be square, of one shape, finite and Hermitian to
 HERMITIAN_RTOL, h must be finite and match their dimension, and t must
-be finite.  The timed entries
-(the F_m evaluators, the m drivers and fm_quadrature_crosscheck) share
-one front end, _prepared: it checks the inputs, diagonalizes each
-factor, forms the series scales and picks the order whose relative tail
-bound is at most the float's rounding unit; none of them takes an order
-argument.
+be finite.  The entries that take t check it first; then every entry
+shares one front end, _prepared: it checks the operators and h and
+diagonalizes each operator.  The timed entries (the F_m evaluators,
+cos_noncomm, sin_noncomm and fm_quadrature_crosscheck) pick the order
+whose relative tail bound is at most the float's rounding unit (_order);
+none of them takes an order argument.  harmonic_oscillator and
+grushin_demo in pde check their own fields and time and hand
+_cos_known_bases factors of known bases.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,27 +125,75 @@ class ConvergenceReport:
         }
 
 
+@dataclass(frozen=True)
+class _AxisDFT:
+    """The eigenbasis V of a multiplier along one axis of a grid: V^H is the unitary DFT along it.
+
+    Coefficients are (prod(shape), ...) arrays, the grid flattened in C
+    order with any trailing columns riding along.
+    """
+
+    shape: tuple
+    axis: int
+
+    def to(self, c: np.ndarray) -> np.ndarray:  # V^H c
+        return self._along(np.fft.fft, c)
+
+    def back(self, c: np.ndarray) -> np.ndarray:  # V c
+        return self._along(np.fft.ifft, c)
+
+    def _along(self, fft, c):
+        grid = c.reshape(self.shape + c.shape[1:])
+        return fft(grid, axis=self.axis, norm="ortho").reshape(c.shape)
+
+
+def _to(basis, c: np.ndarray) -> np.ndarray:
+    """V^H c for a basis V: a dense unitary, an _AxisDFT, or None for the identity."""
+    if basis is None:
+        return c
+    if isinstance(basis, np.ndarray):
+        return (basis.T @ c.conj()).conj()  # no conjugated copy of V
+    return basis.to(c)
+
+
+def _back(basis, c: np.ndarray) -> np.ndarray:
+    """V c for a basis V, as _to takes it."""
+    if basis is None:
+        return c
+    if isinstance(basis, np.ndarray):
+        return (c.T @ basis.T).T
+    return basis.back(c)
+
+
+def _move(basis, prev):
+    """c -> V^H V_prev c: one precomputed product between two dense bases, else prev's back then this to."""
+    if isinstance(basis, np.ndarray) and isinstance(prev, np.ndarray):
+        return functools.partial(np.matmul, basis.conj().T @ prev)
+    return lambda c: np.ascontiguousarray(_to(basis, _back(prev, c)))
+
+
 @dataclass(eq=False)
 class _Eigenbases:
     """Per-factor eigenvalues and basis moves of one ordered operator family.
 
     Factors act right to left, A_q first and A_1 last in each sweep, and
-    the lists are kept in that order.  moves[i] = V_i^H V_(i-1) takes
-    coefficients into factor i's eigenbasis, cyclically, so a sweep starts
-    and ends in the eigenbasis `last` of A_1.
+    the lists are kept in that order.  moves[i] takes coefficients from
+    factor (i-1)'s eigenbasis into factor i's, cyclically, so a sweep
+    starts and ends in the eigenbasis `last` of A_1.
     """
 
     eigenvalues: tuple
     moves: list
-    last: np.ndarray
+    last: object  # a basis, as _to takes it
     norms: list  # ||A_i|| = max |lambda|
 
 
-def _eigenbases(mats) -> _Eigenbases:
-    lams, vecs = zip(*map(_eigh, reversed(mats)))
-    moves = [v.conj().T @ prev for v, prev in zip(vecs, vecs[-1:] + vecs[:-1])]
+def _eigenbases(factors) -> _Eigenbases:
+    """The bases of the ordered factors [(eigenvalues of A_1, basis of A_1), ..]."""
+    lams, bases = zip(*reversed(factors))
+    moves = [_move(basis, prev) for basis, prev in zip(bases, bases[-1:] + bases[:-1])]
     norms = [float(np.max(np.abs(lam), initial=0.0)) for lam in lams]
-    return _Eigenbases(lams, moves, vecs[-1], norms)
+    return _Eigenbases(lams, moves, bases[-1], norms)
 
 
 def _toeplitz(lam: np.ndarray, m: int, order: int) -> np.ndarray:
@@ -165,7 +220,7 @@ def _sweep(bases: _Eigenbases, stacks, coeffs: np.ndarray) -> np.ndarray:
     """One pass of the factor pattern over the (dim, order+1) coefficients, in and out of the basis `last`."""
     dim, width = coeffs.shape
     for move, stack in zip(bases.moves, stacks):
-        coeffs = move @ coeffs
+        coeffs = move(coeffs)
         # real stack against (re, im) pairs: one batched product, no complex copy
         pairs = stack @ coeffs.view(float).reshape(dim, width, 2)
         coeffs = pairs.reshape(dim, 2 * width).view(complex)
@@ -185,7 +240,7 @@ def _depths(bases: _Eigenbases, vec: np.ndarray, order: int, depths):
     each yield is the (order+1, dim) array whose row n is W_n h.
     """
     coeffs = np.zeros((len(vec), order + 1), dtype=complex)  # coeffs[:, k]: z^k, basis `last`
-    coeffs[:, 0] = (bases.last.T @ vec.conj()).conj()  # V^H h with no conjugated copy of V
+    coeffs[:, 0] = _to(bases.last, vec)
     p = 0
     for m in depths:
         parts = coeffs.view(float)  # a real scale on re and im: exact for 2^-n, signed zeros too
@@ -195,7 +250,7 @@ def _depths(bases: _Eigenbases, vec: np.ndarray, order: int, depths):
             coeffs = _sweep(bases, stacks, coeffs)
         del stacks  # not held across the yield, nor next to the next depth's stacks
         p = m
-        yield coeffs.T @ bases.last.T
+        yield _back(bases.last, coeffs).T
 
 
 def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
@@ -205,9 +260,8 @@ def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
     factor exp(z X/m) updates the truncated series by
     v_k <- sum_j (X/m)^j / j! v_(k-j), taken in the eigenbasis of X.
     """
-    mats = _checked_operators(ops)
-    vec = _checked_vector(h, len(mats[0]))
-    (series,) = _depths(_eigenbases(mats), vec, order, _checked_depth(m, order))
+    _, vec, bases = _prepared(ops, h)
+    (series,) = _depths(bases, vec, order, _checked_depth(m, order))
     return series
 
 
@@ -222,18 +276,21 @@ def _series_scales(norms, vec: np.ndarray, t: float):
     return amp, y, x, radius
 
 
-def _prepared(ops, h, t: float, sine: bool = False):
-    """The setup of every timed entry: checked inputs, eigenbases, series scales, order.
+def _prepared(ops, h):
+    """The setup of every entry on matrices: checked inputs and the operators' dense eigenbases.
 
-    Returns (mats, vec, bases, order, (amp, y, x, radius)); the order is
-    the one every series takes (operators._series_order).
+    Returns (mats, vec, bases), one decomposition per operator for every
+    depth.  The entries that take a time check it first.
     """
-    _checked_time(t)
     mats = _checked_operators(ops)
     vec = _checked_vector(h, len(mats[0]))
-    bases = _eigenbases(mats)  # one decomposition per operator for every depth
+    return mats, vec, _eigenbases([_eigh(mat) for mat in mats])
+
+
+def _order(bases: _Eigenbases, vec: np.ndarray, t: float, sine: bool):
+    """The order every series takes (operators._series_order) and the scales (amp, y, x, radius) it comes from."""
     scales = _series_scales(bases.norms, vec, t)
-    return mats, vec, bases, _series_order(scales[1], t, sine), scales
+    return _series_order(scales[1], t, sine), scales
 
 
 def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
@@ -246,7 +303,9 @@ def _series_sum(series: np.ndarray, t: float, sine: bool) -> np.ndarray:
 
 
 def _fm(ops, h, t: float, m: int, sine: bool) -> np.ndarray:
-    _, vec, bases, order, _ = _prepared(ops, h, t, sine)
+    _checked_time(t)
+    _, vec, bases = _prepared(ops, h)
+    order, _ = _order(bases, vec, t, sine)
     (series,) = _depths(bases, vec, order, _checked_depth(m, order))
     return _series_sum(series, t, sine)
 
@@ -261,12 +320,13 @@ def sin_fm_evaluate(ops, h, t: float, m: int) -> np.ndarray:
     return _fm(ops, h, t, m, sine=True)
 
 
-def _drive(ops, h, t: float, tol: float, m0: int, m_cap: int, sine: bool, reference=None):
+def _drive(bases: _Eigenbases, vec, t: float, tol: float, m0: int, m_cap: int, sine: bool, reference=None):
+    """Romberg's walk of the prepared bases and checked vector, as cos_noncomm describes; (value, report)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if m0 < 1 or m_cap < m0:
         raise ValueError("need 1 <= m0 <= m_cap")
-    _, vec, bases, order, (amp, y, x, radius) = _prepared(ops, h, t, sine=sine)
+    order, (amp, y, x, radius) = _order(bases, vec, t, sine)
     ref = None if reference is None else np.asarray(reference, dtype=complex)
     depths = [m0]
     while 2 * depths[-1] <= m_cap:
@@ -319,12 +379,26 @@ def cos_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, ref
     at each visited depth when one is given, otherwise the successive
     differences ||T[i+1][i+1] - T[i][i]||, one fewer than the depths.
     """
-    return _drive(ops, h, t, tol, m0, m_cap, sine=False, reference=reference)
+    _checked_time(t)
+    _, vec, bases = _prepared(ops, h)
+    return _drive(bases, vec, t, tol, m0, m_cap, sine=False, reference=reference)
 
 
 def sin_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, reference=None):
     """Splitting-series smoothed sine propagator applied to h, driven as cos_noncomm."""
-    return _drive(ops, h, t, tol, m0, m_cap, sine=True, reference=reference)
+    _checked_time(t)
+    _, vec, bases = _prepared(ops, h)
+    return _drive(bases, vec, t, tol, m0, m_cap, sine=True, reference=reference)
+
+
+def _cos_known_bases(factors, vec: np.ndarray, t: float, tol: float, m0: int, m_cap: int, reference=None):
+    """cos_noncomm on factors whose eigenbases are known; (value, report).
+
+    factors is the ordered list [(eigenvalues of A_1, basis of A_1), ..]:
+    a basis is a dense unitary, an _AxisDFT or None for the identity.  The
+    caller checks t and the finite vector vec, flattened as the bases take it.
+    """
+    return _drive(_eigenbases(factors), vec, t, tol, m0, m_cap, sine=False, reference=reference)
 
 
 def taylor_limit_check(a, b, n: int, h) -> list[float]:
@@ -335,13 +409,12 @@ def taylor_limit_check(a, b, n: int, h) -> list[float]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    amat, bmat = _checked_operators([a, b])
-    vec = _checked_vector(h, len(amat))
+    (amat, bmat), vec, bases = _prepared([a, b], h)
     s = amat @ amat + bmat @ bmat
     target = vec.copy()
     for j in range(1, n + 1):
         target = (s @ target) / j
-    walk = _depths(_eigenbases([amat, bmat]), vec, n, (8, 16, 32, 64))
+    walk = _depths(bases, vec, n, (8, 16, 32, 64))
     return [float(np.linalg.norm(target - series[n])) for series in walk]
 
 
@@ -362,7 +435,9 @@ def fm_quadrature_crosscheck(ops, h, t: float, m: int):
     rows with the weights n!/(2n+1)!.
     Returns (series, quadrature, gap, sine_series, sine_quadrature, sine_gap).
     """
-    mats, vec, bases, order, _ = _prepared(ops, h, t)
+    _checked_time(t)
+    mats, vec, bases = _prepared(ops, h)
+    order, _ = _order(bases, vec, t, sine=False)
     (series,) = _depths(bases, vec, order, _checked_depth(m, order))
     cos_quad, sin_quad, _ = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t)
     out = []

@@ -241,3 +241,13 @@ def test_grid_field_validation():
     ]:
         with pytest.raises(ValueError, match=match):
             wp.gaussian_bump((8, 8), (TWO_PI, TWO_PI), center, sigma)
+
+
+def test_reference_keeps_the_imaginary_part_of_a_multiplier_that_is_not_even():
+    f = wp.GridField(np.exp(-(np.arange(16) - 8.0) ** 2 / 4.0), (TWO_PI,))
+    odd = np.sqrt(np.arange(16.0)).astype(complex)  # real, but sym[k] != sym[-k]
+    out = wp.spectral_wave_reference(f, 0.5, odd)
+    assert np.any(out.values.imag)
+    assert np.allclose(out.values, np.fft.ifft(np.cos(0.5 * odd) * np.fft.fft(f.values)), rtol=0, atol=1e-15)
+    even = wp.spectral_wave_reference(f, 0.5)
+    assert not np.any(even.values.imag)

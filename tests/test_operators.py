@@ -68,6 +68,16 @@ def test_eigh_refuses_a_pair_that_does_not_rebuild_the_matrix():
         _eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_eigh_validates_every_block_of_a_stack():
+    stack = np.stack([wp.random_hermitian(5, seed=s) for s in range(4)])
+    w, v = _eigh(stack)
+    for block, lam, vec in zip(stack, w, v):
+        assert np.linalg.norm((vec * lam) @ vec.conj().T - block) <= 1e-12 * np.linalg.norm(block)
+    stack[2, 0, 3] += 1.0  # eigh reads one triangle: block 2 no longer rebuilds
+    with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed validation"):
+        _eigh(stack)
+
+
 def test_matrix_function_of_zero_argument_is_identity():
     w, v = _eigh(np.zeros((3, 3)))
     assert np.allclose((v * np.cos(w)) @ v.conj().T, np.eye(3))

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import i0, i1, j0, j1
 
 import waveprop as wp
-from waveprop import pde
+from waveprop import pde, trotter
 from waveprop.fields import spectral_wave_reference
 
 TWO_PI = 2.0 * math.pi
@@ -533,12 +533,15 @@ def test_oscillator_refuses_non_decaying_data():
         wp.harmonic_oscillator(ones, 0.2)
 
 
+_ORACLES = {"harmonic_oscillator": "cos_sqrt_sum_oracle", "grushin_demo": "_grushin_oracle"}
+
+
 @pytest.mark.parametrize("driver, shape", [("harmonic_oscillator", (128,)), ("grushin_demo", (8, 8))])
 def test_splitting_drivers_refuse_non_finite_field_before_the_oracle(monkeypatch, driver, shape):
     def oracle(*args, **kwargs):
-        raise AssertionError("the dense oracle ran before the field was checked")
+        raise AssertionError("the oracle ran before the field was checked")
 
-    monkeypatch.setattr(pde, "cos_sqrt_sum_oracle", oracle)
+    monkeypatch.setattr(pde, _ORACLES[driver], oracle)
     field = _bump(shape)
     field.values.flat[40] = math.nan
     with pytest.raises(ValueError, match="field values have non-finite entries"):
@@ -570,5 +573,91 @@ def test_grushin_random_field_errors_shrink():
 
 def test_grushin_rejects_oversized_grid():
     big = wp.GridField(np.ones((80, 80), dtype=complex), (TWO_PI, TWO_PI))
-    with pytest.raises(ValueError, match="dense oracle"):
+    with pytest.raises(ValueError, match="Toeplitz stacks; keep n1\\*n2 <= 4096"):
         wp.grushin_demo(big, 0.2)
+
+
+def _grushin_dense_pair(field):
+    """A = (1/i) d/dx1 (x) I and B = diag(x1) (x) (1/i) d/dx2 as dense N x N matrices."""
+    n1, n2 = field.shape
+    d1 = wp.spectral_derivative_matrix(n1, field.lengths[0])
+    d2 = wp.spectral_derivative_matrix(n2, field.lengths[1])
+    x1 = field.axis_coordinates(0).astype(complex)
+    return np.kron(d1, np.eye(n2)), np.kron(np.diag(x1), d2)
+
+
+def _random_grushin_field(n):
+    rng = np.random.default_rng(n)
+    return wp.GridField(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                        (TWO_PI, TWO_PI), (-math.pi, 0.0))
+
+
+@pytest.mark.parametrize("n", [7, 8, 16])
+def test_fft_factor_actions_equal_the_dense_operators(n):
+    field = wp.GridField(np.zeros((n, n)), (TWO_PI, 3.0), (-math.pi, 0.5))
+    h = _random_grushin_field(n).values.reshape(-1)
+    a_mat, b_mat = _grushin_dense_pair(field)
+    x1, k1, k2 = field.axis_coordinates(0), field.wavenumbers(0), field.wavenumbers(1)
+    cases = [
+        (k1, trotter._AxisDFT((n,), 0), wp.spectral_derivative_matrix(n, TWO_PI), h[:n]),
+        (np.repeat(k1, n), trotter._AxisDFT((n, n), 0), a_mat, h),
+        (np.outer(x1, k2).reshape(-1), trotter._AxisDFT((n, n), 1), b_mat, h),
+        (x1, None, np.diag(x1), h[:n]),
+    ]
+    for lam, basis, mat, vec in cases:
+        action = trotter._back(basis, lam * trotter._to(basis, vec))
+        assert np.max(np.abs(action - mat @ vec)) <= 1e-13 * np.max(np.abs(mat @ vec))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_grushin_known_bases_match_the_dense_drive(n):
+    field = _random_grushin_field(n)
+    out, report, _ = wp.grushin_demo(field, 0.2)
+    dense, dense_report = wp.cos_noncomm(_grushin_dense_pair(field), field.values.reshape(-1), 0.2,
+                                         tol=1e-8, m_cap=256)
+    assert report.m_values == dense_report.m_values and report.column == dense_report.column
+    assert np.linalg.norm(out.values.reshape(-1) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("n, excited", [(64, False), (64, True), (256, False), (256, True)])
+def test_oscillator_known_bases_match_the_dense_drive(n, excited):
+    field = pde._hermite_state(n, excited)
+    out, report, _ = wp.harmonic_oscillator(field, 0.2)
+    dense, dense_report = wp.cos_noncomm(pde._oscillator_pair(field), field.values, 0.2, tol=1e-6)
+    assert report.m_values == dense_report.m_values and report.column == dense_report.column
+    assert np.linalg.norm(out.values - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_grushin_block_oracle_matches_the_dense_oracle(n):
+    field = _random_grushin_field(n)
+    dense = wp.cos_sqrt_sum_oracle(_grushin_dense_pair(field), 0.3, field.values.reshape(-1))
+    assert np.linalg.norm(pde._grushin_oracle(field, 0.3) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_grushin_on_32_squared_reaches_its_oracle():
+    box = wp.GridField(np.zeros((32, 32)), (TWO_PI, TWO_PI), (-math.pi, 0.0))
+    x1, x2 = box.axis_coordinates(0), box.axis_coordinates(1)
+    field = box.like(np.outer(np.exp(np.cos(x1)), 1.0 + 0.5 * np.cos(x2)))
+    _, report, diag = wp.grushin_demo(field, 0.2, tol=1e-9)
+    assert diag["b_action_residual"] > 0.1  # not the collapse: B acts on the data
+    assert report.verdict == "converged"
+    assert diag["oracle_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("route, shape, a", [
+    (wp.wave2d_poisson, (24, 24), None), (wp.wave3d_kirchhoff, (12, 12, 12), None),
+    (wp.klein_gordon, (24, 24), 1.0), (wp.damped_wave, (24,), 0.5),
+])
+def test_real_data_stay_real_and_complex_data_stay_complex(route, shape, a):
+    t, mass = 0.4, () if a is None else (a,)
+    symbol = {wp.klein_gordon: wp.klein_gordon_symbol, wp.damped_wave: wp.damped_symbol}.get(route)
+    real = _bump(shape)
+    wavy = real.like(real.values * np.exp(1j * real.axis_coordinates(0)).reshape((-1,) + (1,) * (len(shape) - 1)))
+    for field in (real, wavy):
+        reference = spectral_wave_reference(field, t, None if symbol is None else symbol(field, a))
+        assert np.any(reference.values.imag) == (field is wavy)
+        for kind in ("cos", "sin"):
+            out = route(field, t, *mass, kind=kind)
+            assert np.any(out.values.imag) == (field is wavy)
+        assert wp.relative_l2_gap(route(field, t, *mass), reference) <= 1e-13
