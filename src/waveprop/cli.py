@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("wave2d", "disk-average route vs spectral reference"),
         ("wave3d", "sphere-average route vs spectral reference"),
-        ("kg", "mass-kernel route vs spectral reference"),
+        ("kg", "massless route of one more axis vs spectral reference"),
         ("damped", "hyperbolic continuation vs spectral reference"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_positive_float, default=1e-3)
         if name in ("kg", "damped"):
             p.add_argument("--a", type=float, default=1.0 if name == "kg" else 0.5)
-            p.add_argument("--dim", type=_positive_int, choices=(1, 2, 3), default=1)
+            p.add_argument("--dim", type=_positive_int, default=1)
 
     p = sub.add_parser("oscillator", parents=[common], help="derivative-plus-position pair vs dense oracle")
     p.add_argument("--grid", type=_positive_int, default=64)
@@ -247,7 +247,8 @@ def _box_fixture(args, dim: int):
 
     from .fields import gaussian_bump
 
-    n = args.grid or {1: 256, 2: 128, 3: 32}[dim]
+    # 256, 128 and 32 points per axis up to three axes, else the largest n <= 16 with n^dim <= 2^20
+    n = args.grid or {1: 256, 2: 128, 3: 32}.get(dim) or max(n for n in range(1, 17) if n ** dim <= 1 << 20)
     sigma = args.sigma or (0.35 if dim == 3 else 0.25)
     box = 2.0 * math.pi
     return gaussian_bump((n,) * dim, (box,) * dim, (box / 2.0,) * dim, sigma), n, sigma
@@ -336,16 +337,12 @@ def _cmd_noncomm(args) -> int:
     return _emit_series(args, payload, report)
 
 
-# subcommand -> (dimension, or None to read --dim; formula slug, by --dim
-# for the mass routes)
+# subcommand -> (dimension, or None to read --dim; formula slug)
 _GRID_ROUTES = {
     "wave2d": (2, "disk-average-time-derivative"),
     "wave3d": (3, "sphere-average-time-derivative"),
-    "kg": (None, {1: "interval-bessel-mass-average", 2: "disk-cosine-mass-average",
-                  3: "ball-bessel-mass-ladder"}),
-    "damped": (None, {1: "interval-bessel-mass-average-hyperbolic",
-                      2: "disk-cosine-mass-average-hyperbolic",
-                      3: "ball-bessel-mass-ladder-hyperbolic"}),
+    "kg": (None, "massless-descent-ladder"),
+    "damped": (None, "massless-descent-ladder-hyperbolic"),
 }
 
 
@@ -359,10 +356,10 @@ def _cmd_grid(args) -> int:
     inputs = {"grid": n, "t": args.t, "sigma": sigma, "level": args.level,
               "tol": args.tol, "seed": args.seed}
     checks, symbol = {}, None
-    if dim is None:  # mass routes: --dim picks the formula, --a the mass
+    if dim is None:  # mass routes: --dim picks the axes, --a the mass
         route, make_symbol = ((klein_gordon, klein_gordon_symbol) if name == "kg"
                               else (damped_wave, damped_symbol))
-        formula, inputs["a"] = formula[field.dim], args.a
+        inputs["a"] = args.a
         symbol = make_symbol(field, args.a)
         propagated = route(field, args.t, args.a, level=args.level)
         if args.a == 0.0:

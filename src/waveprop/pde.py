@@ -15,26 +15,21 @@ cos(tau |k| s) in s = w.k/|k|, against the Gauss-Jacobi weight
 (1-s^2)^(p+(d-1)/2) for the ball weight (1-|w|^2)^p in R^d, or
 (1-s^2)^((d-3)/2) for the sphere S^(d-1).  The multiplier is therefore
 evaluated once per distinct |k|^2 shell of the FFT grid, as
-g(tau) = sum_i w_i K(tau rho_i) cos(tau |k| s_i) with a mass kernel K
-(1 for the plain wave).  The ladder d/dtau (1/tau d/dtau)^(m-1) [tau^(2m-1) g]
-is sum_j a_j t^j g^(j)(t) at tau = t, with the row a_j of ascent._ladder_row;
-the jets t^j g^(j) follow from Leibniz's rule on K(tau rho) cos(tau |k| s),
-so a shell costs one cos and one sin per node, and no stencil or fit enters.
+g(tau) = sum_i w_i cos(tau |k| s_i).  The ladder d/dtau (1/tau d/dtau)^(m-1)
+[tau^(2m-1) g] is sum_j a_j t^j g^(j)(t) at tau = t, with the row a_j of
+ascent._ladder_row, and t^j g^(j)(t) = sum_i w_i (x s_i)^j cos(x s_i + j pi/2)
+with x = t|k|, so a shell costs one cos and one sin per node, and no
+stencil or fit enters.
 
-Kernel average identities used for the mass-a symbol sqrt(|k|^2 + a^2):
-the flat interval with a J0(a tau sqrt(1-nu^2)) factor in one dimension,
-the inverse square root disk weight with a cos(a tau sqrt(1-r^2)) factor
-in two, and the flat solid ball with a J0 factor and a second ladder rung
-in three.  The shell sums see only s = w.k/|k| and rho = sqrt(1-|w|^2),
-and for the ball weight (1-|w|^2)^p in R^d the triple
-(s^2, |w|^2-s^2, 1-|w|^2) is Dirichlet(1/2, (d-1)/2, p+1), so one
-Dirichlet Gauss-Jacobi rule on the simplex gives every (s, rho) node
-with its weight, one node per distinct pair.
-Replacing a^2 by -a^2 (J0 -> I0, cos -> cosh) gives the partially
-imaginary symbol sqrt(|k|^2 - a^2).
-
-The massless route in R^d, any d, is the ascent's (see _propagate); the mass
-routes are a table, _MASS_ROUTES, of one to three axes.
+A mass is one more axis (Hadamard's method of descent, Lectures on
+Cauchy's Problem, 1923): cos(t sqrt(|k|^2 + a^2)) is the massless
+multiplier of R^(d+1) at the frequency (k, a).  So klein_gordon runs the
+massless route of R^(d+1) on the field's own spectrum, each |k|^2 shell
+shifted by a^2.  damped_wave shifts by -a^2: below the cutoff
+x = t sqrt(|k|^2 - a^2) is imaginary, and the ladder, even in x,
+continues to cosh (sinh(y)/y for the sine), of which the real part is kept.
+Every grid route, massless or not, in any number of axes, is the ascent's
+(see _propagate).
 """
 
 from __future__ import annotations
@@ -79,19 +74,18 @@ def _spectrum(field: GridField):
     return field.fft(), _k_squared(field)
 
 
-def _spectral_scale(spectrum, a: float = 0.0) -> float:
+def _spectral_scale(spectrum, shift: float) -> float:
+    """The largest |K| of the data, |K|^2 = |k|^2 + |shift|: a mass a is the frequency a along one more axis."""
     values, k2 = spectrum
     amp = np.abs(values)
     peak = amp.max()
-    if peak == 0.0:
-        return abs(a)
-    k_eff = float(np.sqrt(k2[amp > 1e-13 * peak].max()))
-    return k_eff + abs(a)
+    k2_eff = float(k2[amp > 1e-13 * peak].max()) if peak else 0.0
+    return math.sqrt(k2_eff + abs(shift))
 
 
-def _auto_level(spectrum, t, a=0.0) -> int:
+def _auto_level(spectrum, t, shift) -> int:
     # quadrature must integrate exp(i*c*x) with c = |t| * k_eff to roundoff
-    c = abs(t) * _spectral_scale(spectrum, a)
+    c = abs(t) * _spectral_scale(spectrum, shift)
     level = max(12, int(1.6 * c) + 12)
     if level > _LEVEL_CAP:
         warnings.warn(
@@ -104,78 +98,39 @@ def _auto_level(spectrum, t, a=0.0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the (s, rho) rule and the per-shell engine
+# the s rule and the per-shell engine
 
 
-def _shell_rule(d: int, level: int, p: float | None = None, a: float | None = None):
-    """(s, a*rho, weights) for S^(d-1) (p None) or the ball weight (1-|w|^2)^p.
+def _shell_rule(d: int, level: int, p: float | None = None):
+    """(s, weights) for S^(d-1) (p None) or the ball weight (1-|w|^2)^p in R^d.
 
-    s = w.k/|k| and rho = sqrt(1-|w|^2).  The shell sums are even in s, and
-    u = (s^2, |w|^2-s^2, 1-|w|^2) is Dirichlet(1/2, (d-1)/2, p+1), so one
-    Dirichlet probability rule, times the measure's mass, gives every
-    (s, rho) pair: the sphere has no slack term, d = 1 no middle term,
-    and without a field mass a the two merge.  rho is zero when a is None.
+    s = w.k/|k|.  The shell sums are even in s, and s^2 is
+    Beta(1/2, (d-1)/2) on the sphere, Beta(1/2, (d-1)/2 + p + 1) on the
+    ball, so one Dirichlet probability rule, times the measure's mass,
+    gives every s (S^0 has the single node s = 1).
     """
-    middle = [(d - 1) / 2.0] if d > 1 else []
-    if p is None:
-        alphas, mass = [0.5] + middle, sphere_area(d)
-    else:
-        alphas = [0.5] + ([(d - 1) / 2.0 + p + 1.0] if a is None else middle + [p + 1.0])
-        mass = ball_moment((0,) * d, boundary_exponent=p)
+    rest = (d - 1) / 2.0 + (0.0 if p is None else p + 1.0)
+    alphas = [0.5] + ([rest] if rest else [])
+    mass = sphere_area(d) if p is None else ball_moment((0,) * d, boundary_exponent=p)
     u, weights = _dirichlet_rule(alphas, level)
-    s = np.sqrt(u[:, 0])
-    rho = np.zeros_like(s) if a is None else a * np.sqrt(u[:, -1])
-    return s, rho, weights * mass
+    return np.sqrt(u[:, 0]), weights * mass
 
 
-def _bessel_jet(x, hyperbolic: bool):
-    """(K, K', K'') at x for K = J0, or I0 when hyperbolic, by the midpoint rule on the circle.
+def _shell_propagate(field, spectrum, t, rule, pref, m, kind, shift=0.0):
+    """Apply pref * sum_j a_j t^j g^(j)(t) per shell |K|^2 = |k|^2 + shift, g(tau) = sum w cos(tau |K| s).
 
-    J0(x) = <cos(x sin th)>, J1(x) = <sin(x sin th) sin th>, I0(x) = <cosh(x sin th)>
-    and I1(x) = <sinh(x sin th) sin th> over th in [0, 2 pi); the circle's
-    symmetries fold N equispaced nodes onto N/4 in [0, pi/2].  The rule's
-    error is about J_N(x), negligible from N = |x| + 12 |x|^(1/3) + 40
-    on.  J0'' = J1(x)/x - J0 and I0'' = I0 - I1(x)/x, with J1(x)/x, I1(x)/x -> 1/2.
+    a_j is _ladder_row(m, kind == "sin") (sine: times t).  With x = t|K|,
+    t^j g^(j)(t) = sum w (x s)^j cos(x s + j pi/2); x is imaginary on the
+    shells a negative shift takes below zero.
     """
-    top = float(np.abs(x).max(initial=0.0))
-    quarter = math.ceil((top + 12.0 * top ** (1.0 / 3.0) + 40.0) / 4.0)
-    sines = np.sin((np.arange(quarter) + 0.5) * (0.5 * math.pi / quarter))
-    phase = np.multiply.outer(x, sines)
-    even, odd = (np.cosh, np.sinh) if hyperbolic else (np.cos, np.sin)
-    zeroth, first = even(phase).mean(axis=-1), (odd(phase) * sines).mean(axis=-1)
-    ratio = np.divide(first, x, out=np.full_like(x, 0.5), where=x != 0.0)
-    if hyperbolic:
-        return zeroth, first, zeroth - ratio
-    return zeroth, -first, ratio - zeroth
-
-
-# the jets K(x), K'(x), K''(x) of each mass kernel; the plain wave's K = 1 has one
-_KERNELS = {
-    None: lambda x: (np.ones_like(x),),
-    "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
-    "cosh": lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
-    "j0": lambda x: _bessel_jet(x, hyperbolic=False),
-    "i0": lambda x: _bessel_jet(x, hyperbolic=True),
-}
-
-
-def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
-    """Apply pref * sum_j a_j t^j g^(j)(t) per |k|^2 shell, g(tau) = sum w K(tau rho) cos(tau |k| s).
-
-    a_j is _ladder_row(m, kind == "sin") (sine: times t).  With x = t|k|,
-    t^j g^(j)(t) = sum_l C(j,l) sum w (t rho)^l K^(l)(t rho) (x s)^(j-l) cos(x s + (j-l) pi/2).
-    """
-    s, rho, weights = rule
+    s, weights = rule
     row = _ladder_row(m, kind == "sin")
     values, k2_grid = spectrum
     k2, inverse = np.unique(k2_grid, return_inverse=True)
-    x = t * np.sqrt(k2)
-    jets = _KERNELS[kernel](t * rho)
-    # column n: w s^n sum_l a_(n+l) C(n+l, l) (t rho)^l K^(l), signed as cos(. + n pi/2)
-    cols = [(-1) ** ((n + 1) // 2) * weights * s ** n
-            * sum(row[n + l] * math.comb(n + l, l) * (t * rho) ** l * jets[l]
-                  for l in range(min(len(jets), len(row) - n)))
-            for n in range(len(row))]
+    k2 = k2 + shift
+    x = t * np.sqrt(k2 if k2[0] >= 0.0 else k2.astype(complex))
+    # column n: a_n w s^n, signed as cos(. + n pi/2)
+    cols = [(-1) ** ((n + 1) // 2) * row[n] * weights * s ** n for n in range(len(row))]
     parts = [(trig, np.stack(cols[odd::2], axis=1), np.arange(odd, len(row), 2))
              for odd, trig in enumerate((np.cos, np.sin)) if cols[odd::2]]
     multiplier = np.empty_like(x)
@@ -185,8 +140,7 @@ def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
         phase = np.outer(xb, s)
         multiplier[start : start + step] = sum(
             ((trig(phase) @ col) * xb[:, None] ** power).sum(axis=1) for trig, col, power in parts)
-    if kind == "sin":
-        multiplier *= t
+    multiplier = multiplier.real * (t if kind == "sin" else 1.0)
     out = np.fft.ifftn(values * (pref * multiplier)[inverse.reshape(field.shape)])
     # a real multiplier of |k|^2 is even in k, so real data stay real: the imaginary part is rounding
     return field.like(out if np.any(field.values.imag) else out.real)
@@ -195,48 +149,34 @@ def _shell_propagate(field, spectrum, t, rule, pref, m, kind, kernel=None):
 # ---------------------------------------------------------------------------
 # wave propagators
 
-# dimension -> (ball exponent p; mass kernel; prefactor; ladder depth m) of
-# the mass-a routes, whose kernel identities stop at three axes
-_MASS_ROUTES = {
-    1: (0.0, "j0", 0.5, 1),
-    2: (-0.5, "cos", 1.0 / (2.0 * np.pi), 1),
-    3: (0.0, "j0", 1.0 / (4.0 * np.pi), 2),
-}
-_HYPERBOLIC = {"j0": "i0", "cos": "cosh"}
 
+def _propagate(field, t, level, kind, shift=None):
+    """The ascent's route in R^D, m = D // 2: D = d, or D = d + 1 with the shells shifted by shift = +-a^2.
 
-def _propagate(field, t, level, kind, a=None, hyperbolic=False):
-    """The _MASS_ROUTES entry for a mass a, else the ascent's route in R^d, m = d // 2.
-
-    That is S^(d-1) with prefactor (2 pi)^(-m)/2 for odd d (S^0 needs no
-    level), the p = -1/2 ball with (2 pi)^(-m) for even d, and the flat
-    interval for the 1-D sine.  Every grid route enters here, so level, t
-    and the field samples are checked here, once.
+    That is S^(D-1) with prefactor (2 pi)^(-m)/2 for odd D (S^0 needs no
+    level), the p = -1/2 ball with (2 pi)^(-m) for even D, and the flat
+    interval for the massless 1-D sine.  Every grid route enters here, so
+    level, t and the field samples are checked here, once.
     """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
     if level is not None and not (isinstance(level, numbers.Integral) and level >= 0):
         raise ValueError(f"level must be None or a non-negative integer, got {level!r}")
-    d = field.dim
-    if a is not None and d not in _MASS_ROUTES:
-        raise ValueError(f"the mass routes support at most three axes, got a {d}-axis field")
     _checked_time(t)
     _finite_values(field)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     assert_no_wrap(field, t)
-    if a is not None:
-        p, kernel, pref, m = _MASS_ROUTES[d]
-    elif (d, kind) == (1, "sin"):
-        p, kernel, pref, m = 0.0, None, 0.5, 1
+    dim, shift = field.dim + (shift is not None), shift or 0.0
+    if (dim, kind) == (1, "sin"):
+        p, pref, m = 0.0, 0.5, 1
     else:
-        m = d // 2
-        p, kernel, pref = (None if d % 2 else -0.5), None, (2.0 * math.pi) ** (-m) / (1 + d % 2)
+        m = dim // 2
+        p, pref = (None if dim % 2 else -0.5), (2.0 * math.pi) ** (-m) / (1 + dim % 2)
     spectrum = _spectrum(field)
     if level is None:
-        level = _auto_level(spectrum, t, a or 0.0) if m else 0
-    return _shell_propagate(field, spectrum, t, _shell_rule(d, level, p, a), pref, m, kind,
-                            _HYPERBOLIC[kernel] if hyperbolic else kernel)
+        level = _auto_level(spectrum, t, shift) if m else 0
+    return _shell_propagate(field, spectrum, t, _shell_rule(dim, level, p), pref, m, kind, shift)
 
 
 def wave2d_poisson(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
@@ -282,8 +222,8 @@ def klein_gordon(
     level: int | None = None,
     kind: str = "cos",
 ) -> GridField:
-    """Propagator of the symbol sqrt(|k|^2 + a^2) via mass weighted averages."""
-    return _propagate(field, t, level, kind, _mass(a, damped=False))
+    """Propagator of the symbol sqrt(|k|^2 + a^2): the massless route of R^(d+1) at (k, a)."""
+    return _propagate(field, t, level, kind, _mass(a, damped=False) ** 2)
 
 
 def damped_wave(
@@ -293,8 +233,8 @@ def damped_wave(
     level: int | None = None,
     kind: str = "cos",
 ) -> GridField:
-    """Propagator of sqrt(|k|^2 - a^2): hyperbolic kernels below the cutoff."""
-    return _propagate(field, t, level, kind, _mass(a, damped=True), hyperbolic=True)
+    """Propagator of sqrt(|k|^2 - a^2): klein_gordon's route with -a^2, cosh below the cutoff."""
+    return _propagate(field, t, level, kind, -_mass(a, damped=True) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +242,12 @@ def damped_wave(
 
 
 def bessel_kernel_check(theta: float) -> dict:
-    """Level-64 interval rule against pi*J0: the kernel behind the mass-a averages.
+    """Level-64 interval rule against pi*J0: the circle's plane-wave average, read on one axis.
 
-    The rule, Gauss-Chebyshev on (1-w^2)^(-1/2), is a circle rule as
-    _bessel_jet's is, so the reference pi*J0(theta) is the power series
-    sum_k (-theta^2/4)^k / (k!)^2, summed by math.fsum; its rounding is
-    about eps e^|theta|, so it serves moderate theta.
+    The rule is Gauss-Chebyshev on (1-w^2)^(-1/2), the weight of S^1 in
+    s = w.k/|k| (see _shell_rule), and the reference pi*J0(theta) is the
+    power series sum_k (-theta^2/4)^k / (k!)^2, summed by math.fsum; its
+    rounding is about eps e^|theta|, so it serves moderate theta.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")

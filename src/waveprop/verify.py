@@ -361,12 +361,12 @@ def _check_mass_kernels(seed: int) -> dict:
         "cosh_mode_rel": cosh_residual,
     }
     tols = {
-        "kg1_reference_l2": 1e-3,
-        "a0_collapse": 1e-8,
+        "kg1_reference_l2": 1e-12,
+        "a0_collapse": 1e-12,
         "bessel_identity": 1e-8,
-        "cosh_mode_rel": 1e-6,
+        "cosh_mode_rel": 1e-12,
     }
-    return _result("mass-kernels", "interval-bessel-mass-average", gaps, tols)
+    return _result("mass-kernels", "massless-descent-ladder", gaps, tols)
 
 
 def _check_oscillator(seed: int) -> dict:
@@ -457,7 +457,7 @@ _REGISTRY = [
     ("wave-3d", "sphere average vs spectral reference", _check_wave3d),
     ("ladder-routes", "general-dimension ladder: 3-D to 2-D descent and 1-D two-point average", _check_ladder_routes),
     ("huygens", "sharp exterior support in 3-D, persistent tail in 2-D", _check_huygens),
-    ("mass-kernels", "mass kernels: Bessel identity, collapse, hyperbolic mode", _check_mass_kernels),
+    ("mass-kernels", "mass as one more axis: descent, collapse, cosh mode, Bessel identity", _check_mass_kernels),
     ("oscillator", "derivative-plus-position pair vs dense oracle", _check_oscillator),
     ("grushin", "degenerate pair: oracle gap and invariant collapse", _check_grushin),
     ("double-angle", "cos(2t) from two applications of cos(t)", _check_double_angle),

@@ -165,7 +165,7 @@ def test_kg_zero_mass_reports_wave_collapse(tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["gaps"]["wave_collapse"] <= 1e-8
-    assert report["formula"] == "interval-bessel-mass-average"
+    assert report["formula"] == "massless-descent-ladder"
 
 
 def test_damped_formula_slug(tmp_path):
@@ -173,7 +173,7 @@ def test_damped_formula_slug(tmp_path):
                             "--t", "0.4"], cwd=tmp_path)
     assert code == 0
     report = json.loads(out)
-    assert report["formula"] == "interval-bessel-mass-average-hyperbolic"
+    assert report["formula"] == "massless-descent-ladder-hyperbolic"
     assert report["passed"] is True
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import i0, i1, j0, j1
+from scipy.special import j0
 
 import waveprop as wp
 from waveprop import pde, trotter
@@ -157,11 +157,32 @@ def test_general_route_4d_tube_descends_to_3d():
         assert wp.relative_l2_gap(slab, wp.wave_general(solid, 0.4, kind=kind).values) <= 1e-12
 
 
-def test_mass_routes_refuse_more_than_three_axes():
-    f = _bump((4,) * 4, sigma=0.6)
-    for route in (wp.klein_gordon, wp.damped_wave):
-        with pytest.raises(ValueError, match="at most three axes, got a 4-axis field"):
-            route(f, 0.3, 1.0)
+_MASS_ROUTES = [(wp.klein_gordon, wp.klein_gordon_symbol, 1.0), (wp.damped_wave, wp.damped_symbol, 0.5)]
+
+
+@pytest.mark.parametrize("shape", [(128,), (48, 48), (16,) * 3, (16,) * 4, (12,) * 5],
+                         ids=["128", "48^2", "16^3", "16^4", "12^5"])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+@pytest.mark.parametrize("route, symbol, a", _MASS_ROUTES, ids=["klein_gordon", "damped"])
+def test_mass_routes_in_any_number_of_axes_match_spectral_multipliers(route, symbol, a, shape, kind):
+    # the massless route of R^(d+1): no axis count is refused
+    f = _bump(shape, sigma=0.6)
+    got = route(f, 0.4, a, kind=kind)
+    want = (spectral_wave_reference(f, 0.4, symbol(f, a)) if kind == "cos"
+            else _sine_reference(f, 0.4, symbol(f, a)))
+    assert wp.relative_l2_gap(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 16), (8, 8, 8)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_klein_gordon_is_the_wave_slab_of_one_more_axis(shape, kind):
+    # Hadamard's descent: for integer a, f(x) cos(a y) is a frequency-a mode along
+    # y, and its massless wave on R^(d+1) at y = 0 is the mass-a wave of f
+    f, a = _bump(shape, sigma=0.6), 2
+    y = np.arange(8) * (TWO_PI / 8)
+    lifted = wp.GridField(np.multiply.outer(f.values, np.cos(a * y)), (TWO_PI,) * (len(shape) + 1))
+    slab = wp.wave_general(lifted, 0.4, kind=kind).values[..., 0]
+    assert wp.relative_l2_gap(wp.klein_gordon(f, 0.4, a, kind=kind).values, slab) <= 1e-13
 
 
 @pytest.mark.parametrize("shape", [(32,), (16, 16)])
@@ -265,43 +286,35 @@ def test_default_cli_grid_inputs_do_not_warn(tmp_path):
         warnings.simplefilter("error")
         for name in ("wave2d", "wave3d", "kg", "damped"):
             assert cli.main([name, "--out", str(tmp_path / f"{name}.json")]) == 0
-        for dim in ("2", "3"):
-            assert cli.main(["kg", "--dim", dim, "--out", str(tmp_path / f"kg{dim}.json")]) == 0
+        for name in ("kg", "damped"):
+            for dim in ("2", "3", "4", "5"):
+                assert cli.main([name, "--dim", dim, "--out", str(tmp_path / f"{name}{dim}.json")]) == 0
 
 
 # ---------------------------------------------------------------------------
-# the (s, rho) shell rule read off one Dirichlet rule
+# the s shell rule read off one Dirichlet rule
 
 
-@pytest.mark.parametrize("d, p", [(2, -0.5), (3, 0.0)])
-@pytest.mark.parametrize("level", [40, 120])
-def test_shell_mass_rule_has_one_node_per_distinct_pair(d, p, level):
-    s, rho, weights = pde._shell_rule(d, level, p, a=1.0)
-    k = level // 2 + 1
-    assert len(s) == len(rho) == len(weights) == k * k
-    assert len(np.unique(np.stack([s, rho], axis=1), axis=0)) == k * k
-    assert np.all(weights > 0.0)
+# the ids keep the (d, p, mass) form the rows had when the rule also carried a mass
+_SHELL_RULES = [(2, -0.5), (1, 0.0), (2, None), (3, None)]
 
 
-@pytest.mark.parametrize("d, p, a", [(1, 0.0, 1.0), (2, -0.5, 1.0), (3, 0.0, 1.0),
-                                     (2, -0.5, None), (1, 0.0, None),
-                                     (2, None, None), (3, None, None)])
-def test_shell_rule_moments_match_dirichlet_closed_form(d, p, a):
-    s, rho, weights = pde._shell_rule(d, 8, p, a)
+@pytest.mark.parametrize("d, p", _SHELL_RULES, ids=[f"{d}-{p}-None" for d, p in _SHELL_RULES])
+def test_shell_rule_moments_match_dirichlet_closed_form(d, p):
+    s, weights = pde._shell_rule(d, 8, p)
     for i in range(5):
-        for j in range(5 - i if a is not None else 1):
-            got = float(np.sum(weights * s ** (2 * i) * rho ** (2 * j)))
-            if p is None:  # sphere: twice Dirichlet(1/2, ..., 1/2) in w^2
-                exact = 2.0 * math.pi ** ((d - 1) / 2.0) * math.exp(
-                    math.lgamma(i + 0.5) - math.lgamma(i + d / 2.0))
-            else:  # (1-|w|^2)^j folds into the ball weight
-                exact = wp.ball_moment((i,) + (0,) * (d - 1), boundary_exponent=p + j)
-            assert got == pytest.approx(exact, rel=1e-13)
+        got = float(np.sum(weights * s ** (2 * i)))
+        if p is None:  # sphere: twice Dirichlet(1/2, ..., 1/2) in w^2
+            exact = 2.0 * math.pi ** ((d - 1) / 2.0) * math.exp(
+                math.lgamma(i + 0.5) - math.lgamma(i + d / 2.0))
+        else:
+            exact = wp.ball_moment((i,) + (0,) * (d - 1), boundary_exponent=p)
+        assert got == pytest.approx(exact, rel=1e-13)
 
 
 def test_shell_rule_on_s0_is_the_single_node_one():
-    s, rho, weights = pde._shell_rule(1, 12)
-    assert s.tolist() == [1.0] and rho.tolist() == [0.0] and weights.tolist() == [2.0]
+    s, weights = pde._shell_rule(1, 12)
+    assert s.tolist() == [1.0] and weights.tolist() == [2.0]
 
 
 def test_klein_gordon_1d_matches_reference():
@@ -347,7 +360,7 @@ def test_klein_gordon_zero_mass_collapses_to_wave():
 @pytest.mark.parametrize("shape,sigma", [((48, 48), 0.3), ((16, 16, 16), 0.5)])
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 def test_zero_mass_collapses_to_wave_in_2d_and_3d(shape, sigma, kind):
-    # pins the x -> 0 limits of the kernel derivatives (J1(x)/x -> 1/2)
+    # a = 0 runs the route of R^(d+1) on data constant along the extra axis
     f = _bump(shape, sigma=sigma)
     t = 0.4
     wave = wp.wave_general(f, t, kind=kind)
@@ -415,16 +428,6 @@ def test_bessel_kernel_identity():
     for theta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="theta must be finite"):
             wp.bessel_kernel_check(theta)
-
-
-def test_circle_rule_bessel_jets_match_scipy():
-    x = np.concatenate([np.linspace(-60.0, 60.0, 241), [0.0, 1e-8]])
-    ratio_j = np.divide(j1(x), x, out=np.full_like(x, 0.5), where=x != 0.0)
-    ratio_i = np.divide(i1(x), x, out=np.full_like(x, 0.5), where=x != 0.0)
-    wants = [(j0(x), -j1(x), ratio_j - j0(x)), (i0(x), i1(x), i0(x) - ratio_i)]
-    for hyperbolic, want in zip((False, True), wants):
-        for got, ref in zip(pde._bessel_jet(x, hyperbolic), want):
-            assert np.all(np.abs(got - ref) <= 5e-15 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_cos_to_exp_rewrite_identity_for_symmetric_rule():
