@@ -94,58 +94,37 @@ def stable_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def _prefix_rows(exponents: np.ndarray):
-    """The probe rows and their prefix chains, ordered by the count of nonzero exponents.
-
-    A row's prefix is the row with its last nonzero exponent set to 0; a
-    prefix missing from the probes is added as a helper row.  Returns
-    (where, prefix, power, axis, bounds): where[p] is probe p's row,
-    row i >= 1 is row prefix[i] times x_axis[i]^power[i], row 0 is the
-    zero row, and rows bounds[l] .. bounds[l+1] have l+1 nonzero exponents.
-    """
-    links = {(0,) * exponents.shape[1]: None}  # row -> (prefix, axis of its last nonzero exponent)
-    for e in map(tuple, exponents.tolist()):
-        while e not in links:
-            j = max(j for j, c in enumerate(e) if c)
-            links[e] = (e[:j] + (0,) + e[j + 1 :], j)
-            e = links[e][0]
-    order = sorted(links, key=lambda e: (sum(map(bool, e)), e))
-    index = {e: i for i, e in enumerate(order)}
-    prefix, power, axis = np.zeros((3, len(order)), dtype=int)
-    for i, e in enumerate(order[1:], start=1):
-        pre, j = links[e]
-        prefix[i], power[i], axis[i] = index[pre], e[j], j
-    levels = [sum(map(bool, e)) for e in order]
-    bounds = np.searchsorted(levels, np.arange(1, levels[-1] + 2))
-    where = np.array([index[e] for e in map(tuple, exponents.tolist())], dtype=int)
-    return where, prefix, power, axis, bounds
-
-
 def _monomial_moments(nodes: np.ndarray, weights: np.ndarray, exponents) -> np.ndarray:
     """sum_i w_i prod_j x_ij^e_pj for every exponent row e_p, shape (P,).
 
-    Powers come from a per-coordinate table built by repeated
-    multiplication, and each row is its prefix row times one entry of the
-    table (_prefix_rows), from w_i at the zero row: one product per row
-    and node.  Nodes are walked in chunks of at most _MOMENT_CHUNK; each
-    chunk and then the row of its partials are summed pairwise, numpy's
-    order along a contiguous axis.
+    The coordinates split at h = ceil(d/2), so probe p's moment is
+    sum_i w_i A_i B_i, with A the monomial of its first-half exponents and
+    B that of its second half.  Each distinct half row is formed once per
+    node from a per-coordinate power table x^0 .. x^top, and one GEMM,
+    (w A) B^T, gives every pair of half rows at once.  Nodes are walked in
+    chunks of at most _MOMENT_CHUNK, and the row of chunk partials of each
+    pair is summed pairwise, numpy's order along a contiguous axis.
     """
     exponents = np.asarray(exponents, dtype=int)
-    where, prefix, power, axis, bounds = _prefix_rows(exponents)
+    h = -(-exponents.shape[1] // 2)
+    first, i1 = np.unique(exponents[:, :h], axis=0, return_inverse=True)
+    second, i2 = np.unique(exponents[:, h:], axis=0, return_inverse=True)  # one empty row at d = 1
     top = exponents.max(initial=0)
     partials = []
     for start in range(0, len(weights), _MOMENT_CHUNK):
         x = nodes[start : start + _MOMENT_CHUNK].T
-        # x^1 .. x^top as running products, shape (power, d, chunk)
-        table = np.cumprod(np.broadcast_to(x, (top,) + x.shape), axis=0)
-        values = np.empty((len(prefix), x.shape[1]))
-        values[0] = weights[start : start + _MOMENT_CHUNK]
-        for lo, hi in zip(bounds, bounds[1:]):
-            np.multiply(values[prefix[lo:hi]], table[power[lo:hi] - 1, axis[lo:hi]], out=values[lo:hi])
-        partials.append(values.sum(axis=1))
+        # x^0 .. x^top as running products, shape (power, d, chunk)
+        table = np.cumprod(np.concatenate([np.ones((1,) + x.shape), np.broadcast_to(x, (top,) + x.shape)]), axis=0)
+        a = np.repeat(weights[None, start : start + _MOMENT_CHUNK], len(first), axis=0)
+        for j, e in enumerate(first.T):
+            a *= table[e, j]
+        b = np.ones((len(second), x.shape[1]))
+        for j, e in enumerate(second.T, start=h):
+            b *= table[e, j]
+        partials.append((a @ b.T).reshape(-1))
     # partials as contiguous rows: a sum down axis 0 would add the chunks one at a time
-    return np.ascontiguousarray(np.transpose(partials)).sum(axis=1)[where]
+    moments = np.ascontiguousarray(np.transpose(partials)).sum(axis=1).reshape(len(first), len(second))
+    return moments[i1.reshape(-1), i2.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------

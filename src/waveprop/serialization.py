@@ -8,17 +8,16 @@ Every CSV goes through one table writer, which joins `_CSV_BLOCK` rows of
 cells per write, so the text never exists whole and no Python loop runs per
 row.  A float column that repeats its values (grid coordinates, rule nodes
 and weights) has each distinct bit pattern formatted once and mapped back by
-index; a mostly distinct one is formatted value by value.  JSON text is
-`json.dumps(obj, sort_keys=True, indent=2)` byte for byte, but each list of
-numbers, and each list of equal-depth number lists, is encoded by the C
-encoder, `_JSON_BLOCK` items per call, and then re-indented, instead of
-one step of the pure-Python indent encoder per number; the pieces are
-joined once.
+index; a mostly distinct one is formatted value by value.  JSON goes
+through the standard library's C encoder: a printed report is
+`json.dumps(obj, sort_keys=True, indent=2)`, and an artifact written to a
+file is the compact one-line text, encoded in one call.  A grid field whose
+samples are all real writes them as one flat list of floats, and any other
+field, matrix or vector writes [re, im] pairs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from typing import Any
@@ -103,12 +102,15 @@ def vector_from_json(obj, where: str = "vector") -> np.ndarray:
 
 
 def field_to_json(field: GridField, t: float | None = None) -> dict:
+    """The grid layout and the samples: a flat list of floats when no
+    sample has a nonzero imaginary part, else [re, im] pairs."""
+    flat = field.values.reshape(-1)
     header = {
         "dims": list(field.shape),
         "lengths": list(field.lengths),
         "origins": list(field.origins),
         "spacing": [field.spacing(axis) for axis in range(field.dim)],
-        "values": _pairs(field.values.reshape(-1)),
+        "values": flat.real.tolist() if not flat.imag.any() else _pairs(flat),
     }
     if t is not None:
         header["t"] = float(t)
@@ -178,89 +180,16 @@ def rule_to_csv(rule, stream) -> None:
     _write_table(stream, header, columns, len(rule.weights))
 
 
-_NUMBER_TYPES = {int, float, bool, type(None)}
-_JSON_BLOCK = 1024  # items of a number list per C encoder call, so no text of it is large
-_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
-
-
-def _number_depth(items) -> int:
-    """Depth of a nonempty list of numbers or of equal-depth number lists, else 0."""
-    types = set(map(type, items))
-    if types <= _NUMBER_TYPES:
-        return 1
-    if types <= {list, tuple} and all(items):
-        depth = _number_depth(list(itertools.chain.from_iterable(items)))
-        return depth + 1 if depth else 0
-    return 0
-
-
-def _number_items(text: str, depth: int, indent: str) -> str:
-    """The items of a number list's compact encoding in the `indent=2` layout.
-
-    The list opens at `indent`; its own brackets are left out.  Number text
-    never holds `[`, `]` or `", "`, so the separators between items of the
-    list at level j are exactly `"]" * k + ", " + "[" * k` with k = depth - j;
-    the longest are rewritten first.
-    """
-    pad = [indent + "  " * level for level in range(depth + 1)]
-
-    def opens(lo):  # the lists at levels lo..depth
-        return "".join("[\n" + pad[level] for level in range(lo, depth + 1))
-
-    def closes(lo):  # the lists at levels depth..lo
-        return "".join("\n" + pad[level - 1] + "]" for level in range(depth, lo - 1, -1))
-
-    body = text[depth:-depth]
-    for level in range(1, depth + 1):
-        k = depth - level
-        body = body.replace("]" * k + ", " + "[" * k, closes(level + 1) + ",\n" + pad[level] + opens(level + 1))
-    return opens(2) + body + closes(2)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _encode(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _encode(_encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _json_pieces(obj, indent: str, out: list) -> None:
-    """Append the text of `json.dumps(obj, sort_keys=True, indent=2)` for a value opened at `indent`.
-
-    The pieces are joined once; a number list is encoded `_JSON_BLOCK`
-    items at a time, so neither it nor its container is copied whole.
-    """
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        separator = "{\n"
-        for key, value in sorted(obj.items()):
-            out.append(separator + inner + _json_key(key) + ": ")
-            _json_pieces(value, inner, out)
-            separator = ",\n"
-        out.append("\n" + indent + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        depth = _number_depth(obj)
-        separator = "[\n"
-        for lo in range(0, len(obj), _JSON_BLOCK if depth else 1):
-            out.append(separator + inner)
-            if depth:
-                out.append(_number_items(_encode(obj[lo:lo + _JSON_BLOCK]), depth, indent))
-            else:
-                _json_pieces(obj[lo], inner, out)
-            separator = ",\n"
-        out.append("\n" + indent + "]")
-    else:
-        out.append(_encode(obj))
-
-
 def dump_json(obj: Any, target=None) -> str:
-    """Serialize with sorted keys; write to a path or stream when given."""
-    pieces = []
-    _json_pieces(obj, "", pieces)
-    text = "".join(pieces + ["\n"])
+    """Serialize with sorted keys.
+
+    With no target, return the `indent=2` text of a report.  Given a path
+    or stream, write the compact one-line artifact text there instead, and
+    return it.
+    """
     if target is None:
-        return text
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from waveprop import cli
@@ -325,6 +326,52 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "scalar-ascent" in proc.stdout
+
+
+# every JSON artifact of a default run, by its argv without --out
+_JSON_ARTIFACT_ARGV = {
+    "verify": ["verify", "--check", "moments", "--check", "wave-2d"],
+    "ascent": ["ascent"],
+    "wave2d": ["wave2d"],
+    "kg": ["kg"],
+    "damped": ["damped"],
+    "grushin": ["grushin"],
+    "fixture-pair": ["fixture"],
+    "fixture-family": ["fixture", "--kind", "commuting-family"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_ARTIFACT_ARGV))
+def test_json_artifact_is_one_line_and_reads_back_exactly(name, tmp_path, monkeypatch):
+    fields = []  # the route's output, as handed to the writer
+    to_json = ser.field_to_json
+    monkeypatch.setattr(ser, "field_to_json", lambda field, t=None: fields.append(field) or to_json(field, t))
+    artifact = tmp_path / f"{name}.json"
+    argv = _JSON_ARTIFACT_ARGV[name] + ["--out", str(artifact)]
+    (code, out, _), (_, again, _) = run_cli(argv), run_cli(argv)
+    assert code == 0 and out == again
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = artifact.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    obj = ser.load_json_file(artifact)
+    assert report.pop("artifact") == str(artifact)
+    if fields:
+        field = fields[-1]
+        values = np.array(obj["field"].pop("values"))
+        # one flat list unless a sample has a nonzero imaginary part (grushin's rounding)
+        pairs = bool(field.values.imag.any())
+        assert values.ndim == 1 + pairs and values.dtype == float
+        got, want = (values.view(complex), field.values) if pairs else (values, field.values.real)
+        assert np.array_equal(got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
+        header = to_json(field, t=report["inputs"]["t"])
+        del header["values"]
+        assert obj == {"field": header, "seed": report["inputs"]["seed"], "inputs": report["inputs"]}
+    else:
+        assert obj == report
+    if name.startswith("fixture"):  # the compact and the indented text decode to the same arrays
+        decoded, printed = ser.fixture_from_json(obj), ser.fixture_from_json(report)
+        assert all(np.array_equal(decoded[key], printed[key]) for key in printed if key != "kind")
 
 
 # a quick passing invocation of every subcommand

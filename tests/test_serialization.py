@@ -80,17 +80,45 @@ def test_field_csv_matches_rowwise_writer(t):
         assert "-0.0" in got.getvalue() and "5e-324" in got.getvalue()
 
 
+def _decoded_values(obj):
+    """The samples of a field's JSON: a flat list of reals, or [re, im] pairs."""
+    values = np.array(obj["values"], dtype=float)
+    if values.ndim == 2:
+        values = values.view(complex)  # a pair is the two doubles of a complex, signs kept
+    return values.reshape(obj["dims"])
+
+
 def test_field_json_roundtrip():
-    # the JSON text keeps the layout and every sample exactly
+    # the JSON text keeps the layout and every sample exactly; real samples
+    # are one flat list, complex ones [re, im] pairs
     bump = wp.gaussian_bump((8, 4), (2 * math.pi, 4 * math.pi), (1.0, 2.0), 0.5)
-    f = wp.GridField(bump.values, bump.lengths, origins=(-1.5, 0.25))
-    obj = json.loads(json.dumps(ser.field_to_json(f, t=0.25)))
-    assert obj["dims"] == [8, 4]
-    assert obj["lengths"] == [2 * math.pi, 4 * math.pi]
-    assert obj["origins"] == [-1.5, 0.25]
-    assert obj["t"] == 0.25
-    values = np.array([complex(re, im) for re, im in obj["values"]]).reshape(obj["dims"])
-    assert np.array_equal(values, f.values)
+    for scale, pairs in [(1.0, False), (1.0 - 0.5j, True)]:
+        f = wp.GridField(bump.values * scale, bump.lengths, origins=(-1.5, 0.25))
+        obj = json.loads(json.dumps(ser.field_to_json(f, t=0.25)))
+        assert obj["dims"] == [8, 4]
+        assert obj["lengths"] == [2 * math.pi, 4 * math.pi]
+        assert obj["origins"] == [-1.5, 0.25]
+        assert obj["t"] == 0.25
+        assert all(isinstance(v, list) == pairs for v in obj["values"])
+        assert np.array_equal(_decoded_values(obj), f.values)
+
+
+@pytest.mark.parametrize("imag", [0.0, -0.0, 1e-310])
+def test_field_json_artifact_keeps_signed_zeros_and_subnormals(imag):
+    # a field is flat only when no imaginary part is nonzero: -0.0 parts drop, 1e-310 keeps pairs
+    special = np.array([-0.0, 5e-324, 1e-310, -2.5e-320, 0.0, 1.5])
+    values = np.empty(special.size, dtype=complex)
+    values.real, values.imag = special, imag
+    f = wp.GridField(values, (1.0,))
+    stream = io.StringIO()
+    text = ser.dump_json(ser.field_to_json(f), stream)
+    assert stream.getvalue() == text and text.count("\n") == 1
+    obj = json.loads(text)
+    got = _decoded_values(obj)
+    assert isinstance(obj["values"][0], list) == (imag != 0.0)
+    assert np.array_equal(got.real.view(np.int64), special.view(np.int64))
+    if imag != 0.0:
+        assert np.array_equal(got.view(np.int64), f.values.view(np.int64))
 
 
 def test_field_csv_layout():
@@ -180,10 +208,9 @@ _JSON_PAYLOADS = {
     "mixed": [True, 1.0],
     "list-of-dicts": [{"b": [1.0, 2.0], "a": {"z": [], "y": [[1, 2]]}}, {"c": "x"}],
     "field": {"values": np.stack([np.linspace(-1, 1, 7), np.zeros(7)], -1).tolist(), "dims": [7]},
-    # longer than one encoder block and not a multiple of it
-    "long-pairs": np.stack([np.linspace(-1, 1, 2 * ser._JSON_BLOCK + 3), np.full(2 * ser._JSON_BLOCK + 3, -0.0)],
-                           -1).tolist(),
-    "long-flat": {"x": list(range(ser._JSON_BLOCK + 1)), "y": [[[0.5]] * 3] * (ser._JSON_BLOCK + 2)},
+    # long number lists, flat and nested
+    "long-pairs": np.stack([np.linspace(-1, 1, 2051), np.full(2051, -0.0)], -1).tolist(),
+    "long-flat": {"x": list(range(1025)), "y": [[[0.5]] * 3] * 1026},
 }
 
 
@@ -223,9 +250,13 @@ def test_json_writers_keep_every_sample_exactly():
 
 
 def test_dump_json_writes_to_path(tmp_path):
+    # an artifact is the compact one-line text
     path = tmp_path / "out.json"
-    ser.dump_json({"x": 1}, path)
-    assert json.loads(path.read_text()) == {"x": 1}
+    obj = {"x": 1, "a": [[1.5, -0.0], [5e-324, 1e-310]], "b": {"z": None}}
+    text = ser.dump_json(obj, path)
+    assert path.read_text() == text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1 and " " not in text
+    assert ser.load_json_file(path) == obj
 
 
 def test_load_json_file_reports_line_and_column(tmp_path):
