@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("--grid", type=_positive_int, default=None)
         p.add_argument("--t", type=float, default=0.4 if name == "wave3d" else 0.5)
-        p.add_argument("--level", type=_positive_int, default=None)
         p.add_argument("--sigma", type=_positive_float, default=None, help="bump width")
         p.add_argument("--tol", type=_positive_float, default=1e-3)
         if name in ("kg", "damped"):
@@ -353,20 +352,19 @@ def _cmd_grid(args) -> int:
     name = args.subcommand
     dim, formula = _GRID_ROUTES[name]
     field, n, sigma = _box_fixture(args, dim or args.dim)
-    inputs = {"grid": n, "t": args.t, "sigma": sigma, "level": args.level,
-              "tol": args.tol, "seed": args.seed}
+    inputs = {"grid": n, "t": args.t, "sigma": sigma, "tol": args.tol, "seed": args.seed}
     checks, symbol = {}, None
     if dim is None:  # mass routes: --dim picks the axes, --a the mass
         route, make_symbol = ((klein_gordon, klein_gordon_symbol) if name == "kg"
                               else (damped_wave, damped_symbol))
         inputs["a"] = args.a
         symbol = make_symbol(field, args.a)
-        propagated = route(field, args.t, args.a, level=args.level)
+        propagated = route(field, args.t, args.a)
         if args.a == 0.0:
-            collapse = wave_general(field, args.t, level=args.level)
+            collapse = wave_general(field, args.t)
             checks["wave_collapse"] = (relative_l2_gap(propagated, collapse), 1e-8)
     else:
-        propagated = wave_general(field, args.t, level=args.level)
+        propagated = wave_general(field, args.t)
     reference = spectral_wave_reference(field, args.t, symbol)
     checks["reference_l2"] = (relative_l2_gap(propagated, reference), args.tol)
     report = {"subcommand": name, "formula": formula, "inputs": inputs, **_gated(checks)}

@@ -30,13 +30,19 @@ x = t sqrt(|k|^2 - a^2) is imaginary, and the ladder, even in x,
 continues to cosh (sinh(y)/y for the sine), of which the real part is kept.
 Every grid route, massless or not, in any number of axes, is the ascent's
 (see _propagate).
+
+Long times are halved, as the ascent halves them.  The level grows like
+1.6 t|K| for the data's largest frequency |K|; past _LEVEL_CAP the shell
+multipliers are taken at tau = t/2^k, the fewest halvings that fit, and
+doubled back k times per shell by C(2 tau) = 2 C^2 - 1, S(2 tau) = 2 S C
+(Serbin & Blalock, SIAM J. Sci. Stat. Comput. 1, 1980), which hold for
+the imaginary x of the damped shells too.  The field then takes one
+inverse FFT.  Data whose level fits the cap take no halving.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import warnings
 
 import numpy as np
 
@@ -83,18 +89,16 @@ def _spectral_scale(spectrum, shift: float) -> float:
     return math.sqrt(k2_eff + abs(shift))
 
 
-def _auto_level(spectrum, t, shift) -> int:
-    # quadrature must integrate exp(i*c*x) with c = |t| * k_eff to roundoff
+def _halvings(spectrum, t, shift) -> tuple[int, int]:
+    """(k, level): the fewest halvings k >= 0 of t whose quadrature level fits _LEVEL_CAP, and that level.
+
+    The level integrates exp(i*c*x), c = |t| |K| / 2^k, to roundoff.
+    """
     c = abs(t) * _spectral_scale(spectrum, shift)
-    level = max(12, int(1.6 * c) + 12)
-    if level > _LEVEL_CAP:
-        warnings.warn(
-            f"the data ask for quadrature level {level}, above the cap of {_LEVEL_CAP}; "
-            "the result may lose accuracy (pass level= explicitly to go past the cap)",
-            stacklevel=4,
-        )
-        return _LEVEL_CAP
-    return level
+    k = 0
+    while (level := int(1.6 * c / 2 ** k) + 12) > _LEVEL_CAP:
+        k += 1
+    return k, level
 
 
 # ---------------------------------------------------------------------------
@@ -116,94 +120,109 @@ def _shell_rule(d: int, level: int, p: float | None = None):
     return np.sqrt(u[:, 0]), weights * mass
 
 
-def _shell_propagate(field, spectrum, t, rule, pref, m, kind, shift=0.0):
-    """Apply pref * sum_j a_j t^j g^(j)(t) per shell |K|^2 = |k|^2 + shift, g(tau) = sum w cos(tau |K| s).
+def _shell_multiplier(k2, tau, rule, pref, m, kind):
+    """pref * sum_j a_j tau^j g^(j)(tau) per sorted shell |K|^2 = k2, g(tau) = sum w cos(tau |K| s).
 
-    a_j is _ladder_row(m, kind == "sin") (sine: times t).  With x = t|K|,
-    t^j g^(j)(t) = sum w (x s)^j cos(x s + j pi/2); x is imaginary on the
-    shells a negative shift takes below zero.
+    a_j is _ladder_row(m, kind == "sin") (sine: times tau).  With x = tau|K|,
+    tau^j g^(j)(tau) = sum w (x s)^j cos(x s + j pi/2).  Shells a negative
+    shift takes below zero lead k2: only there is x imaginary and the
+    arithmetic complex, continued to cosh (sinh(y)/y), of which the real
+    part is kept.
     """
     s, weights = rule
     row = _ladder_row(m, kind == "sin")
-    values, k2_grid = spectrum
-    k2, inverse = np.unique(k2_grid, return_inverse=True)
-    k2 = k2 + shift
-    x = t * np.sqrt(k2 if k2[0] >= 0.0 else k2.astype(complex))
     # column n: a_n w s^n, signed as cos(. + n pi/2)
     cols = [(-1) ** ((n + 1) // 2) * row[n] * weights * s ** n for n in range(len(row))]
     parts = [(trig, np.stack(cols[odd::2], axis=1), np.arange(odd, len(row), 2))
              for odd, trig in enumerate((np.cos, np.sin)) if cols[odd::2]]
-    multiplier = np.empty_like(x)
+    below = int(np.searchsorted(k2, 0.0))
+    multiplier = np.empty(len(k2))
     step = max(1, _SHELL_BLOCK // len(s))
-    for start in range(0, len(x), step):
-        xb = x[start : start + step]
-        phase = np.outer(xb, s)
-        multiplier[start : start + step] = sum(
-            ((trig(phase) @ col) * xb[:, None] ** power).sum(axis=1) for trig, col, power in parts)
-    multiplier = multiplier.real * (t if kind == "sin" else 1.0)
-    out = np.fft.ifftn(values * (pref * multiplier)[inverse.reshape(field.shape)])
-    # a real multiplier of |k|^2 is even in k, so real data stay real: the imaginary part is rounding
-    return field.like(out if np.any(field.values.imag) else out.real)
+    for lo, hi in ((0, below), (below, len(k2))):
+        for start in range(lo, hi, step):
+            k2b = k2[start : min(start + step, hi)]
+            xb = tau * np.sqrt(k2b if k2b[0] >= 0.0 else k2b.astype(complex))
+            phase = np.outer(xb, s)
+            multiplier[start : start + len(xb)] = sum(
+                ((trig(phase) @ col) * xb[:, None] ** power).sum(axis=1) for trig, col, power in parts).real
+    return pref * (multiplier * (tau if kind == "sin" else 1.0))
 
 
 # ---------------------------------------------------------------------------
 # wave propagators
 
 
-def _propagate(field, t, level, kind, shift=None):
+def _route(dim: int, kind: str):
+    """(p, pref, m) of the ascent's route in R^dim: the rule's ball exponent (None: sphere), prefactor, ladder depth."""
+    if (dim, kind) == (1, "sin"):
+        return 0.0, 0.5, 1
+    m = dim // 2
+    return (None if dim % 2 else -0.5), (2.0 * math.pi) ** (-m) / (1 + dim % 2), m
+
+
+def _propagate(field, t, kind, shift=None):
     """The ascent's route in R^D, m = D // 2: D = d, or D = d + 1 with the shells shifted by shift = +-a^2.
 
     That is S^(D-1) with prefactor (2 pi)^(-m)/2 for odd D (S^0 needs no
     level), the p = -1/2 ball with (2 pi)^(-m) for even D, and the flat
-    interval for the massless 1-D sine.  Every grid route enters here, so
-    level, t and the field samples are checked here, once.
+    interval for the massless 1-D sine.  Past _LEVEL_CAP the multipliers
+    are taken at t/2^k and doubled back per shell.  Every grid route enters
+    here, so t and the field samples are checked here, once.
     """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    if level is not None and not (isinstance(level, numbers.Integral) and level >= 0):
-        raise ValueError(f"level must be None or a non-negative integer, got {level!r}")
     _checked_time(t)
     _finite_values(field)
     if t == 0.0:
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     assert_no_wrap(field, t)
     dim, shift = field.dim + (shift is not None), shift or 0.0
-    if (dim, kind) == (1, "sin"):
-        p, pref, m = 0.0, 0.5, 1
-    else:
-        m = dim // 2
-        p, pref = (None if dim % 2 else -0.5), (2.0 * math.pi) ** (-m) / (1 + dim % 2)
+    p, pref, m = _route(dim, kind)
     spectrum = _spectrum(field)
-    if level is None:
-        level = _auto_level(spectrum, t, shift) if m else 0
-    return _shell_propagate(field, spectrum, t, _shell_rule(dim, level, p), pref, m, kind, shift)
+    values, k2_grid = spectrum
+    k2, inverse = np.unique(k2_grid, return_inverse=True)
+    k2 = k2 + shift
+    halvings, level = _halvings(spectrum, t, shift) if m else (0, 0)
+    tau = t / 2 ** halvings
+    multiplier = _shell_multiplier(k2, tau, _shell_rule(dim, level, p), pref, m, kind)
+    if halvings:
+        # C(2 tau) = 2 C^2 - 1 and S(2 tau) = 2 S C, shell by shell (the cosine in its own route: S^0 in 1-D)
+        p, pref, m = _route(dim, "cos")
+        sin = multiplier
+        cos = multiplier if kind == "cos" else _shell_multiplier(k2, tau, _shell_rule(dim, level, p), pref, m, "cos")
+        for _ in range(halvings):
+            sin, cos = 2.0 * sin * cos, 2.0 * cos * cos - 1.0
+        multiplier = cos if kind == "cos" else sin
+    out = np.fft.ifftn(values * multiplier[inverse.reshape(field.shape)])
+    # a real multiplier of |k|^2 is even in k, so real data stay real: the imaginary part is rounding
+    return field.like(out if np.any(field.values.imag) else out.real)
 
 
-def wave2d_poisson(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
+def wave2d_poisson(field: GridField, t: float, kind: str = "cos") -> GridField:
     """Disk average with the inverse square root rim weight, then d/dt.
 
     u = (1/2pi) d/dt [ t * avg_{|w|<1} f(x + t w) / sqrt(1-|w|^2) ].
     """
     if field.dim != 2:
         raise ValueError("wave2d_poisson expects a two dimensional field")
-    return _propagate(field, t, level, kind)
+    return _propagate(field, t, kind)
 
 
-def wave3d_kirchhoff(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
+def wave3d_kirchhoff(field: GridField, t: float, kind: str = "cos") -> GridField:
     """Sphere average route: u = (1/4pi) d/dt [ t * avg_{|w|=1} f(x + t w) ]."""
     if field.dim != 3:
         raise ValueError("wave3d_kirchhoff expects a three dimensional field")
-    return _propagate(field, t, level, kind)
+    return _propagate(field, t, kind)
 
 
-def wave_general(field: GridField, t: float, level: int | None = None, kind: str = "cos") -> GridField:
+def wave_general(field: GridField, t: float, kind: str = "cos") -> GridField:
     """Wave propagator in any number of dimensions through the derivative ladder.
 
     One dimension degenerates to the two point average (cosine) or the
     flat interval average (sine); R^d averages over S^(d-1) for odd d and
     the (1-|w|^2)^(-1/2) ball for even d, with the ladder of depth d // 2.
     """
-    return _propagate(field, t, level, kind)
+    return _propagate(field, t, kind)
 
 
 def _mass(a: float, damped: bool) -> float:
@@ -215,26 +234,14 @@ def _mass(a: float, damped: bool) -> float:
     return a
 
 
-def klein_gordon(
-    field: GridField,
-    t: float,
-    a: float,
-    level: int | None = None,
-    kind: str = "cos",
-) -> GridField:
+def klein_gordon(field: GridField, t: float, a: float, kind: str = "cos") -> GridField:
     """Propagator of the symbol sqrt(|k|^2 + a^2): the massless route of R^(d+1) at (k, a)."""
-    return _propagate(field, t, level, kind, _mass(a, damped=False) ** 2)
+    return _propagate(field, t, kind, _mass(a, damped=False) ** 2)
 
 
-def damped_wave(
-    field: GridField,
-    t: float,
-    a: float,
-    level: int | None = None,
-    kind: str = "cos",
-) -> GridField:
+def damped_wave(field: GridField, t: float, a: float, kind: str = "cos") -> GridField:
     """Propagator of sqrt(|k|^2 - a^2): klein_gordon's route with -a^2, cosh below the cutoff."""
-    return _propagate(field, t, level, kind, -_mass(a, damped=True) ** 2)
+    return _propagate(field, t, kind, -_mass(a, damped=True) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +334,6 @@ def _grushin_field(n: int) -> GridField:
     return box.like(np.repeat(np.exp(np.cos(x1))[:, None], n, axis=1).astype(complex))
 
 
-def _oracle_drive(factors, vec, t: float, reference, tol: float, m0: int, m_cap: int):
-    """The splitting walk on factors of known bases held against an oracle, and the relative gap to it.
-
-    factors are as trotter._cos_known_bases takes them; tol and the depth
-    bounds m0, m_cap are cos_noncomm's.  The report's errors are the gaps
-    of the walk's diagonal entries to the reference, and its column is the
-    Romberg column returned.  Returns (u, report, gap).
-    """
-    u, report = _cos_known_bases(factors, vec, t, tol, m0, m_cap, reference=reference)
-    return u, report, relative_l2_gap(u, reference)
-
-
 def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int = 1, m_cap: int = 512):
     """cos(t sqrt(A^2 + B^2)) for A = (1/i) d/dx and B = x on a periodic box.
 
@@ -362,8 +357,8 @@ def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int =
         )
     reference = cos_sqrt_sum_oracle(_oscillator_pair(field), t, v)
     factors = [(field.wavenumbers(0), _AxisDFT(field.shape, 0)), (field.axis_coordinates(0), None)]
-    u, report, gap = _oracle_drive(factors, v, t, reference, tol, m0, m_cap)
-    return field.like(u), report, {"oracle_gap": gap, "verdict": report.verdict}
+    u, report = _cos_known_bases(factors, v, t, tol, m0, m_cap, reference=reference)
+    return field.like(u), report, {"oracle_gap": relative_l2_gap(u, reference), "verdict": report.verdict}
 
 
 def _grushin_oracle(field: GridField, t: float) -> np.ndarray:
@@ -405,10 +400,12 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8):
     reference = _grushin_oracle(field, t)
     factors = [(np.repeat(field.wavenumbers(0), n2), _AxisDFT(field.shape, 0)),
                (np.outer(x1, k2).reshape(-1), _AxisDFT(field.shape, 1))]
-    u, report, gap = _oracle_drive(factors, v.reshape(-1), t, reference, tol, 1, 256)
+    u, report = _cos_known_bases(factors, v.reshape(-1), t, tol, 1, 256, reference=reference)
+    if not np.any(v.imag):
+        u = u.real  # A^2 + B^2 is real, so real data stay real: the imaginary part is rounding
     b_vec = x1[:, None] * np.fft.ifft(k2 * np.fft.fft(v, axis=1), axis=1)
     diagnostics = {
-        "oracle_gap": gap,
+        "oracle_gap": relative_l2_gap(u, reference),
         "b_action_residual": float(np.linalg.norm(b_vec) / max(np.linalg.norm(v), 1e-300)),
         "verdict": report.verdict,
     }

@@ -359,11 +359,10 @@ def test_json_artifact_is_one_line_and_reads_back_exactly(name, tmp_path, monkey
     if fields:
         field = fields[-1]
         values = np.array(obj["field"].pop("values"))
-        # one flat list unless a sample has a nonzero imaginary part (grushin's rounding)
-        pairs = bool(field.values.imag.any())
-        assert values.ndim == 1 + pairs and values.dtype == float
-        got, want = (values.view(complex), field.values) if pairs else (values, field.values.real)
-        assert np.array_equal(got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
+        # every default field is real data, so its values are one flat list of floats
+        assert not field.values.imag.any()
+        assert values.ndim == 1 and values.dtype == float
+        assert np.array_equal(values.view(np.int64), field.values.real.reshape(-1).view(np.int64))
         header = to_json(field, t=report["inputs"]["t"])
         del header["values"]
         assert obj == {"field": header, "seed": report["inputs"]["seed"], "inputs": report["inputs"]}
