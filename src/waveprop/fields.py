@@ -1,11 +1,13 @@
-"""Periodic grid fields and Fourier multiplier references.
+"""Periodic grid fields and the Fourier multiplier reference.
 
 Fields live on uniform periodic boxes in any number of dimensions.  The
 reference propagator is diagonal in the discrete Fourier basis, so
 round-trip FFT exactness makes the discrete model self-consistent: the
-kernel-averaging routes in pde.py are compared against these multipliers.
-A symbol is a complex array of the field's shape, one value per discrete
-wavenumber.
+kernel-averaging routes in pde.py are compared against its multiplier
+cos(t sqrt(|k|^2 + shift)).  Every multiplier here and in pde.py is a real
+function of |k|^2, so it is even in k and acts on the real and imaginary
+parts of the samples apart: both work in real arithmetic on the rfftn
+half spectrum of each part (_half_spectra), and real samples stay real.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .operators import _checked_time
 
 __all__ = [
     "GridField",
-    "wave_symbol",
-    "klein_gordon_symbol",
-    "damped_symbol",
     "spectral_wave_reference",
     "gaussian_bump",
     "relative_l2_gap",
@@ -113,47 +112,43 @@ def _periodic_r2(field: GridField, center) -> np.ndarray:
     return _axis_sum_of_squares(field, offsets)
 
 
-def wave_symbol(field: GridField) -> np.ndarray:
-    """|k|: the propagator multiplier becomes cos(t |k|)."""
-    return np.sqrt(_k_squared(field)).astype(complex)
+def _half_spectra(field: GridField):
+    """(spectra, k2): the rfftn of the real part, and of the imaginary part if any, stacked on axis 0.
+
+    k2 is |k|^2 on that half grid: rfftn keeps the first n // 2 + 1
+    wavenumbers of the last axis in fftfreq's order, whose squares are
+    rfftfreq's.
+    """
+    values = field.values
+    parts = np.stack([values.real, values.imag]) if np.any(values.imag) else values.real[None]
+    k2 = _k_squared(field)[..., : field.shape[-1] // 2 + 1]
+    return np.fft.rfftn(parts, axes=tuple(range(1, parts.ndim))), k2
 
 
-def klein_gordon_symbol(field: GridField, a: float) -> np.ndarray:
-    """sqrt(|k|^2 + a^2) for the mass-a dispersive wave."""
-    return np.sqrt(_k_squared(field) + a * a).astype(complex)
+def _from_half_spectra(field: GridField, spectra: np.ndarray) -> GridField:
+    """The field whose parts have the given half spectra: _half_spectra's inverse."""
+    parts = np.fft.irfftn(spectra, s=field.shape, axes=tuple(range(1, spectra.ndim)))
+    return field.like(parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0])
 
 
-def damped_symbol(field: GridField, a: float) -> np.ndarray:
-    """sqrt(|k|^2 - a^2); imaginary below the cutoff, where cos -> cosh."""
-    return np.sqrt((_k_squared(field) - a * a).astype(complex))
+def spectral_wave_reference(field: GridField, t: float, shift: float = 0.0) -> GridField:
+    """cos(t sqrt(|k|^2 + shift)) applied in the Fourier basis; the oracle for grids.
 
-
-def spectral_wave_reference(field: GridField, t: float, symbol: np.ndarray | None = None) -> GridField:
-    """cos(t * symbol) applied in the Fourier basis; the oracle for grids.
-
-    symbol is a complex array of the field's shape (wave_symbol by default)
-    with finite entries.  t and the field samples are refused as the grid
-    routes refuse them: both must be finite.  Real samples through a real
-    multiplier that is even in k give exactly real values.
+    shift is the grid routes' own: 0 for the wave, a^2 for Klein-Gordon
+    and -a^2 for the damped wave, whose shells below the cutoff take
+    cosh(t sqrt(-(|k|^2 + shift))).  t and the field samples are refused
+    as the grid routes refuse them, and shift unless it is finite.
     """
     _checked_time(t)
     _finite_values(field)
-    symbol = wave_symbol(field) if symbol is None else np.asarray(symbol, dtype=complex)
-    if symbol.shape != field.shape:
-        raise ValueError("symbol shape does not match the field")
-    if not np.all(np.isfinite(symbol)):
-        raise ValueError("symbol has non-finite entries")
-    multiplier = np.cos(t * symbol)
-    out = np.fft.ifftn(multiplier * field.fft())
-    if not (np.any(field.values.imag) or np.any(multiplier.imag)) and _is_even(multiplier):
-        out = out.real  # real data through a real even multiplier: the imaginary part is rounding
-    return field.like(out)
-
-
-def _is_even(multiplier: np.ndarray) -> bool:
-    """Whether multiplier[k] == multiplier[-k] at every discrete wavenumber k."""
-    axes = tuple(range(multiplier.ndim))
-    return np.array_equal(multiplier, np.roll(np.flip(multiplier, axes), 1, axes))
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
+    spectra, k2 = _half_spectra(field)
+    k2 = k2 + shift
+    multiplier = np.cos(t * np.sqrt(np.maximum(k2, 0.0)))
+    below = k2 < 0.0
+    multiplier[below] = np.cosh(t * np.sqrt(-k2[below]))
+    return _from_half_spectra(field, spectra * multiplier)
 
 
 def gaussian_bump(shape, lengths, center, sigma: float) -> GridField:

@@ -38,6 +38,11 @@ doubled back k times per shell by C(2 tau) = 2 C^2 - 1, S(2 tau) = 2 S C
 (Serbin & Blalock, SIAM J. Sci. Stat. Comput. 1, 1980), which hold for
 the imaginary x of the damped shells too.  The field then takes one
 inverse FFT.  Data whose level fits the cap take no halving.
+
+The multipliers are real functions of |k|^2, so the shells and the
+transforms are those of the real half spectrum (fields._half_spectra):
+complex data run as two real parts with one multiplier, and real data
+stay real.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import math
 import numpy as np
 
 from .ascent import _ladder_row
-from .fields import GridField, _finite_values, _k_squared, assert_no_wrap, relative_l2_gap
+from .fields import GridField, _finite_values, _from_half_spectra, _half_spectra, assert_no_wrap, relative_l2_gap
 from .operators import _checked_time, _cos_sqrt, _eigh, cos_sqrt_sum_oracle
 from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
 from .trotter import _AxisDFT, _cos_known_bases
@@ -75,15 +80,14 @@ _TOEPLITZ_CAP = 4096  # grid points: the splitting holds N (order+1)^2 Toeplitz 
 # resolution heuristics keyed to the spectral content of the data
 
 
-def _spectrum(field: GridField):
-    """(forward FFT, |k|^2 grid) of the field, taken once per propagation."""
-    return field.fft(), _k_squared(field)
-
-
 def _spectral_scale(spectrum, shift: float) -> float:
-    """The largest |K| of the data, |K|^2 = |k|^2 + |shift|: a mass a is the frequency a along one more axis."""
-    values, k2 = spectrum
-    amp = np.abs(values)
+    """The largest |K| of the data, |K|^2 = |k|^2 + |shift|: a mass a is the frequency a along one more axis.
+
+    spectrum is _half_spectra's pair; the sum of the parts' moduli bounds
+    the full spectrum's at k and at -k.
+    """
+    spectra, k2 = spectrum
+    amp = np.abs(spectra).sum(axis=0)
     peak = amp.max()
     k2_eff = float(k2[amp > 1e-13 * peak].max()) if peak else 0.0
     return math.sqrt(k2_eff + abs(shift))
@@ -178,8 +182,8 @@ def _propagate(field, t, kind, shift=None):
     assert_no_wrap(field, t)
     dim, shift = field.dim + (shift is not None), shift or 0.0
     p, pref, m = _route(dim, kind)
-    spectrum = _spectrum(field)
-    values, k2_grid = spectrum
+    spectrum = _half_spectra(field)
+    spectra, k2_grid = spectrum
     k2, inverse = np.unique(k2_grid, return_inverse=True)
     k2 = k2 + shift
     halvings, level = _halvings(spectrum, t, shift) if m else (0, 0)
@@ -193,9 +197,7 @@ def _propagate(field, t, kind, shift=None):
         for _ in range(halvings):
             sin, cos = 2.0 * sin * cos, 2.0 * cos * cos - 1.0
         multiplier = cos if kind == "cos" else sin
-    out = np.fft.ifftn(values * multiplier[inverse.reshape(field.shape)])
-    # a real multiplier of |k|^2 is even in k, so real data stay real: the imaginary part is rounding
-    return field.like(out if np.any(field.values.imag) else out.real)
+    return _from_half_spectra(field, spectra * multiplier[inverse.reshape(k2_grid.shape)])
 
 
 def wave2d_poisson(field: GridField, t: float, kind: str = "cos") -> GridField:

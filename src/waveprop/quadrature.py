@@ -110,11 +110,15 @@ def _monomial_moments(nodes: np.ndarray, weights: np.ndarray, exponents) -> np.n
     first, i1 = np.unique(exponents[:, :h], axis=0, return_inverse=True)
     second, i2 = np.unique(exponents[:, h:], axis=0, return_inverse=True)  # one empty row at d = 1
     top = exponents.max(initial=0)
+    # x^0 .. x^top as running products, shape (power, d, chunk), refilled per chunk
+    powers = np.empty((top + 1, nodes.shape[1], min(_MOMENT_CHUNK, len(weights))))
     partials = []
     for start in range(0, len(weights), _MOMENT_CHUNK):
-        x = nodes[start : start + _MOMENT_CHUNK].T
-        # x^0 .. x^top as running products, shape (power, d, chunk)
-        table = np.cumprod(np.concatenate([np.ones((1,) + x.shape), np.broadcast_to(x, (top,) + x.shape)]), axis=0)
+        x = np.ascontiguousarray(nodes[start : start + _MOMENT_CHUNK].T)
+        table = powers[:, :, : x.shape[1]]
+        table[0] = 1.0
+        for n in range(1, top + 1):
+            np.multiply(table[n - 1], x, out=table[n])
         a = np.repeat(weights[None, start : start + _MOMENT_CHUNK], len(first), axis=0)
         for j, e in enumerate(first.T):
             a *= table[e, j]

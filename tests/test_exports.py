@@ -106,6 +106,7 @@ _DELETED_PARAMETERS = {
     ("quadrature", "ball_moment"): ["d"],
     ("fields", "gaussian_bump"): ["origins", "amplitude"],
     ("fields", "assert_no_wrap"): ["support_radius"],
+    ("fields", "spectral_wave_reference"): ["symbol"],
 }
 
 
@@ -115,8 +116,10 @@ def test_deleted_options_and_exports_stay_deleted():
         assert not set(params) & set(signature.parameters), (name, params)
     assert {"dirichlet_moment", "effective_support_radius", "HermitianOperator",
             "SpectralDecomposition", "as_matrix"}.isdisjoint(wp.__all__)
+    # the grid oracle takes the routes' shift, so the Fourier-symbol exports and the evenness test are gone
+    assert {"wave_symbol", "klein_gordon_symbol", "damped_symbol"}.isdisjoint(wp.__all__)
     for module, name in (("operators", "HermitianOperator"), ("operators", "SpectralDecomposition"),
-                         ("operators", "as_matrix"), ("quadrature", "DirichletRule")):
+                         ("operators", "as_matrix"), ("quadrature", "DirichletRule"), ("fields", "_is_even")):
         assert not hasattr(importlib.import_module(f"waveprop.{module}"), name), name
     assert not hasattr(wp.GridField, "norm")
     assert not hasattr(wp.CommutingFamily, "norm_sum")

@@ -1,4 +1,4 @@
-"""Tests for periodic grid fields, Fourier symbols, and the spectral reference."""
+"""Tests for periodic grid fields, their |k|^2 grid, and the spectral reference."""
 
 import math
 import re
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import waveprop as wp
-from waveprop.fields import assert_no_wrap
+from waveprop.fields import _k_squared, assert_no_wrap
 
 
 TWO_PI = 2.0 * math.pi
@@ -60,20 +60,20 @@ def test_fft_roundtrip():
 
 
 def test_wave_symbol_is_modulus_of_wavenumber():
-    f = wp.GridField(np.zeros((8, 8), dtype=complex), (TWO_PI, TWO_PI))
-    sym = wp.wave_symbol(f)
+    # the wave's symbol |k| is the root of _k_squared, whose half grid has rfftfreq's squares
+    f = wp.GridField(np.zeros((8, 7), dtype=complex), (TWO_PI, 2.0 * TWO_PI))
     kx = f.wavenumbers(0)[:, None]
     ky = f.wavenumbers(1)[None, :]
-    assert np.allclose(sym, np.hypot(kx, ky))
-    # Klein-Gordon symbol at a = 0 collapses to the wave symbol
-    assert np.allclose(wp.klein_gordon_symbol(f, 0.0), sym)
+    assert np.allclose(np.sqrt(_k_squared(f)), np.hypot(kx, ky))
+    half = 2.0 * np.pi * np.fft.rfftfreq(7, d=f.spacing(1))
+    assert np.array_equal(_k_squared(f)[:, :4], kx ** 2 + half[None, :] ** 2)
 
 
 def test_klein_gordon_symbol_shifts_dispersion():
-    f = wp.GridField(np.zeros(8, dtype=complex), (TWO_PI,))
-    sym = wp.klein_gordon_symbol(f, 2.0)
-    k = f.wavenumbers(0)
-    assert np.allclose(sym, np.sqrt(k * k + 4.0))
+    # shift a^2 propagates the mode k by cos(t sqrt(k^2 + a^2))
+    f, t = _mode(8, 3), 0.7
+    out = wp.spectral_wave_reference(f, t, shift=4.0)
+    assert np.allclose(out.values, math.cos(math.sqrt(13.0) * t) * f.values, atol=1e-13)
 
 
 def test_spectral_reference_identity_at_zero_time():
@@ -93,7 +93,7 @@ def test_spectral_reference_plane_wave_factor():
 def test_spectral_reference_klein_gordon_zero_mode():
     f = wp.GridField(np.ones(16, dtype=complex), (TWO_PI,))
     t = 0.9
-    out = wp.spectral_wave_reference(f, t, symbol=wp.klein_gordon_symbol(f, 1.5))
+    out = wp.spectral_wave_reference(f, t, shift=1.5 * 1.5)
     assert np.allclose(out.values, math.cos(1.5 * t), atol=1e-13)
 
 
@@ -102,10 +102,10 @@ def test_damped_symbol_grows_below_cutoff():
     f = wp.GridField(np.ones(16, dtype=complex), (TWO_PI,))
     t = 0.8
     a = 0.5
-    out = wp.spectral_wave_reference(f, t, symbol=wp.damped_symbol(f, a))
+    out = wp.spectral_wave_reference(f, t, shift=-a * a)
     assert np.allclose(out.values, math.cosh(a * t), atol=1e-12)
     mode = _mode(16, 1)
-    out2 = wp.spectral_wave_reference(mode, t, symbol=wp.damped_symbol(mode, 2.0))
+    out2 = wp.spectral_wave_reference(mode, t, shift=-4.0)
     assert np.allclose(out2.values, math.cosh(math.sqrt(3.0) * t) * mode.values,
                        atol=1e-12)
 
@@ -175,23 +175,11 @@ def test_no_wrap_guard_skips_fields_filling_the_box():
         assert_no_wrap(wide, 10.0)
 
 
-def test_spectral_operator_shape_mismatch():
-    f = wp.GridField(np.zeros(8, dtype=complex), (TWO_PI,))
-    sym = wp.wave_symbol(f)
-    with pytest.raises(ValueError, match="shape"):
-        wp.spectral_wave_reference(wp.GridField(np.zeros(4, dtype=complex), (TWO_PI,)), 0.5, sym)
-
-
-def test_spectral_reference_takes_any_array_like_symbol_and_refuses_non_finite_ones():
+def test_spectral_reference_refuses_a_non_finite_shift():
     f = wp.gaussian_bump((16,), (TWO_PI,), (math.pi,), 0.5)
-    sym = wp.klein_gordon_symbol(f, 1.5)
-    listed = wp.spectral_wave_reference(f, 0.5, sym.real.tolist())
-    assert np.array_equal(listed.values, wp.spectral_wave_reference(f, 0.5, sym).values)
-    for bad in (math.nan, math.inf):
-        broken = sym.copy()
-        broken[5] = bad
-        with pytest.raises(ValueError, match="symbol has non-finite entries"):
-            wp.spectral_wave_reference(f, 0.5, broken)
+    for shift in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            wp.spectral_wave_reference(f, 0.5, shift)
 
 
 def test_gaussian_bump_refuses_non_integer_shape():
@@ -241,13 +229,3 @@ def test_grid_field_validation():
     ]:
         with pytest.raises(ValueError, match=match):
             wp.gaussian_bump((8, 8), (TWO_PI, TWO_PI), center, sigma)
-
-
-def test_reference_keeps_the_imaginary_part_of_a_multiplier_that_is_not_even():
-    f = wp.GridField(np.exp(-(np.arange(16) - 8.0) ** 2 / 4.0), (TWO_PI,))
-    odd = np.sqrt(np.arange(16.0)).astype(complex)  # real, but sym[k] != sym[-k]
-    out = wp.spectral_wave_reference(f, 0.5, odd)
-    assert np.any(out.values.imag)
-    assert np.allclose(out.values, np.fft.ifft(np.cos(0.5 * odd) * np.fft.fft(f.values)), rtol=0, atol=1e-15)
-    even = wp.spectral_wave_reference(f, 0.5)
-    assert not np.any(even.values.imag)

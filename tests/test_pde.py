@@ -11,7 +11,7 @@ from scipy.special import j0
 
 import waveprop as wp
 from waveprop import pde, trotter
-from waveprop.fields import spectral_wave_reference
+from waveprop.fields import _k_squared, spectral_wave_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,11 +32,10 @@ def _mode(shape, kvec, length=TWO_PI):
     return wp.GridField(np.exp(1j * phase), lengths)
 
 
-def _sine_reference(field, t, symbol=None):
-    sym = wp.wave_symbol(field) if symbol is None else symbol
-    spec = field.fft()
+def _sine_reference(field, t, shift=0.0):
+    sym = np.sqrt((_k_squared(field) + shift).astype(complex))
     factor = np.where(sym == 0.0, t, np.sin(t * sym) / np.where(sym == 0.0, 1.0, sym))
-    return field.like(np.fft.ifftn(factor * spec))
+    return field.like(np.fft.ifftn(factor * field.fft()))
 
 
 def test_wave2d_preserves_constants():
@@ -158,19 +157,19 @@ def test_general_route_4d_tube_descends_to_3d():
         assert wp.relative_l2_gap(slab, wp.wave_general(solid, 0.4, kind=kind).values) <= 1e-12
 
 
-_MASS_ROUTES = [(wp.klein_gordon, wp.klein_gordon_symbol, 1.0), (wp.damped_wave, wp.damped_symbol, 0.5)]
+_MASS_ROUTES = [(wp.klein_gordon, 1.0, 1.0), (wp.damped_wave, -1.0, 0.5)]
 
 
 @pytest.mark.parametrize("shape", [(128,), (48, 48), (16,) * 3, (16,) * 4, (12,) * 5],
                          ids=["128", "48^2", "16^3", "16^4", "12^5"])
 @pytest.mark.parametrize("kind", ["cos", "sin"])
-@pytest.mark.parametrize("route, symbol, a", _MASS_ROUTES, ids=["klein_gordon", "damped"])
-def test_mass_routes_in_any_number_of_axes_match_spectral_multipliers(route, symbol, a, shape, kind):
+@pytest.mark.parametrize("route, sign, a", _MASS_ROUTES, ids=["klein_gordon", "damped"])
+def test_mass_routes_in_any_number_of_axes_match_spectral_multipliers(route, sign, a, shape, kind):
     # the massless route of R^(d+1): no axis count is refused
     f = _bump(shape, sigma=0.6)
     got = route(f, 0.4, a, kind=kind)
-    want = (spectral_wave_reference(f, 0.4, symbol(f, a)) if kind == "cos"
-            else _sine_reference(f, 0.4, symbol(f, a)))
+    shift = sign * a * a
+    want = spectral_wave_reference(f, 0.4, shift) if kind == "cos" else _sine_reference(f, 0.4, shift)
     assert wp.relative_l2_gap(got, want) <= 1e-14
 
 
@@ -248,19 +247,18 @@ def _noise(shape):
     return wp.GridField(np.random.default_rng(7).standard_normal(shape), (TWO_PI,) * len(shape))
 
 
-@pytest.mark.parametrize("route, symbol, kind", [
-    (wp.wave2d_poisson, None, "cos"), (wp.wave2d_poisson, None, "sin"),
-    (lambda f, t, kind: wp.klein_gordon(f, t, 3.0, kind=kind), lambda f: wp.klein_gordon_symbol(f, 3.0), "cos"),
-    (lambda f, t, kind: wp.damped_wave(f, t, 3.0, kind=kind), lambda f: wp.damped_symbol(f, 3.0), "cos"),
+@pytest.mark.parametrize("route, shift, kind", [
+    (wp.wave2d_poisson, 0.0, "cos"), (wp.wave2d_poisson, 0.0, "sin"),
+    (lambda f, t, kind: wp.klein_gordon(f, t, 3.0, kind=kind), 9.0, "cos"),
+    (lambda f, t, kind: wp.damped_wave(f, t, 3.0, kind=kind), -9.0, "cos"),
 ], ids=["wave2d-cos", "wave2d-sin", "klein_gordon", "damped"])
-def test_past_the_level_cap_the_routes_halve_t_and_double_back(route, symbol, kind):
+def test_past_the_level_cap_the_routes_halve_t_and_double_back(route, shift, kind):
     # white noise asks for level 736 at t = 5: two halvings, no warning, rounding-level gaps
     f, t = _noise((128, 128)), 5.0
-    sym = None if symbol is None else symbol(f)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = route(f, t, kind=kind)
-    want = spectral_wave_reference(f, t, sym) if kind == "cos" else _sine_reference(f, t, sym)
+    want = spectral_wave_reference(f, t, shift) if kind == "cos" else _sine_reference(f, t, shift)
     assert wp.relative_l2_gap(out, want) <= 1e-11
 
 
@@ -311,7 +309,7 @@ def test_klein_gordon_1d_matches_reference():
     f = _bump((128,), sigma=0.25)
     t = 0.5
     out = wp.klein_gordon(f, t, 1.0)
-    ref = spectral_wave_reference(f, t, symbol=wp.klein_gordon_symbol(f, 1.0))
+    ref = spectral_wave_reference(f, t, shift=1.0)
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
@@ -319,7 +317,7 @@ def test_klein_gordon_2d_matches_reference():
     f = _bump((48, 48), sigma=0.3)
     t = 0.4
     out = wp.klein_gordon(f, t, 1.0)
-    ref = spectral_wave_reference(f, t, symbol=wp.klein_gordon_symbol(f, 1.0))
+    ref = spectral_wave_reference(f, t, shift=1.0)
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
@@ -327,7 +325,7 @@ def test_klein_gordon_3d_matches_reference():
     f = _bump((16, 16, 16), sigma=0.5)
     t = 0.3
     out = wp.klein_gordon(f, t, 1.0)
-    ref = spectral_wave_reference(f, t, symbol=wp.klein_gordon_symbol(f, 1.0))
+    ref = spectral_wave_reference(f, t, shift=1.0)
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
@@ -335,7 +333,7 @@ def test_klein_gordon_3d_sine_route():
     f = _bump((16, 16, 16), sigma=0.5)
     t = 0.3
     out = wp.klein_gordon(f, t, 1.0, kind="sin")
-    ref = _sine_reference(f, t, symbol=wp.klein_gordon_symbol(f, 1.0))
+    ref = _sine_reference(f, t, shift=1.0)
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
@@ -380,7 +378,7 @@ def test_damped_wave_matches_reference_1d():
     f = _bump((128,), sigma=0.25)
     a, t = 0.5, 0.5
     out = wp.damped_wave(f, t, a)
-    ref = spectral_wave_reference(f, t, symbol=wp.damped_symbol(f, a))
+    ref = spectral_wave_reference(f, t, shift=-a * a)
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
@@ -388,7 +386,7 @@ def test_damped_wave_matches_reference_2d():
     f = _bump((48, 48), sigma=0.3)
     a, t = 0.5, 0.4
     out = wp.damped_wave(f, t, a)
-    ref = spectral_wave_reference(f, t, symbol=wp.damped_symbol(f, a))
+    ref = spectral_wave_reference(f, t, shift=-a * a)
     assert wp.relative_l2_gap(out, ref) <= 1e-6
 
 
@@ -404,9 +402,32 @@ def test_grid_routes_sit_at_rounding_against_the_spectral_reference(route, shape
     if a is None:
         out, ref = route(f, t), spectral_wave_reference(f, t)
     else:
-        symbol = (wp.klein_gordon_symbol if route is wp.klein_gordon else wp.damped_symbol)(f, a)
-        out, ref = route(f, t, a), spectral_wave_reference(f, t, symbol=symbol)
+        shift = a * a if route is wp.klein_gordon else -a * a
+        out, ref = route(f, t, a), spectral_wave_reference(f, t, shift)
     assert wp.relative_l2_gap(out, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(8, 1), (1, 8), (7,), (9, 5), (2,), (8, 8)],
+                         ids=["8x1", "1x8", "7", "9x5", "2", "8x8"])
+@pytest.mark.parametrize("t", [0.3, -0.3])
+def test_half_spectrum_plumbing_matches_the_full_complex_transform(shape, t):
+    # odd and even lengths, single-sample axes and the even length's Nyquist column,
+    # against one complex fftn of the same multiplier; real data come back exactly real
+    rng = np.random.default_rng(11)
+    real = wp.GridField(rng.standard_normal(shape), (TWO_PI,) * len(shape))
+    wavy = real.like(real.values + 1j * rng.standard_normal(shape))
+    routes = [(wp.wave_general, 0.0), (functools.partial(wp.klein_gordon, a=1.0), 1.0),
+              (functools.partial(wp.damped_wave, a=0.5), -0.25)]
+    for field in (real, wavy):
+        for route, shift in routes:
+            root = np.sqrt((_k_squared(field) + shift).astype(complex))
+            want = {"cos": np.fft.ifftn(np.cos(t * root).real * np.fft.fftn(field.values)),
+                    "sin": _sine_reference(field, t, shift).values}
+            outs = [("cos", wp.spectral_wave_reference(field, t, shift))]
+            outs += [(kind, route(field, t, kind=kind)) for kind in ("cos", "sin")]
+            for kind, out in outs:
+                assert wp.relative_l2_gap(out.values, want[kind]) <= 1e-14, (route, kind)
+                assert np.any(out.values.imag) == (field is wavy)
 
 
 def test_bessel_kernel_identity():
@@ -466,8 +487,7 @@ def test_energy_split_per_mode():
     t = 0.4
     cos_part = wp.wave2d_poisson(f, t).fft()
     sin_part = wp.wave2d_poisson(f, t, kind="sin").fft()
-    sym = wp.wave_symbol(f)
-    energy = np.abs(cos_part) ** 2 + np.abs(sym * sin_part) ** 2
+    energy = np.abs(cos_part) ** 2 + _k_squared(f) * np.abs(sin_part) ** 2
     target = np.abs(f.fft()) ** 2
     assert np.linalg.norm(energy - target) <= 1e-6 * np.linalg.norm(target)
 
@@ -647,16 +667,16 @@ def _grushin_reference(field, t):
     return field.like(pde._grushin_oracle(field, t).reshape(field.shape))
 
 
-def _symbol_reference(symbol, a):
-    return lambda field, t: spectral_wave_reference(field, t, symbol(field, a))
+def _shifted_reference(shift):
+    return lambda field, t: spectral_wave_reference(field, t, shift)
 
 
 @pytest.mark.parametrize("route, shape, reference, kinds, tol", [
     (wp.wave2d_poisson, (24, 24), spectral_wave_reference, ("cos", "sin"), 1e-13),
     (wp.wave3d_kirchhoff, (12, 12, 12), spectral_wave_reference, ("cos", "sin"), 1e-13),
-    (functools.partial(wp.klein_gordon, a=1.0), (24, 24), _symbol_reference(wp.klein_gordon_symbol, 1.0),
+    (functools.partial(wp.klein_gordon, a=1.0), (24, 24), _shifted_reference(1.0),
      ("cos", "sin"), 1e-13),
-    (functools.partial(wp.damped_wave, a=0.5), (24,), _symbol_reference(wp.damped_symbol, 0.5), ("cos", "sin"), 1e-13),
+    (functools.partial(wp.damped_wave, a=0.5), (24,), _shifted_reference(-0.25), ("cos", "sin"), 1e-13),
     (_grushin, (6, 6), _grushin_reference, ("cos",), 1e-10),  # the splitting walk stops at tol 1e-8
 ], ids=["wave2d_poisson-shape0-None", "wave3d_kirchhoff-shape1-None", "klein_gordon-shape2-1.0",
         "damped_wave-shape3-0.5", "grushin_demo-shape4-None"])
