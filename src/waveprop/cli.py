@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noncomm", parents=[common], help="splitting-series propagator with refinement")
     p.add_argument("--t", type=float, default=0.3)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--m0", type=_positive_int, default=1)
     p.add_argument("--mcap", type=_positive_int, default=512)
     p.add_argument("--q", type=_positive_int, default=2, help="number of operators")
     p.add_argument("--dim", type=_positive_int, default=4)
@@ -165,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=64)
     p.add_argument("--t", type=float, default=0.2)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--m0", type=_positive_int, default=1)
     p.add_argument("--mcap", type=_positive_int, default=512)
     p.add_argument("--excited", action="store_true", help="first excited state instead of the ground state")
 
@@ -321,12 +319,12 @@ def _cmd_noncomm(args) -> int:
         ops = [random_hermitian(args.dim, rng=rng, norm=1.0) for _ in range(args.q)]
         h = random_state(args.dim, rng=rng)
     reference = cos_sqrt_sum_oracle(ops, args.t, h)
-    result, report = cos_noncomm(ops, h, args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap, reference=reference)
+    result, report = cos_noncomm(ops, h, args.t, tol=args.tol, m_cap=args.mcap, reference=reference)
     gap = relative_l2_gap(result, reference)
     payload = {
         "subcommand": "noncomm",
         "formula": "splitting-series-limit",
-        "inputs": {"t": args.t, "tol": args.tol, "m0": args.m0, "mcap": args.mcap,
+        "inputs": {"t": args.t, "tol": args.tol, "mcap": args.mcap,
                    "q": len(ops), "dim": int(ops[0].shape[0]), "seed": args.seed},
         "report": report.to_dict(),
         "result": vector_to_json(result),
@@ -374,13 +372,13 @@ def _cmd_oscillator(args) -> int:
     from .pde import _hermite_state, harmonic_oscillator
 
     propagated, report, diagnostics = harmonic_oscillator(
-        _hermite_state(args.grid, args.excited), args.t, tol=args.tol, m0=args.m0, m_cap=args.mcap
+        _hermite_state(args.grid, args.excited), args.t, tol=args.tol, m_cap=args.mcap
     )
     payload = {
         "subcommand": "oscillator",
         "formula": "splitting-series-oscillator",
-        "inputs": {"grid": args.grid, "t": args.t, "tol": args.tol, "m0": args.m0,
-                   "mcap": args.mcap, "excited": bool(args.excited), "seed": args.seed},
+        "inputs": {"grid": args.grid, "t": args.t, "tol": args.tol, "mcap": args.mcap,
+                   "excited": bool(args.excited), "seed": args.seed},
         "report": report.to_dict(),
         **_gated({"oracle_relative": (diagnostics["oracle_gap"], 1e-3)}),
     }

@@ -148,13 +148,13 @@ def _checked_operators(ops) -> list[np.ndarray]:
     return mats
 
 
-def _checked_vector(vector, dim: int) -> np.ndarray:
-    """The vector as a complex array, refused unless finite and of length dim."""
+def _checked_vector(vector, dim: int, name: str = "h") -> np.ndarray:
+    """The vector as a complex array, refused by name unless finite and of length dim."""
     vec = np.asarray(vector, dtype=complex)
     if vec.shape != (dim,):
-        raise ValueError(f"vector of shape {vec.shape} does not match operator dimension {dim}")
+        raise ValueError(f"vector {name} of shape {vec.shape} does not match operator dimension {dim}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError("vector h has non-finite entries")
+        raise ValueError(f"vector {name} has non-finite entries")
     return vec
 
 

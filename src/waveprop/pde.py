@@ -336,7 +336,7 @@ def _grushin_field(n: int) -> GridField:
     return box.like(np.repeat(np.exp(np.cos(x1))[:, None], n, axis=1).astype(complex))
 
 
-def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int = 1, m_cap: int = 512):
+def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m_cap: int = 512):
     """cos(t sqrt(A^2 + B^2)) for A = (1/i) d/dx and B = x on a periodic box.
 
     The splitting series needs the data to die out at the box edge, since
@@ -359,7 +359,7 @@ def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m0: int =
         )
     reference = cos_sqrt_sum_oracle(_oscillator_pair(field), t, v)
     factors = [(field.wavenumbers(0), _AxisDFT(field.shape, 0)), (field.axis_coordinates(0), None)]
-    u, report = _cos_known_bases(factors, v, t, tol, m0, m_cap, reference=reference)
+    u, report = _cos_known_bases(factors, v, t, tol, m_cap, reference=reference)
     return field.like(u), report, {"oracle_gap": relative_l2_gap(u, reference), "verdict": report.verdict}
 
 
@@ -402,7 +402,7 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8):
     reference = _grushin_oracle(field, t)
     factors = [(np.repeat(field.wavenumbers(0), n2), _AxisDFT(field.shape, 0)),
                (np.outer(x1, k2).reshape(-1), _AxisDFT(field.shape, 1))]
-    u, report = _cos_known_bases(factors, v.reshape(-1), t, tol, 1, 256, reference=reference)
+    u, report = _cos_known_bases(factors, v.reshape(-1), t, tol, 256, reference=reference)
     if not np.any(v.imag):
         u = u.real  # A^2 + B^2 is real, so real data stay real: the imaginary part is rounding
     b_vec = x1[:, None] * np.fft.ifft(k2 * np.fft.fft(v, axis=1), axis=1)

@@ -23,8 +23,8 @@ Dirichlet rule mirrored into every sign pattern w_i = +-sqrt(u_i),
 exact on even monomials up to the requested level, and carry its
 self-test error.  Above dimension 6 they switch by default to an
 importance-sampled Monte Carlo rule with a fixed seed.  That rule has no
-moment error (moment_error is None); its statistical error depends on
-the integrand, and error_estimate(values) gives it.
+moment error (moment_error is None): its statistical error depends on
+the integrand, mass * std(values) / sqrt(samples).
 """
 
 from __future__ import annotations
@@ -219,12 +219,6 @@ class SphereRule:
         values = values(self.nodes) if callable(values) else np.asarray(values)
         return stable_sum(self.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values)
 
-    def error_estimate(self, values) -> float:
-        values = values(self.nodes) if callable(values) else np.asarray(values)
-        if self.method == "montecarlo":
-            return float(self.weights.sum() * np.std(values, axis=0).max() / math.sqrt(len(self.weights)))
-        return 0.0 if self.moment_error is None else self.moment_error
-
 
 @dataclass(eq=False)
 class BallRule:
@@ -240,7 +234,6 @@ class BallRule:
     seed: int | None = None
 
     integrate = SphereRule.integrate
-    error_estimate = SphereRule.error_estimate
 
 
 def _bounded_tuples(d: int, budget: int):

@@ -33,13 +33,15 @@ flags the caution.
 Each row W_n h is a polynomial in 1/m of degree at most n whose constant
 term is the limit, so the truncated F_m(t) h is a polynomial in 1/m.
 The drivers (cos_noncomm, sin_noncomm) keep Romberg's table on the
-doubling walk m_i = 2^i m0, by default m0 = 1: T[i][0] = F_(m_i) and
+doubling walk m_i = 2^i: T[i][0] = F_(m_i) and
 T[i][k] = T[i][k-1] + (T[i][k-1] - T[i-1][k-1]) / (2^k - 1), column k
 free of the 1/m .. 1/m^k terms (W. Romberg 1955; Blanes, Casas & Ros,
-Celest. Mech. Dyn. Astron. 75, 1999).  They stop when two successive
+Celest. Mech. Dyn. Astron. 75, 1999).  The walk starts at m = 1: a walk
+that ends at depth M costs M sweeps from any start, so a later start
+would only drop rows of the table.  They stop when two successive
 diagonal entries agree to tol ||h|| and return the last, and the report
-names its column.  The evaluators, taylor_series_build,
-taylor_limit_check and fm_quadrature_crosscheck keep the plain F_m.
+names its column.  The evaluators, taylor_limit_check and
+fm_quadrature_crosscheck keep the plain F_m.
 
 One depth walk, _depths, is the only sweep loop.  With Q_m(z) the
 product of one sweep's factors, e^(z A^2/m) e^(z B^2/m) for a pair,
@@ -47,9 +49,9 @@ Q_m(z) = Q_p(z p/m), so the first p sweeps at depth m are the depth-p
 series with row n scaled by (p/m)^n: each depth continues the one
 before with that scale and m - p more sweeps.  A single depth m costs m
 sweeps, and so does a whole drive that ends at depth m.  Every public
-walk doubles m (the drivers from m0, by default 1, taylor_limit_check
-over 8, 16, 32, 64), and a power-of-two scale is exact, so every depth
-is bit-identical to a fresh build.
+walk doubles m (the drivers from 1, taylor_limit_check over 8, 16, 32,
+64), and a power-of-two scale is exact, so every depth is bit-identical
+to a fresh build.
 
 Every entry takes the ordered operator list [A_1, .., A_q] (pattern
 A_1^2 .. A_q^2 repeated m times); the smoothed sine series has
@@ -82,7 +84,6 @@ from .operators import _checked_operators, _checked_time, _checked_vector, _eigh
 
 __all__ = [
     "ConvergenceReport",
-    "taylor_series_build",
     "fm_evaluate",
     "sin_fm_evaluate",
     "cos_noncomm",
@@ -207,12 +208,10 @@ def _toeplitz(lam: np.ndarray, m: int, order: int) -> np.ndarray:
     return stack
 
 
-def _checked_depth(m: int, order: int) -> list[int]:
-    """The one splitting depth m as a walk [m]; refused unless m >= 1 and order >= 0."""
+def _checked_depth(m: int) -> list[int]:
+    """The one splitting depth m as a walk [m]; refused unless m >= 1."""
     if m < 1:
         raise ValueError(f"splitting depth m must be at least 1, got {m}")
-    if order < 0:
-        raise ValueError("order must be non-negative")
     return [m]
 
 
@@ -251,18 +250,6 @@ def _depths(bases: _Eigenbases, vec: np.ndarray, order: int, depths):
         del stacks  # not held across the yield, nor next to the next depth's stacks
         p = m
         yield _back(bases.last, coeffs).T
-
-
-def taylor_series_build(ops, h, m: int, order: int) -> np.ndarray:
-    """W_n h for the pattern (A_1^2 .. A_q^2) repeated m times, as row n of an (order+1, dim) array.
-
-    The product of exponential factors acts on h right factor first; each
-    factor exp(z X/m) updates the truncated series by
-    v_k <- sum_j (X/m)^j / j! v_(k-j), taken in the eigenbasis of X.
-    """
-    _, vec, bases = _prepared(ops, h)
-    (series,) = _depths(bases, vec, order, _checked_depth(m, order))
-    return series
 
 
 def _series_scales(norms, vec: np.ndarray, t: float):
@@ -306,7 +293,7 @@ def _fm(ops, h, t: float, m: int, sine: bool) -> np.ndarray:
     _checked_time(t)
     _, vec, bases = _prepared(ops, h)
     order, _ = _order(bases, vec, t, sine)
-    (series,) = _depths(bases, vec, order, _checked_depth(m, order))
+    (series,) = _depths(bases, vec, order, _checked_depth(m))
     return _series_sum(series, t, sine)
 
 
@@ -320,15 +307,15 @@ def sin_fm_evaluate(ops, h, t: float, m: int) -> np.ndarray:
     return _fm(ops, h, t, m, sine=True)
 
 
-def _drive(bases: _Eigenbases, vec, t: float, tol: float, m0: int, m_cap: int, sine: bool, reference=None):
+def _drive(bases: _Eigenbases, vec, t: float, tol: float, m_cap: int, sine: bool, reference=None):
     """Romberg's walk of the prepared bases and checked vector, as cos_noncomm describes; (value, report)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if m0 < 1 or m_cap < m0:
-        raise ValueError("need 1 <= m0 <= m_cap")
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be at least 1, got {m_cap}")
     order, (amp, y, x, radius) = _order(bases, vec, t, sine)
-    ref = None if reference is None else np.asarray(reference, dtype=complex)
-    depths = [m0]
+    ref = None if reference is None else _checked_vector(reference, len(vec), "reference")
+    depths = [1]
     while 2 * depths[-1] <= m_cap:
         depths.append(2 * depths[-1])
     # a lazy walk: the depths after convergence are never swept
@@ -364,11 +351,11 @@ def _drive(bases: _Eigenbases, vec, t: float, tol: float, m0: int, m_cap: int, s
     return row[-1], report
 
 
-def cos_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, reference=None):
+def cos_noncomm(ops, h, t: float, tol: float, m_cap: int = 512, reference=None):
     """Drive F_m(t) h for the ordered operator list upward in m, Romberg-extrapolated in 1/m.
 
-    The depths m0, 2 m0, 4 m0, .. share one walk (_depths), so a drive
-    that ends at depth M runs M sweeps.  Each depth adds a row to
+    The depths 1, 2, 4, .. up to m_cap share one walk (_depths), so a
+    drive that ends at depth M runs M sweeps.  Each depth adds a row to
     Romberg's table, T[i][0] = F_(m_i) and
     T[i][k] = T[i][k-1] + (T[i][k-1] - T[i-1][k-1]) / (2^k - 1); the
     drive halts when two successive diagonal entries T[i][i] differ by at
@@ -378,27 +365,28 @@ def cos_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, ref
     errors are taken at the diagonal entries: the gaps to the reference
     at each visited depth when one is given, otherwise the successive
     differences ||T[i+1][i+1] - T[i][i]||, one fewer than the depths.
+    A reference must be a finite vector of h's length.
     """
     _checked_time(t)
     _, vec, bases = _prepared(ops, h)
-    return _drive(bases, vec, t, tol, m0, m_cap, sine=False, reference=reference)
+    return _drive(bases, vec, t, tol, m_cap, sine=False, reference=reference)
 
 
-def sin_noncomm(ops, h, t: float, tol: float, m0: int = 1, m_cap: int = 512, reference=None):
+def sin_noncomm(ops, h, t: float, tol: float, m_cap: int = 512, reference=None):
     """Splitting-series smoothed sine propagator applied to h, driven as cos_noncomm."""
     _checked_time(t)
     _, vec, bases = _prepared(ops, h)
-    return _drive(bases, vec, t, tol, m0, m_cap, sine=True, reference=reference)
+    return _drive(bases, vec, t, tol, m_cap, sine=True, reference=reference)
 
 
-def _cos_known_bases(factors, vec: np.ndarray, t: float, tol: float, m0: int, m_cap: int, reference=None):
+def _cos_known_bases(factors, vec: np.ndarray, t: float, tol: float, m_cap: int, reference=None):
     """cos_noncomm on factors whose eigenbases are known; (value, report).
 
     factors is the ordered list [(eigenvalues of A_1, basis of A_1), ..]:
     a basis is a dense unitary, an _AxisDFT or None for the identity.  The
     caller checks t and the finite vector vec, flattened as the bases take it.
     """
-    return _drive(_eigenbases(factors), vec, t, tol, m0, m_cap, sine=False, reference=reference)
+    return _drive(_eigenbases(factors), vec, t, tol, m_cap, sine=False, reference=reference)
 
 
 def taylor_limit_check(a, b, n: int, h) -> list[float]:
@@ -438,7 +426,7 @@ def fm_quadrature_crosscheck(ops, h, t: float, m: int):
     _checked_time(t)
     mats, vec, bases = _prepared(ops, h)
     order, _ = _order(bases, vec, t, sine=False)
-    (series,) = _depths(bases, vec, order, _checked_depth(m, order))
+    (series,) = _depths(bases, vec, order, _checked_depth(m))
     cos_quad, sin_quad, _ = _ascent([mat @ mat / m for mat in mats] * m, order, vec[:, None], t)
     out = []
     for sine, quad in ((False, cos_quad[:, 0]), (True, sin_quad[:, 0])):

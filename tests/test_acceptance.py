@@ -167,7 +167,7 @@ def test_criterion_07_noncommutative_convergence(report):
     ref = wp.cos_sqrt_sum_oracle([a, b], t) @ h
     ms = (8, 16, 32)
     errs = [float(np.linalg.norm(wp.fm_evaluate([a, b], h, t, m) - ref)) for m in ms]
-    _, conv = wp.cos_noncomm([a, b], h, t, tol=1e-12, m0=8, m_cap=32, reference=ref)
+    _, conv = wp.cos_noncomm([a, b], h, t, tol=1e-12, m_cap=32, reference=ref)
     elapsed = time.perf_counter() - start
     slope = -np.polyfit(np.log(ms), np.log(errs), 1)[0]
     passed = (
@@ -227,18 +227,18 @@ def test_criterion_10_harmonic_oscillator(report):
     ground = wp.GridField(np.exp(-x * x / 2.0).astype(complex), (16.0,),
                           origins=(-8.0,))
     t = 0.2
-    _, _, diag = wp.harmonic_oscillator(ground, t, tol=1e-3, m0=8, m_cap=32)
+    _, ground_report, diag = wp.harmonic_oscillator(ground, t, tol=1e-3, m_cap=32)
     ground_gap = diag["oracle_gap"]
     excited = wp.GridField((x * np.exp(-x * x / 2.0)).astype(complex), (16.0,),
                            origins=(-8.0,))
-    out, _, _ = wp.harmonic_oscillator(excited, t, tol=1e-4, m0=8, m_cap=128)
+    out, _, _ = wp.harmonic_oscillator(excited, t, tol=1e-4, m_cap=128)
     factor_gap = wp.relative_l2_gap(
         out.values, math.cos(math.sqrt(3.0) * t) * excited.values
     )
     report(
         "criterion 10 harmonic oscillator",
         ground_gap <= tol and factor_gap <= tol,
-        f"ground_gap={ground_gap:.3e} tol={tol:.0e} (by m=32); "
+        f"ground_gap={ground_gap:.3e} tol={tol:.0e} (m={ground_report.m_values[-1]}, cap 32); "
         f"excited_factor_gap={factor_gap:.3e} tol={tol:.0e}",
     )
 

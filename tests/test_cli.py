@@ -129,13 +129,14 @@ def test_noncomm_romberg_walk_starts_at_one_and_has_no_richardson_option():
     code, out, _ = run_cli(["noncomm", "--t", "0.3", "--tol", "1e-6"])
     assert code == 0
     report = json.loads(out)
-    assert report["inputs"]["m0"] == 1 and "richardson" not in report["inputs"]
+    assert {"m0", "richardson"}.isdisjoint(report["inputs"])
     walk = report["report"]
     assert walk["m_values"][0] == 1 and walk["column"] == len(walk["m_values"]) - 1
     assert report["gaps"]["oracle_relative"] <= 1e-9
-    code, _, err = run_cli(["noncomm", "--richardson"])
-    assert code == 2
-    assert "unrecognized arguments" in err
+    for argv in (["noncomm", "--richardson"], ["noncomm", "--m0", "2"], ["oscillator", "--m0", "2"]):
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
 
 def test_noncomm_formula_slug():

@@ -101,6 +101,9 @@ _DELETED_PARAMETERS = {
     ("trotter", "sin_fm_evaluate"): ["order"],
     ("trotter", "fm_quadrature_crosscheck"): ["order"],
     ("trotter", "taylor_limit_check"): ["m_values"],
+    ("trotter", "cos_noncomm"): ["m0"],
+    ("trotter", "sin_noncomm"): ["m0"],
+    ("pde", "harmonic_oscillator"): ["m0"],
     ("pde", "grushin_demo"): ["m_cap"],
     ("quadrature", "stable_sum"): ["axis"],
     ("quadrature", "ball_moment"): ["d"],
@@ -122,6 +125,10 @@ def test_deleted_options_and_exports_stay_deleted():
                          ("operators", "as_matrix"), ("quadrature", "DirichletRule"), ("fields", "_is_even")):
         assert not hasattr(importlib.import_module(f"waveprop.{module}"), name), name
     assert not hasattr(wp.GridField, "norm")
+    # the splitting walk is reached through fm_evaluate, a Monte Carlo error is mass * std / sqrt(n)
+    assert "taylor_series_build" not in wp.__all__
+    assert not hasattr(importlib.import_module("waveprop.trotter"), "taylor_series_build")
+    assert not hasattr(wp.SphereRule, "error_estimate") and not hasattr(wp.BallRule, "error_estimate")
     assert not hasattr(wp.CommutingFamily, "norm_sum")
     # one rule picks every series order: the ascent's own order rule and both tolerances are gone
     for module in ("operators", "ascent", "trotter"):

@@ -20,22 +20,27 @@ def unit_pair():
     return a, b, h
 
 
+def _series(ops, h, m, order):
+    """W_n h at the one depth m as row n of an (order+1, dim) array: the entries' front end and walk."""
+    _, vec, bases = trotter._prepared(ops, h)
+    (series,) = trotter._depths(bases, vec, order, [m])
+    return series
+
+
 def test_series_leading_coefficients_are_exact(unit_pair):
     a, b, h = unit_pair
     for m in (1, 4, 16):
-        series = wp.taylor_series_build([a, b], h, m, order=6)
+        series = _series([a, b], h, m, order=6)
         assert np.allclose(series[0], h, atol=1e-14)
         assert np.allclose(series[1], (a @ a + b @ b) @ h, atol=1e-13)
 
 
 def test_series_build_validation(unit_pair):
     a, b, h = unit_pair
+    with pytest.raises(ValueError, match="splitting depth m must be at least 1, got 0"):
+        wp.fm_evaluate([a, b], h, 0.3, 0)
     with pytest.raises(ValueError):
-        wp.taylor_series_build([a, b], h, 0, order=4)
-    with pytest.raises(ValueError):
-        wp.taylor_series_build([a, b], h, 2, order=-1)
-    with pytest.raises(ValueError):
-        wp.taylor_series_build([], h, 2, order=4)
+        wp.fm_evaluate([], h, 0.3, 2)
 
 
 def _dense_series(ops, h, m, order):
@@ -66,7 +71,7 @@ def test_series_build_matches_dense_product(q, m, order):
     ops = [wp.random_hermitian(5, rng=rng, norm=1.5) for _ in range(q)]
     h = wp.random_state(5, rng=rng)
     dense = _dense_series(ops, h, m, order)
-    built = wp.taylor_series_build(ops, h, m, order)
+    built = _series(ops, h, m, order)
     assert np.max(np.abs(built - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -77,7 +82,7 @@ def test_series_build_with_zero_and_degenerate_operators(m):
     cases = [[a, b], [np.zeros_like(a), b], [a, np.zeros_like(a), b], [np.zeros_like(a)]]
     for ops in cases:
         dense = _dense_series(ops, h, m, 6)
-        built = wp.taylor_series_build(ops, h, m, 6)
+        built = _series(ops, h, m, 6)
         assert np.max(np.abs(built - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -85,7 +90,7 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
     a, b, h = unit_pair
     skew = a.copy()
     skew[0, 1] += 1e-6
-    splitting = (lambda x, y, v: wp.taylor_series_build([x, y], v, 4, 3),
+    splitting = (lambda x, y, v: wp.fm_evaluate([x, y], v, 0.3, 4),
                  lambda x, y, v: wp.cos_noncomm([x, y], v, 0.3, tol=1e-6))
     oracles = (lambda x, y, v: wp.cos_sqrt_sum_oracle([x, y], 0.3, v),
                lambda x, y, v: wp.sinc_sqrt_sum_oracle([x, y], 0.3, v))
@@ -106,6 +111,8 @@ def test_splitting_inputs_are_refused_at_the_boundary(unit_pair):
         for tol in (math.nan, math.inf, 0.0, -1e-6):
             with pytest.raises(ValueError, match="tolerance must be positive and finite"):
                 route([a, b], h, 0.3, tol=tol)
+        with pytest.raises(ValueError, match="m_cap must be at least 1, got 0"):
+            route([a, b], h, 0.3, tol=1e-6, m_cap=0)
 
 
 _TIMED_ENTRY_POINTS = {
@@ -160,7 +167,7 @@ def test_tail_bound_covers_truncation_error(unit_pair):
     amp, y, x, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
     assert x < 1.0  # inside the radius
     # the order-3 sum is the prefix of one deep series
-    series = wp.taylor_series_build([a, b], h, 32, 24)
+    series = _series([a, b], h, 32, 24)
     diff = np.linalg.norm(_series_sum(series[:4], t, False) - _series_sum(series, t, False))
     assert 0.0 < diff <= _tail_bound(amp, y, t, 3)
 
@@ -174,7 +181,7 @@ def test_series_coefficients_obey_the_norm_majorant(q, seed):
     h = wp.random_state(5, rng=rng)
     s = sum(np.linalg.norm(op, 2) ** 2 for op in ops)
     for m in (1, 2, 5, 16):
-        vectors = wp.taylor_series_build(ops, h, m, order=10)
+        vectors = _series(ops, h, m, order=10)
         for n, w in enumerate(vectors):
             assert np.linalg.norm(w) <= (1.0 + 1e-12) * np.linalg.norm(h) * s ** n / math.factorial(n)
 
@@ -184,7 +191,7 @@ def test_series_coefficients_obey_the_norm_majorant(q, seed):
 def test_tail_bound_holds_inside_and_outside_the_radius(unit_pair, sine, t):
     a, b, h = unit_pair
     amp, y, _, _ = _series_scales([np.linalg.norm(a, 2), np.linalg.norm(b, 2)], h, t)
-    series = wp.taylor_series_build([a, b], h, 16, 60)
+    series = _series([a, b], h, 16, 60)
     deep = _series_sum(series, t, sine)
     for order in (2, 4, 8):
         diff = np.linalg.norm(_series_sum(series[: order + 1], t, sine) - deep)
@@ -212,14 +219,14 @@ def test_driver_converges_with_reference(unit_pair):
 
 def test_driver_reports_slow_when_cap_hit(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm([a, b], h, 0.3, tol=1e-14, m0=8, m_cap=16)
+    _, report = wp.cos_noncomm([a, b], h, 0.3, tol=1e-14, m_cap=4)
     assert report.verdict == "slow"
-    assert report.m_values == [8, 16]
+    assert report.m_values == [1, 2, 4]
 
 
 def test_driver_flags_time_outside_radius(unit_pair):
     a, b, h = unit_pair
-    _, report = wp.cos_noncomm([a, b], h, 2.0, tol=1e-12, m0=8, m_cap=16)
+    _, report = wp.cos_noncomm([a, b], h, 2.0, tol=1e-12, m_cap=4)
     assert report.caution_outside_radius
     assert report.verdict == "outside_radius"
     assert report.radius == pytest.approx(1.0 / math.sqrt(2.0))
@@ -294,7 +301,7 @@ def test_taylor_coefficient_gap_halves(unit_pair):
     # the check's walk doubles m, so each depth is bit-identical to a fresh build
     s = a @ a + b @ b
     target = s @ (s @ h) / 2.0
-    fresh = [float(np.linalg.norm(target - wp.taylor_series_build([a, b], h, m, 2)[2])) for m in (8, 16, 32, 64)]
+    fresh = [float(np.linalg.norm(target - _series([a, b], h, m, 2)[2])) for m in (8, 16, 32, 64)]
     assert gaps == fresh
 
 
@@ -368,11 +375,11 @@ def _drive(ops, h, t, sine, **kwargs):
     return (wp.sin_noncomm if sine else wp.cos_noncomm)(ops, h, t, **kwargs)
 
 
-@pytest.mark.parametrize("m0", [1, 3, 8])
+@pytest.mark.parametrize("seed", [1, 3, 8])
 @pytest.mark.parametrize("q, sine", [(2, False), (3, False), (2, True)], ids=["cos-q2", "cos-q3", "sin-q2"])
-def test_driver_series_at_every_depth_equals_a_fresh_build(monkeypatch, q, sine, m0):
+def test_driver_series_at_every_depth_equals_a_fresh_build(monkeypatch, q, sine, seed):
     # each depth continues the one before with an exact power-of-two scale
-    ops, h = _family(q, seed=q + m0)
+    ops, h = _family(q, seed=q + seed)
     seen = []
     sum_series = trotter._series_sum
 
@@ -381,11 +388,11 @@ def test_driver_series_at_every_depth_equals_a_fresh_build(monkeypatch, q, sine,
         return sum_series(series, t, sine)
 
     monkeypatch.setattr(trotter, "_series_sum", recording)
-    _, report = _drive(ops, h, 0.6, sine, tol=1e-15, m0=m0, m_cap=64)
-    assert report.verdict != "converged" and len(report.m_values) >= 4
+    _, report = _drive(ops, h, 0.6, sine, tol=1e-15, m_cap=64)
+    assert report.verdict != "converged" and report.m_values == [1, 2, 4, 8, 16, 32, 64]
     assert len(seen) == len(report.m_values)
     for m, series in zip(report.m_values, seen):
-        assert np.array_equal(series, wp.taylor_series_build(ops, h, m, report.truncation_order))
+        assert np.array_equal(series, _series(ops, h, m, report.truncation_order))
 
 
 def _count_sweeps(monkeypatch) -> list:
@@ -401,11 +408,11 @@ def _count_sweeps(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
-@pytest.mark.parametrize("m0, m_cap, tol", [(3, 96, 1e-15), (8, 512, 1e-6), (1, 64, 1e-4)])
-def test_drive_to_depth_m_runs_m_sweeps(monkeypatch, sine, m0, m_cap, tol):
+@pytest.mark.parametrize("m_cap, tol", [(96, 1e-15), (512, 1e-6), (64, 1e-4)])
+def test_drive_to_depth_m_runs_m_sweeps(monkeypatch, sine, m_cap, tol):
     ops, h = _family(2)
     calls = _count_sweeps(monkeypatch)
-    _, report = _drive(ops, h, 0.3, sine, tol=tol, m0=m0, m_cap=m_cap)
+    _, report = _drive(ops, h, 0.3, sine, tol=tol, m_cap=m_cap)
     assert len(report.m_values) >= 2
     assert len(calls) == report.m_values[-1]
 
@@ -426,7 +433,7 @@ def test_walk_with_ratios_off_powers_of_two_matches_fresh_builds(q):
     bases = trotter._eigenbases([_eigh(op) for op in ops])
     walk = trotter._depths(bases, np.asarray(h, dtype=complex), order, depths)
     for m, series in zip(depths, walk):
-        fresh = wp.taylor_series_build(ops, h, m, order)
+        fresh = _series(ops, h, m, order)
         assert np.max(np.abs(series - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
 
@@ -464,3 +471,18 @@ def test_driver_errors_without_a_reference_are_one_fewer_than_the_depths(unit_pa
     assert with_ref.m_values == report.m_values
     assert with_ref.column == report.column
     assert len(with_ref.errors) == 3  # ||F(m_i) - reference||
+
+
+@pytest.mark.parametrize("sine", [False, True], ids=["cos", "sin"])
+def test_drivers_refuse_a_malformed_reference_by_name(unit_pair, sine):
+    # a column would broadcast against the value, and NaN gaps would read as converged
+    a, b, h = unit_pair
+    ref = (wp.sinc_sqrt_sum_oracle if sine else wp.cos_sqrt_sum_oracle)([a, b], 0.3, h)
+    for bad in (ref[:, None], ref[:3], np.array(1.0)):
+        with pytest.raises(ValueError, match=r"vector reference of shape .* does not match operator dimension 4"):
+            _drive([a, b], h, 0.3, sine, tol=1e-6, reference=bad)
+    for fill in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vector reference has non-finite entries"):
+            _drive([a, b], h, 0.3, sine, tol=1e-6, reference=np.full(4, fill))
+    _, report = _drive([a, b], h, 0.3, sine, tol=1e-6, reference=list(ref))
+    assert report.verdict == "converged" and report.errors[-1] <= 1e-6
