@@ -8,18 +8,18 @@ by a vector t*omega is exact through FFT phase multipliers, so quadrature
 is the only approximation in the average itself.
 
 Shell averages and the exact time ladder: the average of the plane wave
-exp(i tau k.w) over a rotation invariant measure depends only on tau|k|.
-By the Funk-Hecke reduction (Dai & Xu, Approximation Theory and Harmonic
-Analysis on Spheres and Balls, 2013) it is a one dimensional average of
-cos(tau |k| s) in s = w.k/|k|, against the Gauss-Jacobi weight
-(1-s^2)^(p+(d-1)/2) for the ball weight (1-|w|^2)^p in R^d, or
-(1-s^2)^((d-3)/2) for the sphere S^(d-1).  The multiplier is therefore
-evaluated once per distinct |k|^2 shell of the FFT grid, as
-g(tau) = sum_i w_i cos(tau |k| s_i).  The ladder d/dtau (1/tau d/dtau)^(m-1)
-[tau^(2m-1) g] is sum_j a_j t^j g^(j)(t) at tau = t, with the row a_j of
-ascent._ladder_row, and t^j g^(j)(t) = sum_i w_i (x s_i)^j cos(x s_i + j pi/2)
-with x = t|k|, so a shell costs one cos and one sin per node, and no
-stencil or fit enters.
+exp(i tau k.w) over a rotation invariant probability measure depends only
+on tau|k|.  By the Funk-Hecke reduction (Dai & Xu, Approximation Theory and
+Harmonic Analysis on Spheres and Balls, 2013) it is an average of
+cos(tau |k| s) in s = w.k/|k|, and every route of R^D reads one law,
+s^2 ~ Beta(1/2, m) with m = D // 2: the sphere S^(D-1) for odd D, the ball
+weight (1-|w|^2)^(-1/2) for even D (_shell_rule).  So the multiplier is
+g(tau) = sum_i w_i cos(tau |k| s_i), once per distinct |k|^2 shell of the
+FFT grid, and as in the ascent, D[tau^(2m-1) g] / (2m-1)!! with
+D = d/dtau (1/tau d/dtau)^(m-1) is sum_j a_j t^j g^(j)(t) / a_0 at tau = t,
+a_j the row of ascent._ladder_row, a_0 = (2m-1)!!, and
+t^j g^(j)(t) = sum_i w_i (x s_i)^j cos(x s_i + j pi/2) with x = t|k|: a
+shell costs one cos and one sin per node, and no stencil or fit enters.
 
 A mass is one more axis (Hadamard's method of descent, Lectures on
 Cauchy's Problem, 1923): cos(t sqrt(|k|^2 + a^2)) is the massless
@@ -54,8 +54,8 @@ import numpy as np
 from .ascent import _ladder_row
 from .fields import GridField, _finite_values, _from_half_spectra, _half_spectra, assert_no_wrap, relative_l2_gap
 from .operators import _checked_time, _cos_sqrt, _eigh, cos_sqrt_sum_oracle
-from .quadrature import _dirichlet_rule, ball_moment, build_ball_rule, sphere_area
-from .trotter import _AxisDFT, _cos_known_bases
+from .quadrature import _dirichlet_rule, build_ball_rule
+from .trotter import _AxisDFT, _checked_walk, _cos_known_bases
 
 __all__ = [
     "wave_general",
@@ -109,31 +109,27 @@ def _halvings(spectrum, t, shift) -> tuple[int, int]:
 # the s rule and the per-shell engine
 
 
-def _shell_rule(d: int, level: int, p: float | None = None):
-    """(s, weights) for S^(d-1) (p None) or the ball weight (1-|w|^2)^p in R^d.
+def _shell_rule(m: float, level: int):
+    """(s, weights) of s = w.k/|k|, s^2 ~ Beta(1/2, m): a probability rule, its weights sum to 1.
 
-    s = w.k/|k|.  The shell sums are even in s, and s^2 is
-    Beta(1/2, (d-1)/2) on the sphere, Beta(1/2, (d-1)/2 + p + 1) on the
-    ball, so one Dirichlet probability rule, times the measure's mass,
-    gives every s (S^0 has the single node s = 1).
+    The law of S^(D-1) for odd D and of the (1-|w|^2)^(-1/2) ball for even
+    D, m = D // 2, and of the flat interval at m = 1; m = 0 is S^0, the
+    single node s = 1.  The shell sums are even in s, so one Dirichlet rule in s^2 gives every s.
     """
-    rest = (d - 1) / 2.0 + (0.0 if p is None else p + 1.0)
-    alphas = [0.5] + ([rest] if rest else [])
-    mass = sphere_area(d) if p is None else ball_moment((0,) * d, boundary_exponent=p)
-    u, weights = _dirichlet_rule(alphas, level)
-    return np.sqrt(u[:, 0]), weights * mass
+    u, weights = _dirichlet_rule([0.5, m] if m else [0.5], level)
+    return np.sqrt(u[:, 0]), weights
 
 
-def _shell_multiplier(k2, tau, rule, pref, m, kind):
-    """pref * sum_j a_j tau^j g^(j)(tau) per sorted shell |K|^2 = k2, g(tau) = sum w cos(tau |K| s).
+def _shell_multiplier(k2, tau, m, level, kind):
+    """sum_j a_j tau^j g^(j)(tau) / a_0 per sorted shell |K|^2 = k2, g(tau) = E cos(tau |K| s), s of _shell_rule.
 
-    a_j is _ladder_row(m, kind == "sin") (sine: times tau).  With x = tau|K|,
+    a_j is _ladder_row(m, kind == "sin") (sine: times tau), a_0 = (2m-1)!!.  With x = tau|K|,
     tau^j g^(j)(tau) = sum w (x s)^j cos(x s + j pi/2).  Shells a negative
     shift takes below zero lead k2: only there is x imaginary and the
     arithmetic complex, continued to cosh (sinh(y)/y), of which the real
     part is kept.
     """
-    s, weights = rule
+    s, weights = _shell_rule(m, level)
     row = _ladder_row(m, kind == "sin")
     # column n: a_n w s^n, signed as cos(. + n pi/2)
     cols = [(-1) ** ((n + 1) // 2) * row[n] * weights * s ** n for n in range(len(row))]
@@ -149,29 +145,20 @@ def _shell_multiplier(k2, tau, rule, pref, m, kind):
             phase = np.outer(xb, s)
             multiplier[start : start + len(xb)] = sum(
                 ((trig(phase) @ col) * xb[:, None] ** power).sum(axis=1) for trig, col, power in parts).real
-    return pref * (multiplier * (tau if kind == "sin" else 1.0))
+    return multiplier * (tau if kind == "sin" else 1.0) / row[0]
 
 
 # ---------------------------------------------------------------------------
 # wave propagators
 
 
-def _route(dim: int, kind: str):
-    """(p, pref, m) of the ascent's route in R^dim: the rule's ball exponent (None: sphere), prefactor, ladder depth."""
-    if (dim, kind) == (1, "sin"):
-        return 0.0, 0.5, 1
-    m = dim // 2
-    return (None if dim % 2 else -0.5), (2.0 * math.pi) ** (-m) / (1 + dim % 2), m
-
-
 def _propagate(field, t, kind, shift=None):
-    """The ascent's route in R^D, m = D // 2: D = d, or D = d + 1 with the shells shifted by shift = +-a^2.
+    """The ascent's route of depth m = D // 2 in R^D: D = d, or D = d + 1 with the shells shifted by shift = +-a^2.
 
-    That is S^(D-1) with prefactor (2 pi)^(-m)/2 for odd D (S^0 needs no
-    level), the p = -1/2 ball with (2 pi)^(-m) for even D, and the flat
-    interval for the massless 1-D sine.  Past _LEVEL_CAP the multipliers
-    are taken at t/2^k and doubled back per shell.  Every grid route enters
-    here, so t and the field samples are checked here, once.
+    Its shell law is s^2 ~ Beta(1/2, m) (_shell_rule; m = 1 for the massless
+    1-D sine, and S^0, m = 0, needs no level), over (2m-1)!!.  Past _LEVEL_CAP
+    the multipliers are taken at t/2^k and doubled back per shell.  Every grid
+    route enters here, so t and the field samples are checked here, once.
     """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
@@ -181,19 +168,18 @@ def _propagate(field, t, kind, shift=None):
         return field.like(field.values.copy() if kind == "cos" else np.zeros_like(field.values))
     assert_no_wrap(field, t)
     dim, shift = field.dim + (shift is not None), shift or 0.0
-    p, pref, m = _route(dim, kind)
+    m = int(max(dim // 2, kind == "sin"))
     spectrum = _half_spectra(field)
     spectra, k2_grid = spectrum
     k2, inverse = np.unique(k2_grid, return_inverse=True)
     k2 = k2 + shift
     halvings, level = _halvings(spectrum, t, shift) if m else (0, 0)
     tau = t / 2 ** halvings
-    multiplier = _shell_multiplier(k2, tau, _shell_rule(dim, level, p), pref, m, kind)
+    multiplier = _shell_multiplier(k2, tau, m, level, kind)
     if halvings:
-        # C(2 tau) = 2 C^2 - 1 and S(2 tau) = 2 S C, shell by shell (the cosine in its own route: S^0 in 1-D)
-        p, pref, m = _route(dim, "cos")
+        # C(2 tau) = 2 C^2 - 1 and S(2 tau) = 2 S C, shell by shell (the cosine at its own depth: S^0 in 1-D)
         sin = multiplier
-        cos = multiplier if kind == "cos" else _shell_multiplier(k2, tau, _shell_rule(dim, level, p), pref, m, "cos")
+        cos = multiplier if kind == "cos" else _shell_multiplier(k2, tau, dim // 2, level, "cos")
         for _ in range(halvings):
             sin, cos = 2.0 * sin * cos, 2.0 * cos * cos - 1.0
         multiplier = cos if kind == "cos" else sin
@@ -279,9 +265,13 @@ def cos_to_exp_rewrite_check(scalars, t: float, rule=None) -> dict:
 
     The two agree exactly when the rule is invariant under per coordinate
     sign flips; an asymmetric rule breaks the identity, which is what the
-    gap reports.  The default rule is the level-10 ball rule.
+    gap reports.  The default rule is the level-10 ball rule.  A non-finite
+    t or scalar is refused.
     """
+    _checked_time(t)
     scalars = np.atleast_1d(np.asarray(scalars, dtype=float))
+    if not np.all(np.isfinite(scalars)):
+        raise ValueError(f"scalars must be finite, got {scalars.tolist()}")
     if rule is None:
         rule = build_ball_rule(len(scalars), 10)
     nodes = np.asarray(rule.nodes, dtype=float)
@@ -347,6 +337,7 @@ def harmonic_oscillator(field: GridField, t: float, tol: float = 1e-6, m_cap: in
     """
     if field.dim != 1:
         raise ValueError("harmonic_oscillator expects a one dimensional field")
+    _checked_walk(t, tol, m_cap)
     v = _finite_values(field)
     peak = float(np.abs(v).max())
     edge = float(max(abs(v[0]), abs(v[-1])))
@@ -397,7 +388,7 @@ def grushin_demo(field: GridField, t: float, tol: float = 1e-8):
     if n1 * n2 > _TOEPLITZ_CAP:
         raise ValueError(
             f"grid too large for the splitting's N (order+1)^2 Toeplitz stacks; keep n1*n2 <= {_TOEPLITZ_CAP}")
-    _checked_time(t)
+    _checked_walk(t, tol, 256)
     x1, k2 = field.axis_coordinates(0), field.wavenumbers(1)
     reference = _grushin_oracle(field, t)
     factors = [(np.repeat(field.wavenumbers(0), n2), _AxisDFT(field.shape, 0)),

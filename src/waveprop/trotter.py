@@ -61,14 +61,15 @@ at each public entry point, by the checks the oracles use
 (operators._checked_operators, _checked_vector, _checked_time): the
 operators must be square, of one shape, finite and Hermitian to
 HERMITIAN_RTOL, h must be finite and match their dimension, and t must
-be finite.  The entries that take t check it first; then every entry
-shares one front end, _prepared: it checks the operators and h and
-diagonalizes each operator.  The timed entries (the F_m evaluators,
-cos_noncomm, sin_noncomm and fm_quadrature_crosscheck) pick the order
+be finite.  The entries that take t check it first, the drivers with
+tol and m_cap (_checked_walk); then every entry shares one front end,
+_prepared: it checks the operators and h and diagonalizes each
+operator.  The timed entries (the F_m evaluators, cos_noncomm,
+sin_noncomm and fm_quadrature_crosscheck) pick the order
 whose relative tail bound is at most the float's rounding unit (_order);
 none of them takes an order argument.  harmonic_oscillator and
-grushin_demo in pde check their own fields and time and hand
-_cos_known_bases factors of known bases.
+grushin_demo in pde check their own fields and walk before their oracles
+and hand _cos_known_bases factors of known bases.
 """
 
 from __future__ import annotations
@@ -215,6 +216,15 @@ def _checked_depth(m: int) -> list[int]:
     return [m]
 
 
+def _checked_walk(t: float, tol: float, m_cap: int) -> None:
+    """Refuse a driver's non-finite t, a tolerance that is not positive and finite, or m_cap < 1."""
+    _checked_time(t)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be at least 1, got {m_cap}")
+
+
 def _sweep(bases: _Eigenbases, stacks, coeffs: np.ndarray) -> np.ndarray:
     """One pass of the factor pattern over the (dim, order+1) coefficients, in and out of the basis `last`."""
     dim, width = coeffs.shape
@@ -308,11 +318,7 @@ def sin_fm_evaluate(ops, h, t: float, m: int) -> np.ndarray:
 
 
 def _drive(bases: _Eigenbases, vec, t: float, tol: float, m_cap: int, sine: bool, reference=None):
-    """Romberg's walk of the prepared bases and checked vector, as cos_noncomm describes; (value, report)."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be at least 1, got {m_cap}")
+    """Romberg's walk, as cos_noncomm describes, of the prepared bases and checked vector and walk; (value, report)."""
     order, (amp, y, x, radius) = _order(bases, vec, t, sine)
     ref = None if reference is None else _checked_vector(reference, len(vec), "reference")
     depths = [1]
@@ -367,14 +373,14 @@ def cos_noncomm(ops, h, t: float, tol: float, m_cap: int = 512, reference=None):
     differences ||T[i+1][i+1] - T[i][i]||, one fewer than the depths.
     A reference must be a finite vector of h's length.
     """
-    _checked_time(t)
+    _checked_walk(t, tol, m_cap)
     _, vec, bases = _prepared(ops, h)
     return _drive(bases, vec, t, tol, m_cap, sine=False, reference=reference)
 
 
 def sin_noncomm(ops, h, t: float, tol: float, m_cap: int = 512, reference=None):
     """Splitting-series smoothed sine propagator applied to h, driven as cos_noncomm."""
-    _checked_time(t)
+    _checked_walk(t, tol, m_cap)
     _, vec, bases = _prepared(ops, h)
     return _drive(bases, vec, t, tol, m_cap, sine=True, reference=reference)
 
@@ -384,7 +390,7 @@ def _cos_known_bases(factors, vec: np.ndarray, t: float, tol: float, m_cap: int,
 
     factors is the ordered list [(eigenvalues of A_1, basis of A_1), ..]:
     a basis is a dense unitary, an _AxisDFT or None for the identity.  The
-    caller checks t and the finite vector vec, flattened as the bases take it.
+    caller checks the walk and the finite vector vec, flattened as the bases take it.
     """
     return _drive(_eigenbases(factors), vec, t, tol, m_cap, sine=False, reference=reference)
 

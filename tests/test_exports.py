@@ -110,6 +110,7 @@ _DELETED_PARAMETERS = {
     ("fields", "gaussian_bump"): ["origins", "amplitude"],
     ("fields", "assert_no_wrap"): ["support_radius"],
     ("fields", "spectral_wave_reference"): ["symbol"],
+    ("pde", "_shell_multiplier"): ["pref"],
 }
 
 
@@ -130,6 +131,8 @@ def test_deleted_options_and_exports_stay_deleted():
     assert not hasattr(importlib.import_module("waveprop.trotter"), "taylor_series_build")
     assert not hasattr(wp.SphereRule, "error_estimate") and not hasattr(wp.BallRule, "error_estimate")
     assert not hasattr(wp.CommutingFamily, "norm_sum")
+    # every grid route reads one shell law over (2m-1)!!: no table of measures and prefactors
+    assert not hasattr(importlib.import_module("waveprop.pde"), "_route")
     # one rule picks every series order: the ascent's own order rule and both tolerances are gone
     for module in ("operators", "ascent", "trotter"):
         for name in ("_truncation_order", "SERIES_TAIL_TOL", "SERIES_ORDER_CAP", "DEFAULT_ORDER_TOL",

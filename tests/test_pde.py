@@ -289,20 +289,30 @@ _SHELL_RULES = [(2, -0.5), (1, 0.0), (2, None), (3, None)]
 
 @pytest.mark.parametrize("d, p", _SHELL_RULES, ids=[f"{d}-{p}-None" for d, p in _SHELL_RULES])
 def test_shell_rule_moments_match_dirichlet_closed_form(d, p):
-    s, weights = pde._shell_rule(d, 8, p)
+    # s = w.k/|k| on S^(d-1) or under the ball weight (1-|w|^2)^p has s^2 ~ Beta(1/2, m)
+    m = (d - 1) / 2.0 + (0.0 if p is None else p + 1.0)
+    s, weights = pde._shell_rule(m, 8)
+    if p is None:  # sphere: twice Dirichlet(1/2, ..., 1/2) in w^2
+        sphere = lambda i: 2.0 * math.pi ** ((d - 1) / 2.0) * math.exp(math.lgamma(i + 0.5) - math.lgamma(i + d / 2.0))
+        closed, mass = sphere, 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    else:
+        closed = lambda i: wp.ball_moment((i,) + (0,) * (d - 1), boundary_exponent=p)
+        mass = wp.ball_moment((0,) * d, boundary_exponent=p)
     for i in range(5):
-        got = float(np.sum(weights * s ** (2 * i)))
-        if p is None:  # sphere: twice Dirichlet(1/2, ..., 1/2) in w^2
-            exact = 2.0 * math.pi ** ((d - 1) / 2.0) * math.exp(
-                math.lgamma(i + 0.5) - math.lgamma(i + d / 2.0))
-        else:
-            exact = wp.ball_moment((i,) + (0,) * (d - 1), boundary_exponent=p)
-        assert got == pytest.approx(exact, rel=1e-13)
+        assert float(np.sum(weights * s ** (2 * i))) == pytest.approx(closed(i) / mass, rel=1e-13)
 
 
 def test_shell_rule_on_s0_is_the_single_node_one():
-    s, weights = pde._shell_rule(1, 12)
-    assert s.tolist() == [1.0] and weights.tolist() == [2.0]
+    s, weights = pde._shell_rule(0, 12)
+    assert s.tolist() == [1.0] and weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_grid_routes_keep_the_zero_mode_exactly(d):
+    # a probability rule over (2m-1)!! leaves the k = 0 shell at exactly 1
+    f = wp.GridField(np.ones((6,) * d), (TWO_PI,) * d)
+    for out in (wp.wave_general(f, 1.3), wp.klein_gordon(f, 1.3, 0.0)):
+        assert np.array_equal(out.values, np.ones(f.shape))
 
 
 def test_klein_gordon_1d_matches_reference():
@@ -447,6 +457,14 @@ def test_cos_to_exp_rewrite_identity_for_symmetric_rule():
     assert report["imaginary_residual"] <= 1e-12
 
 
+def test_cos_to_exp_rewrite_refuses_non_finite_time_or_scalar():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time t must be finite"):
+            wp.cos_to_exp_rewrite_check([0.6, -0.3], bad)
+        with pytest.raises(ValueError, match="scalars must be finite"):
+            wp.cos_to_exp_rewrite_check([0.6, bad], 0.9)
+
+
 def test_cos_to_exp_rewrite_negative_control():
     # shifting the nodes in both coordinates destroys the sign symmetry
     # the rewrite relies on, so the gap must become macroscopic
@@ -559,6 +577,29 @@ def test_splitting_drivers_refuse_non_finite_field_before_the_oracle(monkeypatch
     field.values.flat[40] = math.nan
     with pytest.raises(ValueError, match="field values have non-finite entries"):
         getattr(wp, driver)(field, 0.2)
+
+
+_DRIVERS = {
+    "cos_noncomm": lambda tol, m_cap: wp.cos_noncomm([np.eye(4), np.eye(4)], np.ones(4), 0.2, tol, m_cap),
+    "sin_noncomm": lambda tol, m_cap: wp.sin_noncomm([np.eye(4), np.eye(4)], np.ones(4), 0.2, tol, m_cap),
+    "harmonic_oscillator": lambda tol, m_cap: wp.harmonic_oscillator(pde._hermite_state(64, False), 0.2, tol, m_cap),
+    "grushin_demo": lambda tol, m_cap: wp.grushin_demo(pde._grushin_field(8), 0.2, tol),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+def test_splitting_drivers_refuse_tol_and_m_cap_before_any_decomposition(monkeypatch, driver):
+    def refused(*args, **kwargs):
+        raise AssertionError("a decomposition or oracle ran before tol and m_cap were checked")
+
+    for module, name in ((trotter, "_eigh"), (pde, "_eigh"), (pde, "cos_sqrt_sum_oracle"), (pde, "_grushin_oracle")):
+        monkeypatch.setattr(module, name, refused)
+    for tol in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            _DRIVERS[driver](tol, 512)
+    if driver != "grushin_demo":  # its walk stops at m = 256
+        with pytest.raises(ValueError, match="m_cap must be at least 1, got 0"):
+            _DRIVERS[driver](1e-6, 0)
 
 
 def test_grushin_constant_in_x2_collapses_to_1d_wave():
